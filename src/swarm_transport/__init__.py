@@ -25,7 +25,6 @@ from .formation import (
     Formation,
     LayeredGraph,
     build_actual,
-    build_nominal,
     fan_triangulate,
     select_core,
     topological_order,
@@ -40,7 +39,7 @@ from .scenario import (
 )
 from .setpoints import build_comm_matrix, propagate_setpoints, solve_setpoints_dense
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
-from .weights import WeightSchedule, beta, build_schedule, final_weights, initial_weights, weights_at
+from .weights import WeightSchedule, beta, build_schedule, weights_at
 
 __version__ = "0.1.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "beta",
     "build_actual",
     "build_comm_matrix",
-    "build_nominal",
     "build_schedule",
     "check_hurwitz",
     "compute_desired",
@@ -71,9 +69,7 @@ __all__ = [
     "convergence_check",
     "convex_hull",
     "fan_triangulate",
-    "final_weights",
     "generate_scenario",
-    "initial_weights",
     "leader_final_positions",
     "load_scenario",
     "make_plan",

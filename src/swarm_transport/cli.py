@@ -13,7 +13,7 @@ import numpy as np
 
 from . import engine, reporting, scenario as scenario_io, svgplot
 from .errors import SwarmTransportError
-from .formation import build_actual, graph_records, role_map
+from .formation import build_actual, graph_records
 from .geometry import ensure_ccw, scale_polygon
 from .scenario import GenerateParams
 
@@ -88,12 +88,11 @@ def _write_snapshots(result, out: Path, snapshot_times) -> None:
     if zone.shape[1] != 2:
         return  # snapshots are drawn for planar scenes only
     inflated = scale_polygon(ensure_ccw(zone), 1.0 + plan.scenario.margin)
-    roles = [role_map(plan.scenario.formation, plan.graph)[a] for a in trace.ids]
     for t_snap in snapshot_times:
         k = int(np.argmin(np.abs(trace.times - t_snap)))
         svg = svgplot.snapshot_svg(
             trace.positions[k],
-            roles,
+            trace.roles,
             float(trace.times[k]),
             zone=zone,
             inflated_zone=inflated,

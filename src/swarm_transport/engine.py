@@ -4,12 +4,15 @@ integrate the closed-loop team and score convergence.
 The closed loop follows the deployed coordination law: every follower's
 desired position is the current convex blend of its mentors' *actual*
 positions, anchors track their constant final positions, and clamped agents
-are frozen in place. Set-point fields are computed separately for reporting
-and never drive the loop.
+are frozen in place. The blend is a gather over the weight schedule's
+(M, n+1) mentor rows, so one step costs O(N (n+1)). Planned set-points are
+computed separately for reporting, all output times at once, and never
+drive the loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +21,9 @@ from . import dynamics, geometry
 from .dynamics import Gains
 from .errors import BadConfig, Diverged, GridMismatch
 from .formation import Formation, LayeredGraph, build_actual, role_map
-from .setpoints import anchor_positions, propagate_setpoints
+from .setpoints import propagate_setpoints
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
-from .weights import WeightSchedule, beta, build_schedule
+from .weights import WeightSchedule, beta, build_schedule, weights_at
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,9 @@ class Scenario:
 
 def validate_scenario(scenario: Scenario) -> None:
     sc = scenario
+    for name in ("t0", "tf", "t_end", "dt", "output_period", "margin"):
+        if not math.isfinite(getattr(sc, name)):
+            raise BadConfig(f"{name} must be finite, got {getattr(sc, name)}")
     if not (sc.t0 < sc.tf <= sc.t_end):
         raise BadConfig(f"times must satisfy t0 < tf <= t_end, got {sc.t0}, {sc.tf}, {sc.t_end}")
     if sc.dt <= 0:
@@ -122,26 +128,10 @@ def run(scenario: Scenario) -> RunResult:
     return RunResult(plan=plan, trace=trace)
 
 
-def _weight_matrix(plan: Plan, which: str) -> np.ndarray:
-    formation = plan.scenario.formation
-    ids = formation.ids
-    col = {a: k for k, a in enumerate(ids)}
-    n = len(ids)
-    mat = np.zeros((n, n))
-    table = plan.schedule.omega if which == "omega" else plan.schedule.varpi
-    for a, w in table.items():
-        r = col[a]
-        for m, wm in zip(plan.graph.mentors[a], w):
-            mat[r, col[m]] = wm
-    return mat
-
-
 def _integrate(plan: Plan) -> SimTrace:
     sc = plan.scenario
     formation = sc.formation
     ids = formation.ids
-    n = formation.dim
-    count = len(ids)
     roles = role_map(formation, plan.graph)
     role_arr = tuple(roles[a] for a in ids)
     layer_arr = tuple(plan.graph.layer_index[a] for a in ids)
@@ -150,10 +140,9 @@ def _integrate(plan: Plan) -> SimTrace:
     frozen = np.array([roles[a] == "uncooperative" for a in ids])
     anchor = np.array([roles[a] in ("boundary", "core") for a in ids])
 
-    p_arr = np.array([plan.desired.p[a] for a in ids])
+    p_arr = _final_positions(plan)
     a_arr = formation.positions.copy()
-    w0 = _weight_matrix(plan, "omega")
-    w1 = _weight_matrix(plan, "varpi")
+    schedule = plan.schedule
 
     steps = int(round((sc.t_end - sc.t0) / sc.dt))
     log_every = int(round(sc.output_period / sc.dt))
@@ -164,14 +153,14 @@ def _integrate(plan: Plan) -> SimTrace:
     des_log: list[np.ndarray] = []
     for k in range(steps + 1):
         t = sc.t0 + k * sc.dt
-        b = beta(t, sc.t0, sc.tf)
         r = states[:, 0, :]
         r_d = p_arr.copy()
         if sc.leader_blend:
+            b = beta(t, sc.t0, sc.tf)
             r_d[anchor] = (1.0 - b) * a_arr[anchor] + b * p_arr[anchor]
-        if coop.any():
-            w = (1.0 - b) * w0 + b * w1
-            r_d[coop] = (w @ r)[coop]
+        r_d[schedule.rows] = np.einsum(
+            "mk,mkd->md", weights_at(schedule, t), r[schedule.mentors]
+        )
         if k % log_every == 0 or k == steps:
             times.append(t)
             pos_log.append(r.copy())
@@ -233,15 +222,14 @@ def convergence_check(position, zone, margin: float) -> bool:
     return bool(np.all(vals <= geometry.CONTAINMENT_TOL))
 
 
+def _final_positions(plan: Plan) -> np.ndarray:
+    """Final desired positions in formation row order, shaped (N, n)."""
+    return np.array([plan.desired.p[a] for a in plan.scenario.formation.ids])
+
+
 def setpoint_series(plan: Plan, times) -> np.ndarray:
     """Planned set-point positions on a time grid, shaped (T, N, n)."""
-    anchors = anchor_positions(plan.graph, plan.desired)
-    ids = plan.scenario.formation.ids
-    out = np.empty((len(times), len(ids), plan.scenario.formation.dim))
-    for k, t in enumerate(times):
-        fld = propagate_setpoints(plan.graph, plan.schedule, anchors, float(t))
-        out[k] = [fld.s[a] for a in ids]
-    return out
+    return propagate_setpoints(plan.graph, plan.schedule, _final_positions(plan), times)
 
 
 @dataclass(frozen=True)

@@ -266,22 +266,11 @@ def _strict_interior_mask_points(formation: Formation, pts: np.ndarray) -> np.nd
     return np.all(vals < -geometry.DEGENERACY_COEFF * scale, axis=1)
 
 
-def build_nominal(formation: Formation) -> LayeredGraph:
-    """Mentor graph for a fully cooperative formation."""
-    if formation.uncooperative_ids:
-        raise BadConfig("nominal builder requires a formation with no clamped agents")
-    return _build_layered(formation)
-
-
 def build_actual(formation: Formation) -> LayeredGraph:
     """Mentor graph with clamped agents folded into layer 0 as extra sources.
 
-    With no clamped agents this reduces exactly to ``build_nominal``.
+    With no clamped agents this is the nominal, fully cooperative graph.
     """
-    return _build_layered(formation)
-
-
-def _build_layered(formation: Formation) -> LayeredGraph:
     core = formation.core_id if formation.core_id is not None else select_core(formation)
     fan = fan_triangulate(formation, core)
     n_initial = len(fan)

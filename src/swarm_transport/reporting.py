@@ -114,12 +114,14 @@ def plan_json(plan: Plan) -> str:
 
 def weights_table(plan: Plan) -> str:
     """Per-mentee endpoint weight vectors as plain text."""
+    sched = plan.schedule
+    ids = plan.scenario.formation.ids
     lines = ["# id\tmentors\tinitial_weights\tfinal_weights"]
-    for a in sorted(plan.schedule.omega):
-        mentors = ",".join(str(m) for m in plan.graph.mentors[a])
-        w0 = ",".join(fmt(v) for v in plan.schedule.omega[a])
-        w1 = ",".join(fmt(v) for v in plan.schedule.varpi[a])
-        lines.append(f"{a}\t{mentors}\t{w0}\t{w1}")
+    for k in np.argsort(sched.mentees):
+        mentors = ",".join(str(ids[m]) for m in sched.mentors[k])
+        w0 = ",".join(fmt(v) for v in sched.omega[k])
+        w1 = ",".join(fmt(v) for v in sched.varpi[k])
+        lines.append(f"{sched.mentees[k]}\t{mentors}\t{w0}\t{w1}")
     return "\n".join(lines) + "\n"
 
 

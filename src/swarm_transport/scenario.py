@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +45,19 @@ def _number(obj, key, where, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}.{key} must be a number", field=key)
-    return float(value)
+    number = _finite(value)
+    if number is None:
+        raise ParseError(f"{where}.{key} must be a finite number", field=key)
+    return number
+
+
+def _finite(value) -> float | None:
+    """The JSON number as a float, or None when it is NaN, infinite or too large."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -220,7 +233,10 @@ def _point_rows(rows, dim, where, minimum) -> np.ndarray:
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)
         ):
             raise ParseError(f"{where}[{k}] must be a list of {dim} numbers", field=where)
-        out[k] = [float(v) for v in row]
+        values = [_finite(v) for v in row]
+        if None in values:
+            raise ParseError(f"{where}[{k}] must be a list of finite numbers", field=where)
+        out[k] = values
     return out
 
 

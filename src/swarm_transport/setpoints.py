@@ -1,125 +1,87 @@
-"""Global desired set-points through the layered communication matrix.
+"""Global desired set-points from the mentor weights.
 
-The communication matrix has -1 on the diagonal, zero off-diagonals on
+Stacked over all agents, the set-points satisfy one sparse linear relation:
+the communication matrix has -1 on the diagonal, zero off-diagonals on
 anchor rows (hull agents, core, clamped agents) and the mentor weights on
 follower rows, so follower rows sum to zero. Because mentors always sit in
-strictly earlier layers, ordering agents by (layer, id) makes the follower
-block lower-triangular and the set-point system solvable by forward
-substitution; the dense partitioned solve is kept as an independent oracle.
+strictly earlier layers, the relation is solved exactly by propagating the
+anchors forward one mentor layer at a time, for all output times at once.
+The CSR matrix and the dense partitioned solve are kept as independent
+oracles for that propagation. Rows and columns are formation rows
+throughout, the order the trace and the writers use.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
 from .errors import SingularFollowerBlock
-from .formation import LayeredGraph, topological_order
-from .targets import DesiredPositions
-from .weights import WeightSchedule, weights_at
-
-
-@dataclass(frozen=True)
-class CommMatrix:
-    t: float
-    order: tuple[int, ...]  # row/column agent ids, sorted by (layer, id)
-    matrix: scipy.sparse.csr_matrix  # (N, N)
-    n_anchors: int  # layer-0 row count; anchor rows come first
-
-
-@dataclass(frozen=True)
-class SetpointField:
-    t: float
-    s: dict[int, np.ndarray]
-
-
-def agent_order(graph: LayeredGraph) -> tuple[int, ...]:
-    """Matrix ordering: agents sorted by (layer, id), anchors first."""
-    return tuple(sorted(graph.layer_index, key=lambda a: (graph.layer_index[a], a)))
-
-
-def anchor_positions(graph: LayeredGraph, desired: DesiredPositions) -> dict[int, np.ndarray]:
-    """Final positions of every layer-0 agent, the boundary data of the solve."""
-    return {a: desired.p[a] for a in sorted(graph.layers[0])}
-
-
-def build_comm_matrix(graph: LayeredGraph, schedule: WeightSchedule, t: float) -> CommMatrix:
-    order = agent_order(graph)
-    col = {a: k for k, a in enumerate(order)}
-    n = len(order)
-    w = weights_at(schedule, t)
-    rows = list(range(n))
-    cols = list(range(n))
-    vals = [-1.0] * n
-    for a, weights in sorted(w.items()):
-        r = col[a]
-        for m, wm in zip(graph.mentors[a], weights):
-            rows.append(r)
-            cols.append(col[m])
-            vals.append(float(wm))
-    matrix = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return CommMatrix(t=float(t), order=order, matrix=matrix, n_anchors=len(graph.layers[0]))
+from .formation import LayeredGraph
+from .weights import WeightSchedule, beta, weights_at
 
 
 def propagate_setpoints(
     graph: LayeredGraph,
     schedule: WeightSchedule,
-    leaders_p: dict[int, np.ndarray],
-    t: float,
-) -> SetpointField:
-    """Forward substitution in topological order (the primary path)."""
-    w = weights_at(schedule, t)
-    s: dict[int, np.ndarray] = {}
-    for a in topological_order(graph):
-        mentors = graph.mentors_of(a)
-        if not mentors:
-            s[a] = np.asarray(leaders_p[a], dtype=float)
-        else:
-            s[a] = np.einsum("m,mn->n", w[a], np.array([s[m] for m in mentors]))
-    return SetpointField(t=float(t), s=s)
+    anchors: np.ndarray,
+    times,
+) -> np.ndarray:
+    """Set-points on a time grid by forward substitution, shaped (T, N, n).
+
+    ``anchors`` is (N, n) in formation row order; its anchor rows are the
+    boundary data and its follower rows are ignored.
+    """
+    anchors = np.asarray(anchors, dtype=float)
+    b = np.array([beta(float(t), schedule.t0, schedule.tf) for t in times])[:, None, None]
+    s = np.repeat(anchors[None], len(b), axis=0)
+    start = 0
+    for layer in graph.layers[1:]:
+        sl = slice(start, start + len(layer))
+        start = sl.stop
+        w = (1.0 - b) * schedule.omega[sl] + b * schedule.varpi[sl]
+        s[:, schedule.rows[sl]] = np.einsum("tmk,tmkd->tmd", w, s[:, schedule.mentors[sl]])
+    return s
 
 
-def solve_setpoints_dense(
-    graph: LayeredGraph,
-    schedule: WeightSchedule,
-    leaders_p: dict[int, np.ndarray],
-    t: float,
-) -> SetpointField:
-    """Partitioned dense solve: anchors clamped, follower block inverted.
+def build_comm_matrix(schedule: WeightSchedule, n_agents: int, t: float) -> scipy.sparse.csr_matrix:
+    """The (N, N) communication matrix at time t, in formation row order."""
+    diag = np.arange(n_agents)
+    rows = np.concatenate([diag, np.repeat(schedule.rows, schedule.mentors.shape[1])])
+    cols = np.concatenate([diag, schedule.mentors.ravel()])
+    vals = np.concatenate([-np.ones(n_agents), weights_at(schedule, t).ravel()])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_agents, n_agents))
+
+
+def _anchor_rows(schedule: WeightSchedule, n_agents: int) -> np.ndarray:
+    return np.setdiff1d(np.arange(n_agents), schedule.rows)
+
+
+def solve_setpoints_dense(schedule: WeightSchedule, anchors: np.ndarray, t: float) -> np.ndarray:
+    """Partitioned dense solve at time t: anchors clamped, follower block inverted.
 
     Exists as the uniqueness oracle for ``propagate_setpoints``; intended
-    for team sizes up to a few hundred.
+    for team sizes up to a few hundred. Returns (N, n) in formation row order.
     """
-    comm = build_comm_matrix(graph, schedule, t)
-    dense = comm.matrix.toarray()
-    n0 = comm.n_anchors
-    s_anchor = np.array([leaders_p[a] for a in comm.order[:n0]], dtype=float)
-    lower_left = dense[n0:, :n0]
-    follower = dense[n0:, n0:]
+    anchors = np.asarray(anchors, dtype=float)
+    dense = build_comm_matrix(schedule, len(anchors), t).toarray()
+    fixed = _anchor_rows(schedule, len(anchors))
+    follow = schedule.rows
+    s = anchors.copy()
     try:
-        s_follow = np.linalg.solve(follower, -lower_left @ s_anchor)
+        s[follow] = np.linalg.solve(
+            dense[np.ix_(follow, follow)], -dense[np.ix_(follow, fixed)] @ anchors[fixed]
+        )
     except np.linalg.LinAlgError as exc:
         raise SingularFollowerBlock(str(exc)) from exc
-    s: dict[int, np.ndarray] = {}
-    for k, a in enumerate(comm.order[:n0]):
-        s[a] = s_anchor[k]
-    for k, a in enumerate(comm.order[n0:]):
-        s[a] = s_follow[k]
-    return SetpointField(t=float(t), s=s)
+    return s
 
 
-def setpoint_residual(
-    graph: LayeredGraph,
-    schedule: WeightSchedule,
-    leaders_p: dict[int, np.ndarray],
-    field: SetpointField,
-) -> float:
-    """Max-norm residual of the stacked linear relation at the field's time."""
-    comm = build_comm_matrix(graph, schedule, field.t)
-    s = np.array([field.s[a] for a in comm.order], dtype=float)
-    offset = np.zeros_like(s)
-    for k, a in enumerate(comm.order[: comm.n_anchors]):
-        offset[k] = leaders_p[a]
-    return float(np.max(np.abs(comm.matrix @ s + offset)))
+def setpoint_residual(schedule: WeightSchedule, anchors: np.ndarray, s: np.ndarray, t: float) -> float:
+    """Max-norm residual of the stacked linear relation for set-points s at time t."""
+    anchors = np.asarray(anchors, dtype=float)
+    offset = np.zeros_like(anchors)
+    fixed = _anchor_rows(schedule, len(anchors))
+    offset[fixed] = anchors[fixed]
+    comm = build_comm_matrix(schedule, len(anchors), t)
+    return float(np.max(np.abs(comm @ np.asarray(s, dtype=float) + offset)))

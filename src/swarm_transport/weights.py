@@ -5,6 +5,9 @@ its initial position in the mentors' initial positions, one expressing its
 final position in the mentors' final positions. At run time the two are
 blended by a minimum-jerk quintic ramp, so the weights stay nonnegative and
 sum to one for every t.
+
+The schedule keeps these weights in one array form indexed by formation
+row, which every consumer (closed loop, set-points, writers) reads directly.
 """
 
 from __future__ import annotations
@@ -36,10 +39,17 @@ def beta(t: float, t0: float, tf: float) -> float:
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Initial and final weight vectors per mentee plus the blend horizon."""
+    """Mentor rows and endpoint weights of every mentee plus the blend horizon.
 
-    omega: dict[int, np.ndarray]  # mentee -> initial weights
-    varpi: dict[int, np.ndarray]  # mentee -> final weights
+    Mentees are ordered by (layer, id), so each mentor layer is a contiguous
+    slice and every mentor row precedes the rows it feeds.
+    """
+
+    mentees: tuple[int, ...]  # agent ids, sorted by (layer, id)
+    rows: np.ndarray  # (M,) formation rows of the mentees
+    mentors: np.ndarray  # (M, n+1) formation rows of each mentee's mentors
+    omega: np.ndarray  # (M, n+1) initial weights
+    varpi: np.ndarray  # (M, n+1) final weights
     t0: float
     tf: float
 
@@ -55,31 +65,15 @@ def _clean(w: np.ndarray, agent_id: int) -> np.ndarray:
     return w / w.sum()
 
 
-def initial_weights(graph: LayeredGraph, formation: Formation) -> dict[int, np.ndarray]:
-    """Barycentric weights of each mentee's initial position in its mentors'."""
-    out: dict[int, np.ndarray] = {}
-    for a in sorted(graph.mentors):
-        mentors = graph.mentors[a]
-        verts = np.array([formation.position(m) for m in mentors])
+def _endpoint_weights(mentees, rows, mentors, points: np.ndarray, error) -> np.ndarray:
+    """Barycentric weights of each mentee's point in its mentors' points."""
+    out = np.empty(mentors.shape)
+    for k, a in enumerate(mentees):
         try:
-            w = geometry.barycentric(formation.position(a), verts)
+            w = geometry.barycentric(points[rows[k]], points[mentors[k]])
         except DegenerateSimplex as exc:
-            raise DegenerateSimplex(f"agent {a}: {exc}") from exc
-        out[a] = _clean(w, a)
-    return out
-
-
-def final_weights(graph: LayeredGraph, desired: DesiredPositions) -> dict[int, np.ndarray]:
-    """Barycentric weights of each mentee's final position in its mentors'."""
-    out: dict[int, np.ndarray] = {}
-    for a in sorted(graph.mentors):
-        mentors = graph.mentors[a]
-        verts = np.array([desired.p[m] for m in mentors])
-        try:
-            w = geometry.barycentric(desired.p[a], verts)
-        except DegenerateSimplex as exc:
-            raise DegenerateMentorSimplex(f"agent {a}: {exc}") from exc
-        out[a] = _clean(w, a)
+            raise error(f"agent {a}: {exc}") from exc
+        out[k] = _clean(w, a)
     return out
 
 
@@ -92,18 +86,24 @@ def build_schedule(
 ) -> WeightSchedule:
     if tf <= t0:
         raise BadInterval(f"blend interval must satisfy t0 < tf, got [{t0}, {tf}]")
+    mentees = tuple(sorted(graph.mentors, key=lambda a: (graph.layer_index[a], a)))
+    rows = np.array([formation.index(a) for a in mentees], dtype=np.intp)
+    mentors = np.array(
+        [[formation.index(m) for m in graph.mentors[a]] for a in mentees], dtype=np.intp
+    ).reshape(len(mentees), formation.dim + 1)
+    final = np.array([desired.p[a] for a in formation.ids])
     return WeightSchedule(
-        omega=initial_weights(graph, formation),
-        varpi=final_weights(graph, desired),
+        mentees=mentees,
+        rows=rows,
+        mentors=mentors,
+        omega=_endpoint_weights(mentees, rows, mentors, formation.positions, DegenerateSimplex),
+        varpi=_endpoint_weights(mentees, rows, mentors, final, DegenerateMentorSimplex),
         t0=float(t0),
         tf=float(tf),
     )
 
 
-def weights_at(schedule: WeightSchedule, t: float) -> dict[int, np.ndarray]:
-    """Per-mentee convex blend of the endpoint weights at time t."""
+def weights_at(schedule: WeightSchedule, t: float) -> np.ndarray:
+    """Convex blend of the endpoint weights at time t, shaped (M, n+1)."""
     b = beta(t, schedule.t0, schedule.tf)
-    return {
-        a: (1.0 - b) * schedule.omega[a] + b * schedule.varpi[a]
-        for a in schedule.omega
-    }
+    return (1.0 - b) * schedule.omega + b * schedule.varpi

@@ -22,6 +22,11 @@ def square_core_formation(extra=(), uncooperative=(), core=None):
     )
 
 
+def final_positions(plan):
+    """Planned final positions in formation row order, shaped (N, n)."""
+    return np.array([plan.desired.p[a] for a in plan.scenario.formation.ids])
+
+
 def quick_scenario(seed=0, n=24, nb=6, uncoop=0, **kwargs):
     params = GenerateParams(
         n_agents=n, n_boundary=nb, n_uncooperative=uncoop, **kwargs
@@ -66,3 +71,22 @@ def manual_scenario(
         leader_positions=leader_positions,
         **kwargs,
     )
+
+
+def cube_scenario():
+    """3-D team: 8 corners of a 4-cube as the hull, the core at its center,
+    nine seeded interior agents (agent 13 clamped and mentoring agent 10),
+    anchors sent explicitly to the corners of the [1, 3]^3 target cube and
+    jittered grid samples inside it."""
+    corners = [(x, y, z) for x in (0.0, 4.0) for y in (0.0, 4.0) for z in (0.0, 4.0)]
+    rng = np.random.default_rng(3)
+    interior = [(2.0, 2.0, 2.0)] + [tuple(p) for p in rng.uniform(0.6, 3.4, (9, 3))]
+    form = Formation.build(
+        range(1, 19), corners + interior, (2.0, 2.0, 2.0), uncooperative=[13]
+    )
+    target = [(x, y, z) for x in (1.0, 3.0) for y in (1.0, 3.0) for z in (1.0, 3.0)]
+    axis = np.linspace(1.2, 2.8, 5)
+    grid = np.array([(x, y, z) for x in axis for y in axis for z in axis])
+    samples = grid + rng.uniform(-0.1, 0.1, grid.shape)
+    leaders = {b: target[b - 1] for b in range(1, 9)}
+    return manual_scenario(form, samples, zone=target, leader_positions=leaders)

@@ -9,23 +9,14 @@ import time
 
 import numpy as np
 
+from conftest import final_positions
 from swarm_transport import engine
 from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, initial_state, step
-from swarm_transport.formation import (
-    ancestor_ids,
-    build_actual,
-    build_nominal,
-    cooperative_ids,
-)
+from swarm_transport.formation import ancestor_ids, build_actual, cooperative_ids
 from swarm_transport.geometry import barycentric
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.scenario import GenerateParams, generate_scenario
-from swarm_transport.setpoints import (
-    anchor_positions,
-    propagate_setpoints,
-    setpoint_residual,
-    solve_setpoints_dense,
-)
+from swarm_transport.setpoints import propagate_setpoints, setpoint_residual, solve_setpoints_dense
 from swarm_transport.weights import beta, weights_at
 
 
@@ -117,14 +108,14 @@ def test_criterion_3_dense_solve_oracle_equivalence():
             seed=3000 + k,
         )
         plan = engine.make_plan(sc)
-        anchors = anchor_positions(plan.graph, plan.desired)
-        for t in rng.uniform(sc.t0 - 1.0, sc.tf + 5.0, 20):
-            fast = propagate_setpoints(plan.graph, plan.schedule, anchors, float(t))
-            dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, float(t))
-            gap = max(float(np.max(np.abs(fast.s[a] - dense.s[a]))) for a in fast.s)
-            worst_gap = max(worst_gap, gap)
+        anchors = final_positions(plan)
+        times = rng.uniform(sc.t0 - 1.0, sc.tf + 5.0, 20)
+        fast = propagate_setpoints(plan.graph, plan.schedule, anchors, times)
+        for s, t in zip(fast, times):
+            dense = solve_setpoints_dense(plan.schedule, anchors, float(t))
+            worst_gap = max(worst_gap, float(np.max(np.abs(s - dense))))
             worst_residual = max(
-                worst_residual, setpoint_residual(plan.graph, plan.schedule, anchors, fast)
+                worst_residual, setpoint_residual(plan.schedule, anchors, s, float(t))
             )
     ok = worst_gap < 1e-9 and worst_residual < 1e-9
     assert _verdict(
@@ -144,19 +135,11 @@ def test_criterion_4_boundary_condition_exactness():
         )
         plan = engine.make_plan(sc)
         form = sc.formation
-        start_anchors = {a: form.position(a) for a in sorted(plan.graph.layers[0])}
-        field0 = propagate_setpoints(plan.graph, plan.schedule, start_anchors, sc.t0)
-        worst_start = max(
-            worst_start,
-            max(float(np.max(np.abs(field0.s[a] - form.position(a)))) for a in form.ids),
-        )
-        anchors = anchor_positions(plan.graph, plan.desired)
-        for t in (sc.tf, sc.tf + 3.0):
-            field1 = propagate_setpoints(plan.graph, plan.schedule, anchors, t)
-            worst_end = max(
-                worst_end,
-                max(float(np.max(np.abs(field1.s[a] - plan.desired.p[a]))) for a in form.ids),
-            )
+        start = propagate_setpoints(plan.graph, plan.schedule, form.positions, [sc.t0])
+        worst_start = max(worst_start, float(np.max(np.abs(start - form.positions))))
+        final = final_positions(plan)
+        end = propagate_setpoints(plan.graph, plan.schedule, final, [sc.tf, sc.tf + 3.0])
+        worst_end = max(worst_end, float(np.max(np.abs(end - final))))
     ok = worst_start < 1e-9 and worst_end < 1e-9
     assert _verdict(
         f"criterion 4: boundary-condition exactness (start {worst_start:.2e}, "
@@ -172,14 +155,13 @@ def test_criterion_5_weight_law_properties():
         GenerateParams(n_agents=48, n_boundary=10, n_uncooperative=2), seed=77
     )
     plan = engine.make_plan(sc)
-    agents = sorted(plan.schedule.omega)
     rng = np.random.default_rng(5)
     sums_ok = True
     nonneg_ok = True
     for _ in range(1000):
         t = float(rng.uniform(sc.t0 - 2.0, sc.tf + 4.0))
-        a = agents[int(rng.integers(len(agents)))]
-        w = weights_at(plan.schedule, t)[a]
+        k = int(rng.integers(len(plan.schedule.mentees)))
+        w = weights_at(plan.schedule, t)[k]
         if abs(float(w.sum()) - 1.0) >= 1e-12:
             sums_ok = False
         if float(w.min()) < 0.0:
@@ -226,8 +208,7 @@ def test_criterion_6_stability_gate():
 def test_criterion_7_graph_laws_over_population():
     """100 generated formations obey the structural laws: one mentee slot per
     follower, 3 edges per follower, no edges into clamped agents, mentees
-    start inside their mentor simplex, and the clamped-aware builder reduces
-    to the nominal one when nobody is clamped."""
+    start inside their mentor simplex."""
     ok = True
     detail = ""
     for k in range(100):
@@ -256,9 +237,6 @@ def test_criterion_7_graph_laws_over_population():
                 ok, detail = False, f"containment broken at seed {5000 + k}"
                 break
         if not ok:
-            break
-        if not form.uncooperative_ids and build_nominal(form) != graph:
-            ok, detail = False, f"nominal/actual mismatch at seed {5000 + k}"
             break
     assert _verdict(f"criterion 7: graph laws over 100 formations {detail}".rstrip(), ok)
 

@@ -146,3 +146,31 @@ class TestPlanAndReport:
         printed = capsys.readouterr().out
         assert "convergence rate" in printed
         assert "N=24" in printed
+
+
+@pytest.mark.parametrize(
+    "edit, flags, error, named",
+    [
+        (lambda doc: doc["times"].update(dt=float("nan")), [], "ParseError", "dt"),
+        (lambda doc: doc["times"].update(t_end=float("inf")), [], "ParseError", "t_end"),
+        (lambda doc: doc["times"].update(t_end=10**400), [], "ParseError", "t_end"),
+        (lambda doc: doc.update(margin=float("nan")), [], "ParseError", "margin"),
+        (None, ["--dt", "nan"], "BadConfig", "dt"),
+        (None, ["--margin", "nan"], "BadConfig", "margin"),
+        (None, ["--dt", "inf"], "BadConfig", "dt"),
+    ],
+    ids=["dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan", "flag-dt-nan", "flag-margin-nan", "flag-dt-inf"],
+)
+def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named):
+    path = _generate(tmp_path, agents=24, boundary=6, seed=3)
+    if edit is not None:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))  # writes NaN, Infinity and huge literals as given
+    capsys.readouterr()
+    code = main(["simulate", str(path), "--out-dir", str(tmp_path / "out"), *flags])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == error
+    assert named in record["message"]
+    assert not (tmp_path / "out" / "trace.csv").exists()

@@ -9,7 +9,6 @@ from swarm_transport.formation import (
     LayeredGraph,
     ancestor_ids,
     build_actual,
-    build_nominal,
     cooperative_ids,
     fan_triangulate,
     graph_records,
@@ -126,14 +125,14 @@ class TestFanTriangulate:
 class TestBuildNominal:
     def test_core_only_interior(self):
         form = square_core_formation()
-        graph = build_nominal(form)
+        graph = build_actual(form)
         assert graph.n_layers == 0
         assert graph.layers == (frozenset({1, 2, 3, 4, 5}),)
         assert graph.edges == frozenset()
 
     def test_single_mentee_forced_structure(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_nominal(form)
+        graph = build_actual(form)
         assert graph.mentee_ids() == (6,)
         assert graph.mentors[6] == (1, 2, 5)
         assert len(graph.edges) == 3
@@ -141,14 +140,9 @@ class TestBuildNominal:
 
     def test_lookalike_cooperative_count(self):
         sc = quick_scenario(seed=1, n=95, nb=16)
-        graph = build_nominal(sc.formation)
+        graph = build_actual(sc.formation)
         assert len(cooperative_ids(sc.formation, graph)) == 78
         assert len(graph.mentee_ids()) == 78
-
-    def test_rejects_clamped_agents(self):
-        form = square_core_formation(extra=[(2.0, 1.0)], uncooperative=[6])
-        with pytest.raises(BadConfig):
-            build_nominal(form)
 
 
 class TestBuildActual:
@@ -175,10 +169,6 @@ class TestBuildActual:
         graph = build_actual(sc.formation)
         for _, mentee in graph.edges:
             assert mentee not in sc.formation.uncooperative_ids
-
-    def test_reduces_to_nominal_without_clamped(self):
-        sc = quick_scenario(seed=4, n=36, nb=8)
-        assert build_actual(sc.formation) == build_nominal(sc.formation)
 
 
 class TestGraphLaws:
@@ -215,7 +205,7 @@ class TestGraphLaws:
 
     def test_ancestors(self):
         form = square_core_formation(extra=[(2.0, 1.0), (2.0, 0.5)])
-        graph = build_nominal(form)
+        graph = build_actual(form)
         assert ancestor_ids(graph, 6) == frozenset({1, 2, 5})
         deep = ancestor_ids(graph, 7)
         assert 6 in deep or deep == frozenset({1, 2, 5})
@@ -247,12 +237,12 @@ def _dfs_is_acyclic(graph: LayeredGraph) -> bool:
 class TestTopologicalOrder:
     def test_layer_zero_only(self):
         form = square_core_formation()
-        graph = build_nominal(form)
+        graph = build_actual(form)
         assert topological_order(graph) == [1, 2, 3, 4, 5]
 
     def test_single_mentee_last(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_nominal(form)
+        graph = build_actual(form)
         assert topological_order(graph) == [1, 2, 3, 4, 5, 6]
 
     def test_built_graphs_acyclic_by_dfs(self):
@@ -279,7 +269,7 @@ class TestTopologicalOrder:
 class TestExports:
     def test_graph_records_format(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_nominal(form)
+        graph = build_actual(form)
         dump = graph_records(form, graph)
         lines = dump.strip().splitlines()
         assert lines[0].startswith("#")

@@ -4,7 +4,7 @@ import pytest
 from conftest import quick_scenario, square_core_formation
 from swarm_transport import geometry
 from swarm_transport.errors import BadConfig, DegenerateMentorSimplex
-from swarm_transport.formation import Formation, build_actual, build_nominal
+from swarm_transport.formation import Formation, build_actual
 from swarm_transport.targets import (
     TargetSet,
     compute_desired,
@@ -92,7 +92,7 @@ class TestLeaderPlacement:
 class TestComputeDesired:
     def _plan(self, samples, extra=((2.0, 1.0),)):
         form = square_core_formation(extra=extra)
-        graph = build_nominal(form)
+        graph = build_actual(form)
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         leader_p = leader_final_positions(
             form,
@@ -185,7 +185,7 @@ class TestComputeDesired:
 
     def test_degenerate_mentor_simplex_names_agent(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_nominal(form)
+        graph = build_actual(form)
         # anchors for the mentee's mentor triple (1, 2, core) sit on one line
         ring = {1: (0.0, 0.0), 2: (1.0, 1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         targets = TargetSet(samples=np.array([[2.0, 2.0]]), zone=_square_zone(3.0, (2.0, 2.0)))
@@ -201,7 +201,7 @@ class TestComputeDesired:
         ids = list(range(1, 9)) + [9, 10]
         pos = corners + [(2.0, 2.0, 2.0), (1.0, 1.0, 1.0)]
         form = Formation.build(ids, pos, (2.0, 2.0, 2.0))
-        graph = build_nominal(form)
+        graph = build_actual(form)
         explicit = {b: form.position(b) for b in form.boundary_ids}
         samples = np.array([[1.5, 1.2, 1.0]])
         targets = TargetSet(samples=samples, zone=np.array(corners))

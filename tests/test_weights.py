@@ -4,16 +4,9 @@ import pytest
 from conftest import quick_scenario, square_core_formation
 from swarm_transport.engine import make_plan
 from swarm_transport.errors import BadInterval
-from swarm_transport.formation import build_nominal
+from swarm_transport.formation import build_actual
 from swarm_transport.targets import TargetSet, compute_desired, leader_final_positions
-from swarm_transport.weights import (
-    WeightSchedule,
-    beta,
-    build_schedule,
-    final_weights,
-    initial_weights,
-    weights_at,
-)
+from swarm_transport.weights import WeightSchedule, beta, build_schedule, weights_at
 
 
 class TestBeta:
@@ -55,17 +48,33 @@ def _planned(seed=3, n=28, nb=7, uncoop=0):
     return make_plan(sc)
 
 
+def _by_mentee(weights, schedule):
+    """(M, n+1) weight rows keyed by mentee id."""
+    return dict(zip(schedule.mentees, weights))
+
+
+def _one_mentee_schedule(targets, ring, spot=(2.0, 1.0)):
+    """Schedule of the square formation with one follower, agent 6 at ``spot``."""
+    form = square_core_formation(extra=[spot])
+    graph = build_actual(form)
+    desired = compute_desired(
+        graph, form, targets, leader_final_positions(form, targets, explicit=ring)
+    )
+    return build_schedule(graph, form, desired, 0.0, 1.0), desired
+
+
 class TestInitialWeights:
     def test_mentee_at_mentor_centroid(self):
-        form = square_core_formation(extra=[(2.0, 2.0 / 3.0)])
-        graph = build_nominal(form)
-        w = initial_weights(graph, form)[6]
-        assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        ring = {1: (0.0, 0.0), 2: (4.0, 0.0), 3: (4.0, 4.0), 4: (0.0, 4.0)}
+        targets = TargetSet(samples=np.array([[2.0, 1.0]]))
+        sched, _ = _one_mentee_schedule(targets, ring, spot=(2.0, 2.0 / 3.0))
+        assert sched.mentees == (6,)
+        assert np.allclose(sched.omega[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_random_mentee_matches_lstsq_oracle(self):
         plan = _planned(seed=8)
         form = plan.scenario.formation
-        for a, w in plan.schedule.omega.items():
+        for a, w in _by_mentee(plan.schedule.omega, plan.schedule).items():
             verts = np.array([form.position(m) for m in plan.graph.mentors[a]])
             mat = np.vstack([verts.T, np.ones(3)])
             rhs = np.append(form.position(a), 1.0)
@@ -75,7 +84,7 @@ class TestInitialWeights:
     def test_reconstruction_residual(self):
         plan = _planned(seed=12, n=40, nb=9)
         form = plan.scenario.formation
-        for a, w in plan.schedule.omega.items():
+        for a, w in _by_mentee(plan.schedule.omega, plan.schedule).items():
             verts = np.array([form.position(m) for m in plan.graph.mentors[a]])
             scale = max(1.0, float(np.max(np.abs(verts))))
             assert np.linalg.norm(w @ verts - form.position(a)) < 1e-9 * scale
@@ -84,32 +93,22 @@ class TestInitialWeights:
 
 class TestFinalWeights:
     def test_fallback_agent_gets_equal_weights(self):
-        form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_nominal(form)
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         targets = TargetSet(samples=np.array([[3.9, 3.9]]))
-        desired = compute_desired(
-            graph, form, targets, leader_final_positions(form, targets, explicit=ring)
-        )
+        sched, desired = _one_mentee_schedule(targets, ring)
         assert 6 in desired.fallback_ids
-        w = final_weights(graph, desired)[6]
-        assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        assert np.allclose(sched.varpi[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_mentee_on_mentor_position_gets_indicator(self):
-        form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_nominal(form)
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         # one sample exactly at the core's held position
         targets = TargetSet(samples=np.array([[2.0, 2.0]]))
-        desired = compute_desired(
-            graph, form, targets, leader_final_positions(form, targets, explicit=ring)
-        )
-        w = final_weights(graph, desired)[6]
-        assert np.allclose(w, [0.0, 0.0, 1.0], atol=1e-12)
+        sched, _ = _one_mentee_schedule(targets, ring)
+        assert np.allclose(sched.varpi[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_reconstruction(self):
         plan = _planned(seed=5, n=36, nb=8, uncoop=2)
-        for a, w in plan.schedule.varpi.items():
+        for a, w in _by_mentee(plan.schedule.varpi, plan.schedule).items():
             verts = np.array([plan.desired.p[m] for m in plan.graph.mentors[a]])
             scale = max(1.0, float(np.max(np.abs(verts))))
             assert np.linalg.norm(w @ verts - plan.desired.p[a]) < 1e-9 * scale
@@ -120,38 +119,38 @@ class TestWeightsAt:
     def test_returns_omega_at_start(self):
         plan = _planned()
         w = weights_at(plan.schedule, plan.schedule.t0)
-        for a in w:
-            assert np.array_equal(w[a], plan.schedule.omega[a])
+        assert np.array_equal(w, plan.schedule.omega)
 
     def test_returns_varpi_past_tf(self):
         plan = _planned()
         for t in (plan.schedule.tf, plan.schedule.tf + 4.0):
-            w = weights_at(plan.schedule, t)
-            for a in w:
-                assert np.array_equal(w[a], plan.schedule.varpi[a])
+            assert np.array_equal(weights_at(plan.schedule, t), plan.schedule.varpi)
 
     def test_halfway_blend(self):
         sched = WeightSchedule(
-            omega={9: np.array([1.0, 0.0, 0.0])},
-            varpi={9: np.array([0.0, 1.0, 0.0])},
+            mentees=(9,),
+            rows=np.array([8]),
+            mentors=np.array([[0, 1, 2]]),
+            omega=np.array([[1.0, 0.0, 0.0]]),
+            varpi=np.array([[0.0, 1.0, 0.0]]),
             t0=0.0,
             tf=2.0,
         )
-        w = weights_at(sched, 1.0)[9]
+        w = weights_at(sched, 1.0)[0]
         assert np.allclose(w, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_row_stochastic_and_bounded_below(self):
         plan = _planned(seed=21, n=34, nb=8, uncoop=1)
         rng = np.random.default_rng(0)
-        agents = sorted(plan.schedule.omega)
+        sched = plan.schedule
         for _ in range(300):
-            t = rng.uniform(plan.schedule.t0 - 1.0, plan.schedule.tf + 2.0)
-            w = weights_at(plan.schedule, t)
-            a = agents[int(rng.integers(len(agents)))]
-            assert abs(w[a].sum() - 1.0) < 1e-12
-            assert np.all(w[a] >= 0.0)
-            floor = np.minimum(plan.schedule.omega[a], plan.schedule.varpi[a])
-            assert np.all(w[a] >= floor - 1e-15)
+            t = rng.uniform(sched.t0 - 1.0, sched.tf + 2.0)
+            w = weights_at(sched, t)
+            k = int(rng.integers(len(sched.mentees)))
+            assert abs(w[k].sum() - 1.0) < 1e-12
+            assert np.all(w[k] >= 0.0)
+            floor = np.minimum(sched.omega[k], sched.varpi[k])
+            assert np.all(w[k] >= floor - 1e-15)
 
     def test_build_schedule_rejects_bad_interval(self):
         plan = _planned()
