@@ -177,12 +177,9 @@ def _integrate(plan: Plan) -> SimTrace:
 
     positions = np.array(pos_log)
     desired_log = np.array(des_log)
-    zone = sc.targets.zone_polygon()
     final = positions[-1]
-    converged: dict[int, bool] = {}
-    for k, a in enumerate(ids):
-        if coop[k]:
-            converged[a] = convergence_check(final[k], zone, sc.margin)
+    verdicts = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
+    converged = dict(zip((ids[k] for k in np.flatnonzero(coop)), verdicts.tolist()))
     evaluated = int(coop.sum())
     rate = (sum(converged.values()) / evaluated) if evaluated else 1.0
     terminal = {
@@ -201,25 +198,30 @@ def _integrate(plan: Plan) -> SimTrace:
     )
 
 
-def convergence_check(position, zone, margin: float) -> bool:
-    """True iff the position lies inside the zone inflated by ``margin``.
+def convergence_check(positions, zone, margin: float):
+    """Whether positions lie inside the zone inflated by ``margin``.
 
     Inflation scales the zone outline by (1 + margin) about its centroid;
     points on the inflated outline count as inside. A 3-D zone is treated as
-    the convex hull of its vertices.
+    the convex hull of its vertices. The zone is inflated once per call, so
+    a (K, n) array of positions gives a (K,) bool array; one (n,) position
+    gives a bool.
     """
+    pts = np.asarray(positions, dtype=float)
     zone = np.asarray(zone, dtype=float)
     if zone.shape[1] == 2:
-        poly = geometry.ensure_ccw(zone)
-        inflated = geometry.scale_polygon(poly, 1.0 + margin)
-        return geometry.point_in_polygon(position, inflated)
-    from scipy.spatial import ConvexHull
+        inflated = geometry.scale_polygon(geometry.ensure_ccw(zone), 1.0 + margin)
+        inside = np.array(
+            [geometry.point_in_polygon(p, inflated) for p in pts.reshape(-1, 2)], dtype=bool
+        )
+    else:
+        from scipy.spatial import ConvexHull
 
-    center = zone.mean(axis=0)
-    inflated = center + (1.0 + margin) * (zone - center)
-    hull = ConvexHull(inflated)
-    vals = np.asarray(position, dtype=float) @ hull.equations[:, :-1].T + hull.equations[:, -1]
-    return bool(np.all(vals <= geometry.CONTAINMENT_TOL))
+        center = zone.mean(axis=0)
+        hull = ConvexHull(center + (1.0 + margin) * (zone - center))
+        vals = pts.reshape(-1, 3) @ hull.equations[:, :-1].T + hull.equations[:, -1]
+        inside = np.all(vals <= geometry.CONTAINMENT_TOL, axis=1)
+    return bool(inside[0]) if pts.ndim == 1 else inside
 
 
 def _final_positions(plan: Plan) -> np.ndarray:

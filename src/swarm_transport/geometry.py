@@ -196,25 +196,24 @@ def scale_polygon(polygon, factor: float, about=None) -> np.ndarray:
 
 
 def point_in_polygon(point, polygon, tol: float = CONTAINMENT_TOL) -> bool:
-    """Even-odd containment test for a simple polygon; boundary counts as inside."""
-    p = np.asarray(point, dtype=float)
+    """Even-odd containment test for a simple polygon; boundary counts as inside.
+
+    Both tests run over all edges at once: a point within ``tol`` of the
+    clamped projection onto any edge segment is inside, otherwise the parity
+    of edge crossings to its right decides.
+    """
+    x, y = (float(v) for v in np.asarray(point, dtype=float))
     poly = np.asarray(polygon, dtype=float)
-    m = len(poly)
-    # Boundary first: within tol of any edge segment counts as inside.
-    for k in range(m):
-        a = poly[k]
-        ab = poly[(k + 1) % m] - a
-        denom = float(ab @ ab)
-        s = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-        if float(np.linalg.norm(a + s * ab - p)) <= tol:
-            return True
-    inside = False
-    x, y = float(p[0]), float(p[1])
-    for k in range(m):
-        x1, y1 = poly[k]
-        x2, y2 = poly[(k + 1) % m]
-        if (y1 > y) != (y2 > y):
-            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xc:
-                inside = not inside
-    return inside
+    x1, y1 = poly.T
+    x2, y2 = np.concatenate([poly[1:], poly[:1]]).T
+    dx, dy = x2 - x1, y2 - y1
+    denom = dx * dx + dy * dy
+    dot = (x - x1) * dx + (y - y1) * dy
+    s = np.clip(np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0.0), 0.0, 1.0)
+    ex, ey = x1 + s * dx - x, y1 + s * dy - y
+    if (np.sqrt(ex * ex + ey * ey) <= tol).any():
+        return True
+    cross = (y1 > y) != (y2 > y)
+    x1, y1, dx, dy = x1[cross], y1[cross], dx[cross], dy[cross]
+    xc = x1 + (y - y1) * dx / dy
+    return bool(np.count_nonzero(x < xc) % 2)

@@ -3,6 +3,14 @@
 Every writer goes through ``atomic_write_text`` (write to a temp file in the
 same directory, then rename), and all float formatting is fixed so repeated
 runs of the same scenario produce byte-identical files.
+
+The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``, are
+formatted one output frame per ``%`` operation. A frame, not the whole
+table, bounds the arguments held at once, so the peak allocation stays near
+twice the finished text. ``"%.9g" % x`` and ``f"{x:.9g}"`` share CPython's
+correctly rounded float-to-string conversion, -0, nan and inf included, so
+the bytes equal those of formatting every cell on its own
+(``tests/test_reporting.py`` checks this against that per-cell writer).
 """
 
 from __future__ import annotations
@@ -36,6 +44,28 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _frames(header: str, times, rows, *blocks: np.ndarray) -> str:
+    """``header`` plus one frame of ``rows`` per output time.
+
+    Row template k holds agent k's constant fields, a ``%s`` for the time and
+    one ``%.9g`` for each column of the (T, N, ·) ``blocks`` side by side.
+    The templates are joined into one frame template, and each frame is one
+    ``%`` over the time string and that frame's values as Python floats.
+    """
+    frame = "".join(rows)
+    cells = np.empty((len(rows), 1 + sum(b.shape[2] for b in blocks)), dtype=object)
+    out = [header]
+    for t, *values in zip(np.asarray(times, dtype=float).tolist(), *blocks):
+        cells[:, 0] = "%.9g" % t
+        cells[:, 1:] = np.hstack(values)
+        out.append(frame % tuple(cells.ravel().tolist()))
+    return "".join(out)
+
+
+def _float_fields(k: int) -> str:
+    return ",".join(["%.9g"] * k)
+
+
 def trace_table(trace: SimTrace) -> str:
     """Delimited text: one row per (time, agent) on the output grid."""
     n = trace.positions.shape[2]
@@ -46,16 +76,12 @@ def trace_table(trace: SimTrace) -> str:
         + [c + "d" for c in coords]
         + ["converged"]
     )
-    lines = [",".join(header)]
-    for ti, t in enumerate(trace.times):
-        for k, a in enumerate(trace.ids):
-            conv = trace.converged.get(a)
-            row = [fmt(float(t)), str(a), trace.roles[k], str(trace.layer[k])]
-            row += [fmt(v) for v in trace.positions[ti, k]]
-            row += [fmt(v) for v in trace.desired[ti, k]]
-            row.append("-" if conv is None else str(int(conv)))
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = []
+    for a, role, layer in zip(trace.ids, trace.roles, trace.layer):
+        conv = trace.converged.get(a)
+        verdict = "-" if conv is None else int(conv)
+        rows.append(f"%s,{a},{role},{layer},{_float_fields(2 * n)},{verdict}\n")
+    return _frames(",".join(header) + "\n", trace.times, rows, trace.positions, trace.desired)
 
 
 def metrics_document(result: RunResult) -> dict:
@@ -128,14 +154,8 @@ def weights_table(plan: Plan) -> str:
 def setpoints_table(ids, times, setpoints: np.ndarray) -> str:
     """Planned set-point positions sampled on the output grid."""
     n = setpoints.shape[2]
-    coords = ["sx", "sy", "sz"][:n]
-    lines = [",".join(["time", "agent_id"] + coords)]
-    for ti, t in enumerate(times):
-        for k, a in enumerate(ids):
-            lines.append(
-                ",".join([fmt(float(t)), str(a)] + [fmt(v) for v in setpoints[ti, k]])
-            )
-    return "\n".join(lines) + "\n"
+    header = ",".join(["time", "agent_id"] + ["sx", "sy", "sz"][:n]) + "\n"
+    return _frames(header, times, [f"%s,{a},{_float_fields(n)}\n" for a in ids], setpoints)
 
 
 def build_summary(formation, graph) -> str:

@@ -34,6 +34,17 @@ class TestConvergenceCheck:
         assert convergence_check([1.05, 0.0, 0.0], cube, 0.10)
         assert not convergence_check([1.15, 0.0, 0.0], cube, 0.10)
 
+    def test_many_positions_match_single_calls(self):
+        rng = np.random.default_rng(4)
+        cube = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
+        for zone in (UNIT_SQUARE, UNIT_SQUARE[::-1], cube):
+            pts = rng.uniform(-1.4, 1.4, (50, zone.shape[1])) * np.abs(zone).max()
+            got = convergence_check(pts, zone, 0.10)
+            assert got.shape == (50,) and got.dtype == bool
+            assert got.tolist() == [convergence_check(p, zone, 0.10) for p in pts]
+            assert 0 < got.sum() < 50
+            assert convergence_check(pts[:0], zone, 0.10).shape == (0,)
+
 
 class TestScenarioValidation:
     def test_times_must_be_ordered(self):

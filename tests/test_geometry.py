@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarm_transport import geometry
 from swarm_transport.errors import DegenerateInput, DegenerateSimplex
@@ -201,3 +203,67 @@ class TestPolygonUtils:
         lshape = np.array([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], dtype=float)
         assert point_in_polygon([0.5, 1.5], lshape)
         assert not point_in_polygon([1.5, 1.5], lshape)
+
+
+def point_in_polygon_oracle(point, polygon, tol=geometry.CONTAINMENT_TOL):
+    """The edge-by-edge loop that the vectorized test replaced."""
+    p = np.asarray(point, dtype=float)
+    poly = np.asarray(polygon, dtype=float)
+    m = len(poly)
+    for k in range(m):
+        a = poly[k]
+        ab = poly[(k + 1) % m] - a
+        denom = float(ab @ ab)
+        s = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+        if float(np.linalg.norm(a + s * ab - p)) <= tol:
+            return True
+    inside = False
+    x, y = float(p[0]), float(p[1])
+    for k in range(m):
+        x1, y1 = poly[k]
+        x2, y2 = poly[(k + 1) % m]
+        if (y1 > y) != (y2 > y):
+            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < xc:
+                inside = not inside
+    return inside
+
+
+@st.composite
+def polygon_and_point(draw):
+    """A star-shaped simple polygon (convex when all radii are equal) and a
+    point that is free, on an edge or on a vertex."""
+    m = draw(st.integers(3, 12))
+    angles = draw(
+        st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=m, max_size=m, unique=True)
+    )
+    if draw(st.booleans()):
+        radii = [draw(st.floats(0.1, 5.0))] * m
+    else:
+        radii = draw(st.lists(st.floats(0.1, 5.0), min_size=m, max_size=m))
+    center = np.array([draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))])
+    theta = np.sort(angles)
+    poly = center + np.array(radii)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    kind = draw(st.sampled_from(["free", "edge", "vertex"]))
+    k = draw(st.integers(0, m - 1))
+    if kind == "free":
+        lo, hi = poly.min(axis=0) - 1.0, poly.max(axis=0) + 1.0
+        u = np.array([draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))])
+        point = lo + u * (hi - lo)
+    elif kind == "edge":
+        s = draw(st.floats(0.0, 1.0))
+        point = poly[k] + s * (poly[(k + 1) % m] - poly[k])
+    else:
+        point = poly[k].copy()
+    return poly, point, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygon_and_point())
+def test_point_in_polygon_matches_edge_loop(case):
+    poly, point, kind = case
+    got = point_in_polygon(point, poly)
+    assert got == point_in_polygon_oracle(point, poly)
+    assert got == point_in_polygon(point, poly[::-1])
+    if kind != "free":
+        assert got

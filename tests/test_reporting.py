@@ -1,0 +1,122 @@
+"""The frame-at-a-time table writers against a per-cell oracle."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from conftest import cube_scenario, quick_scenario
+from swarm_transport.engine import SimTrace, run, setpoint_series
+from swarm_transport.reporting import setpoints_table, trace_table
+
+
+def fmt(value):
+    return f"{value:.9g}"
+
+
+def trace_table_oracle(trace):
+    """The per-cell writer the frame form replaced."""
+    n = trace.positions.shape[2]
+    coords = ["x", "y", "z"][:n]
+    header = ["time", "agent_id", "role", "layer"] + coords + [c + "d" for c in coords] + ["converged"]
+    lines = [",".join(header)]
+    for ti, t in enumerate(trace.times):
+        for k, a in enumerate(trace.ids):
+            conv = trace.converged.get(a)
+            row = [fmt(float(t)), str(a), trace.roles[k], str(trace.layer[k])]
+            row += [fmt(v) for v in trace.positions[ti, k]]
+            row += [fmt(v) for v in trace.desired[ti, k]]
+            row.append("-" if conv is None else str(int(conv)))
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def setpoints_table_oracle(ids, times, setpoints):
+    n = setpoints.shape[2]
+    coords = ["sx", "sy", "sz"][:n]
+    lines = [",".join(["time", "agent_id"] + coords)]
+    for ti, t in enumerate(times):
+        for k, a in enumerate(ids):
+            lines.append(",".join([fmt(float(t)), str(a)] + [fmt(v) for v in setpoints[ti, k]]))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, want):
+    """Byte equality; a mismatch names the first differing line instead of
+    diffing megabytes of text."""
+    if got != want:
+        pairs = zip(got.split("\n"), want.split("\n"))
+        k, (a, b) = next((k, ab) for k, ab in enumerate(pairs) if ab[0] != ab[1])
+        pytest.fail(f"line {k}: {a!r} != {b!r}")
+
+
+def assert_tables_match(trace, series):
+    text = trace_table(trace)
+    assert_same_text(text, trace_table_oracle(trace))
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert text.count("\n") == 1 + trace.positions.shape[0] * trace.positions.shape[1]
+    sp = setpoints_table(trace.ids, trace.times, series)
+    assert_same_text(sp, setpoints_table_oracle(trace.ids, trace.times, series))
+    assert sp.endswith("\n") and not sp.endswith("\n\n")
+
+
+@pytest.fixture(scope="module")
+def clamped_run():
+    # seed 1 at N=40 with two clamped agents leaves agent 34 unconverged
+    res = run(quick_scenario(seed=1, n=40, nb=10, uncoop=2))
+    return res, setpoint_series(res.plan, res.trace.times)
+
+
+def test_2d_trace_with_clamped_agent(clamped_run):
+    res, series = clamped_run
+    verdicts = {row.split(",")[-1] for row in trace_table(res.trace).splitlines()[1:]}
+    assert verdicts == {"-", "0", "1"}
+    assert "uncooperative" in res.trace.roles
+    assert_tables_match(res.trace, series)
+
+
+def test_headers(clamped_run):
+    res, series = clamped_run
+    assert trace_table(res.trace).startswith("time,agent_id,role,layer,x,y,xd,yd,converged\n0,1,")
+    assert setpoints_table(res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy\n0,1,")
+
+
+def test_3d_cube_run():
+    res = run(cube_scenario())
+    series = setpoint_series(res.plan, res.trace.times)
+    assert trace_table(res.trace).startswith("time,agent_id,role,layer,x,y,z,xd,yd,zd,converged\n")
+    assert setpoints_table(res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy,sz\n")
+    assert_tables_match(res.trace, series)
+
+
+def test_synthetic_values():
+    special = [-0.0, 0.0, 1e-5, 1e16, 123456789.5, 3.0, -42.0, 1e-300, 5e-324, 0.1, 2.0 / 3.0, 1e22]
+    values = np.array(special + [np.nan, np.inf, -np.inf, np.finfo(float).max])
+    positions = np.resize(values, (3, 4, 2))
+    desired = -np.resize(values[::-1], (3, 4, 2))
+    trace = SimTrace(
+        ids=(3, 7, 11, 20),
+        roles=("boundary", "cooperative", "uncooperative", "cooperative"),
+        layer=(0, 1, 0, 2),
+        times=np.array([0.0, 0.1, 123456789.5]),
+        positions=positions,
+        desired=desired,
+        converged={7: True, 20: False},
+        rate=0.5,
+        terminal_error={},
+    )
+    assert_tables_match(trace, positions)
+    rows = trace_table(trace).splitlines()
+    assert rows[1] == "0,3,boundary,0,-0,0,-1.79769313e+308,inf,-"
+    assert rows[2] == "0,7,cooperative,1,1e-05,1e+16,-inf,nan,1"
+    assert rows[3] == "0,11,uncooperative,0,123456790,3,-1e+22,-0.666666667,-"
+    assert rows[-1] == "123456790,20,cooperative,2,-42,1e-300,-0.1,-4.94065646e-324,0"
+
+
+def test_no_output_times(clamped_run):
+    res, series = clamped_run
+    empty = dataclasses.replace(
+        res.trace, times=res.trace.times[:0], positions=res.trace.positions[:0], desired=res.trace.desired[:0]
+    )
+    assert trace_table(empty) == trace_table_oracle(empty) == trace_table(res.trace).split("\n")[0] + "\n"
+    assert setpoints_table(empty.ids, empty.times, series[:0]) == "time,agent_id,sx,sy\n"
