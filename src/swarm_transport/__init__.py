@@ -27,7 +27,6 @@ from .formation import (
     build_actual,
     fan_triangulate,
     select_core,
-    topological_order,
 )
 from .geometry import Simplex, barycentric, contains, convex_hull
 from .scenario import (
@@ -81,7 +80,6 @@ __all__ = [
     "setpoint_series",
     "solve_setpoints_dense",
     "step",
-    "topological_order",
     "tracking_error_report",
     "virtual_control",
     "weights_at",

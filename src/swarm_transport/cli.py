@@ -77,7 +77,8 @@ def cmd_plan(args) -> int:
     _write_plan_outputs(plan, _out_dir(args))
     print(reporting.build_summary(sc.formation, plan.graph))
     if plan.desired.fallback_ids:
-        print(f"coverage warning: fallback mentees {list(plan.desired.fallback_ids)}")
+        fallback = [sc.formation.ids[k] for k in plan.desired.fallback_ids]
+        print(f"coverage warning: fallback mentees {fallback}")
     return 0
 
 
@@ -97,7 +98,7 @@ def _write_snapshots(result, out: Path, snapshot_times) -> None:
             zone=zone,
             inflated_zone=inflated,
             samples=plan.scenario.targets.samples,
-            edges=plan.graph.edges,
+            graph=plan.graph,
             ids=trace.ids,
         )
         name = f"snapshot_t{trace.times[k]:g}.svg"
@@ -128,10 +129,11 @@ def cmd_simulate(args) -> int:
             reporting.setpoints_table(result.trace.ids, result.trace.times, series),
         )
     print(reporting.build_summary(sc.formation, result.plan.graph))
-    unconverged = sorted(a for a, ok in result.trace.converged.items() if not ok)
+    trace = result.trace
+    unconverged = [trace.ids[k] for k in np.flatnonzero(trace.scored & ~trace.converged)]
     print(
-        f"convergence rate {result.trace.rate:.4f} "
-        f"({sum(result.trace.converged.values())}/{len(result.trace.converged)}), "
+        f"convergence rate {trace.rate:.4f} "
+        f"({trace.converged.sum()}/{trace.scored.sum()}), "
         f"runtime {elapsed:.2f} s"
     )
     if unconverged:

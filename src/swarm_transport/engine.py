@@ -1,13 +1,15 @@
 """Scenario orchestration: plan the graph, weights and final positions, then
 integrate the closed-loop team and score convergence.
 
-The closed loop follows the deployed coordination law: every follower's
-desired position is the current convex blend of its mentors' *actual*
-positions, anchors track their constant final positions, and clamped agents
-are frozen in place. The blend is a gather over the weight schedule's
-(M, n+1) mentor rows, so one step costs O(N (n+1)). Planned set-points are
-computed separately for reporting, all output times at once, and never
-drive the loop.
+The plan is array-form and indexed by formation row: the mentor graph's
+roles, layers, (M,) mentee rows and (M, n+1) mentor rows, the (N, n) final
+positions and the (M, n+1) endpoint weights. The closed loop follows the
+deployed coordination law: every follower's desired position is the current
+convex blend of its mentors' *actual* positions, anchors track their
+constant final positions, and clamped agents are frozen in place. The blend
+is a gather over the mentor rows, so one step costs O(N (n+1)). Planned
+set-points are computed separately for reporting, all output times at once,
+and never drive the loop.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import numpy as np
 from . import dynamics, geometry
 from .dynamics import Gains
 from .errors import BadConfig, Diverged, GridMismatch
-from .formation import Formation, LayeredGraph, build_actual, role_map
+from .formation import (
+    ROLE_BOUNDARY,
+    ROLE_COOPERATIVE,
+    ROLE_CORE,
+    ROLE_UNCOOPERATIVE,
+    Formation,
+    LayeredGraph,
+    build_actual,
+)
 from .setpoints import propagate_setpoints
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
 from .weights import WeightSchedule, beta, build_schedule, weights_at
@@ -63,6 +73,8 @@ def validate_scenario(scenario: Scenario) -> None:
         raise BadConfig("dt must divide the simulation horizon t_end - t0")
     if sc.margin < 0:
         raise BadConfig("margin must be nonnegative")
+    if not dynamics.check_hurwitz(sc.gains):
+        raise BadConfig(f"gains {sc.gains} do not make the closed loop Hurwitz-stable")
     if sc.leader_mode not in ("generated", "explicit"):
         raise BadConfig(f"unknown leader mode {sc.leader_mode!r}")
     if sc.leader_mode == "explicit" and sc.leader_positions is None:
@@ -75,7 +87,6 @@ class Plan:
 
     scenario: Scenario
     graph: LayeredGraph
-    leader_p: dict[int, np.ndarray]
     desired: DesiredPositions
     schedule: WeightSchedule
 
@@ -85,14 +96,19 @@ class SimTrace:
     """Logged agent histories plus the convergence verdicts."""
 
     ids: tuple[int, ...]
-    roles: tuple[str, ...]
-    layer: tuple[int, ...]
+    roles: np.ndarray  # (N,) role of each row
+    layer: np.ndarray  # (N,) mentor layer of each row
     times: np.ndarray  # (T,)
     positions: np.ndarray  # (T, N, n)
     desired: np.ndarray  # (T, N, n) logged reference positions
-    converged: dict[int, bool]  # cooperative agents only
+    converged: np.ndarray  # (N,) verdict of each row; False where not ``scored``
     rate: float
-    terminal_error: dict[int, float]  # ||r(t_end) - p_i|| for every agent
+    terminal_error: np.ndarray  # (N,) ||r(t_end) - p_i|| of each row
+
+    @property
+    def scored(self) -> np.ndarray:
+        """(N,) mask of the rows that get a verdict: the cooperative followers."""
+        return self.roles == ROLE_COOPERATIVE
 
 
 @dataclass(frozen=True)
@@ -112,13 +128,7 @@ def make_plan(scenario: Scenario) -> Plan:
     )
     desired = compute_desired(graph, formation, scenario.targets, leader_p)
     schedule = build_schedule(graph, formation, desired, scenario.t0, scenario.tf)
-    return Plan(
-        scenario=scenario,
-        graph=graph,
-        leader_p=leader_p,
-        desired=desired,
-        schedule=schedule,
-    )
+    return Plan(scenario=scenario, graph=graph, desired=desired, schedule=schedule)
 
 
 def run(scenario: Scenario) -> RunResult:
@@ -130,18 +140,14 @@ def run(scenario: Scenario) -> RunResult:
 
 def _integrate(plan: Plan) -> SimTrace:
     sc = plan.scenario
-    formation = sc.formation
-    ids = formation.ids
-    roles = role_map(formation, plan.graph)
-    role_arr = tuple(roles[a] for a in ids)
-    layer_arr = tuple(plan.graph.layer_index[a] for a in ids)
+    graph = plan.graph
+    ids = sc.formation.ids
+    coop = graph.roles == ROLE_COOPERATIVE
+    frozen = graph.roles == ROLE_UNCOOPERATIVE
+    anchor = (graph.roles == ROLE_BOUNDARY) | (graph.roles == ROLE_CORE)
 
-    coop = np.array([roles[a] == "cooperative" for a in ids])
-    frozen = np.array([roles[a] == "uncooperative" for a in ids])
-    anchor = np.array([roles[a] in ("boundary", "core") for a in ids])
-
-    p_arr = _final_positions(plan)
-    a_arr = formation.positions.copy()
+    p_arr = plan.desired.p
+    a_arr = sc.formation.positions
     schedule = plan.schedule
 
     steps = int(round((sc.t_end - sc.t0) / sc.dt))
@@ -158,9 +164,7 @@ def _integrate(plan: Plan) -> SimTrace:
         if sc.leader_blend:
             b = beta(t, sc.t0, sc.tf)
             r_d[anchor] = (1.0 - b) * a_arr[anchor] + b * p_arr[anchor]
-        r_d[schedule.rows] = np.einsum(
-            "mk,mkd->md", weights_at(schedule, t), r[schedule.mentors]
-        )
+        r_d[graph.mentees] = np.einsum("mk,mkd->md", weights_at(schedule, t), r[graph.mentors])
         if k % log_every == 0 or k == steps:
             times.append(t)
             pos_log.append(r.copy())
@@ -178,23 +182,20 @@ def _integrate(plan: Plan) -> SimTrace:
     positions = np.array(pos_log)
     desired_log = np.array(des_log)
     final = positions[-1]
-    verdicts = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
-    converged = dict(zip((ids[k] for k in np.flatnonzero(coop)), verdicts.tolist()))
+    converged = np.zeros(len(ids), dtype=bool)
+    converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
     evaluated = int(coop.sum())
-    rate = (sum(converged.values()) / evaluated) if evaluated else 1.0
-    terminal = {
-        a: float(np.linalg.norm(final[k] - p_arr[k])) for k, a in enumerate(ids)
-    }
+    rate = int(converged.sum()) / evaluated if evaluated else 1.0
     return SimTrace(
         ids=ids,
-        roles=role_arr,
-        layer=layer_arr,
+        roles=graph.roles,
+        layer=graph.layer,
         times=np.array(times),
         positions=positions,
         desired=desired_log,
         converged=converged,
         rate=float(rate),
-        terminal_error=terminal,
+        terminal_error=np.array([np.linalg.norm(d) for d in final - p_arr]),
     )
 
 
@@ -211,9 +212,7 @@ def convergence_check(positions, zone, margin: float):
     zone = np.asarray(zone, dtype=float)
     if zone.shape[1] == 2:
         inflated = geometry.scale_polygon(geometry.ensure_ccw(zone), 1.0 + margin)
-        inside = np.array(
-            [geometry.point_in_polygon(p, inflated) for p in pts.reshape(-1, 2)], dtype=bool
-        )
+        inside = geometry.point_in_polygon(pts.reshape(-1, 2), inflated)
     else:
         from scipy.spatial import ConvexHull
 
@@ -224,14 +223,9 @@ def convergence_check(positions, zone, margin: float):
     return bool(inside[0]) if pts.ndim == 1 else inside
 
 
-def _final_positions(plan: Plan) -> np.ndarray:
-    """Final desired positions in formation row order, shaped (N, n)."""
-    return np.array([plan.desired.p[a] for a in plan.scenario.formation.ids])
-
-
 def setpoint_series(plan: Plan, times) -> np.ndarray:
     """Planned set-point positions on a time grid, shaped (T, N, n)."""
-    return propagate_setpoints(plan.graph, plan.schedule, _final_positions(plan), times)
+    return propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, times)
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,7 @@ class TrackingReport:
     ids: tuple[int, ...]
     times: np.ndarray  # (T,)
     errors: np.ndarray  # (T, N): ||r_i(t) - s_i(t)||
-    terminal: dict[int, float]  # ||r_i(t_end) - p_i||
+    terminal: np.ndarray  # (N,) ||r_i(t_end) - p_i||
 
 
 def tracking_error_report(trace: SimTrace, setpoint_times, setpoints) -> TrackingReport:
@@ -257,5 +251,5 @@ def tracking_error_report(trace: SimTrace, setpoint_times, setpoints) -> Trackin
         ids=trace.ids,
         times=trace.times.copy(),
         errors=errors,
-        terminal=dict(trace.terminal_error),
+        terminal=trace.terminal_error.copy(),
     )

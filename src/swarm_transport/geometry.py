@@ -70,10 +70,10 @@ def contains(vertices, point, tol: float = CONTAINMENT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class Simplex:
-    """An n-simplex tagged with the agent ids occupying its vertices."""
+    """An n-simplex tagged with the formation rows of the agents at its vertices."""
 
-    vertex_ids: tuple[int, ...]
-    vertex_points: np.ndarray  # (n+1, n); row k belongs to vertex_ids[k]
+    vertex_rows: tuple[int, ...]
+    vertex_points: np.ndarray  # (n+1, n); point k belongs to vertex_rows[k]
 
     def barycentric(self, point) -> np.ndarray:
         return barycentric(point, self.vertex_points)
@@ -84,12 +84,12 @@ class Simplex:
     def is_degenerate(self) -> bool:
         return is_degenerate(self.vertex_points)
 
-    def replace_vertex(self, k: int, vertex_id: int, point) -> "Simplex":
-        ids = list(self.vertex_ids)
-        ids[k] = vertex_id
+    def replace_vertex(self, k: int, row: int, point) -> "Simplex":
+        rows = list(self.vertex_rows)
+        rows[k] = row
         pts = self.vertex_points.copy()
         pts[k] = np.asarray(point, dtype=float)
-        return Simplex(tuple(ids), pts)
+        return Simplex(tuple(rows), pts)
 
 
 def convex_hull(points) -> list[int]:
@@ -195,14 +195,16 @@ def scale_polygon(polygon, factor: float, about=None) -> np.ndarray:
     return center + factor * (poly - center)
 
 
-def point_in_polygon(point, polygon, tol: float = CONTAINMENT_TOL) -> bool:
+def point_in_polygon(point, polygon, tol: float = CONTAINMENT_TOL):
     """Even-odd containment test for a simple polygon; boundary counts as inside.
 
     Both tests run over all edges at once: a point within ``tol`` of the
     clamped projection onto any edge segment is inside, otherwise the parity
-    of edge crossings to its right decides.
+    of edge crossings to its right decides. A (K, 2) array of points gives a
+    (K,) bool array; one (2,) point gives a bool.
     """
-    x, y = (float(v) for v in np.asarray(point, dtype=float))
+    pts = np.asarray(point, dtype=float)
+    x, y = pts.reshape(-1, 2).T[:, :, None]  # (K, 1) each, against (m,) edges
     poly = np.asarray(polygon, dtype=float)
     x1, y1 = poly.T
     x2, y2 = np.concatenate([poly[1:], poly[:1]]).T
@@ -211,9 +213,8 @@ def point_in_polygon(point, polygon, tol: float = CONTAINMENT_TOL) -> bool:
     dot = (x - x1) * dx + (y - y1) * dy
     s = np.clip(np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0.0), 0.0, 1.0)
     ex, ey = x1 + s * dx - x, y1 + s * dy - y
-    if (np.sqrt(ex * ex + ey * ey) <= tol).any():
-        return True
+    on_edge = (np.sqrt(ex * ex + ey * ey) <= tol).any(axis=1)
     cross = (y1 > y) != (y2 > y)
-    x1, y1, dx, dy = x1[cross], y1[cross], dx[cross], dy[cross]
-    xc = x1 + (y - y1) * dx / dy
-    return bool(np.count_nonzero(x < xc) % 2)
+    xc = x1 + np.divide((y - y1) * dx, dy, out=np.zeros_like(dot), where=cross)
+    inside = on_edge | (np.count_nonzero(cross & (x < xc), axis=1) % 2 == 1)
+    return bool(inside[0]) if pts.ndim == 1 else inside

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Plan, RunResult, SimTrace
-from .formation import cooperative_ids
+from .formation import ROLE_COOPERATIVE
 
 
 def fmt(value: float) -> str:
@@ -77,9 +77,10 @@ def trace_table(trace: SimTrace) -> str:
         + ["converged"]
     )
     rows = []
-    for a, role, layer in zip(trace.ids, trace.roles, trace.layer):
-        conv = trace.converged.get(a)
-        verdict = "-" if conv is None else int(conv)
+    for a, role, layer, conv, scored in zip(
+        trace.ids, trace.roles, trace.layer, trace.converged, trace.scored
+    ):
+        verdict = int(conv) if scored else "-"
         rows.append(f"%s,{a},{role},{layer},{_float_fields(2 * n)},{verdict}\n")
     return _frames(",".join(header) + "\n", trace.times, rows, trace.positions, trace.desired)
 
@@ -88,25 +89,24 @@ def metrics_document(result: RunResult) -> dict:
     plan = result.plan
     trace = result.trace
     formation = plan.scenario.formation
-    coop = cooperative_ids(formation, plan.graph)
-    unconverged = sorted(a for a, ok in trace.converged.items() if not ok)
+    ids = formation.ids
     uncovered = plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
     return {
         "n_agents": formation.n_agents,
-        "n_boundary": len(formation.boundary_ids),
+        "n_boundary": len(formation.boundary),
         "n_initial_simplices": plan.graph.n_initial_simplices,
         "n_layers": plan.graph.n_layers,
-        "n_cooperative": len(coop),
-        "n_uncooperative": len(formation.uncooperative_ids),
-        "core_id": plan.graph.core_id,
+        "n_cooperative": _n_cooperative(plan.graph),
+        "n_uncooperative": len(formation.clamped),
+        "core_id": ids[plan.graph.core],
         "convergence_rate": trace.rate,
-        "evaluated_count": len(trace.converged),
-        "converged_count": sum(trace.converged.values()),
-        "unconverged_ids": unconverged,
-        "fallback_agents": sorted(plan.desired.fallback_ids),
+        "evaluated_count": int(trace.scored.sum()),
+        "converged_count": int(trace.converged.sum()),
+        "unconverged_ids": [ids[k] for k in np.flatnonzero(trace.scored & ~trace.converged)],
+        "fallback_agents": [ids[k] for k in sorted(plan.desired.fallback_ids)],
         "uncovered_sample_count": len(uncovered),
         "uncovered_sample_indices": list(uncovered),
-        "terminal_errors": [[a, trace.terminal_error[a]] for a in trace.ids],
+        "terminal_errors": [[a, e] for a, e in zip(ids, trace.terminal_error.tolist())],
     }
 
 
@@ -116,18 +116,20 @@ def metrics_json(result: RunResult) -> str:
 
 def plan_document(plan: Plan) -> dict:
     formation = plan.scenario.formation
+    ids = formation.ids
+    p = plan.desired.p.tolist()
     return {
         "n_agents": formation.n_agents,
-        "n_boundary": len(formation.boundary_ids),
+        "n_boundary": len(formation.boundary),
         "n_initial_simplices": plan.graph.n_initial_simplices,
         "n_layers": plan.graph.n_layers,
-        "n_cooperative": len(cooperative_ids(formation, plan.graph)),
-        "n_uncooperative": len(formation.uncooperative_ids),
-        "core_id": plan.graph.core_id,
-        "leader_final": {str(b): [float(v) for v in plan.leader_p[b]] for b in formation.boundary_ids},
-        "final_positions": {str(a): [float(v) for v in plan.desired.p[a]] for a in formation.ids},
-        "captured_counts": {str(a): len(idx) for a, idx in sorted(plan.desired.captured.items())},
-        "fallback_agents": sorted(plan.desired.fallback_ids),
+        "n_cooperative": _n_cooperative(plan.graph),
+        "n_uncooperative": len(formation.clamped),
+        "core_id": ids[plan.graph.core],
+        "leader_final": {str(ids[b]): p[b] for b in formation.boundary.tolist()},
+        "final_positions": {str(a): row for a, row in zip(ids, p)},
+        "captured_counts": {str(ids[a]): len(idx) for a, idx in sorted(plan.desired.captured.items())},
+        "fallback_agents": [ids[k] for k in sorted(plan.desired.fallback_ids)],
         "uncovered_sample_count": len(
             plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
         ),
@@ -139,15 +141,15 @@ def plan_json(plan: Plan) -> str:
 
 
 def weights_table(plan: Plan) -> str:
-    """Per-mentee endpoint weight vectors as plain text."""
-    sched = plan.schedule
+    """Per-mentee endpoint weight vectors as plain text, by ascending id."""
+    graph, sched = plan.graph, plan.schedule
     ids = plan.scenario.formation.ids
     lines = ["# id\tmentors\tinitial_weights\tfinal_weights"]
-    for k in np.argsort(sched.mentees):
-        mentors = ",".join(str(ids[m]) for m in sched.mentors[k])
+    for k in np.argsort(graph.mentees):
+        mentors = ",".join(str(ids[m]) for m in graph.mentors[k])
         w0 = ",".join(fmt(v) for v in sched.omega[k])
         w1 = ",".join(fmt(v) for v in sched.varpi[k])
-        lines.append(f"{sched.mentees[k]}\t{mentors}\t{w0}\t{w1}")
+        lines.append(f"{ids[graph.mentees[k]]}\t{mentors}\t{w0}\t{w1}")
     return "\n".join(lines) + "\n"
 
 
@@ -158,11 +160,14 @@ def setpoints_table(ids, times, setpoints: np.ndarray) -> str:
     return _frames(header, times, [f"%s,{a},{_float_fields(n)}\n" for a in ids], setpoints)
 
 
+def _n_cooperative(graph) -> int:
+    return int(np.count_nonzero(graph.roles == ROLE_COOPERATIVE))
+
+
 def build_summary(formation, graph) -> str:
-    coop = cooperative_ids(formation, graph)
     return (
-        f"N={formation.n_agents} N_B={len(formation.boundary_ids)} "
+        f"N={formation.n_agents} N_B={len(formation.boundary)} "
         f"N_L={graph.n_initial_simplices} M={graph.n_layers} "
-        f"cooperative={len(coop)} uncooperative={len(formation.uncooperative_ids)} "
-        f"core={graph.core_id}"
+        f"cooperative={_n_cooperative(graph)} uncooperative={len(formation.clamped)} "
+        f"core={formation.ids[graph.core]}"
     )

@@ -19,7 +19,7 @@ from . import geometry
 from .dynamics import DEFAULT_GAINS, Gains
 from .engine import Scenario, validate_scenario
 from .errors import BadConfig, InfeasibleParams, ParseError
-from .formation import Formation
+from .formation import Formation, agent_roles
 from .targets import TargetSet
 
 ROLES = ("boundary", "core", "cooperative", "uncooperative")
@@ -246,13 +246,9 @@ def _grid_samples(zone: np.ndarray, spacing: float) -> np.ndarray:
     hi = zone.max(axis=0)
     xs = np.arange(lo[0], hi[0] + spacing / 2, spacing)
     ys = np.arange(lo[1], hi[1] + spacing / 2, spacing)
-    pts = [
-        (x, y)
-        for y in ys
-        for x in xs
-        if geometry.point_in_polygon((x, y), zone)
-    ]
-    return np.array(pts) if pts else np.empty((0, 2))
+    gx, gy = np.meshgrid(xs, ys)  # rows run along x, one row per y
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    return pts[geometry.point_in_polygon(pts, zone)]
 
 
 def load_scenario(path) -> Scenario:
@@ -264,21 +260,13 @@ def serialize_scenario(scenario: Scenario) -> str:
     """Canonical JSON text for a scenario (agents sorted by id)."""
     formation = scenario.formation
     coord_keys = ["x", "y", "z"][: formation.dim]
-    boundary = set(formation.boundary_ids)
     agents = []
-    for a in formation.ids:
-        pos = formation.position(a)
+    roles = agent_roles(formation, formation.core)
+    for a, pos, role in zip(formation.ids, formation.positions, roles):
         entry: dict = {"id": a}
         for c, v in zip(coord_keys, pos):
             entry[c] = float(v)
-        if a in boundary:
-            entry["role"] = "boundary"
-        elif a == formation.core_id:
-            entry["role"] = "core"
-        elif a in formation.uncooperative_ids:
-            entry["role"] = "uncooperative"
-        else:
-            entry["role"] = "cooperative"
+        entry["role"] = role
         agents.append(entry)
 
     targets: dict = {}
@@ -291,7 +279,7 @@ def serialize_scenario(scenario: Scenario) -> str:
             "mode": "explicit",
             "positions": [
                 {"id": b, **{c: float(v) for c, v in zip(coord_keys, scenario.leader_positions[b])}}
-                for b in formation.boundary_ids
+                for b in (formation.ids[k] for k in formation.boundary)
             ],
         }
     else:
@@ -407,8 +395,7 @@ def _draw_scenario(p: GenerateParams, seed: int, attempt: int) -> Scenario:
         spacing = zone_radius * float(np.sqrt(np.pi / max(200.0, 4.0 * p.n_agents)))
     grid = _grid_samples(zone - center, spacing)
     grid = grid + rng.uniform(-0.3, 0.3, grid.shape) * spacing  # de-lattice
-    keep = [k for k in range(len(grid)) if geometry.point_in_polygon(grid[k], zone - center)]
-    samples = center + grid[keep]
+    samples = center + grid[geometry.point_in_polygon(grid, zone - center)]
 
     interior_pts = np.empty((interior, 2))
     interior_pts[0] = center + rng.uniform(-0.05, 0.05, 2) * zone_radius

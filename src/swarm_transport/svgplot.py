@@ -80,19 +80,21 @@ class _Canvas:
         )
 
 
+def _edges(graph) -> list[tuple[int, int]]:
+    """(mentor row, mentee row) pairs of the mentor graph, sorted."""
+    mentees = np.repeat(graph.mentees, graph.mentors.shape[1])
+    return sorted(zip(graph.mentors.ravel().tolist(), mentees.tolist()))
+
+
 def formation_svg(formation, graph) -> str:
     """Initial formation with mentor edges, nodes colored by role."""
-    from .formation import role_map
-
-    roles = role_map(formation, graph)
-    canvas = _Canvas(formation.positions)
-    pos = {a: formation.position(a) for a in formation.ids}
-    hull = [pos[b] for b in formation.boundary_ids]
-    canvas.polygon(hull, color="#333333", width=1.0)
-    for mentor, mentee in sorted(graph.edges):
+    pos = formation.positions
+    canvas = _Canvas(pos)
+    canvas.polygon(pos[formation.boundary], color="#333333", width=1.0)
+    for mentor, mentee in _edges(graph):
         canvas.line(pos[mentor], pos[mentee])
-    for a in formation.ids:
-        canvas.circle(pos[a], radius=4.0, color=ROLE_COLORS[roles[a]], title=str(a))
+    for a, p, role in zip(formation.ids, pos, graph.roles):
+        canvas.circle(p, radius=4.0, color=ROLE_COLORS[role], title=str(a))
     canvas.text(f"agents={formation.n_agents} layers={graph.n_layers}")
     return canvas.render()
 
@@ -104,10 +106,11 @@ def snapshot_svg(
     zone=None,
     inflated_zone=None,
     samples=None,
-    edges=None,
+    graph=None,
     ids=None,
 ) -> str:
-    """Team snapshot at time t with zone outlines and target samples."""
+    """Team snapshot at time t with zone outlines, target samples and, given
+    the mentor ``graph``, its edges between the agents' current positions."""
     pts = np.asarray(positions, dtype=float)
     frame = [pts]
     if zone is not None:
@@ -122,10 +125,9 @@ def snapshot_svg(
         canvas.polygon(zone)
     if inflated_zone is not None:
         canvas.polygon(inflated_zone, dashed=True)
-    if edges is not None:
-        index = {a: k for k, a in enumerate(ids)}
-        for mentor, mentee in sorted(edges):
-            canvas.line(pts[index[mentor]], pts[index[mentee]], opacity=0.35)
+    if graph is not None:
+        for mentor, mentee in _edges(graph):
+            canvas.line(pts[mentor], pts[mentee], opacity=0.35)
     for k in range(len(pts)):
         title = str(ids[k]) if ids is not None else None
         canvas.circle(pts[k], radius=3.5, color=ROLE_COLORS[roles[k]], title=title)

@@ -1,9 +1,10 @@
 """Target abstraction: map sampled target points to per-agent final positions.
 
-Final positions are assigned layer by layer. Hull agents take explicit or
-ring-generated anchor positions, the core and clamped agents hold their
-initial positions, and every mentee averages the target samples that fall
-inside the simplex spanned by its mentors' final positions.
+Final positions are assigned layer by layer, as one (N, n) array in
+formation row order. Hull agents take explicit or ring-generated anchor
+positions, the core and clamped agents hold their initial positions, and
+every mentee averages the target samples that fall inside the simplex
+spanned by its mentors' final positions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BadConfig, DegenerateMentorSimplex, DegenerateSimplex
-from .formation import Formation, LayeredGraph, topological_order
+from .formation import Formation, LayeredGraph
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,11 @@ class TargetSet:
 
 @dataclass(frozen=True)
 class DesiredPositions:
-    """Final desired position per agent plus the sample capture bookkeeping."""
+    """Final desired position of every row plus the sample capture bookkeeping."""
 
-    p: dict[int, np.ndarray]
-    captured: dict[int, tuple[int, ...]]  # mentee -> indices into the sample list
-    fallback_ids: tuple[int, ...]  # mentees whose simplex captured nothing
+    p: np.ndarray  # (N, n) in formation row order; boundary rows hold the anchors
+    captured: dict[int, tuple[int, ...]]  # mentee row -> indices into the sample list
+    fallback_ids: tuple[int, ...]  # mentee rows whose simplex captured nothing
 
     def uncovered_samples(self, n_samples: int) -> tuple[int, ...]:
         seen: set[int] = set()
@@ -83,15 +84,16 @@ def leader_final_positions(
     *,
     explicit: dict[int, np.ndarray] | None = None,
     scale: float = 1.1,
-) -> dict[int, np.ndarray]:
-    """Anchor positions for the hull agents.
+) -> np.ndarray:
+    """Anchor positions of the hull agents, shaped (B, n) in hull cycle order.
 
-    Either passed through verbatim (``explicit``) or generated at equal arc
-    length along the zone outline scaled by ``scale`` about the zone
-    centroid, preserving the hull's cyclic order. The generated placement is
-    a convention of this artifact, not part of the underlying method.
+    Either passed through verbatim (``explicit``, keyed by agent id) or
+    generated at equal arc length along the zone outline scaled by ``scale``
+    about the zone centroid, preserving the hull's cyclic order. The
+    generated placement is a convention of this artifact, not part of the
+    underlying method.
     """
-    boundary = formation.boundary_ids
+    boundary = [formation.ids[k] for k in formation.boundary]
     if explicit is not None:
         missing = [b for b in boundary if b not in explicit]
         if missing:
@@ -99,45 +101,42 @@ def leader_final_positions(
         extra = [i for i in explicit if i not in set(boundary)]
         if extra:
             raise BadConfig(f"explicit leader positions name non-boundary agents {extra}")
-        return {b: np.asarray(explicit[b], dtype=float) for b in boundary}
+        return np.array([np.asarray(explicit[b], dtype=float) for b in boundary])
     if formation.dim != 2:
         raise BadConfig("generated leader placement is only available in 2-D")
     zone = targets.zone_polygon()
     ring = geometry.scale_polygon(zone, scale, about=geometry.polygon_centroid(zone))
-    pts = equal_arclength_points(ring, len(boundary))
-    return {b: pts[k] for k, b in enumerate(boundary)}
+    return equal_arclength_points(ring, len(boundary))
 
 
 def compute_desired(
     graph: LayeredGraph,
     formation: Formation,
     targets: TargetSet,
-    leader_p: dict[int, np.ndarray],
+    leader_p: np.ndarray,
 ) -> DesiredPositions:
-    """Per-agent final desired positions, processed in topological order.
+    """Final desired positions of every row, mentees in (layer, row) order.
 
-    Each mentee captures the samples inside its mentors' final simplex and
-    averages them. A mentee whose simplex captures nothing falls back to the
-    simplex centroid (equal weights), which keeps the final weights solvable;
-    such agents are reported in ``fallback_ids``.
+    ``leader_p`` holds the (B, n) anchors in hull cycle order. Each mentee
+    captures the samples inside its mentors' final simplex and averages
+    them. A mentee whose simplex captures nothing falls back to the simplex
+    centroid (equal weights), which keeps the final weights solvable; such
+    agents are reported in ``fallback_ids``.
     """
     samples = np.asarray(targets.samples, dtype=float)
-    p: dict[int, np.ndarray] = {}
-    for b in formation.boundary_ids:
-        if b not in leader_p:
-            raise BadConfig(f"leader position missing for boundary agent {b}")
-        p[b] = np.asarray(leader_p[b], dtype=float)
-    p[graph.core_id] = formation.position(graph.core_id).copy()
-    for u in sorted(formation.uncooperative_ids):
-        p[u] = formation.position(u).copy()
+    leader_p = np.asarray(leader_p, dtype=float)
+    if leader_p.shape != (len(formation.boundary), formation.dim):
+        raise BadConfig(
+            f"leader positions must be shaped {(len(formation.boundary), formation.dim)}, "
+            f"got {leader_p.shape}"
+        )
+    p = formation.positions.copy()  # the core and clamped rows keep these
+    p[formation.boundary] = leader_p
 
     captured: dict[int, tuple[int, ...]] = {}
     fallback: list[int] = []
-    for a in topological_order(graph):
-        mentors = graph.mentors_of(a)
-        if not mentors:
-            continue
-        verts = np.array([p[m] for m in mentors])
+    for a, mentors in zip(graph.mentees.tolist(), graph.mentors):
+        verts = p[mentors]
         try:
             if len(samples):
                 weights = geometry.barycentric_many(samples, verts)
@@ -146,7 +145,8 @@ def compute_desired(
                 inside = np.empty(0, dtype=int)
         except DegenerateSimplex as exc:
             raise DegenerateMentorSimplex(
-                f"agent {a}: mentors {mentors} have affinely dependent final positions"
+                f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in mentors)} "
+                "have affinely dependent final positions"
             ) from exc
         captured[a] = tuple(int(i) for i in inside)
         if len(inside):

@@ -6,8 +6,9 @@ final position in the mentors' final positions. At run time the two are
 blended by a minimum-jerk quintic ramp, so the weights stay nonnegative and
 sum to one for every t.
 
-The schedule keeps these weights in one array form indexed by formation
-row, which every consumer (closed loop, set-points, writers) reads directly.
+The schedule keeps these weights as (M, n+1) arrays whose rows line up with
+the mentor graph's ``mentees`` and ``mentors``; every consumer (closed
+loop, set-points, writers) reads the two side by side.
 """
 
 from __future__ import annotations
@@ -39,15 +40,12 @@ def beta(t: float, t0: float, tf: float) -> float:
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Mentor rows and endpoint weights of every mentee plus the blend horizon.
+    """Endpoint weights of every mentee plus the blend horizon.
 
-    Mentees are ordered by (layer, id), so each mentor layer is a contiguous
-    slice and every mentor row precedes the rows it feeds.
+    Row k holds the weights of mentee ``graph.mentees[k]`` over the mentor
+    rows ``graph.mentors[k]``.
     """
 
-    mentees: tuple[int, ...]  # agent ids, sorted by (layer, id)
-    rows: np.ndarray  # (M,) formation rows of the mentees
-    mentors: np.ndarray  # (M, n+1) formation rows of each mentee's mentors
     omega: np.ndarray  # (M, n+1) initial weights
     varpi: np.ndarray  # (M, n+1) final weights
     t0: float
@@ -65,15 +63,15 @@ def _clean(w: np.ndarray, agent_id: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _endpoint_weights(mentees, rows, mentors, points: np.ndarray, error) -> np.ndarray:
+def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray, error) -> np.ndarray:
     """Barycentric weights of each mentee's point in its mentors' points."""
-    out = np.empty(mentors.shape)
-    for k, a in enumerate(mentees):
+    out = np.empty(graph.mentors.shape)
+    for k, (row, mentors) in enumerate(zip(graph.mentees, graph.mentors)):
         try:
-            w = geometry.barycentric(points[rows[k]], points[mentors[k]])
+            w = geometry.barycentric(points[row], points[mentors])
         except DegenerateSimplex as exc:
-            raise error(f"agent {a}: {exc}") from exc
-        out[k] = _clean(w, a)
+            raise error(f"agent {ids[row]}: {exc}") from exc
+        out[k] = _clean(w, ids[row])
     return out
 
 
@@ -86,18 +84,9 @@ def build_schedule(
 ) -> WeightSchedule:
     if tf <= t0:
         raise BadInterval(f"blend interval must satisfy t0 < tf, got [{t0}, {tf}]")
-    mentees = tuple(sorted(graph.mentors, key=lambda a: (graph.layer_index[a], a)))
-    rows = np.array([formation.index(a) for a in mentees], dtype=np.intp)
-    mentors = np.array(
-        [[formation.index(m) for m in graph.mentors[a]] for a in mentees], dtype=np.intp
-    ).reshape(len(mentees), formation.dim + 1)
-    final = np.array([desired.p[a] for a in formation.ids])
     return WeightSchedule(
-        mentees=mentees,
-        rows=rows,
-        mentors=mentors,
-        omega=_endpoint_weights(mentees, rows, mentors, formation.positions, DegenerateSimplex),
-        varpi=_endpoint_weights(mentees, rows, mentors, final, DegenerateMentorSimplex),
+        omega=_endpoint_weights(graph, formation.ids, formation.positions, DegenerateSimplex),
+        varpi=_endpoint_weights(graph, formation.ids, desired.p, DegenerateMentorSimplex),
         t0=float(t0),
         tf=float(tf),
     )

@@ -22,9 +22,18 @@ def square_core_formation(extra=(), uncooperative=(), core=None):
     )
 
 
-def final_positions(plan):
-    """Planned final positions in formation row order, shaped (N, n)."""
-    return np.array([plan.desired.p[a] for a in plan.scenario.formation.ids])
+def ancestors(graph, row):
+    """Rows of the transitive mentors of ``row`` (excluding itself), by a
+    walk over the mentor rows."""
+    mentors_of = dict(zip(graph.mentees.tolist(), graph.mentors.tolist()))
+    out: set[int] = set()
+    stack = list(mentors_of.get(row, ()))
+    while stack:
+        m = stack.pop()
+        if m not in out:
+            out.add(m)
+            stack.extend(mentors_of.get(m, ()))
+    return frozenset(out)
 
 
 def quick_scenario(seed=0, n=24, nb=6, uncoop=0, **kwargs):

@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from conftest import final_positions
+from conftest import ancestors
 from swarm_transport import engine
 from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, initial_state, step
-from swarm_transport.formation import ancestor_ids, build_actual, cooperative_ids
+from swarm_transport.formation import build_actual
 from swarm_transport.geometry import barycentric
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.scenario import GenerateParams, generate_scenario
@@ -58,9 +58,9 @@ def test_criterion_1_full_cooperation_converges():
     look = generate_scenario(GenerateParams(n_agents=95, n_boundary=16), seed=1)
     graph = build_actual(look.formation)
     structural = (
-        len(look.formation.boundary_ids) == 16
+        len(look.formation.boundary) == 16
         and graph.n_initial_simplices == 16
-        and len(cooperative_ids(look.formation, graph)) == 78
+        and np.count_nonzero(graph.roles == "cooperative") == 78
     )
 
     ok = all(r == 1.0 for r in rates) and max(runtimes) < 30.0 and structural
@@ -83,9 +83,10 @@ def test_criterion_2_resilience_to_clamped_agents():
         res = engine.run(sc)
         rates.append(res.trace.rate)
         graph = res.plan.graph
-        for a, converged in res.trace.converged.items():
-            clean = not (ancestor_ids(graph, a) & sc.formation.uncooperative_ids)
-            if clean and not converged:
+        clamped = set(sc.formation.clamped.tolist())
+        for a in np.flatnonzero(res.trace.scored):
+            clean = not (ancestors(graph, a) & clamped)
+            if clean and not res.trace.converged[a]:
                 clean_all = False
     mean_rate = float(np.mean(rates))
     ok = mean_rate >= 0.85 and clean_all
@@ -108,14 +109,14 @@ def test_criterion_3_dense_solve_oracle_equivalence():
             seed=3000 + k,
         )
         plan = engine.make_plan(sc)
-        anchors = final_positions(plan)
+        anchors = plan.desired.p
         times = rng.uniform(sc.t0 - 1.0, sc.tf + 5.0, 20)
         fast = propagate_setpoints(plan.graph, plan.schedule, anchors, times)
         for s, t in zip(fast, times):
-            dense = solve_setpoints_dense(plan.schedule, anchors, float(t))
+            dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, float(t))
             worst_gap = max(worst_gap, float(np.max(np.abs(s - dense))))
             worst_residual = max(
-                worst_residual, setpoint_residual(plan.schedule, anchors, s, float(t))
+                worst_residual, setpoint_residual(plan.graph, plan.schedule, anchors, s, float(t))
             )
     ok = worst_gap < 1e-9 and worst_residual < 1e-9
     assert _verdict(
@@ -137,7 +138,7 @@ def test_criterion_4_boundary_condition_exactness():
         form = sc.formation
         start = propagate_setpoints(plan.graph, plan.schedule, form.positions, [sc.t0])
         worst_start = max(worst_start, float(np.max(np.abs(start - form.positions))))
-        final = final_positions(plan)
+        final = plan.desired.p
         end = propagate_setpoints(plan.graph, plan.schedule, final, [sc.tf, sc.tf + 3.0])
         worst_end = max(worst_end, float(np.max(np.abs(end - final))))
     ok = worst_start < 1e-9 and worst_end < 1e-9
@@ -160,7 +161,7 @@ def test_criterion_5_weight_law_properties():
     nonneg_ok = True
     for _ in range(1000):
         t = float(rng.uniform(sc.t0 - 2.0, sc.tf + 4.0))
-        k = int(rng.integers(len(plan.schedule.mentees)))
+        k = int(rng.integers(len(plan.graph.mentees)))
         w = weights_at(plan.schedule, t)[k]
         if abs(float(w.sum()) - 1.0) >= 1e-12:
             sums_ok = False
@@ -220,20 +221,20 @@ def test_criterion_7_graph_laws_over_population():
         )
         form = sc.formation
         graph = build_actual(form)
-        coop = cooperative_ids(form, graph)
-        mentees = [a for layer in graph.layers[1:] for a in layer]
-        if sorted(mentees) != sorted(coop) or len(set(mentees)) != len(mentees):
+        coop = np.flatnonzero(graph.roles == "cooperative")
+        if sorted(graph.mentees.tolist()) != coop.tolist():
             ok, detail = False, f"partition broken at seed {5000 + k}"
             break
-        if len(graph.edges) != 3 * len(coop):
+        if graph.mentors.shape != (len(coop), 3) or any(
+            len(set(ms)) != 3 for ms in graph.mentors.tolist()
+        ):
             ok, detail = False, f"edge count law broken at seed {5000 + k}"
             break
-        if any(m in form.uncooperative_ids for _, m in graph.edges):
+        if np.isin(graph.mentees, form.clamped).any():
             ok, detail = False, f"edge into clamped agent at seed {5000 + k}"
             break
-        for a in coop:
-            verts = np.array([form.position(m) for m in graph.mentors[a]])
-            if float(barycentric(form.position(a), verts).min()) < -1e-9:
+        for a, mentors in zip(graph.mentees, graph.mentors):
+            if float(barycentric(form.positions[a], form.positions[mentors]).min()) < -1e-9:
                 ok, detail = False, f"containment broken at seed {5000 + k}"
                 break
         if not ok:

@@ -158,8 +158,12 @@ class TestPlanAndReport:
         (None, ["--dt", "nan"], "BadConfig", "dt"),
         (None, ["--margin", "nan"], "BadConfig", "margin"),
         (None, ["--dt", "inf"], "BadConfig", "dt"),
+        (lambda doc: doc.update(gains={"k1": 1, "k2": 1, "k3": 1, "k4": 1}), [], "BadConfig", "Hurwitz"),
     ],
-    ids=["dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan", "flag-dt-nan", "flag-margin-nan", "flag-dt-inf"],
+    ids=[
+        "dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan",
+        "flag-dt-nan", "flag-margin-nan", "flag-dt-inf", "gains-not-hurwitz",
+    ],
 )
 def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named):
     path = _generate(tmp_path, agents=24, boundary=6, seed=3)

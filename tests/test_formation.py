@@ -1,27 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import quick_scenario, square_core_formation
+from conftest import ancestors, quick_scenario, square_core_formation
 from swarm_transport import geometry
-from swarm_transport.errors import BadConfig, CoreOnBoundary, CycleDetected, NoCandidate
+from swarm_transport.errors import (
+    BadConfig,
+    CoreOnBoundary,
+    CycleDetected,
+    NoCandidate,
+    SwarmTransportError,
+)
 from swarm_transport.formation import (
     Formation,
     LayeredGraph,
-    ancestor_ids,
+    agent_roles,
     build_actual,
-    cooperative_ids,
     fan_triangulate,
     graph_records,
-    role_map,
     select_core,
-    topological_order,
 )
+
+# square_core_formation: ids 1-4 (rows 0-3) are the hull corners, id 5 (row 4)
+# the center, extra agents follow as ids 6, 7, ... (rows 5, 6, ...)
 
 
 class TestFormationBuild:
     def test_boundary_is_hull_cycle(self):
         form = square_core_formation()
-        assert form.boundary_ids == (1, 2, 3, 4)
+        assert form.boundary.tolist() == [0, 1, 2, 3]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(BadConfig):
@@ -54,22 +62,23 @@ class TestFormationBuild:
 class TestSelectCore:
     def test_single_interior_agent(self):
         form = square_core_formation()
-        assert select_core(form) == 5
+        assert select_core(form) == 4
 
     def test_tie_goes_to_smaller_id(self):
         form = square_core_formation(extra=[(1.0, 2.0), (3.0, 2.0)])
         # agents 6 and 7 are both at distance 1 from the target center (2, 2)
-        assert select_core(form) == 5  # center agent wins outright
+        assert select_core(form) == 4  # center agent wins outright
         far = Formation.build(
             [1, 2, 3, 4, 6, 7],
             [(0, 0), (4, 0), (4, 4), (0, 4), (1.0, 2.0), (3.0, 2.0)],
             (2.0, 2.0),
         )
-        assert select_core(far) == 6
+        assert far.ids[select_core(far)] == 6
 
     def test_uncooperative_excluded(self):
         form = square_core_formation(extra=[(2.5, 2.5)], uncooperative=[5])
-        assert select_core(form) == 6
+        assert form.clamped.tolist() == [4]
+        assert form.ids[select_core(form)] == 6
 
     def test_no_candidate(self):
         form = square_core_formation(uncooperative=[5])
@@ -80,16 +89,16 @@ class TestSelectCore:
 class TestFanTriangulate:
     def test_square_gives_four_triangles(self):
         form = square_core_formation()
-        fan = fan_triangulate(form, 5)
+        fan = fan_triangulate(form, 4)
         assert len(fan) == 4
-        assert all(s.vertex_ids[2] == 5 for s in fan)
+        assert all(s.vertex_rows[2] == 4 for s in fan)
 
     def test_areas_sum_to_hull_area(self):
         sc = quick_scenario(seed=5, n=30, nb=9)
         form = sc.formation
         core = select_core(form)
         fan = fan_triangulate(form, core)
-        hull = np.array([form.position(b) for b in form.boundary_ids])
+        hull = form.positions[form.boundary]
         total = sum(
             abs(geometry.polygon_area(s.vertex_points)) for s in fan
         )
@@ -98,13 +107,13 @@ class TestFanTriangulate:
     def test_core_on_boundary_rejected(self):
         form = square_core_formation()
         with pytest.raises(CoreOnBoundary):
-            fan_triangulate(form, 1)
+            fan_triangulate(form, 0)
 
     def test_lookalike_initial_simplices(self):
         # 16 hull agents imply 16 fan triangles
         sc = quick_scenario(seed=1, n=95, nb=16)
         graph = build_actual(sc.formation)
-        assert len(sc.formation.boundary_ids) == 16
+        assert len(sc.formation.boundary) == 16
         assert graph.n_initial_simplices == 16
 
     def test_cube_fan_tetrahedra_cover_volume(self):
@@ -114,7 +123,7 @@ class TestFanTriangulate:
         ids = list(range(1, 9)) + [9]
         pos = corners + [(1.0, 1.0, 1.0)]
         form = Formation.build(ids, pos, (1.0, 1.0, 1.0))
-        fan = fan_triangulate(form, 9)
+        fan = fan_triangulate(form, 8)
         vol = sum(
             abs(np.linalg.det(geometry.augmented_matrix(s.vertex_points))) / 6.0
             for s in fan
@@ -127,22 +136,22 @@ class TestBuildNominal:
         form = square_core_formation()
         graph = build_actual(form)
         assert graph.n_layers == 0
-        assert graph.layers == (frozenset({1, 2, 3, 4, 5}),)
-        assert graph.edges == frozenset()
+        assert graph.layer.tolist() == [0, 0, 0, 0, 0]
+        assert graph.mentees.shape == (0,)
+        assert graph.mentors.shape == (0, 3)
 
     def test_single_mentee_forced_structure(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
         graph = build_actual(form)
-        assert graph.mentee_ids() == (6,)
-        assert graph.mentors[6] == (1, 2, 5)
-        assert len(graph.edges) == 3
-        assert graph.layer_index[6] == 1
+        assert graph.mentees.tolist() == [5]
+        assert graph.mentors.tolist() == [[0, 1, 4]]  # agents 1, 2 and the core 5
+        assert graph.layer[5] == 1
 
     def test_lookalike_cooperative_count(self):
         sc = quick_scenario(seed=1, n=95, nb=16)
         graph = build_actual(sc.formation)
-        assert len(cooperative_ids(sc.formation, graph)) == 78
-        assert len(graph.mentee_ids()) == 78
+        assert np.count_nonzero(graph.roles == "cooperative") == 78
+        assert len(graph.mentees) == 78
 
 
 class TestBuildActual:
@@ -156,19 +165,18 @@ class TestBuildActual:
             uncooperative=[5],
         )
         graph = build_actual(form)
-        assert graph.core_id == 4
-        assert graph.layers[0] == frozenset({1, 2, 3, 4, 5})
-        assert graph.layers[1] == frozenset({6})
+        assert graph.core == 3  # agent 4
+        assert graph.layer.tolist() == [0, 0, 0, 0, 0, 1]
         assert graph.n_layers == 1
-        assert graph.mentors[6] == (5, 2, 4)  # clamped agent serves as mentor
-        assert graph.edges == frozenset({(5, 6), (2, 6), (4, 6)})
-        assert graph.mentors_of(5) == ()
+        assert graph.mentees.tolist() == [5]
+        assert graph.mentors.tolist() == [[4, 1, 3]]  # clamped agent 5 serves as mentor
+        assert 4 not in graph.mentees.tolist()
 
     def test_no_edges_into_clamped_agents(self):
         sc = quick_scenario(seed=9, n=40, nb=8, uncoop=3)
         graph = build_actual(sc.formation)
-        for _, mentee in graph.edges:
-            assert mentee not in sc.formation.uncooperative_ids
+        assert len(sc.formation.clamped) == 3
+        assert not np.isin(graph.mentees, sc.formation.clamped).any()
 
 
 class TestGraphLaws:
@@ -179,44 +187,81 @@ class TestGraphLaws:
         sc = quick_scenario(seed=seed, n=n, nb=max(6, n // 5), uncoop=uncoop)
         form = sc.formation
         graph = build_actual(form)
-        coop = cooperative_ids(form, graph)
+        coop = np.flatnonzero(graph.roles == "cooperative")
 
         # partition: every follower is a mentee exactly once
-        mentees = [a for layer in graph.layers[1:] for a in layer]
-        assert sorted(mentees) == sorted(coop)
-        assert len(set(mentees)) == len(mentees)
+        assert sorted(graph.mentees.tolist()) == coop.tolist()
 
-        # edge-count law in the plane
-        assert len(graph.edges) == 3 * len(coop)
+        # edge-count law in the plane: three distinct mentors per follower
+        assert graph.mentors.shape == (len(coop), 3)
+        assert all(len(set(ms)) == 3 for ms in graph.mentors.tolist())
 
         # mentors sit in strictly earlier layers and mentees start inside
-        for a in coop:
-            mentors = graph.mentors[a]
-            assert len(mentors) == 3
-            for m in mentors:
-                assert graph.layer_index[m] < graph.layer_index[a]
-            verts = np.array([form.position(m) for m in mentors])
-            w = geometry.barycentric(form.position(a), verts)
+        assert np.all(graph.layer[graph.mentors] < graph.layer[graph.mentees][:, None])
+        for a, mentors in zip(graph.mentees, graph.mentors):
+            w = geometry.barycentric(form.positions[a], form.positions[mentors])
             assert float(w.min()) >= -1e-9
 
-        # cumulative layer sets grow strictly
-        for l in range(graph.n_layers):
-            assert graph.members_through(l) < graph.members_through(l + 1)
+        # cumulative layer sets grow strictly: no layer is empty
+        assert set(graph.layer.tolist()) == set(range(graph.n_layers + 1))
 
     def test_ancestors(self):
         form = square_core_formation(extra=[(2.0, 1.0), (2.0, 0.5)])
         graph = build_actual(form)
-        assert ancestor_ids(graph, 6) == frozenset({1, 2, 5})
-        deep = ancestor_ids(graph, 7)
-        assert 6 in deep or deep == frozenset({1, 2, 5})
+        assert ancestors(graph, 5) == frozenset({0, 1, 4})
+        deep = ancestors(graph, 6)
+        assert 5 in deep or deep == frozenset({0, 1, 4})
+
+
+@st.composite
+def planar_team(draw):
+    """Ids shuffled over a jittered-circle hull of radius 10, uniform agents
+    in the disc of radius 3.5 (inside every such hull) and 0-2 clamped ones."""
+    nb = draw(st.integers(4, 9))
+    jitter = np.array(draw(st.lists(st.floats(-0.25, 0.25), min_size=nb, max_size=nb)))
+    angles = (np.arange(nb) + jitter) * 2.0 * np.pi / nb
+    n_in = draw(st.integers(1, 24))
+    radius = 3.5 * np.sqrt(draw(st.lists(st.floats(0.0, 1.0), min_size=n_in, max_size=n_in)))
+    theta = np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n_in, max_size=n_in)))
+    pts = np.vstack([
+        10.0 * np.column_stack([np.cos(angles), np.sin(angles)]),
+        radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]),
+    ])
+    ids = draw(st.permutations(range(1, nb + n_in + 1)))
+    clamped = draw(st.lists(st.sampled_from(ids[nb:]), max_size=2, unique=True))
+    return ids, pts, clamped
+
+
+@settings(max_examples=100, deadline=None)
+@given(planar_team())
+def test_graph_arrays_obey_the_laws(team):
+    ids, pts, clamped = team
+    try:
+        form = Formation.build(ids, pts, (0.0, 0.0), uncooperative=clamped)
+        graph = build_actual(form)
+    except SwarmTransportError:
+        return  # a typed refusal is an allowed outcome
+    sources = np.zeros(form.n_agents, dtype=bool)
+    sources[form.boundary] = sources[form.clamped] = sources[graph.core] = True
+    # hull, core and clamped rows, and only they, sit in layer 0 and have no mentors
+    assert graph.layer.shape == (form.n_agents,)
+    assert np.array_equal(graph.layer == 0, sources)
+    # every other row is a mentee exactly once
+    assert sorted(graph.mentees.tolist()) == np.flatnonzero(~sources).tolist()
+    # with n+1 distinct mentors in strictly earlier layers
+    assert graph.mentors.shape == (len(graph.mentees), 3)
+    assert all(len(set(ms)) == 3 for ms in graph.mentors.tolist())
+    assert np.all(graph.layer[graph.mentors] < graph.layer[graph.mentees][:, None])
+    assert graph.roles[graph.core] == "core"
 
 
 def _dfs_is_acyclic(graph: LayeredGraph) -> bool:
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {a: WHITE for a in graph.layer_index}
-    out_edges: dict[int, list[int]] = {a: [] for a in graph.layer_index}
-    for mentor, mentee in graph.edges:
-        out_edges[mentor].append(mentee)
+    color = [WHITE] * len(graph.layer)
+    out_edges: list[list[int]] = [[] for _ in color]
+    for mentee, mentors in zip(graph.mentees.tolist(), graph.mentors.tolist()):
+        for mentor in mentors:
+            out_edges[mentor].append(mentee)
 
     def visit(a):
         color[a] = GRAY
@@ -228,7 +273,7 @@ def _dfs_is_acyclic(graph: LayeredGraph) -> bool:
         color[a] = BLACK
         return True
 
-    for a in sorted(color):
+    for a in range(len(color)):
         if color[a] == WHITE and not visit(a):
             return False
     return True
@@ -238,32 +283,35 @@ class TestTopologicalOrder:
     def test_layer_zero_only(self):
         form = square_core_formation()
         graph = build_actual(form)
-        assert topological_order(graph) == [1, 2, 3, 4, 5]
+        assert graph.mentees.tolist() == []
+        assert graph.layer.tolist() == [0] * 5
 
     def test_single_mentee_last(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
         graph = build_actual(form)
-        assert topological_order(graph) == [1, 2, 3, 4, 5, 6]
+        assert graph.mentees.tolist() == [5]
+        assert graph.layer.tolist() == [0, 0, 0, 0, 0, 1]
 
     def test_built_graphs_acyclic_by_dfs(self):
         for seed in range(4):
             sc = quick_scenario(seed=seed, n=30, nb=7, uncoop=seed % 2)
             graph = build_actual(sc.formation)
-            order = topological_order(graph)
-            assert len(order) == sc.formation.n_agents
+            keys = list(zip(graph.layer[graph.mentees].tolist(), graph.mentees.tolist()))
+            assert keys == sorted(keys)  # mentees in (layer, row) order
+            assert len(graph.layer) == sc.formation.n_agents
             assert _dfs_is_acyclic(graph)
 
     def test_cycle_detected_on_corrupt_graph(self):
-        graph = LayeredGraph(
-            core_id=3,
-            layers=(frozenset({1, 2, 3}), frozenset({4}), frozenset({5})),
-            mentors={4: (1, 2, 5), 5: (1, 2, 4)},
-            edges=frozenset({(1, 4), (2, 4), (5, 4), (1, 5), (2, 5), (4, 5)}),
-            layer_index={1: 0, 2: 0, 3: 0, 4: 1, 5: 2},
-            n_initial_simplices=3,
-        )
+        # rows 3 and 4 mentor each other
         with pytest.raises(CycleDetected):
-            topological_order(graph)
+            LayeredGraph(
+                core=2,
+                layer=np.array([0, 0, 0, 1, 2]),
+                roles=np.array(["boundary"] * 2 + ["core"] + ["cooperative"] * 2, dtype=object),
+                mentees=np.array([3, 4]),
+                mentors=np.array([[0, 1, 4], [0, 1, 3]]),
+                n_initial_simplices=3,
+            )
 
 
 class TestExports:
@@ -279,8 +327,7 @@ class TestExports:
     def test_role_map(self):
         form = square_core_formation(extra=[(2.0, 1.0), (1.5, 2.5)], uncooperative=[7])
         graph = build_actual(form)
-        roles = role_map(form, graph)
-        assert roles[1] == "boundary"
-        assert roles[5] == "core"
-        assert roles[6] == "cooperative"
-        assert roles[7] == "uncooperative"
+        roles = ["boundary"] * 4 + ["core", "cooperative", "uncooperative"]
+        assert graph.roles.tolist() == roles
+        # without a core (none declared) the center agent is a plain cooperative
+        assert agent_roles(form, None).tolist() == roles[:4] + ["cooperative"] + roles[5:]

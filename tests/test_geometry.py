@@ -168,7 +168,7 @@ class TestSimplex:
     def test_replace_vertex(self):
         s = Simplex((1, 2, 3), UNIT_TRIANGLE.copy())
         child = s.replace_vertex(1, 9, [0.2, 0.2])
-        assert child.vertex_ids == (1, 9, 3)
+        assert child.vertex_rows == (1, 9, 3)
         assert np.allclose(child.vertex_points[1], [0.2, 0.2])
         # parent untouched
         assert np.allclose(s.vertex_points[1], [1.0, 0.0])
@@ -267,3 +267,10 @@ def test_point_in_polygon_matches_edge_loop(case):
     assert got == point_in_polygon(point, poly[::-1])
     if kind != "free":
         assert got
+    # many points at once give the single-point verdicts, vertices and centroid included
+    batch = np.vstack([point, poly, poly.mean(axis=0), point + 0.5])
+    many = point_in_polygon(batch, poly)
+    assert many.shape == (len(batch),) and many.dtype == bool
+    assert many.tolist() == [point_in_polygon(p, poly) for p in batch]
+    assert many[0] == got and many[1 : len(poly) + 1].all()
+    assert point_in_polygon(batch[:0], poly).shape == (0,)

@@ -22,11 +22,10 @@ def trace_table_oracle(trace):
     lines = [",".join(header)]
     for ti, t in enumerate(trace.times):
         for k, a in enumerate(trace.ids):
-            conv = trace.converged.get(a)
             row = [fmt(float(t)), str(a), trace.roles[k], str(trace.layer[k])]
             row += [fmt(v) for v in trace.positions[ti, k]]
             row += [fmt(v) for v in trace.desired[ti, k]]
-            row.append("-" if conv is None else str(int(conv)))
+            row.append(str(int(trace.converged[k])) if trace.scored[k] else "-")
             lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -96,14 +95,14 @@ def test_synthetic_values():
     desired = -np.resize(values[::-1], (3, 4, 2))
     trace = SimTrace(
         ids=(3, 7, 11, 20),
-        roles=("boundary", "cooperative", "uncooperative", "cooperative"),
-        layer=(0, 1, 0, 2),
+        roles=np.array(["boundary", "cooperative", "uncooperative", "cooperative"], dtype=object),
+        layer=np.array([0, 1, 0, 2]),
         times=np.array([0.0, 0.1, 123456789.5]),
         positions=positions,
         desired=desired,
-        converged={7: True, 20: False},
+        converged=np.array([False, True, False, False]),
         rate=0.5,
-        terminal_error={},
+        terminal_error=np.zeros(4),
     )
     assert_tables_match(trace, positions)
     rows = trace_table(trace).splitlines()

@@ -34,7 +34,7 @@ class TestParse:
     def test_minimal_document(self):
         sc = parse_scenario_text(MINIMAL)
         assert sc.formation.n_agents == 6
-        assert sc.formation.boundary_ids == (1, 2, 3, 4)
+        assert sc.formation.boundary.tolist() == [0, 1, 2, 3]  # ids 1-4
         assert sc.t_end == 25.0  # defaults fill in
         assert sc.margin == 0.10
         assert len(sc.targets.samples) == 2
@@ -86,7 +86,7 @@ class TestParse:
         doc["agents"][5]["role"] = "core"  # agent 6, not the nearest to center
         sc = parse_scenario_text(json.dumps(doc))
         graph = build_actual(sc.formation)
-        assert graph.core_id == 6
+        assert sc.formation.ids[graph.core] == 6
 
     def test_zone_with_sample_spacing(self):
         doc = json.loads(MINIMAL)
@@ -118,7 +118,8 @@ class TestParse:
         sc = parse_scenario_text(json.dumps(doc))
         assert sc.leader_mode == "explicit"
         plan = make_plan(sc)
-        assert np.allclose(plan.leader_p[1], [1.0, 1.0])
+        assert sc.formation.ids[sc.formation.boundary[0]] == 1
+        assert np.allclose(plan.desired.p[sc.formation.boundary], [[1, 1], [3, 1], [3, 3], [1, 3]])
 
 
 class TestRoundTrip:
@@ -144,7 +145,8 @@ class TestRoundTrip:
         sc = generate_scenario(GenerateParams(n_agents=26, n_boundary=7), seed=9)
         sc2 = parse_scenario_text(serialize_scenario(sc))
         assert sc2.formation.ids == sc.formation.ids
-        assert sc2.formation.boundary_ids == sc.formation.boundary_ids
+        assert np.array_equal(sc2.formation.boundary, sc.formation.boundary)
+        assert np.array_equal(sc2.formation.clamped, sc.formation.clamped)
         assert np.array_equal(sc2.formation.positions, sc.formation.positions)
         assert np.array_equal(sc2.targets.samples, sc.targets.samples)
 
@@ -153,14 +155,14 @@ class TestGenerate:
     def test_counts(self):
         sc = generate_scenario(GenerateParams(n_agents=40, n_boundary=10), seed=0)
         assert sc.formation.n_agents == 40
-        assert len(sc.formation.boundary_ids) == 10
-        assert len(sc.formation.interior_ids()) == 30
+        assert sc.formation.boundary.tolist() == list(range(10))  # ids 1-10
+        assert sc.formation.n_agents - len(sc.formation.boundary) == 30
 
     def test_requested_clamped_count(self):
         sc = generate_scenario(
             GenerateParams(n_agents=40, n_boundary=10, n_uncooperative=3), seed=2
         )
-        assert len(sc.formation.uncooperative_ids) == 3
+        assert len(sc.formation.clamped) == 3
 
     @pytest.mark.parametrize("seed", range(12))
     def test_generated_always_plans(self, seed):
@@ -170,15 +172,14 @@ class TestGenerate:
             seed=seed,
         )
         plan = make_plan(sc)
-        assert plan.graph.n_initial_simplices == len(sc.formation.boundary_ids)
+        assert plan.graph.n_initial_simplices == len(sc.formation.boundary)
 
     def test_samples_inside_hull(self):
         sc = generate_scenario(GenerateParams(n_agents=30, n_boundary=8), seed=4)
         from swarm_transport.geometry import point_in_polygon
 
-        hull = np.array([sc.formation.position(b) for b in sc.formation.boundary_ids])
-        for s in sc.targets.samples:
-            assert point_in_polygon(s, hull)
+        hull = sc.formation.positions[sc.formation.boundary]
+        assert point_in_polygon(sc.targets.samples, hull).all()
 
     @pytest.mark.parametrize(
         "params",

@@ -41,8 +41,8 @@ class TestLeaderPlacement:
         form = square_core_formation()
         explicit = {1: (9.0, 9.0), 2: (10.0, 9.0), 3: (10.0, 10.0), 4: (9.0, 10.0)}
         out = leader_final_positions(form, TargetSet(samples=np.empty((0, 2)), zone=_square_zone()), explicit=explicit)
-        for b, p in explicit.items():
-            assert np.allclose(out[b], p)
+        # rows follow the hull cycle, agents 1-4
+        assert np.array_equal(out, np.array([explicit[b] for b in (1, 2, 3, 4)]))
 
     def test_explicit_missing_boundary_agent(self):
         form = square_core_formation()
@@ -59,8 +59,8 @@ class TestLeaderPlacement:
         out = leader_final_positions(
             form, TargetSet(samples=np.empty((0, 2)), zone=zone), scale=1.0
         )
-        placed = np.array([out[b] for b in form.boundary_ids])
-        assert np.allclose(placed, zone, atol=1e-12)
+        assert out.shape == (4, 2)
+        assert np.allclose(out, zone, atol=1e-12)
 
     def test_circle_zone_eight_leaders(self):
         # regular 360-gon standing in for a circle; 8 anchors land 45 deg apart
@@ -76,11 +76,12 @@ class TestLeaderPlacement:
         out = leader_final_positions(
             form, TargetSet(samples=np.empty((0, 2)), zone=zone), scale=1.1
         )
-        for k, b in enumerate(form.boundary_ids):
+        assert form.boundary.tolist() == list(range(8))
+        for k in range(8):
             expected = 1.1 * np.array(
                 [np.cos(2 * np.pi * k / 8), np.sin(2 * np.pi * k / 8)]
             )
-            assert np.allclose(out[b], expected, atol=1e-9)
+            assert np.allclose(out[k], expected, atol=1e-9)
 
     def test_equal_arclength_spacing(self):
         zone = _square_zone(half=2.0)
@@ -90,6 +91,7 @@ class TestLeaderPlacement:
 
 
 class TestComputeDesired:
+    # square_core_formation rows: 0-3 hull corners, 4 the core, 5 the follower (agent 6)
     def _plan(self, samples, extra=((2.0, 1.0),)):
         form = square_core_formation(extra=extra)
         graph = build_actual(form)
@@ -105,13 +107,13 @@ class TestComputeDesired:
     def test_single_sample_capture(self):
         form, graph, targets, leader_p = self._plan([(2.0, 0.5)])
         desired = compute_desired(graph, form, targets, leader_p)
-        assert np.allclose(desired.p[6], [2.0, 0.5])
-        assert desired.captured[6] == (0,)
+        assert np.allclose(desired.p[5], [2.0, 0.5])
+        assert desired.captured == {5: (0,)}
 
     def test_two_point_mean(self):
         form, graph, targets, leader_p = self._plan([(0.0, 0.0), (2.0, 0.0)])
         desired = compute_desired(graph, form, targets, leader_p)
-        assert np.allclose(desired.p[6], [1.0, 0.0])
+        assert np.allclose(desired.p[5], [1.0, 0.0])
 
     def test_grid_mean_against_bruteforce_oracle(self):
         xs = np.linspace(-0.5, 4.5, 10)
@@ -120,8 +122,7 @@ class TestComputeDesired:
         form, graph, targets, leader_p = self._plan(grid)
         desired = compute_desired(graph, form, targets, leader_p)
 
-        mentors = graph.mentors[6]
-        tri = np.array([desired.p[m] for m in mentors])
+        tri = desired.p[graph.mentors[0]]
 
         def oracle_inside(p):
             ref = (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1]) - (
@@ -136,8 +137,8 @@ class TestComputeDesired:
             return True
 
         chosen = np.array([p for p in grid if oracle_inside(p)])
-        assert len(chosen) == len(desired.captured[6])
-        assert np.allclose(desired.p[6], chosen.mean(axis=0), atol=1e-12)
+        assert len(chosen) == len(desired.captured[5])
+        assert np.allclose(desired.p[5], chosen.mean(axis=0), atol=1e-12)
 
     def test_core_and_clamped_hold_initial_positions(self):
         form = square_core_formation(extra=[(2.0, 1.0), (1.0, 2.8)], uncooperative=[7])
@@ -145,17 +146,17 @@ class TestComputeDesired:
         targets = TargetSet(samples=np.array([[2.0, 2.0]]), zone=_square_zone(3.0, (2.0, 2.0)))
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         desired = compute_desired(graph, form, targets, leader_final_positions(form, targets, explicit=ring))
-        assert np.array_equal(desired.p[5], form.position(5))
-        assert np.array_equal(desired.p[7], form.position(7))
+        assert form.clamped.tolist() == [6]
+        assert np.array_equal(desired.p[4], form.positions[4])  # the core
+        assert np.array_equal(desired.p[6], form.positions[6])  # clamped agent 7
 
     def test_empty_capture_falls_back_to_centroid(self):
         form, graph, targets, leader_p = self._plan([(3.9, 3.9)])
         desired = compute_desired(graph, form, targets, leader_p)
-        mentors = graph.mentors[6]
-        centroid = np.mean([desired.p[m] for m in mentors], axis=0)
-        assert 6 in desired.fallback_ids
-        assert np.allclose(desired.p[6], centroid)
-        assert desired.captured[6] == ()
+        centroid = np.mean(desired.p[graph.mentors[0]], axis=0)
+        assert desired.fallback_ids == (5,)
+        assert np.allclose(desired.p[5], centroid)
+        assert desired.captured[5] == ()
 
     def test_uncovered_samples_reported(self):
         form, graph, targets, leader_p = self._plan([(3.9, 3.9)])
@@ -170,17 +171,15 @@ class TestComputeDesired:
         perm = rng.permutation(len(samples))
         targets2 = TargetSet(samples=samples[perm], zone=targets.zone)
         desired2 = compute_desired(graph, form, targets2, leader_p)
-        for a in desired.p:
-            assert np.allclose(desired.p[a], desired2.p[a], atol=1e-12)
+        assert np.allclose(desired.p, desired2.p, atol=1e-12)
 
     def test_mean_stays_inside_final_simplex(self):
         sc = quick_scenario(seed=6, n=32, nb=8)
         graph = build_actual(sc.formation)
         leader_p = leader_final_positions(sc.formation, sc.targets, scale=1.1)
         desired = compute_desired(graph, sc.formation, sc.targets, leader_p)
-        for a, mentors in graph.mentors.items():
-            verts = np.array([desired.p[m] for m in mentors])
-            w = geometry.barycentric(desired.p[a], verts)
+        for a, mentors in zip(graph.mentees, graph.mentors):
+            w = geometry.barycentric(desired.p[a], desired.p[mentors])
             assert float(w.min()) >= -1e-9
 
     def test_degenerate_mentor_simplex_names_agent(self):
@@ -202,11 +201,10 @@ class TestComputeDesired:
         pos = corners + [(2.0, 2.0, 2.0), (1.0, 1.0, 1.0)]
         form = Formation.build(ids, pos, (2.0, 2.0, 2.0))
         graph = build_actual(form)
-        explicit = {b: form.position(b) for b in form.boundary_ids}
+        explicit = {b: form.positions[b - 1] for b in range(1, 9)}
         samples = np.array([[1.5, 1.2, 1.0]])
         targets = TargetSet(samples=samples, zone=np.array(corners))
         desired = compute_desired(graph, form, targets, leader_final_positions(form, targets, explicit=explicit))
-        mentors = graph.mentors[10]
-        verts = np.array([desired.p[m] for m in mentors])
-        w = geometry.barycentric(desired.p[10], verts)
+        assert graph.mentees.tolist() == [9]  # agent 10
+        w = geometry.barycentric(desired.p[9], desired.p[graph.mentors[0]])
         assert float(w.min()) >= -1e-9

@@ -48,11 +48,6 @@ def _planned(seed=3, n=28, nb=7, uncoop=0):
     return make_plan(sc)
 
 
-def _by_mentee(weights, schedule):
-    """(M, n+1) weight rows keyed by mentee id."""
-    return dict(zip(schedule.mentees, weights))
-
-
 def _one_mentee_schedule(targets, ring, spot=(2.0, 1.0)):
     """Schedule of the square formation with one follower, agent 6 at ``spot``."""
     form = square_core_formation(extra=[spot])
@@ -60,34 +55,34 @@ def _one_mentee_schedule(targets, ring, spot=(2.0, 1.0)):
     desired = compute_desired(
         graph, form, targets, leader_final_positions(form, targets, explicit=ring)
     )
-    return build_schedule(graph, form, desired, 0.0, 1.0), desired
+    return build_schedule(graph, form, desired, 0.0, 1.0), graph, desired
 
 
 class TestInitialWeights:
     def test_mentee_at_mentor_centroid(self):
         ring = {1: (0.0, 0.0), 2: (4.0, 0.0), 3: (4.0, 4.0), 4: (0.0, 4.0)}
         targets = TargetSet(samples=np.array([[2.0, 1.0]]))
-        sched, _ = _one_mentee_schedule(targets, ring, spot=(2.0, 2.0 / 3.0))
-        assert sched.mentees == (6,)
+        sched, graph, _ = _one_mentee_schedule(targets, ring, spot=(2.0, 2.0 / 3.0))
+        assert graph.mentees.tolist() == [5]  # agent 6
         assert np.allclose(sched.omega[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_random_mentee_matches_lstsq_oracle(self):
         plan = _planned(seed=8)
         form = plan.scenario.formation
-        for a, w in _by_mentee(plan.schedule.omega, plan.schedule).items():
-            verts = np.array([form.position(m) for m in plan.graph.mentors[a]])
+        for a, mentors, w in zip(plan.graph.mentees, plan.graph.mentors, plan.schedule.omega):
+            verts = form.positions[mentors]
             mat = np.vstack([verts.T, np.ones(3)])
-            rhs = np.append(form.position(a), 1.0)
+            rhs = np.append(form.positions[a], 1.0)
             oracle, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
             assert np.allclose(w, oracle, atol=1e-9)
 
     def test_reconstruction_residual(self):
         plan = _planned(seed=12, n=40, nb=9)
         form = plan.scenario.formation
-        for a, w in _by_mentee(plan.schedule.omega, plan.schedule).items():
-            verts = np.array([form.position(m) for m in plan.graph.mentors[a]])
+        for a, mentors, w in zip(plan.graph.mentees, plan.graph.mentors, plan.schedule.omega):
+            verts = form.positions[mentors]
             scale = max(1.0, float(np.max(np.abs(verts))))
-            assert np.linalg.norm(w @ verts - form.position(a)) < 1e-9 * scale
+            assert np.linalg.norm(w @ verts - form.positions[a]) < 1e-9 * scale
             assert abs(w.sum() - 1.0) < 1e-9
 
 
@@ -95,21 +90,22 @@ class TestFinalWeights:
     def test_fallback_agent_gets_equal_weights(self):
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         targets = TargetSet(samples=np.array([[3.9, 3.9]]))
-        sched, desired = _one_mentee_schedule(targets, ring)
-        assert 6 in desired.fallback_ids
+        sched, _, desired = _one_mentee_schedule(targets, ring)
+        assert desired.fallback_ids == (5,)
         assert np.allclose(sched.varpi[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_mentee_on_mentor_position_gets_indicator(self):
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         # one sample exactly at the core's held position
         targets = TargetSet(samples=np.array([[2.0, 2.0]]))
-        sched, _ = _one_mentee_schedule(targets, ring)
+        sched, graph, _ = _one_mentee_schedule(targets, ring)
+        assert graph.mentors[0, 2] == graph.core
         assert np.allclose(sched.varpi[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_reconstruction(self):
         plan = _planned(seed=5, n=36, nb=8, uncoop=2)
-        for a, w in _by_mentee(plan.schedule.varpi, plan.schedule).items():
-            verts = np.array([plan.desired.p[m] for m in plan.graph.mentors[a]])
+        for a, mentors, w in zip(plan.graph.mentees, plan.graph.mentors, plan.schedule.varpi):
+            verts = plan.desired.p[mentors]
             scale = max(1.0, float(np.max(np.abs(verts))))
             assert np.linalg.norm(w @ verts - plan.desired.p[a]) < 1e-9 * scale
             assert float(w.min()) >= 0.0
@@ -128,9 +124,6 @@ class TestWeightsAt:
 
     def test_halfway_blend(self):
         sched = WeightSchedule(
-            mentees=(9,),
-            rows=np.array([8]),
-            mentors=np.array([[0, 1, 2]]),
             omega=np.array([[1.0, 0.0, 0.0]]),
             varpi=np.array([[0.0, 1.0, 0.0]]),
             t0=0.0,
@@ -146,7 +139,7 @@ class TestWeightsAt:
         for _ in range(300):
             t = rng.uniform(sched.t0 - 1.0, sched.tf + 2.0)
             w = weights_at(sched, t)
-            k = int(rng.integers(len(sched.mentees)))
+            k = int(rng.integers(len(sched.omega)))
             assert abs(w[k].sum() - 1.0) < 1e-12
             assert np.all(w[k] >= 0.0)
             floor = np.minimum(sched.omega[k], sched.varpi[k])
