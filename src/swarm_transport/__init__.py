@@ -8,7 +8,7 @@ blend smoothly from initial to final values, and clamped (uncooperative)
 agents are tolerated as frozen information sources.
 """
 
-from .dynamics import DEFAULT_GAINS, Gains, check_hurwitz, step, virtual_control
+from .dynamics import DEFAULT_GAINS, Gains, check_hurwitz, rk4_map, step, virtual_control
 from .engine import (
     Plan,
     RunResult,
@@ -74,6 +74,7 @@ __all__ = [
     "make_plan",
     "parse_scenario_text",
     "propagate_setpoints",
+    "rk4_map",
     "run",
     "select_core",
     "serialize_scenario",

@@ -3,7 +3,9 @@
 State is (4, n): position, velocity, acceleration, jerk rows. The control
 commands snap from the state and a held desired position; coordinates never
 mix, so an n-dimensional agent is n independent scalar chains. Arrays with
-a leading batch axis, shape (N, 4, n), integrate all agents at once.
+a leading batch axis, shape (N, 4, n), integrate all agents at once. With
+the desired position held, RK4 advances each chain's error state by one 4x4
+matrix (``rk4_map``), whose spectral radius below 1 is RK4's stability test.
 """
 
 from __future__ import annotations
@@ -58,28 +60,33 @@ def virtual_control(state: np.ndarray, r_d, gains: Gains) -> np.ndarray:
     )
 
 
-def _deriv(state: np.ndarray, r_d: np.ndarray, gains: Gains) -> np.ndarray:
-    v = virtual_control(state, r_d, gains)
-    return np.concatenate([state[..., 1:, :], v[..., None, :]], axis=-2)
-
-
-def step(
-    state: np.ndarray,
-    r_d,
-    gains: Gains,
-    dt: float,
-    threshold: float = DIVERGENCE_THRESHOLD,
-) -> np.ndarray:
-    """One fixed-step RK4 update with ``r_d`` held across the stages."""
-    if dt <= 0.0:
+def rk4_map(gains: Gains, dt: float) -> np.ndarray:
+    """RK4's 4x4 step matrix for one chain's error state: sum_{j=0..4} (dt A)^j / j!,
+    with A the companion matrix whose last row is the control law."""
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
+    h = dt * np.eye(4, k=1)
+    h[3] = dt * virtual_control(np.eye(4), np.zeros(4), gains)
+    phi = term = np.eye(4)
+    for j in range(1, 5):
+        term = term @ h / j
+        phi = phi + term
+    return phi
+
+
+def step(state: np.ndarray, r_d, phi: np.ndarray) -> np.ndarray:
+    """One RK4 update with ``r_d`` held, ``phi = rk4_map(gains, dt)`` applied to
+    the error state: an agent at rest on its ``r_d`` stays bitwise fixed. The
+    product is summed elementwise in a fixed order, not by BLAS, whose one- and
+    many-column kernels round differently, so no agent's result depends on the
+    batch or the axes it is stepped with."""
     state = np.asarray(state, dtype=float)
-    r_d = np.asarray(r_d, dtype=float)
-    s1 = _deriv(state, r_d, gains)
-    s2 = _deriv(state + 0.5 * dt * s1, r_d, gains)
-    s3 = _deriv(state + 0.5 * dt * s2, r_d, gains)
-    s4 = _deriv(state + dt * s3, r_d, gains)
-    out = state + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-    if not np.all(np.isfinite(out)) or float(np.max(np.abs(out))) > threshold:
-        raise Diverged(f"state magnitude exceeded {threshold:g}")
-    return out
+    nd = state.ndim
+    e = state.transpose(nd - 2, *range(nd - 2), nd - 1).copy()  # (4, ..., n)
+    e[0] -= r_d
+    p = phi.reshape((4, 4) + (1,) * (nd - 1)) * e
+    out = p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
+    out[0] += r_d
+    if not np.max(np.abs(out)) <= DIVERGENCE_THRESHOLD:  # also true for NaN and inf
+        raise Diverged(f"state magnitude exceeded {DIVERGENCE_THRESHOLD:g}")
+    return out.transpose(*range(1, nd - 1), 0, nd - 1)

@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import ancestors
 from swarm_transport import engine
-from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, initial_state, step
+from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, initial_state, rk4_map, step
 from swarm_transport.formation import build_actual
 from swarm_transport.geometry import barycentric
 from swarm_transport.reporting import metrics_json, trace_table
@@ -185,8 +185,9 @@ def test_criterion_6_stability_gate():
 
     def integrate(dt, t_final):
         state = initial_state([0.0])
+        phi = rk4_map(DEFAULT_GAINS, dt)
         for _ in range(int(round(t_final / dt))):
-            state = step(state, np.array([1.0]), DEFAULT_GAINS, dt)
+            state = step(state, np.array([1.0]), phi)
         return state
 
     settled = integrate(0.01, 30.0)

@@ -159,10 +159,17 @@ class TestPlanAndReport:
         (None, ["--margin", "nan"], "BadConfig", "margin"),
         (None, ["--dt", "inf"], "BadConfig", "dt"),
         (lambda doc: doc.update(gains={"k1": 1, "k2": 1, "k3": 1, "k4": 1}), [], "BadConfig", "Hurwitz"),
+        (
+            lambda doc: doc.update(gains={"k1": 1200, "k2": 5.4e5, "k3": 1.08e8, "k4": 8.1e9}),
+            ["--dt", "0.01"],
+            "BadConfig",
+            "RK4",
+        ),
     ],
     ids=[
         "dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan",
         "flag-dt-nan", "flag-margin-nan", "flag-dt-inf", "gains-not-hurwitz",
+        "gains-rk4-unstable",
     ],
 )
 def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarm_transport.dynamics import (
     DEFAULT_GAINS,
     Gains,
     check_hurwitz,
     initial_state,
+    rk4_map,
     step,
     virtual_control,
 )
@@ -18,10 +21,27 @@ def quartic_step_response(t):
     return 1.0 - np.exp(-2.0 * t) * (1.0 + 2.0 * t + 2.0 * t**2 + (4.0 / 3.0) * t**3)
 
 
+def staged_rk4(state, r_d, gains, dt):
+    """Oracle: classic four-stage RK4 on the state with ``r_d`` held."""
+    state = np.asarray(state, dtype=float)
+    r_d = np.asarray(r_d, dtype=float)
+
+    def deriv(x):
+        v = virtual_control(x, r_d, gains)
+        return np.concatenate([x[..., 1:, :], v[..., None, :]], axis=-2)
+
+    s1 = deriv(state)
+    s2 = deriv(state + 0.5 * dt * s1)
+    s3 = deriv(state + 0.5 * dt * s2)
+    s4 = deriv(state + dt * s3)
+    return state + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+
+
 def _integrate(state, r_d, gains, dt, t_final):
+    phi = rk4_map(gains, dt)
     n = int(round(t_final / dt))
     for _ in range(n):
-        state = step(state, r_d, gains, dt)
+        state = step(state, r_d, phi)
     return state
 
 
@@ -71,7 +91,7 @@ class TestVirtualControl:
 class TestStep:
     def test_equilibrium_is_exact_fixed_point(self):
         state = initial_state([2.0, 5.0])
-        out = step(state, [2.0, 5.0], DEFAULT_GAINS, 0.01)
+        out = step(state, [2.0, 5.0], rk4_map(DEFAULT_GAINS, 0.01))
         assert np.array_equal(out, state)
 
     def test_settles_below_micron_within_30s(self):
@@ -101,18 +121,20 @@ class TestStep:
         rng = np.random.default_rng(2)
         state2 = rng.standard_normal((4, 2))
         r_d = rng.standard_normal(2)
-        out2 = step(state2, r_d, DEFAULT_GAINS, 0.05)
+        phi = rk4_map(DEFAULT_GAINS, 0.05)
+        out2 = step(state2, r_d, phi)
         for axis in range(2):
-            out1 = step(state2[:, axis : axis + 1], r_d[axis : axis + 1], DEFAULT_GAINS, 0.05)
+            out1 = step(state2[:, axis : axis + 1], r_d[axis : axis + 1], phi)
             assert np.array_equal(out2[:, axis : axis + 1], out1)
 
     def test_batched_agents_match_individual(self):
         rng = np.random.default_rng(4)
         batch = rng.standard_normal((5, 4, 2))
         r_d = rng.standard_normal((5, 2))
-        out = step(batch, r_d, DEFAULT_GAINS, 0.02)
+        phi = rk4_map(DEFAULT_GAINS, 0.02)
+        out = step(batch, r_d, phi)
         for k in range(5):
-            assert np.array_equal(out[k], step(batch[k], r_d[k], DEFAULT_GAINS, 0.02))
+            assert np.array_equal(out[k], step(batch[k], r_d[k], phi))
 
     def test_divergence_detected(self):
         state = initial_state([0.0])
@@ -122,4 +144,72 @@ class TestStep:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step(initial_state([0.0]), [0.0], DEFAULT_GAINS, 0.0)
+            step(initial_state([0.0]), [0.0], rk4_map(DEFAULT_GAINS, 0.0))
+
+    def test_rows_at_rest_stay_bitwise_fixed_in_a_batch(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 3):
+            batch = rng.standard_normal((7, 4, n))
+            r_d = rng.standard_normal((7, n))
+            rest = np.array([True, False, True, True, False, False, True])
+            batch[rest] = initial_state(r_d[rest])
+            out = step(batch, r_d, rk4_map(DEFAULT_GAINS, 0.01))
+            assert np.array_equal(out[rest], batch[rest])
+            assert np.all(np.any(out[~rest] != batch[~rest], axis=(1, 2)))
+
+
+class TestRk4Map:
+    def test_spectral_radius_is_the_rk4_stability_function(self):
+        # quadruple pole -p: every eigenvalue of the map is R(-p dt), R(z) = sum z^j / j!
+        for p, dt in ((2.0, 0.01), (300.0, 0.01), (300.0, 0.009)):
+            z = -p * dt
+            r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+            gains = Gains(4 * p, 6 * p**2, 4 * p**3, p**4)
+            radius = np.max(np.abs(np.linalg.eigvals(rk4_map(gains, dt))))
+            assert radius == pytest.approx(abs(r), rel=1e-2)
+            assert (radius < 1.0) == (abs(r) < 1.0)
+
+    @pytest.mark.parametrize("dt", [-0.01, float("nan")])
+    def test_rejects_nonpositive_dt(self, dt):
+        with pytest.raises(ValueError):
+            rk4_map(DEFAULT_GAINS, dt)
+
+
+@st.composite
+def hurwitz_gains_and_dt(draw):
+    """Gains from four poles in the open left half-plane (real pairs or
+    complex-conjugate pairs, magnitude 0.2-4) and a dt inside RK4's
+    stability region for them."""
+    poles = []
+    for _ in range(2):
+        rho = draw(st.floats(0.2, 4.0))
+        angle = draw(st.floats(0.0, 1.3))  # from the negative real axis
+        if draw(st.booleans()):
+            poles += [-rho * np.exp(1j * angle), -rho * np.exp(-1j * angle)]
+        else:
+            poles += [-rho, -rho * draw(st.floats(0.2, 1.0))]
+    k = np.poly(poles).real
+    gains = Gains(*map(float, k[1:]))
+    assume(check_hurwitz(gains))
+    dt = draw(st.floats(0.01, 2.0)) / max(abs(p) for p in poles)
+    assume(np.max(np.abs(np.linalg.eigvals(rk4_map(gains, dt)))) < 1.0)
+    return gains, dt
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hurwitz_gains_and_dt(),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3]),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_step_matches_staged_rk4(gains_dt, n_agents, n, scale, seed):
+    gains, dt = gains_dt
+    rng = np.random.default_rng(seed)
+    state = scale * rng.standard_normal((n_agents, 4, n))
+    r_d = scale * rng.standard_normal((n_agents, n))
+    out = step(state, r_d, rk4_map(gains, dt))
+    oracle = staged_rk4(state, r_d, gains, dt)
+    bound = 1e-12 * max(1.0, np.max(np.abs(state)), np.max(np.abs(r_d)))
+    assert np.max(np.abs(out - oracle)) <= bound

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import ancestors, cube_scenario, manual_scenario, quick_scenario, square_core_formation
-from swarm_transport import engine
+from swarm_transport import dynamics, engine
 from swarm_transport.dynamics import Gains
 from swarm_transport.engine import convergence_check, make_plan, run, setpoint_series, tracking_error_report
 from swarm_transport.errors import BadConfig, Diverged, GridMismatch
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.setpoints import setpoint_residual, solve_setpoints_dense
 from swarm_transport.weights import beta
+from test_dynamics import staged_rk4
 
 UNIT_SQUARE = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 
@@ -153,18 +156,30 @@ class TestRun:
         assert metrics_json(res1) == metrics_json(res2)
 
     def test_divergence_reports_agent_and_time(self):
-        # Hurwitz gains (a quadruple pole at -300) that RK4 cannot integrate at dt 0.01
+        # Hurwitz gains (a quadruple pole at -300) that RK4 cannot integrate at
+        # dt 0.01; validate_scenario rejects them, so they are swapped into a
+        # valid plan
         sc = quick_scenario(seed=2, n=20, nb=6)
-        bad = manual_scenario(
-            sc.formation,
-            sc.targets.samples,
-            zone=sc.targets.zone,
-            gains=Gains(1200.0, 5.4e5, 1.08e8, 8.1e9),
-            t_end=20.0,
-            tf=10.0,
-        )
+        ok = manual_scenario(sc.formation, sc.targets.samples, zone=sc.targets.zone, t_end=20.0, tf=10.0)
+        plan = make_plan(ok)
+        bad = dataclasses.replace(ok, gains=Gains(1200.0, 5.4e5, 1.08e8, 8.1e9))
+        with pytest.raises(BadConfig, match="RK4"):
+            make_plan(bad)
         with pytest.raises(Diverged, match="agent .* t ="):
-            run(bad)
+            engine._integrate(dataclasses.replace(plan, scenario=bad))
+
+    def test_fixed_map_matches_staged_rk4(self, monkeypatch):
+        # a planar team with clamped agents and the 3-D team
+        for sc in (quick_scenario(seed=9, n=36, nb=8, uncoop=3), cube_scenario()):
+            plan = make_plan(sc)
+            fixed = engine._integrate(plan)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    dynamics, "step", lambda state, r_d, phi: staged_rk4(state, r_d, sc.gains, sc.dt)
+                )
+                staged = engine._integrate(plan)
+            assert np.max(np.abs(fixed.positions - staged.positions)) <= 1e-12
+            assert np.array_equal(fixed.converged, staged.converged)
 
     def test_leader_blend_flag_softens_start(self):
         sc = quick_scenario(seed=14, n=22, nb=6)
