@@ -8,9 +8,16 @@ deployed coordination law: every follower's desired position is the current
 convex blend of its mentors' *actual* positions, anchors track their
 constant final positions, and clamped agents rest on their own final
 positions, a fixed point of the RK4 map (``dynamics.rk4_map``, built once
-per run). The blend is a gather over the mentor rows, so one step costs
-O(N (n+1)). Planned set-points are computed separately for reporting, all
-output times at once, and never drive the loop.
+per run).
+
+Mentors sit in strictly earlier layers, so the loop runs over blocks of
+steps and, inside a block, one mentor layer at a time: a layer's desired
+positions over the whole block are blends of mentor positions already
+computed for that block, and ``dynamics.advance`` then moves the layer
+through the block in one matrix product. The Python loop runs once per
+layer per block, and memory beyond the logs is O(block N n). Planned
+set-points are computed separately for reporting, all output times at
+once, and never drive the loop.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .formation import (
 )
 from .setpoints import propagate_setpoints
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
-from .weights import WeightSchedule, beta, build_schedule, weights_at
+from .weights import WeightSchedule, beta, build_schedule
 
 
 @dataclass(frozen=True)
@@ -140,48 +147,91 @@ def run(scenario: Scenario) -> RunResult:
     return RunResult(plan=plan, trace=trace)
 
 
+_BLOCK = 50  # steps advanced per matrix product
+
+
 def _integrate(plan: Plan) -> SimTrace:
     sc = plan.scenario
     graph = plan.graph
     ids = sc.formation.ids
+    n_agents, dim = sc.formation.positions.shape
     coop = graph.roles == ROLE_COOPERATIVE
-    anchor = (graph.roles == ROLE_BOUNDARY) | (graph.roles == ROLE_CORE)
 
-    p_arr = plan.desired.p
-    a_arr = sc.formation.positions
-    schedule = plan.schedule
+    # Rows in layer order: layer 0 (hull, core, clamped), then the mentees,
+    # already in (layer, row) order, so every layer is a slice [s, e).
+    order = np.concatenate([np.flatnonzero(graph.layer == 0), graph.mentees])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n_agents)
+    bounds = np.searchsorted(graph.layer[order], np.arange(graph.n_layers + 2)).tolist()
+    n0 = bounds[1]
+    mentors = rank[graph.mentors]
+    p = plan.desired.p[order]
+    a = sc.formation.positions[order]
+    roles = graph.roles[order]
+    anchor = (roles == ROLE_BOUNDARY) | (roles == ROLE_CORE)
 
     steps = int(round((sc.t_end - sc.t0) / sc.dt))
     log_every = int(round(sc.output_period / sc.dt))
-    states = dynamics.initial_state(a_arr)  # (N, 4, n)
-    phi = dynamics.rk4_map(sc.gains, sc.dt)
+    t = sc.t0 + np.arange(steps + 1) * sc.dt
+    b = np.array([beta(tk, sc.t0, sc.tf) for tk in t.tolist()])
+    logged = np.union1d(np.arange(0, steps + 1, log_every), [steps])
+    pos_log = np.empty((len(logged), n_agents, dim))
+    des_log = np.empty_like(pos_log)
 
-    times: list[float] = []
-    pos_log: list[np.ndarray] = []
-    des_log: list[np.ndarray] = []
-    for k in range(steps + 1):
-        t = sc.t0 + k * sc.dt
-        r = states[:, 0, :]
-        r_d = p_arr.copy()
-        if sc.leader_blend:
-            b = beta(t, sc.t0, sc.tf)
-            r_d[anchor] = (1.0 - b) * a_arr[anchor] + b * p_arr[anchor]
-        r_d[graph.mentees] = np.einsum("mk,mkd->md", weights_at(schedule, t), r[graph.mentors])
-        if k % log_every == 0 or k == steps:
-            times.append(t)
-            pos_log.append(r.copy())
-            des_log.append(r_d.copy())
-        if k == steps:
-            break
-        try:
-            states = dynamics.step(states, r_d, phi)
-        except Diverged as exc:
-            worst = ids[int(np.argmax(np.abs(states).max(axis=(1, 2))))]
-            raise Diverged(f"agent {worst} diverged near t = {t:.3f} s") from exc
+    # Agent-major block buffers, one row per (agent, axis) chain: error state
+    # x - p e0 then held inputs r_d - p; error states after each step; and
+    # positions and r_d at the block's steps.
+    z = np.zeros((n_agents, dim, 4 + _BLOCK))
+    z[:, :, 0] = a - p
+    states = np.empty((n_agents, dim, _BLOCK, 4))
+    x = np.empty((n_agents, dim, _BLOCK + 1))
+    x[:, :, 0] = a
+    r_d = np.empty((n_agents, dim, _BLOCK))
+    zf, sf, pf = z.reshape(-1, 4 + _BLOCK), states.reshape(-1, 4 * _BLOCK), p.ravel()
+    omega, varpi = plan.schedule.omega[:, :, None], plan.schedule.varpi[:, :, None]
+    # Steps after a divergence, and the map powers of gains outside the RK4
+    # region, may overflow or turn NaN; the divergence test fails on every
+    # such value and raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = dynamics.block_maps(dynamics.rk4_map(sc.gains, sc.dt), _BLOCK)
+        i0 = 0
+        for k0 in range(0, steps + 1, _BLOCK):
+            m = min(_BLOCK, steps + 1 - k0)  # steps whose r_d is formed and maybe logged
+            adv = min(m, steps - k0)  # steps taken: none from t_end
+            bk = b[k0 : k0 + m]
+            w = (1.0 - bk) * omega + bk * varpi  # (M, n+1, m)
+            held = adv
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                if s == 0:
+                    r_d[:e, :, :m] = p[:e, :, None]
+                    if sc.leader_blend:
+                        r_d[anchor, :, :m] = (1.0 - bk) * a[anchor, :, None] + bk * p[anchor, :, None]
+                else:
+                    ms = slice(s - n0, e - n0)
+                    blend = w[ms, None, 0] * x[mentors[ms, 0], :, :m]
+                    for j in range(1, mentors.shape[1]):
+                        blend += w[ms, None, j] * x[mentors[ms, j], :, :m]
+                    r_d[s:e, :, :m] = blend
+                np.subtract(r_d[s:e, :, :adv], p[s:e, :, None], out=z[s:e, :, 4 : 4 + adv])
+                c = slice(s * dim, e * dim)
+                held = min(held, dynamics.advance(maps, zf[c, : 4 + adv], pf[c], sf[c, : 4 * adv]))
+                np.add(states[s:e, :, :adv, 0], p[s:e, :, None], out=x[s:e, :, 1 : adv + 1])
+            if held < adv:
+                # the first step that left the bound, judged from the state before it
+                rates = z[:, :, 1:4] if held == 0 else states[:, :, held - 1, 1:]
+                peak = np.maximum(np.abs(x[:, :, held]).max(axis=1), np.abs(rates).max(axis=(1, 2)))
+                worst = ids[int(np.argmax(peak[rank]))]
+                raise Diverged(f"agent {worst} diverged near t = {t[k0 + held]:.3f} s")
+            i1 = int(np.searchsorted(logged, k0 + m))
+            js = logged[i0:i1] - k0
+            pos_log[i0:i1, order] = x[:, :, js].transpose(2, 0, 1)
+            des_log[i0:i1, order] = r_d[:, :, js].transpose(2, 0, 1)
+            i0 = i1
+            if adv == m:  # another block follows
+                z[:, :, :4] = states[:, :, adv - 1]
+                x[:, :, 0] = x[:, :, adv]
 
-    positions = np.array(pos_log)
-    desired_log = np.array(des_log)
-    final = positions[-1]
+    final = pos_log[-1]
     converged = np.zeros(len(ids), dtype=bool)
     converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
     evaluated = int(coop.sum())
@@ -190,12 +240,12 @@ def _integrate(plan: Plan) -> SimTrace:
         ids=ids,
         roles=graph.roles,
         layer=graph.layer,
-        times=np.array(times),
-        positions=positions,
-        desired=desired_log,
+        times=t[logged],
+        positions=pos_log,
+        desired=des_log,
         converged=converged,
         rate=float(rate),
-        terminal_error=np.array([np.linalg.norm(d) for d in final - p_arr]),
+        terminal_error=np.linalg.norm(final - plan.desired.p, axis=1),
     )
 
 

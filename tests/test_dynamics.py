@@ -3,9 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import staged_rk4
 from swarm_transport.dynamics import (
     DEFAULT_GAINS,
     Gains,
+    advance,
+    block_maps,
     check_hurwitz,
     initial_state,
     rk4_map,
@@ -19,22 +22,6 @@ def quartic_step_response(t):
     """Closed-form unit step response of 16/(s+2)^4 (partial fractions)."""
     t = np.asarray(t, dtype=float)
     return 1.0 - np.exp(-2.0 * t) * (1.0 + 2.0 * t + 2.0 * t**2 + (4.0 / 3.0) * t**3)
-
-
-def staged_rk4(state, r_d, gains, dt):
-    """Oracle: classic four-stage RK4 on the state with ``r_d`` held."""
-    state = np.asarray(state, dtype=float)
-    r_d = np.asarray(r_d, dtype=float)
-
-    def deriv(x):
-        v = virtual_control(x, r_d, gains)
-        return np.concatenate([x[..., 1:, :], v[..., None, :]], axis=-2)
-
-    s1 = deriv(state)
-    s2 = deriv(state + 0.5 * dt * s1)
-    s3 = deriv(state + 0.5 * dt * s2)
-    s4 = deriv(state + dt * s3)
-    return state + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
 
 def _integrate(state, r_d, gains, dt, t_final):
@@ -158,6 +145,50 @@ class TestStep:
             assert np.all(np.any(out[~rest] != batch[~rest], axis=(1, 2)))
 
 
+def _stepped(e, u, p, phi):
+    """Error states after each of len(u) ``step`` calls, as ``advance`` lays
+    them out: chains (C,) of a (4, C) error state, inputs (m, C)."""
+    state = (e + np.eye(4)[:, :1] * p).T[:, :, None]  # (C, 4, 1)
+    out = []
+    for u_j in u:
+        state = step(state, (u_j + p)[:, None], phi)
+        out.append(state[:, :, 0] - np.eye(4)[0] * p[:, None])
+    return np.stack(out, axis=1).reshape(len(p), -1)
+
+
+class TestAdvance:
+    def test_rest_stays_exactly_zero(self):
+        maps = block_maps(rk4_map(DEFAULT_GAINS, 0.01), 50)
+        z = np.zeros((3, 54))
+        z[1] = 1e-3  # one moving chain beside two at rest
+        out = np.full((3, 200), np.nan)
+        assert advance(maps, z, np.array([7.0, -2.5, 1e5]), out) == 50
+        assert np.all(out[[0, 2]] == 0.0) and np.all(out[1] != 0.0)
+
+    def test_counts_steps_within_the_bound(self):
+        # wrong-sign position feedback: the count is the step before the
+        # first state that ``step`` refuses, for any block size
+        phi = rk4_map(Gains(8.0, 24.0, 32.0, -1e6), 0.01)
+        z = np.zeros((2, 4 + 40))
+        z[0, 0] = -1.0
+        steps_ok = 0
+        state = initial_state([[0.0], [1.0]])
+        while True:
+            try:
+                state = step(state, [[1.0], [1.0]], phi)
+            except Diverged:
+                break
+            steps_ok += 1
+        assert 0 < steps_ok < 40
+        for size in (40, 60):
+            assert advance(block_maps(phi, size), z, np.ones(2), np.empty((2, 160))) == steps_ok
+        assert advance(block_maps(phi, 40), z[:, : 4 + steps_ok], np.ones(2), np.empty((2, 4 * steps_ok))) == steps_ok
+        # positions count too: a chain at rest beyond the bound fails at once, as in ``step``
+        with pytest.raises(Diverged):
+            step(initial_state([2e6]), [2e6], phi)
+        assert advance(block_maps(phi, 40), np.zeros((1, 44)), np.array([2e6]), np.empty((1, 160))) == 0
+
+
 class TestRk4Map:
     def test_spectral_radius_is_the_rk4_stability_function(self):
         # quadruple pole -p: every eigenvalue of the map is R(-p dt), R(z) = sum z^j / j!
@@ -212,4 +243,26 @@ def test_step_matches_staged_rk4(gains_dt, n_agents, n, scale, seed):
     out = step(state, r_d, rk4_map(gains, dt))
     oracle = staged_rk4(state, r_d, gains, dt)
     bound = 1e-12 * max(1.0, np.max(np.abs(state)), np.max(np.abs(r_d)))
+    assert np.max(np.abs(out - oracle)) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hurwitz_gains_and_dt(),
+    st.integers(1, 6),
+    st.integers(1, 60),
+    st.integers(0, 10),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_advance_matches_repeated_steps(gains_dt, chains, m, spare, scale, seed):
+    gains, dt = gains_dt
+    phi = rk4_map(gains, dt)
+    rng = np.random.default_rng(seed)
+    p = scale * rng.standard_normal(chains)
+    z = scale * rng.standard_normal((chains, 4 + m))
+    out = np.empty((chains, 4 * m))
+    assert advance(block_maps(phi, m + spare), z, p, out) == m
+    oracle = _stepped(z[:, :4].T, z[:, 4:].T, p, phi)
+    bound = 1e-12 * max(1.0, np.max(np.abs(z)), np.max(np.abs(p)), np.max(np.abs(oracle)))
     assert np.max(np.abs(out - oracle)) <= bound

@@ -1,17 +1,20 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ancestors, cube_scenario, manual_scenario, quick_scenario, square_core_formation
-from swarm_transport import dynamics, engine
+from oracles import staged_rk4, stepwise_integrate
+from swarm_transport import engine
 from swarm_transport.dynamics import Gains
 from swarm_transport.engine import convergence_check, make_plan, run, setpoint_series, tracking_error_report
-from swarm_transport.errors import BadConfig, Diverged, GridMismatch
+from swarm_transport.errors import BadConfig, Diverged, GridMismatch, SwarmTransportError
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.setpoints import setpoint_residual, solve_setpoints_dense
 from swarm_transport.weights import beta
-from test_dynamics import staged_rk4
 
 UNIT_SQUARE = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 
@@ -110,6 +113,7 @@ class TestRun:
             assert res.trace.roles[u] == "uncooperative"
             drift = np.abs(res.trace.positions[:, u, :] - sc.formation.positions[u])
             assert np.max(drift) == 0.0
+            assert np.all(res.trace.desired[:, u, :] == sc.formation.positions[u])
 
     def test_rate_bounded_by_clean_ancestry_fraction(self):
         sc = quick_scenario(seed=9, n=36, nb=8, uncoop=3)
@@ -156,35 +160,44 @@ class TestRun:
         assert metrics_json(res1) == metrics_json(res2)
 
     def test_divergence_reports_agent_and_time(self):
-        # Hurwitz gains (a quadruple pole at -300) that RK4 cannot integrate at
-        # dt 0.01; validate_scenario rejects them, so they are swapped into a
-        # valid plan
+        # Hurwitz gains that RK4 cannot integrate: quadruple poles at -300
+        # and at -1e4 that leave the bound in the first step (the second
+        # overflows later steps of the block), and poles (-5.65, -1, -1, -1)
+        # at dt 0.5 whose one unstable mode leaves it mid-block, 95 s in.
+        # validate_scenario rejects them, so they are swapped into valid plans.
         sc = quick_scenario(seed=2, n=20, nb=6)
-        ok = manual_scenario(sc.formation, sc.targets.samples, zone=sc.targets.zone, t_end=20.0, tf=10.0)
-        plan = make_plan(ok)
-        bad = dataclasses.replace(ok, gains=Gains(1200.0, 5.4e5, 1.08e8, 8.1e9))
-        with pytest.raises(BadConfig, match="RK4"):
-            make_plan(bad)
-        with pytest.raises(Diverged, match="agent .* t ="):
-            engine._integrate(dataclasses.replace(plan, scenario=bad))
+        cases = (
+            (dict(t_end=20.0, tf=10.0), Gains(1200.0, 5.4e5, 1.08e8, 8.1e9)),
+            (dict(t_end=20.0, tf=10.0), Gains(4e4, 6e8, 4e12, 1e16)),
+            (dict(t_end=400.0, tf=10.0, dt=0.5, output_period=1.0), Gains(8.65, 19.95, 17.95, 5.65)),
+        )
+        for timing, gains in cases:
+            ok = manual_scenario(sc.formation, sc.targets.samples, zone=sc.targets.zone, **timing)
+            plan = make_plan(ok)
+            bad = dataclasses.replace(ok, gains=gains)
+            with pytest.raises(BadConfig, match="RK4"):
+                make_plan(bad)
+            bad_plan = dataclasses.replace(plan, scenario=bad)
+            with pytest.raises(Diverged, match="agent .* t =") as got:
+                engine._integrate(bad_plan)
+            with pytest.raises(Diverged) as want:
+                stepwise_integrate(bad_plan)
+            assert str(got.value) == str(want.value)
 
-    def test_fixed_map_matches_staged_rk4(self, monkeypatch):
-        # a planar team with clamped agents and the 3-D team
+    def test_fixed_map_matches_staged_rk4(self):
+        # a planar team with clamped agents and the 3-D team, against the
+        # stepwise loop driven by the four-stage RK4
         for sc in (quick_scenario(seed=9, n=36, nb=8, uncoop=3), cube_scenario()):
             plan = make_plan(sc)
             fixed = engine._integrate(plan)
-            with monkeypatch.context() as m:
-                m.setattr(
-                    dynamics, "step", lambda state, r_d, phi: staged_rk4(state, r_d, sc.gains, sc.dt)
-                )
-                staged = engine._integrate(plan)
+            staged = stepwise_integrate(
+                plan, step=lambda state, r_d, phi: staged_rk4(state, r_d, sc.gains, sc.dt)
+            )
             assert np.max(np.abs(fixed.positions - staged.positions)) <= 1e-12
             assert np.array_equal(fixed.converged, staged.converged)
 
     def test_leader_blend_flag_softens_start(self):
         sc = quick_scenario(seed=14, n=22, nb=6)
-        import dataclasses
-
         soft = dataclasses.replace(sc, leader_blend=True)
         res = run(soft)
         b0 = sc.formation.boundary[0]
@@ -193,6 +206,82 @@ class TestRun:
             res.trace.desired[0, b0], sc.formation.positions[b0], atol=1e-12
         )
         assert res.trace.rate == 1.0
+
+
+SQUARE_ZONE = [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]
+SQUARE_SAMPLES = [(x, y) for x in np.linspace(1.1, 2.9, 7) for y in np.linspace(1.1, 2.9, 7)]
+# interior points on a half-unit grid: draws repeat points and line them up
+GRID_POINTS = [(x, y) for x in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5) for y in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
+
+
+def _square_team(extra, n_clamped):
+    """The 4x4 square with its center core and interior agents at ``extra``,
+    the first ``n_clamped`` of them clamped."""
+    clamped = range(6, 6 + min(n_clamped, len(extra)))
+    form = square_core_formation(extra=extra, uncooperative=clamped)
+    return manual_scenario(form, SQUARE_SAMPLES, zone=SQUARE_ZONE)
+
+
+# builders of small teams, called inside the test so that a typed refusal
+# to generate or plan one skips the example
+TEAMS = st.one_of(
+    st.builds(
+        functools.partial,
+        st.just(quick_scenario),
+        seed=st.integers(0, 10_000),
+        n=st.integers(12, 20),
+        nb=st.integers(4, 7),
+        uncoop=st.integers(0, 3),
+    ),
+    st.builds(
+        functools.partial,
+        st.just(_square_team),
+        st.lists(st.sampled_from(GRID_POINTS), min_size=1, max_size=8),
+        st.integers(0, 3),
+    ),
+    st.just(cube_scenario),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    team=TEAMS,
+    leader_blend=st.booleans(),
+    dt=st.sampled_from([0.01, 0.04]),
+    steps=st.integers(1, 160),
+    log_every=st.integers(1, 60),
+    tf_share=st.floats(0.1, 1.0),
+)
+@example(team=cube_scenario, leader_blend=False, dt=0.01, steps=137, log_every=7, tf_share=0.6)
+@example(
+    team=functools.partial(_square_team, [(1.0, 1.0), (1.0, 1.0), (1.5, 1.5), (2.5, 2.5), (3.0, 3.0)], 1),
+    leader_blend=True,
+    dt=0.04,
+    steps=150,
+    log_every=3,
+    tf_share=0.5,
+)
+def test_integrate_matches_stepwise_oracle(team, leader_blend, dt, steps, log_every, tf_share):
+    # clamped agents, coincident and collinear interior agents, the leader
+    # blend, 2-D and 3-D teams, and runs that end inside a block
+    try:
+        sc = dataclasses.replace(
+            team(),
+            leader_blend=leader_blend,
+            dt=dt,
+            t_end=steps * dt,
+            tf=tf_share * steps * dt,
+            output_period=log_every * dt,
+        )
+        plan = make_plan(sc)
+    except SwarmTransportError:
+        return  # a team the pipeline refuses says nothing about the loop
+    got, want = engine._integrate(plan), stepwise_integrate(plan)
+    assert np.array_equal(got.times, want.times)
+    assert np.max(np.abs(got.positions - want.positions)) <= 1e-12
+    assert np.max(np.abs(got.desired - want.desired)) <= 1e-12
+    assert np.array_equal(got.converged, want.converged)
+    assert got.rate == want.rate
 
 
 class TestTrackingReport:
