@@ -18,7 +18,6 @@ from .engine import (
     make_plan,
     run,
     setpoint_series,
-    tracking_error_report,
 )
 from .errors import SwarmTransportError
 from .formation import (
@@ -28,7 +27,7 @@ from .formation import (
     fan_triangulate,
     select_core,
 )
-from .geometry import Simplex, barycentric, contains, convex_hull
+from .geometry import barycentric, contains, convex_hull
 from .scenario import (
     GenerateParams,
     generate_scenario,
@@ -36,7 +35,7 @@ from .scenario import (
     parse_scenario_text,
     serialize_scenario,
 )
-from .setpoints import build_comm_matrix, propagate_setpoints, solve_setpoints_dense
+from .setpoints import propagate_setpoints
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
 from .weights import WeightSchedule, beta, build_schedule, weights_at
 
@@ -53,14 +52,12 @@ __all__ = [
     "RunResult",
     "Scenario",
     "SimTrace",
-    "Simplex",
     "SwarmTransportError",
     "TargetSet",
     "WeightSchedule",
     "barycentric",
     "beta",
     "build_actual",
-    "build_comm_matrix",
     "build_schedule",
     "check_hurwitz",
     "compute_desired",
@@ -79,9 +76,7 @@ __all__ = [
     "select_core",
     "serialize_scenario",
     "setpoint_series",
-    "solve_setpoints_dense",
     "step",
-    "tracking_error_report",
     "virtual_control",
     "weights_at",
 ]

@@ -23,13 +23,13 @@ once, and never drive the loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dynamics, geometry
 from .dynamics import Gains
-from .errors import BadConfig, Diverged, GridMismatch
+from .errors import BadConfig, Diverged
 from .formation import (
     ROLE_BOUNDARY,
     ROLE_COOPERATIVE,
@@ -61,9 +61,12 @@ class Scenario:
     leader_scale: float = 1.1
     leader_positions: dict[int, np.ndarray] | None = None
     leader_blend: bool = False
+    # set by validate_scenario; dataclasses.replace makes an unchecked copy
+    validated: bool = field(default=False, init=False, repr=False, compare=False)
 
 
 def validate_scenario(scenario: Scenario) -> None:
+    """Raise ``BadConfig`` unless the scenario can run; else mark it ``validated``."""
     sc = scenario
     for name in ("t0", "tf", "t_end", "dt", "output_period", "margin"):
         if not math.isfinite(getattr(sc, name)):
@@ -88,6 +91,7 @@ def validate_scenario(scenario: Scenario) -> None:
         raise BadConfig(f"unknown leader mode {sc.leader_mode!r}")
     if sc.leader_mode == "explicit" and sc.leader_positions is None:
         raise BadConfig("explicit leader mode requires leader positions")
+    object.__setattr__(sc, "validated", True)  # frozen: a check of fixed fields
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,10 @@ class RunResult:
 
 
 def make_plan(scenario: Scenario) -> Plan:
-    """Pipeline prefix: graph synthesis, anchor placement, targets, weights."""
-    validate_scenario(scenario)
+    """Pipeline prefix: graph synthesis, anchor placement, targets, weights.
+    A scenario the parser or generator has not validated is validated here."""
+    if not scenario.validated:
+        validate_scenario(scenario)
     formation = scenario.formation
     graph = build_actual(formation)
     explicit = scenario.leader_positions if scenario.leader_mode == "explicit" else None
@@ -276,30 +282,3 @@ def convergence_check(positions, zone, margin: float):
 def setpoint_series(plan: Plan, times) -> np.ndarray:
     """Planned set-point positions on a time grid, shaped (T, N, n)."""
     return propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, times)
-
-
-@dataclass(frozen=True)
-class TrackingReport:
-    ids: tuple[int, ...]
-    times: np.ndarray  # (T,)
-    errors: np.ndarray  # (T, N): ||r_i(t) - s_i(t)||
-    terminal: np.ndarray  # (N,) ||r_i(t_end) - p_i||
-
-
-def tracking_error_report(trace: SimTrace, setpoint_times, setpoints) -> TrackingReport:
-    """Distance between logged positions and planned set-points over time."""
-    st = np.asarray(setpoint_times, dtype=float)
-    sp = np.asarray(setpoints, dtype=float)
-    if st.shape != trace.times.shape or not np.allclose(st, trace.times, atol=1e-12):
-        raise GridMismatch("set-point series is not on the trace's time grid")
-    if sp.shape != trace.positions.shape:
-        raise GridMismatch(
-            f"set-point series shape {sp.shape} does not match trace {trace.positions.shape}"
-        )
-    errors = np.linalg.norm(trace.positions - sp, axis=2)
-    return TrackingReport(
-        ids=trace.ids,
-        times=trace.times.copy(),
-        errors=errors,
-        terminal=trace.terminal_error.copy(),
-    )

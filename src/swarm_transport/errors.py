@@ -45,16 +45,8 @@ class BadInterval(SwarmTransportError):
     """Time interval with non-positive length."""
 
 
-class SingularFollowerBlock(SwarmTransportError):
-    """Dense set-point solve hit a singular follower block."""
-
-
 class Diverged(SwarmTransportError):
     """An agent state exceeded the divergence threshold during integration."""
-
-
-class GridMismatch(SwarmTransportError):
-    """Time grids of two series do not line up."""
 
 
 class ParseError(SwarmTransportError):

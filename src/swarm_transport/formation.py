@@ -25,10 +25,10 @@ from .errors import (
     BadConfig,
     CoreOnBoundary,
     CycleDetected,
+    DegenerateSimplex,
     NoCandidate,
     UnassignedAgents,
 )
-from .geometry import Simplex
 
 ROLE_BOUNDARY = "boundary"
 ROLE_CORE = "core"
@@ -185,8 +185,8 @@ def select_core(formation: Formation) -> int:
     return best[1]
 
 
-def fan_triangulate(formation: Formation, core: int) -> list[Simplex]:
-    """Core-anchored triangulation of the hull.
+def fan_triangulate(formation: Formation, core: int) -> np.ndarray:
+    """Core-anchored triangulation of the hull, as (C, n+1) vertex rows.
 
     dim 2: one triangle per hull edge, (b_k, b_{k+1}, core). dim 3: one
     tetrahedron per hull facet with the core as apex.
@@ -201,7 +201,7 @@ def fan_triangulate(formation: Formation, core: int) -> list[Simplex]:
     else:
         facets = geometry.hull_facets(formation.positions[formation.boundary])
         cells = [tuple(b[k] for k in facet) + (core,) for facet in facets]
-    return [Simplex(rows, formation.positions[list(rows)]) for rows in cells]
+    return np.array(cells, dtype=np.intp).reshape(-1, formation.dim + 1)
 
 
 def _strictly_inside(formation: Formation, pts: np.ndarray) -> np.ndarray:
@@ -230,95 +230,103 @@ def build_actual(formation: Formation) -> LayeredGraph:
     """Mentor graph with clamped agents folded into layer 0 as extra sources.
 
     With no clamped agents this is the nominal, fully cooperative graph.
+    The open cells are one (C, n+1) array of vertex rows; each layer adopts
+    and splits all of them at once.
     """
     core = formation.core if formation.core is not None else select_core(formation)
-    fan = fan_triangulate(formation, core)
-
-    open_list = list(fan)
+    cells = fan_triangulate(formation, core)
+    n_fan, pos = len(cells), formation.positions
+    # Only fan cells can be degenerate (degenerate children are dropped).
+    # Cells are searched in order, and reaching a degenerate one raises.
+    flat = geometry.degenerate(pos[cells])
+    stop = int(np.argmax(flat)) if flat.any() else len(cells)
     for u in formation.clamped.tolist():
-        open_list = _insert_vertex(open_list, u, formation)
+        lam = geometry.barycentric(np.broadcast_to(pos[u], (stop, formation.dim)), pos[cells[:stop]])
+        hit = np.flatnonzero(lam.min(axis=1) >= -geometry.CONTAINMENT_TOL)
+        if not len(hit) and stop < len(cells):
+            raise DegenerateSimplex("simplex vertices are affinely dependent")
+        if not len(hit):
+            raise UnassignedAgents(f"clamped agent {formation.ids[u]} lies outside every open simplex")
+        kids = _split(cells[hit[:1]], np.array([u]), pos)
+        cells = np.concatenate([cells[: hit[0]], kids, cells[hit[0] + 1 :]])
+        stop += len(kids) - 1
 
     layer = np.zeros(formation.n_agents, dtype=np.intp)
-    unassigned = np.ones(formation.n_agents, dtype=bool)
-    unassigned[formation.boundary] = False
-    unassigned[formation.clamped] = False
-    unassigned[core] = False
-    unassigned = np.flatnonzero(unassigned)
-    adopted: list[tuple[int, tuple[int, ...]]] = []  # (mentee, mentors), (layer, row) order
-
-    depth = 0
-    while open_list:
-        next_open: list[Simplex] = []
-        new_layer: list[tuple[int, tuple[int, ...]]] = []
-        for simplex in open_list:
-            mentee = _pick_mentee(simplex, unassigned, formation)
-            if mentee is None:
-                continue  # nobody left inside: the cell is closed and dropped
-            unassigned = unassigned[unassigned != mentee]
-            new_layer.append((mentee, simplex.vertex_rows))
-            next_open.extend(_expand(simplex, mentee, formation.positions[mentee]))
-        if not new_layer:
+    free = np.ones(formation.n_agents, dtype=bool)
+    free[formation.boundary] = free[formation.clamped] = free[core] = False
+    mentees, mentors = [np.empty(0, dtype=np.intp)], [np.empty((0, formation.dim + 1), dtype=np.intp)]
+    while len(cells) and free.any():
+        pick = _pick_mentee(cells, stop, np.flatnonzero(free), pos)
+        adopt = np.flatnonzero(pick >= 0)
+        if not len(adopt):
             break
-        depth += 1
-        for mentee, _ in new_layer:
-            layer[mentee] = depth
-        adopted.extend(sorted(new_layer))
-        open_list = next_open
+        new, by_row = pick[adopt], np.argsort(pick[adopt])
+        free[new], layer[new] = False, len(mentees)
+        mentees.append(new[by_row])
+        mentors.append(cells[adopt[by_row]])
+        cells = _split(cells[adopt], new, pos)
+        stop = len(cells)
 
-    if len(unassigned):
+    if free.any():
         raise UnassignedAgents(
-            f"open set exhausted with agents {[formation.ids[k] for k in unassigned]} unassigned"
+            f"open set exhausted with agents {[formation.ids[k] for k in np.flatnonzero(free)]} unassigned"
         )
     return LayeredGraph(
         core=core,
         layer=layer,
         roles=agent_roles(formation, core),
-        mentees=np.array([m for m, _ in adopted], dtype=np.intp),
-        mentors=np.array([v for _, v in adopted], dtype=np.intp).reshape(
-            len(adopted), formation.dim + 1
-        ),
-        n_initial_simplices=len(fan),
+        mentees=np.concatenate(mentees),
+        mentors=np.concatenate(mentors),
+        n_initial_simplices=n_fan,
     )
 
 
-def _pick_mentee(simplex: Simplex, unassigned: np.ndarray, formation: Formation) -> int | None:
-    """Best-centered of the ascending ``unassigned`` rows inside the simplex,
-    smaller row on ties; None when no row lies inside."""
-    if not len(unassigned):
-        return None
-    weights = geometry.barycentric_many(formation.positions[unassigned], simplex.vertex_points)
-    min_w = weights.min(axis=1)
-    eligible = min_w >= -geometry.CONTAINMENT_TOL
-    if not np.any(eligible):
-        return None
-    min_w = np.where(eligible, min_w, -np.inf)
-    return int(unassigned[np.argmax(min_w)])  # argmax takes the first (smallest row) on ties
+def _pick_mentee(cells: np.ndarray, stop: int, free: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Row adopted by each open cell, -1 where none, shaped (C,).
 
-
-def _expand(simplex: Simplex, row: int, point: np.ndarray) -> list[Simplex]:
-    """Split a simplex around an interior point into n+1 children.
-
-    Children that collapse (the point sat exactly on a face) are dropped;
-    the surviving ones still cover the parent.
+    The cells take turns in order, as one at a time would: each adopts the
+    best-centered of the ascending ``free`` rows inside it that no earlier
+    cell took, smaller row on ties. Cell ``stop``, when there is one, is
+    degenerate: it ends the turns, and raises if rows are still free.
     """
-    out = []
-    for k in range(len(simplex.vertex_rows)):
-        child = simplex.replace_vertex(k, row, point)
-        if not child.is_degenerate():
-            out.append(child)
-    return out
+    pick = np.full(len(cells), -1, dtype=np.intp)
+    cell, k, score = geometry.PointIndex.build(pos[free]).inside(pos[cells[:stop]])
+    # each cell's preference: larger minimum coordinate first, then smaller row
+    order = np.lexsort((k, -score, cell))
+    cell, k = cell[order], k[order]
+    best = np.diff(cell, prepend=-1) != 0
+    pick[cell[best]] = k[best]
+    # a row inside several cells (on a shared face) goes to the earliest one
+    # that still wants it: replay those cells in order
+    shared = np.bincount(k, minlength=len(free)) > 1
+    taken: set[int] = set()
+    for c in np.unique(cell[shared[k]]).tolist():
+        lo, hi = np.searchsorted(cell, [c, c + 1])
+        pick[c] = next((r for r in k[lo:hi].tolist() if r not in taken), -1)
+        taken.add(int(pick[c]))
+    # Once one row is left, the one-cell-at-a-time search solved it alone, a
+    # one-column solve that rounds differently: redo those turns that way.
+    before = np.cumsum(pick >= 0) - (pick >= 0)
+    if len(free) > 1 and (before == len(free) - 1).any():
+        i = int(np.argmax(before == len(free) - 1))
+        (r,) = np.setdiff1d(np.arange(len(free)), pick[:i])
+        lam = geometry.barycentric(np.broadcast_to(pos[free[r]], (stop - i, pos.shape[1])), pos[cells[i:stop]])
+        inside = np.flatnonzero(lam.min(axis=1) >= -geometry.CONTAINMENT_TOL)
+        pick[i:] = -1
+        pick[i + inside[:1]] = r
+    if stop < len(cells) and np.count_nonzero(pick >= 0) < len(free):
+        raise DegenerateSimplex("simplex vertices are affinely dependent")
+    return np.where(pick >= 0, free[pick], -1)
 
 
-def _insert_vertex(open_list: list[Simplex], row: int, formation: Formation) -> list[Simplex]:
-    """Splice a clamped agent into the triangulation at its containing cell."""
-    point = formation.positions[row]
-    for k, simplex in enumerate(open_list):
-        if simplex.contains(point):
-            children = _expand(simplex, row, point)
-            return open_list[:k] + children + open_list[k + 1 :]
-    raise UnassignedAgents(
-        f"clamped agent {formation.ids[row]} lies outside every open simplex"
-    )
+def _split(cells: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Children of each cell around its adopted row, in cell order: child k
+    has vertex k replaced by the row. Children that collapse (the row sat
+    exactly on a face) are dropped; the rest still cover the parent."""
+    m = cells.shape[1]
+    kids = np.repeat(cells, m, axis=0)
+    kids.reshape(-1, m, m)[:, np.arange(m), np.arange(m)] = rows[:, None]
+    return kids[~geometry.degenerate(pos[kids])]
 
 
 def graph_records(formation: Formation, graph: LayeredGraph) -> str:

@@ -7,6 +7,7 @@ utilities. Everything operates on plain numpy arrays in workspace units
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,75 +22,148 @@ CONTAINMENT_TOL = 1e-9
 
 
 def augmented_matrix(vertices: np.ndarray) -> np.ndarray:
-    """(n+1)x(n+1) matrix with vertex coordinates as columns over a row of ones."""
+    """(n+1)x(n+1) matrix with vertex coordinates as columns over a row of ones;
+    a (..., n+1, n) stack of simplices gives a stack of matrices."""
     verts = np.asarray(vertices, dtype=float)
-    return np.vstack([verts.T, np.ones(len(verts))])
+    ones = np.ones(verts.shape[:-2] + (1, verts.shape[-2]))
+    return np.concatenate([np.swapaxes(verts, -1, -2), ones], axis=-2)
 
 
-def degeneracy_threshold(vertices: np.ndarray) -> float:
+def degenerate(vertices) -> np.ndarray:
+    """Whether each simplex of a (..., n+1, n) stack is degenerate: |det| of its
+    augmented matrix below DEGENERACY_COEFF * (max |vertex coordinate|)^n."""
     verts = np.asarray(vertices, dtype=float)
-    n = verts.shape[1]
-    scale = float(np.max(np.abs(verts))) if verts.size else 0.0
-    return DEGENERACY_COEFF * scale**n
-
-
-def is_degenerate(vertices) -> bool:
-    verts = np.asarray(vertices, dtype=float)
-    return abs(float(np.linalg.det(augmented_matrix(verts)))) < degeneracy_threshold(verts)
+    scale = np.abs(verts).max(axis=(-2, -1), initial=0.0)
+    # Python's float power: np.power can differ in the last bit
+    threshold = [DEGENERACY_COEFF * s ** verts.shape[-1] for s in scale.ravel().tolist()]
+    return np.abs(np.linalg.det(augmented_matrix(verts))) < np.reshape(threshold, scale.shape)
 
 
 def barycentric(point, vertices) -> np.ndarray:
-    """Barycentric coordinates of ``point`` w.r.t. n+1 simplex vertices.
-
-    Solves the augmented (n+1)x(n+1) system directly; the weights sum to 1
-    and reconstruct the point exactly up to round-off.
-    """
-    verts = np.asarray(vertices, dtype=float)
-    mat = augmented_matrix(verts)
-    if abs(float(np.linalg.det(mat))) < degeneracy_threshold(verts):
-        raise DegenerateSimplex("simplex vertices are affinely dependent")
-    rhs = np.append(np.asarray(point, dtype=float), 1.0)
-    return np.linalg.solve(mat, rhs)
+    """Barycentric coordinates of ``point`` w.r.t. n+1 simplex vertices; a
+    (..., n) stack of points in a (..., n+1, n) stack of simplices gives
+    (..., n+1), one one-column solve each, bit for bit the vector solve."""
+    return barycentric_many(np.asarray(point, dtype=float)[..., None, :], vertices)[..., 0, :]
 
 
 def barycentric_many(points, vertices) -> np.ndarray:
-    """Barycentric coordinates of many points at once; returns (len(points), n+1)."""
+    """Barycentric coordinates of (K, n) points in one (n+1, n) simplex, as
+    (K, n+1), or of a (C, K, n) stack in a (C, n+1, n) stack. Each simplex
+    is one solve with K right-hand sides; its columns do not depend on K
+    for K >= 2, while one column takes another BLAS path and rounds apart."""
     pts = np.asarray(points, dtype=float)
     verts = np.asarray(vertices, dtype=float)
-    mat = augmented_matrix(verts)
-    if abs(float(np.linalg.det(mat))) < degeneracy_threshold(verts):
+    if degenerate(verts).any():
         raise DegenerateSimplex("simplex vertices are affinely dependent")
-    rhs = np.vstack([pts.T, np.ones(len(pts))])
-    return np.linalg.solve(mat, rhs).T
+    rhs = augmented_matrix(pts)  # points as columns over a row of ones
+    return np.swapaxes(np.linalg.solve(augmented_matrix(verts), rhs), -1, -2)
+
+
+# A simplex looks for points only where every barycentric coordinate is
+# >= -_SLACK: the simplex scaled by 1 + (n+1)*_SLACK about its centroid.
+# The slack lies far above CONTAINMENT_TOL and the solves' rounding, so that
+# region holds every point the solve can find inside.
+_SLACK = 1e-3
+_MIN_COLUMNS = 16  # the least padded width; larger groups grow by powers of 4
+_EDGES = {m: np.triu_indices(m, 1) for m in (3, 4)}  # vertex pairs of a simplex
+
+
+@dataclass(frozen=True)
+class PointIndex:
+    """A (P, n) point set in about sqrt(P) equal-count columns by x, each
+    sorted by y, for finding the points inside many simplices at once."""
+
+    points: np.ndarray
+    xs: np.ndarray  # x ascending
+    per: int  # points per column; column c holds x ranks [c*per, (c+1)*per)
+    ys: np.ndarray  # y ascending
+    order: np.ndarray  # point indices by column, then y
+    key: np.ndarray  # column * P + rank of y, ascending, along ``order``
+
+    @classmethod
+    def build(cls, points) -> "PointIndex":
+        pts = np.asarray(points, dtype=float)
+        n_pts = len(pts)
+        by_x = np.argsort(pts[:, 0], kind="stable")
+        per = max(1, -(-n_pts // max(1, math.isqrt(n_pts))))
+        ys = np.sort(pts[:, 1])
+        key = np.empty(n_pts, dtype=np.intp)
+        key[by_x] = np.arange(n_pts) // per * n_pts
+        key += np.searchsorted(ys, pts[:, 1])
+        order = np.argsort(key, kind="stable")
+        return cls(pts, pts[by_x, 0], per, ys, order, key[order])
+
+    def inside(self, vertices):
+        """Every (simplex, point) pair with the point in the closed simplex,
+        for a (C, n+1, n) stack of non-degenerate simplices: the simplex
+        and point indices, sorted by simplex then point, and the points'
+        minimum barycentric coordinates. A simplex takes as candidates the
+        points of each column it spans that lie in the box around its part
+        of that column's x-slab, so no (C, P) array is formed. Each group of
+        simplices by candidate count is one solve padded to at least
+        _MIN_COLUMNS right-hand sides (one when P is 1), so the coordinates
+        equal those of one ``barycentric_many`` over all P points.
+        """
+        verts = np.asarray(vertices, dtype=float)
+        pts, xs, per, n_pts = self.points, self.xs, self.per, len(self.points)
+        center = verts.mean(axis=1, keepdims=True)
+        grown = center + (1.0 + verts.shape[1] * _SLACK) * (verts - center)
+        pad = 1e-12 * np.abs(grown).max(axis=(1, 2), initial=0.0)
+        # one query per (simplex, column) pair, over the column's points in
+        # the simplex's x-range: xa..xb
+        first = np.searchsorted(xs, grown[:, :, 0].min(axis=1) - pad, side="left")
+        last = np.searchsorted(xs, grown[:, :, 0].max(axis=1) + pad, side="right")
+        spans = np.where(last > first, (last - 1) // per - first // per + 1, 0)
+        q_cell = np.repeat(np.arange(len(verts)), spans)
+        q_col = np.arange(len(q_cell)) - np.repeat(np.cumsum(spans) - spans, spans) + first[q_cell] // per
+        xa = xs[np.maximum(first[q_cell], q_col * per)]
+        xb = xs[np.minimum(last[q_cell], (q_col + 1) * per) - 1]
+        # bounds on the other axes of each simplex's part in its slab: its
+        # vertices in the slab and its edges' crossings of the two planes
+        v = grown[q_cell]
+        inner = ((v[:, :, 0] >= xa[:, None]) & (v[:, :, 0] <= xb[:, None]))[:, :, None]
+        i, j = _EDGES[v.shape[1]]
+        edge = v[:, j] - v[:, i]  # (Q, E, n)
+        planes = np.stack([xa, xb], axis=1)[:, None, :] - v[:, i, :1]  # (Q, E, 2)
+        t = np.divide(planes, edge[:, :, :1], out=np.full_like(planes, -1.0), where=edge[:, :, :1] != 0.0)
+        cross = v[:, i, None, 1:] + t[..., None] * edge[:, :, None, 1:]  # (Q, E, 2, n-1)
+        ok = ((t >= 0.0) & (t <= 1.0))[..., None]
+        lo = np.minimum(np.where(inner, v[:, :, 1:], np.inf).min(axis=1), np.where(ok, cross, np.inf).min(axis=(1, 2)))
+        hi = np.maximum(np.where(inner, v[:, :, 1:], -np.inf).max(axis=1), np.where(ok, cross, -np.inf).max(axis=(1, 2)))
+        lo, hi = lo - pad[q_cell, None], hi + pad[q_cell, None]
+        start = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, lo[:, 0], side="left"))
+        stop = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, hi[:, 0], side="right"))
+        count = np.maximum(stop - start, 0)
+        q = np.repeat(np.arange(len(q_cell)), count)
+        idx = self.order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + start[q]]
+        x = pts[idx]
+        keep = (x[:, 0] >= xa[q]) & (x[:, 0] <= xb[q]) & np.all((x[:, 1:] >= lo[q]) & (x[:, 1:] <= hi[q]), axis=1)
+        cell, idx = q_cell[q[keep]], idx[keep]
+        order = np.argsort(cell * n_pts + idx)
+        cell, idx = cell[order], idx[order]
+
+        score = np.empty(len(cell))
+        begin = np.flatnonzero(np.diff(cell, prepend=-1))
+        size = np.diff(begin, append=len(cell))
+        owner = np.repeat(np.arange(len(begin)), size)  # of each pair
+        slot = np.arange(len(cell)) - begin[owner]
+        cols = np.maximum(min(n_pts, _MIN_COLUMNS), np.left_shift(1, 2 * np.ceil(np.log2(size) / 2).astype(np.intp)))
+        if cols.max(initial=0) * len(cols) <= 4 * len(cell) + _MIN_COLUMNS * len(cols):
+            cols[:] = cols.max(initial=0)  # one solve pads little
+        for w in np.unique(cols).tolist():
+            group = cols == w
+            rank = (np.cumsum(group) - 1)[owner]
+            sel = np.flatnonzero(group[owner])
+            rhs = np.zeros((int(group.sum()), w, pts.shape[1]))
+            rhs[rank[sel], slot[sel]] = pts[idx[sel]]
+            score[sel] = barycentric_many(rhs, verts[cell[begin[group]]]).min(axis=2)[rank[sel], slot[sel]]
+        inside = score >= -CONTAINMENT_TOL
+        return cell[inside], idx[inside], score[inside]
 
 
 def contains(vertices, point, tol: float = CONTAINMENT_TOL) -> bool:
     """True iff ``point`` lies in the closed simplex (faces count as inside)."""
     return bool(np.min(barycentric(point, vertices)) >= -tol)
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """An n-simplex tagged with the formation rows of the agents at its vertices."""
-
-    vertex_rows: tuple[int, ...]
-    vertex_points: np.ndarray  # (n+1, n); point k belongs to vertex_rows[k]
-
-    def barycentric(self, point) -> np.ndarray:
-        return barycentric(point, self.vertex_points)
-
-    def contains(self, point, tol: float = CONTAINMENT_TOL) -> bool:
-        return contains(self.vertex_points, point, tol)
-
-    def is_degenerate(self) -> bool:
-        return is_degenerate(self.vertex_points)
-
-    def replace_vertex(self, k: int, row: int, point) -> "Simplex":
-        rows = list(self.vertex_rows)
-        rows[k] = row
-        pts = self.vertex_points.copy()
-        pts[k] = np.asarray(point, dtype=float)
-        return Simplex(tuple(rows), pts)
 
 
 def convex_hull(points) -> list[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import BadConfig, DegenerateMentorSimplex, DegenerateSimplex
+from .errors import BadConfig, DegenerateMentorSimplex
 from .formation import Formation, LayeredGraph
 
 
@@ -119,9 +119,10 @@ def compute_desired(
 
     ``leader_p`` holds the (B, n) anchors in hull cycle order. Each mentee
     captures the samples inside its mentors' final simplex and averages
-    them. A mentee whose simplex captures nothing falls back to the simplex
-    centroid (equal weights), which keeps the final weights solvable; such
-    agents are reported in ``fallback_ids``.
+    them; a whole mentee layer is searched at once. A mentee whose simplex
+    captures nothing falls back to the simplex centroid (equal weights),
+    which keeps the final weights solvable; such agents are reported in
+    ``fallback_ids``.
     """
     samples = np.asarray(targets.samples, dtype=float)
     leader_p = np.asarray(leader_p, dtype=float)
@@ -135,23 +136,23 @@ def compute_desired(
 
     captured: dict[int, tuple[int, ...]] = {}
     fallback: list[int] = []
-    for a, mentors in zip(graph.mentees.tolist(), graph.mentors):
-        verts = p[mentors]
-        try:
-            if len(samples):
-                weights = geometry.barycentric_many(samples, verts)
-                inside = np.where(weights.min(axis=1) >= -geometry.CONTAINMENT_TOL)[0]
-            else:
-                inside = np.empty(0, dtype=int)
-        except DegenerateSimplex as exc:
+    starts = np.searchsorted(graph.layer[graph.mentees], np.arange(1, graph.n_layers + 2))
+    index = geometry.PointIndex.build(samples)
+    for sl in map(slice, starts[:-1], starts[1:]):
+        rows, mentors = graph.mentees[sl], graph.mentors[sl]
+        if len(samples) and len(flat := np.flatnonzero(geometry.degenerate(p[mentors]))):
+            a, ms = rows[flat[0]], mentors[flat[0]]
             raise DegenerateMentorSimplex(
-                f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in mentors)} "
+                f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in ms)} "
                 "have affinely dependent final positions"
-            ) from exc
-        captured[a] = tuple(int(i) for i in inside)
-        if len(inside):
-            p[a] = samples[inside].mean(axis=0)
-        else:
-            p[a] = verts.mean(axis=0)
-            fallback.append(a)
+            )
+        cell, idx, _ = index.inside(p[mentors])
+        bounds = np.searchsorted(cell, np.arange(1, len(rows)))
+        for a, ms, inside in zip(rows.tolist(), mentors, np.split(idx, bounds)):
+            captured[a] = tuple(inside.tolist())
+            if len(inside):
+                p[a] = samples[inside].mean(axis=0)
+            else:
+                p[a] = p[ms].mean(axis=0)
+                fallback.append(a)
     return DesiredPositions(p=p, captured=captured, fallback_ids=tuple(fallback))

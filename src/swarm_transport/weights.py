@@ -52,27 +52,24 @@ class WeightSchedule:
     tf: float
 
 
-def _clean(w: np.ndarray, agent_id: int) -> np.ndarray:
-    """Zero out solver-noise negatives and renormalize to unit sum."""
-    if float(w.min()) < -NEGATIVE_WEIGHT_TOL:
+def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray, error) -> np.ndarray:
+    """Barycentric weights of each mentee's point in its mentors' points, one
+    solve for all of them. Solver-noise negatives are zeroed and each row
+    renormalized to unit sum; the first bad row in mentee order raises."""
+    verts = points[graph.mentors]
+    stop = int(np.argmax(flat)) if (flat := geometry.degenerate(verts)).any() else len(verts)
+    w = geometry.barycentric(points[graph.mentees[:stop]], verts[:stop])
+    low = np.flatnonzero(w.min(axis=1) < -NEGATIVE_WEIGHT_TOL)
+    if len(low):
+        k = low[0]
         raise ValueError(
-            f"agent {agent_id}: barycentric weight {w.min():.3e} below tolerance; "
+            f"agent {ids[graph.mentees[k]]}: barycentric weight {w[k].min():.3e} below tolerance; "
             "the point lies outside its mentor simplex"
         )
+    if stop < len(verts):
+        raise error(f"agent {ids[graph.mentees[stop]]}: simplex vertices are affinely dependent")
     w = np.where(w < 0.0, 0.0, w)
-    return w / w.sum()
-
-
-def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray, error) -> np.ndarray:
-    """Barycentric weights of each mentee's point in its mentors' points."""
-    out = np.empty(graph.mentors.shape)
-    for k, (row, mentors) in enumerate(zip(graph.mentees, graph.mentors)):
-        try:
-            w = geometry.barycentric(points[row], points[mentors])
-        except DegenerateSimplex as exc:
-            raise error(f"agent {ids[row]}: {exc}") from exc
-        out[k] = _clean(w, ids[row])
-    return out
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def build_schedule(

@@ -1,12 +1,30 @@
 """Reference implementations that the fast paths are tested against."""
 
-import numpy as np
+from dataclasses import dataclass
 
-from swarm_transport import dynamics
+import numpy as np
+import scipy.sparse
+
+from swarm_transport import dynamics, geometry
 from swarm_transport.engine import SimTrace, convergence_check
-from swarm_transport.errors import Diverged
-from swarm_transport.formation import ROLE_BOUNDARY, ROLE_COOPERATIVE, ROLE_CORE
-from swarm_transport.weights import beta, weights_at
+from swarm_transport.errors import (
+    DegenerateMentorSimplex,
+    DegenerateSimplex,
+    Diverged,
+    SwarmTransportError,
+    UnassignedAgents,
+)
+from swarm_transport.formation import (
+    ROLE_BOUNDARY,
+    ROLE_COOPERATIVE,
+    ROLE_CORE,
+    LayeredGraph,
+    agent_roles,
+    fan_triangulate,
+    select_core,
+)
+from swarm_transport.targets import DesiredPositions
+from swarm_transport.weights import NEGATIVE_WEIGHT_TOL, beta, weights_at
 
 
 def staged_rk4(state, r_d, gains, dt):
@@ -78,4 +96,240 @@ def stepwise_integrate(plan, step=dynamics.step) -> SimTrace:
         converged=converged,
         rate=float(converged.sum() / evaluated if evaluated else 1.0),
         terminal_error=np.linalg.norm(final - p_arr, axis=1),
+    )
+
+
+# The planner one cell, one mentee and one weight vector at a time: the
+# reference for formation.build_actual, targets.compute_desired and
+# weights.build_schedule, which must match it bit for bit.
+
+
+@dataclass(frozen=True)
+class Simplex:
+    """An n-simplex tagged with the formation rows of the agents at its vertices."""
+
+    vertex_rows: tuple
+    vertex_points: np.ndarray  # (n+1, n); point k belongs to vertex_rows[k]
+
+    def contains(self, point, tol=geometry.CONTAINMENT_TOL) -> bool:
+        return geometry.contains(self.vertex_points, point, tol)
+
+    def is_degenerate(self) -> bool:
+        return bool(geometry.degenerate(self.vertex_points))
+
+    def replace_vertex(self, k, row, point) -> "Simplex":
+        rows = list(self.vertex_rows)
+        rows[k] = row
+        pts = self.vertex_points.copy()
+        pts[k] = np.asarray(point, dtype=float)
+        return Simplex(tuple(rows), pts)
+
+
+def cellwise_build_actual(formation) -> LayeredGraph:
+    """Mentor graph from a list of open ``Simplex`` cells, visited in order;
+    each adopts its best-centered free row, which leaves the free set at once."""
+    core = formation.core if formation.core is not None else select_core(formation)
+    fan = [Simplex(tuple(rows), formation.positions[rows]) for rows in fan_triangulate(formation, core).tolist()]
+
+    open_list = list(fan)
+    for u in formation.clamped.tolist():
+        open_list = _insert_vertex(open_list, u, formation)
+
+    layer = np.zeros(formation.n_agents, dtype=np.intp)
+    unassigned = np.ones(formation.n_agents, dtype=bool)
+    unassigned[formation.boundary] = False
+    unassigned[formation.clamped] = False
+    unassigned[core] = False
+    unassigned = np.flatnonzero(unassigned)
+    adopted = []  # (mentee, mentors), (layer, row) order
+
+    depth = 0
+    while open_list:
+        next_open = []
+        new_layer = []
+        for simplex in open_list:
+            mentee = _pick_one(simplex, unassigned, formation)
+            if mentee is None:
+                continue  # nobody left inside: the cell is closed and dropped
+            unassigned = unassigned[unassigned != mentee]
+            new_layer.append((mentee, simplex.vertex_rows))
+            next_open.extend(_expand(simplex, mentee, formation.positions[mentee]))
+        if not new_layer:
+            break
+        depth += 1
+        for mentee, _ in new_layer:
+            layer[mentee] = depth
+        adopted.extend(sorted(new_layer))
+        open_list = next_open
+
+    if len(unassigned):
+        raise UnassignedAgents(
+            f"open set exhausted with agents {[formation.ids[k] for k in unassigned]} unassigned"
+        )
+    return LayeredGraph(
+        core=core,
+        layer=layer,
+        roles=agent_roles(formation, core),
+        mentees=np.array([m for m, _ in adopted], dtype=np.intp),
+        mentors=np.array([v for _, v in adopted], dtype=np.intp).reshape(len(adopted), formation.dim + 1),
+        n_initial_simplices=len(fan),
+    )
+
+
+def _pick_one(simplex, unassigned, formation):
+    """Best-centered of the ascending ``unassigned`` rows inside the simplex,
+    smaller row on ties; None when no row lies inside."""
+    if not len(unassigned):
+        return None
+    weights = geometry.barycentric_many(formation.positions[unassigned], simplex.vertex_points)
+    min_w = weights.min(axis=1)
+    eligible = min_w >= -geometry.CONTAINMENT_TOL
+    if not np.any(eligible):
+        return None
+    min_w = np.where(eligible, min_w, -np.inf)
+    return int(unassigned[np.argmax(min_w)])  # argmax takes the first (smallest row) on ties
+
+
+def _expand(simplex, row, point):
+    """Split a simplex around an interior point into its non-degenerate children."""
+    out = []
+    for k in range(len(simplex.vertex_rows)):
+        child = simplex.replace_vertex(k, row, point)
+        if not child.is_degenerate():
+            out.append(child)
+    return out
+
+
+def _insert_vertex(open_list, row, formation):
+    """Splice a clamped agent into the triangulation at its containing cell."""
+    point = formation.positions[row]
+    for k, simplex in enumerate(open_list):
+        if simplex.contains(point):
+            children = _expand(simplex, row, point)
+            return open_list[:k] + children + open_list[k + 1 :]
+    raise UnassignedAgents(f"clamped agent {formation.ids[row]} lies outside every open simplex")
+
+
+def cellwise_compute_desired(graph, formation, targets, leader_p) -> DesiredPositions:
+    """Final positions one mentee at a time, each testing every sample."""
+    samples = np.asarray(targets.samples, dtype=float)
+    p = formation.positions.copy()
+    p[formation.boundary] = np.asarray(leader_p, dtype=float)
+    captured = {}
+    fallback = []
+    for a, mentors in zip(graph.mentees.tolist(), graph.mentors):
+        verts = p[mentors]
+        try:
+            if len(samples):
+                weights = geometry.barycentric_many(samples, verts)
+                inside = np.where(weights.min(axis=1) >= -geometry.CONTAINMENT_TOL)[0]
+            else:
+                inside = np.empty(0, dtype=int)
+        except DegenerateSimplex as exc:
+            raise DegenerateMentorSimplex(
+                f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in mentors)} "
+                "have affinely dependent final positions"
+            ) from exc
+        captured[a] = tuple(int(i) for i in inside)
+        if len(inside):
+            p[a] = samples[inside].mean(axis=0)
+        else:
+            p[a] = verts.mean(axis=0)
+            fallback.append(a)
+    return DesiredPositions(p=p, captured=captured, fallback_ids=tuple(fallback))
+
+
+def cellwise_endpoint_weights(graph, ids, points, error) -> np.ndarray:
+    """Barycentric weights of each mentee's point in its mentors' points, one
+    mentee at a time, cleaned of solver-noise negatives."""
+    out = np.empty(graph.mentors.shape)
+    for k, (row, mentors) in enumerate(zip(graph.mentees, graph.mentors)):
+        try:
+            w = geometry.barycentric(points[row], points[mentors])
+        except DegenerateSimplex as exc:
+            raise error(f"agent {ids[row]}: {exc}") from exc
+        if float(w.min()) < -NEGATIVE_WEIGHT_TOL:
+            raise ValueError(
+                f"agent {ids[row]}: barycentric weight {w.min():.3e} below tolerance; "
+                "the point lies outside its mentor simplex"
+            )
+        w = np.where(w < 0.0, 0.0, w)
+        out[k] = w / w.sum()
+    return out
+
+
+# Set-points as one sparse linear relation, and its dense partitioned solve:
+# independent references for setpoints.propagate_setpoints.
+
+
+class SingularFollowerBlock(SwarmTransportError):
+    """Dense set-point solve hit a singular follower block."""
+
+
+class GridMismatch(SwarmTransportError):
+    """Time grids of two series do not line up."""
+
+
+def build_comm_matrix(graph, schedule, t) -> scipy.sparse.csr_matrix:
+    """The (N, N) communication matrix at time t, in formation row order:
+    -1 on the diagonal, the mentor weights on follower rows."""
+    n_agents = len(graph.layer)
+    diag = np.arange(n_agents)
+    rows = np.concatenate([diag, np.repeat(graph.mentees, graph.mentors.shape[1])])
+    cols = np.concatenate([diag, graph.mentors.ravel()])
+    vals = np.concatenate([-np.ones(n_agents), weights_at(schedule, t).ravel()])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_agents, n_agents))
+
+
+def solve_setpoints_dense(graph, schedule, anchors, t) -> np.ndarray:
+    """Partitioned dense solve at time t: anchors clamped, follower block
+    inverted. Returns (N, n) in formation row order."""
+    anchors = np.asarray(anchors, dtype=float)
+    dense = build_comm_matrix(graph, schedule, t).toarray()
+    fixed = np.flatnonzero(graph.layer == 0)
+    follow = graph.mentees
+    s = anchors.copy()
+    try:
+        s[follow] = np.linalg.solve(
+            dense[np.ix_(follow, follow)], -dense[np.ix_(follow, fixed)] @ anchors[fixed]
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SingularFollowerBlock(str(exc)) from exc
+    return s
+
+
+def setpoint_residual(graph, schedule, anchors, s, t) -> float:
+    """Max-norm residual of the stacked linear relation for set-points s at time t."""
+    anchors = np.asarray(anchors, dtype=float)
+    offset = np.zeros_like(anchors)
+    fixed = graph.layer == 0
+    offset[fixed] = anchors[fixed]
+    comm = build_comm_matrix(graph, schedule, t)
+    return float(np.max(np.abs(comm @ np.asarray(s, dtype=float) + offset)))
+
+
+@dataclass(frozen=True)
+class TrackingReport:
+    ids: tuple
+    times: np.ndarray  # (T,)
+    errors: np.ndarray  # (T, N): ||r_i(t) - s_i(t)||
+    terminal: np.ndarray  # (N,) ||r_i(t_end) - p_i||
+
+
+def tracking_error_report(trace, setpoint_times, setpoints) -> TrackingReport:
+    """Distance between logged positions and planned set-points over time."""
+    st = np.asarray(setpoint_times, dtype=float)
+    sp = np.asarray(setpoints, dtype=float)
+    if st.shape != trace.times.shape or not np.allclose(st, trace.times, atol=1e-12):
+        raise GridMismatch("set-point series is not on the trace's time grid")
+    if sp.shape != trace.positions.shape:
+        raise GridMismatch(
+            f"set-point series shape {sp.shape} does not match trace {trace.positions.shape}"
+        )
+    errors = np.linalg.norm(trace.positions - sp, axis=2)
+    return TrackingReport(
+        ids=trace.ids,
+        times=trace.times.copy(),
+        errors=errors,
+        terminal=trace.terminal_error.copy(),
     )

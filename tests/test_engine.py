@@ -7,13 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ancestors, cube_scenario, manual_scenario, quick_scenario, square_core_formation
-from oracles import staged_rk4, stepwise_integrate
+from oracles import (
+    GridMismatch,
+    setpoint_residual,
+    solve_setpoints_dense,
+    staged_rk4,
+    stepwise_integrate,
+    tracking_error_report,
+)
 from swarm_transport import engine
 from swarm_transport.dynamics import Gains
-from swarm_transport.engine import convergence_check, make_plan, run, setpoint_series, tracking_error_report
-from swarm_transport.errors import BadConfig, Diverged, GridMismatch, SwarmTransportError
+from swarm_transport.engine import convergence_check, make_plan, run, setpoint_series
+from swarm_transport.errors import BadConfig, Diverged, SwarmTransportError
 from swarm_transport.reporting import metrics_json, trace_table
-from swarm_transport.setpoints import setpoint_residual, solve_setpoints_dense
+from swarm_transport.scenario import parse_scenario_text, serialize_scenario
 from swarm_transport.weights import beta
 
 UNIT_SQUARE = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -64,6 +71,24 @@ class TestScenarioValidation:
         bad = manual_scenario(sc.formation, sc.targets.samples, dt=0.03, output_period=0.1)
         with pytest.raises(BadConfig):
             engine.validate_scenario(bad)
+
+
+    def test_each_scenario_is_validated_once(self, monkeypatch):
+        calls = []
+        real = engine.validate_scenario
+        monkeypatch.setattr(engine, "validate_scenario", lambda sc: calls.append(sc) or real(sc))
+        generated = quick_scenario(seed=1, n=20, nb=6)  # the generator validates
+        parsed = parse_scenario_text(serialize_scenario(generated))  # so does the parser
+        assert generated.validated and parsed.validated
+        make_plan(generated)
+        make_plan(parsed)
+        assert calls == []
+        changed = dataclasses.replace(parsed, dt=0.02)  # a copy is checked afresh
+        assert not changed.validated
+        make_plan(changed)
+        assert calls == [changed] and changed.validated
+        with pytest.raises(BadConfig, match="RK4"):
+            make_plan(dataclasses.replace(parsed, gains=Gains(1200.0, 5.4e5, 1.08e8, 8.1e9)))
 
 
 def _fixed_point_scenario():

@@ -1,14 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ancestors, quick_scenario, square_core_formation
-from swarm_transport import geometry
+from conftest import ancestors, manual_scenario, quick_scenario, square_core_formation
+from oracles import (
+    cellwise_build_actual,
+    cellwise_compute_desired,
+    cellwise_endpoint_weights,
+    stepwise_integrate,
+)
+from swarm_transport import engine, formation, geometry
 from swarm_transport.errors import (
     BadConfig,
     CoreOnBoundary,
     CycleDetected,
+    DegenerateMentorSimplex,
+    DegenerateSimplex,
     NoCandidate,
     SwarmTransportError,
 )
@@ -21,6 +31,8 @@ from swarm_transport.formation import (
     graph_records,
     select_core,
 )
+from swarm_transport.targets import TargetSet, compute_desired
+from swarm_transport.weights import _endpoint_weights
 
 # square_core_formation: ids 1-4 (rows 0-3) are the hull corners, id 5 (row 4)
 # the center, extra agents follow as ids 6, 7, ... (rows 5, 6, ...)
@@ -90,8 +102,8 @@ class TestFanTriangulate:
     def test_square_gives_four_triangles(self):
         form = square_core_formation()
         fan = fan_triangulate(form, 4)
-        assert len(fan) == 4
-        assert all(s.vertex_rows[2] == 4 for s in fan)
+        assert fan.shape == (4, 3) and fan.dtype == np.intp
+        assert all(fan[:, 2] == 4)
 
     def test_areas_sum_to_hull_area(self):
         sc = quick_scenario(seed=5, n=30, nb=9)
@@ -100,7 +112,7 @@ class TestFanTriangulate:
         fan = fan_triangulate(form, core)
         hull = form.positions[form.boundary]
         total = sum(
-            abs(geometry.polygon_area(s.vertex_points)) for s in fan
+            abs(geometry.polygon_area(form.positions[rows])) for rows in fan
         )
         assert np.isclose(total, abs(geometry.polygon_area(hull)), rtol=1e-12)
 
@@ -125,8 +137,8 @@ class TestFanTriangulate:
         form = Formation.build(ids, pos, (1.0, 1.0, 1.0))
         fan = fan_triangulate(form, 8)
         vol = sum(
-            abs(np.linalg.det(geometry.augmented_matrix(s.vertex_points))) / 6.0
-            for s in fan
+            abs(np.linalg.det(geometry.augmented_matrix(form.positions[rows]))) / 6.0
+            for rows in fan
         )
         assert np.isclose(vol, 8.0)
 
@@ -171,6 +183,32 @@ class TestBuildActual:
         assert graph.mentees.tolist() == [5]
         assert graph.mentors.tolist() == [[4, 1, 3]]  # clamped agent 5 serves as mentor
         assert 4 not in graph.mentees.tolist()
+
+    @pytest.mark.parametrize(
+        "last, mentors",
+        [((3.106559884909243, 3.292116615091471), [1, 2, 4]), ((2.64974373730896, 2.7118366438154355), [2, 3, 4])],
+    )
+    def test_last_free_agent_is_tested_alone(self, last, mentors):
+        # The last agent sits 1e-9 outside the second fan cell, where a
+        # one-point and a two-point solve disagree on whether it is inside.
+        # One cell at a time, it is tested alone once the first cell has
+        # adopted the other agent; the batched search must decide the same.
+        hull = [(0.1, -0.3), (4.2, 0.15), (3.9, 4.3), (-0.2, 3.8)]
+        pts = hull + [(2.05, 1.95), (2.1166666666666667, 0.6), last]
+        form = Formation.build(range(1, 8), pts, (2.05, 1.95), core_id=5)
+        graph = build_actual(form)
+        assert graph.mentors.tolist() == [[0, 1, 4], mentors]
+        assert cellwise_build_actual(form).mentors.tolist() == graph.mentors.tolist()
+
+    def test_flat_cell_stops_the_turns(self):
+        # cells take turns in order; a degenerate one raises only if a row
+        # is still free when its turn comes
+        pos = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 4.0), (1.0, 1.0), (5.0, 5.0), (6.0, 6.0)])
+        cells = np.array([[0, 1, 2], [0, 4, 5], [0, 1, 2]])  # the second is flat
+        pick = formation._pick_mentee(cells, 1, np.array([3]), pos)
+        assert pick.tolist() == [3, -1, -1]
+        with pytest.raises(DegenerateSimplex, match="affinely dependent"):
+            formation._pick_mentee(cells[1:], 0, np.array([3]), pos)
 
     def test_no_edges_into_clamped_agents(self):
         sc = quick_scenario(seed=9, n=40, nb=8, uncoop=3)
@@ -232,8 +270,19 @@ def planar_team(draw):
     return ids, pts, clamped
 
 
+# 10-agent squares: corners, the core at the center and five more agents,
+# two of them at one point on a fan edge, or three on one line
+SQUARE_CORNERS = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (2.0, 2.0)]
+COINCIDENT_SQUARE = SQUARE_CORNERS + [(1.0, 1.0), (1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]
+COLLINEAR_SQUARE = SQUARE_CORNERS + [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(planar_team())
+@example((list(range(1, 11)), np.array(COINCIDENT_SQUARE), []))
+@example((list(range(1, 11)), np.array(COINCIDENT_SQUARE), [9]))
+@example((list(range(1, 11)), np.array(COLLINEAR_SQUARE), []))
+@example((list(range(1, 11)), np.array(COLLINEAR_SQUARE), [7]))
 def test_graph_arrays_obey_the_laws(team):
     ids, pts, clamped = team
     try:
@@ -253,6 +302,85 @@ def test_graph_arrays_obey_the_laws(team):
     assert all(len(set(ms)) == 3 for ms in graph.mentors.tolist())
     assert np.all(graph.layer[graph.mentors] < graph.layer[graph.mentees][:, None])
     assert graph.roles[graph.core] == "core"
+
+
+@pytest.mark.parametrize("extra", [COINCIDENT_SQUARE[5:], COLLINEAR_SQUARE[5:]])
+@pytest.mark.parametrize("clamped", [(), (8,)])
+def test_closed_loop_on_coincident_and_collinear_agents(extra, clamped):
+    # two cells want the same agent when it sits on their shared face
+    form = square_core_formation(extra=extra, uncooperative=clamped)
+    graph = build_actual(form)
+    assert sorted(graph.mentees.tolist()) == sorted(set(range(5, 10)) - {k - 1 for k in clamped})
+    samples = [(x, y) for x in np.linspace(1.0, 3.0, 9) for y in np.linspace(1.0, 3.0, 9)]
+    sc = manual_scenario(form, samples, zone=[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)])
+    sc = dataclasses.replace(sc, dt=0.04, t_end=6.0, tf=4.0, output_period=0.2)
+    plan = engine.make_plan(sc)
+    got, want = engine._integrate(plan), stepwise_integrate(plan)
+    assert np.max(np.abs(got.positions - want.positions)) <= 1e-12
+    assert np.max(np.abs(got.desired - want.desired)) <= 1e-12
+    assert np.array_equal(got.converged, want.converged)
+
+
+@st.composite
+def planner_case(draw):
+    """A 2-D square or 3-D cube hull with the core at its center, interior
+    agents on a half-unit lattice (so they coincide, line up and sit on
+    faces) or anywhere, 0-2 clamped, and target samples on a quarter-unit
+    lattice or anywhere in a smaller box that the anchors are sent to."""
+    dim = draw(st.sampled_from([2, 3]))
+    corners = 4.0 * np.array(list(np.ndindex(*(2,) * dim)), dtype=float)
+    center = np.full(dim, 2.0)
+    lattice = st.tuples(*[st.integers(1, 7)] * dim).map(lambda k: 0.5 * np.array(k, dtype=float))
+    anywhere = st.tuples(*[st.floats(0.1, 3.9)] * dim).map(np.array)
+    interior = draw(st.lists(st.one_of(lattice, anywhere), min_size=1, max_size=14 if dim == 2 else 10))
+    pts = np.vstack([corners, [center], interior])
+    ids = list(range(1, len(pts) + 1))
+    clamped = draw(st.lists(st.sampled_from(ids[len(corners) + 1 :]), max_size=2, unique=True))
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    s_lattice = st.tuples(*[st.integers(0, 8)] * dim).map(lambda k: center + scale * (np.array(k) / 4.0 - 1.0) * 2.0)
+    s_anywhere = st.tuples(*[st.floats(-1.0, 1.0)] * dim).map(lambda u: center + scale * 2.0 * np.array(u))
+    samples = draw(st.lists(st.one_of(s_lattice, s_anywhere), max_size=40))
+    return ids, pts, clamped, np.array(samples).reshape(-1, dim), scale
+
+
+def _plan_stages(build, desire, weigh, form, samples, leader_p):
+    """Graph, final positions and both weight arrays (omega first, as in
+    ``build_schedule``), or the error's type and message."""
+    try:
+        graph = build(form)
+        desired = desire(graph, form, TargetSet(samples=samples), leader_p)
+        omega = weigh(graph, form.ids, form.positions, DegenerateSimplex)
+        varpi = weigh(graph, form.ids, desired.p, DegenerateMentorSimplex)
+    except (SwarmTransportError, ValueError) as exc:
+        return type(exc), str(exc)
+    return graph, desired, omega, varpi
+
+
+@settings(max_examples=80, deadline=None)
+@given(planner_case())
+def test_planner_matches_cellwise_oracle(case):
+    ids, pts, clamped, samples, scale = case
+    try:
+        form = Formation.build(ids, pts, (2.0,) * pts.shape[1], uncooperative=clamped, core_id=2 ** pts.shape[1] + 1)
+    except SwarmTransportError:
+        return
+    leader_p = 2.0 + scale * (form.positions[form.boundary] - 2.0)
+    got = _plan_stages(build_actual, compute_desired, _endpoint_weights, form, samples, leader_p)
+    want = _plan_stages(
+        cellwise_build_actual, cellwise_compute_desired, cellwise_endpoint_weights, form, samples, leader_p
+    )
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+        return
+    (graph, desired, omega, varpi), (g0, d0, omega0, varpi0) = got, want
+    for name in ("layer", "mentees", "mentors"):
+        a, b = getattr(graph, name), getattr(g0, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert graph.core == g0.core and graph.roles.tolist() == g0.roles.tolist()
+    assert graph.n_initial_simplices == g0.n_initial_simplices
+    assert desired.p.tobytes() == d0.p.tobytes()
+    assert desired.captured == d0.captured and desired.fallback_ids == d0.fallback_ids
+    assert omega.tobytes() == omega0.tobytes() and varpi.tobytes() == varpi0.tobytes()
 
 
 def _dfs_is_acyclic(graph: LayeredGraph) -> bool:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Simplex
 from swarm_transport import geometry
 from swarm_transport.errors import DegenerateInput, DegenerateSimplex
 from swarm_transport.geometry import (
-    Simplex,
     barycentric,
     contains,
     convex_hull,
@@ -97,7 +97,7 @@ class TestBarycentric:
         rng = np.random.default_rng(11)
         for _ in range(200):
             tri = rng.uniform(-10, 10, (3, 2))
-            if geometry.is_degenerate(tri):
+            if geometry.degenerate(tri):
                 continue
             w_true = rng.dirichlet(np.ones(3))
             p = w_true @ tri
@@ -120,6 +120,86 @@ class TestBarycentric:
         many = geometry.barycentric_many(pts, tri)
         for k in range(len(pts)):
             assert np.allclose(many[k], barycentric(pts[k], tri), atol=1e-12)
+
+
+class TestBatchedNumerics:
+    """The batched planner reproduces the one-cell-at-a-time plan bit for bit
+    only because these hold for the installed numpy and BLAS; a change that
+    breaks one must fail here rather than silently move plan bytes."""
+
+    @staticmethod
+    def _simplices(rng, count, n):
+        return rng.uniform(-10.0, 10.0, (count, n + 1, n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_det_equals_each_det(self, n):
+        verts = self._simplices(np.random.default_rng(n), 500, n)
+        mats = geometry.augmented_matrix(verts)
+        batched = np.linalg.det(mats)
+        assert [d.tobytes() for d in batched] == [np.linalg.det(m).tobytes() for m in mats]
+        assert geometry.degenerate(verts).tolist() == [geometry.degenerate(v) for v in verts]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_padded_batched_solve_equals_each_cell(self, n):
+        rng = np.random.default_rng(10 + n)
+        verts = self._simplices(rng, 300, n)
+        counts = rng.integers(1, 9, len(verts))
+        pts = rng.uniform(-12.0, 12.0, (len(verts), 9, n))
+        for width in (2, 9):
+            rhs = np.zeros((len(verts), width, n))
+            for c, k in enumerate(counts.tolist()):
+                rhs[c, : min(k, width)] = pts[c, : min(k, width)]
+            batched = geometry.barycentric_many(rhs, verts)
+            for c, k in enumerate(counts.tolist()):
+                k = min(k, width)
+                # each cell alone, over at least 2 points (the padded columns are the extra ones)
+                alone = geometry.barycentric_many(pts[c, : max(k, 2)], verts[c])
+                assert batched[c, :k].tobytes() == alone[:k].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_column_solves_match_the_vector_solve(self, n):
+        rng = np.random.default_rng(20 + n)
+        verts = self._simplices(rng, 300, n)
+        pts = rng.uniform(-12.0, 12.0, (len(verts), n))
+        batched = geometry.barycentric(pts, verts)
+        single = geometry.barycentric_many(pts[:, None], verts)[:, 0]
+        for c in range(len(verts)):
+            vector = np.linalg.solve(geometry.augmented_matrix(verts[c]), np.append(pts[c], 1.0))
+            assert batched[c].tobytes() == vector.tobytes() == single[c].tobytes()
+            assert geometry.barycentric(pts[c], verts[c]).tobytes() == vector.tobytes()
+
+    def test_index_keeps_points_just_outside_a_face(self):
+        # within CONTAINMENT_TOL of a face counts as inside, also where that
+        # is outside the simplex's bounding box
+        for n in (2, 3):
+            unit = np.vstack([np.zeros(n), np.eye(n)])
+            near = np.append(np.full(n - 1, 0.2), 0.0)  # on the face x_n = 0
+            pts = np.array([near - 5e-10 * np.eye(n)[-1], near - 2e-9 * np.eye(n)[-1], near])
+            cell, idx, _ = geometry.PointIndex.build(pts).inside(unit[None])
+            assert cell.tolist() == [0, 0] and idx.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n_points", [1, 2, 400])
+    def test_index_finds_what_testing_every_point_finds(self, n, n_points):
+        rng = np.random.default_rng(30 + n + n_points)
+        # small and large cells, and points on a lattice that puts many of
+        # them on faces and vertices; some coincide
+        verts = np.round(rng.uniform(0.0, 8.0, (120, n + 1, n)) * 2.0) / 2.0
+        verts[::3] = verts[::3] * 0.1 + 3.0
+        verts = verts[~geometry.degenerate(verts)]
+        pts = np.round(rng.uniform(0.0, 8.0, (n_points, n)) * 4.0) / 4.0
+        cell, idx, score = geometry.PointIndex.build(pts).inside(verts)
+        want_cell, want_idx, want_score = [], [], []
+        for c, v in enumerate(verts):
+            lam = geometry.barycentric_many(pts, v).min(axis=1)
+            hit = np.flatnonzero(lam >= -geometry.CONTAINMENT_TOL)
+            want_cell += [c] * len(hit)
+            want_idx += hit.tolist()
+            want_score += lam[hit].tolist()
+        assert cell.tolist() == want_cell and idx.tolist() == want_idx
+        assert score.tobytes() == np.array(want_score).tobytes()
+        if n_points == 400:
+            assert len(cell) > 100 and (score == 0.0).any()  # face-sitting points were tested
 
 
 def _orientation_contains(tri, p, tol=1e-9):
@@ -153,7 +233,7 @@ class TestContains:
         checked = 0
         for _ in range(1000):
             tri = rng.uniform(-1, 1, (3, 2))
-            if geometry.is_degenerate(tri):
+            if geometry.degenerate(tri):
                 continue
             p = rng.uniform(-1.5, 1.5, 2)
             w = barycentric(p, tri)

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import quick_scenario, square_core_formation
+from oracles import SingularFollowerBlock, build_comm_matrix, setpoint_residual, solve_setpoints_dense
 from swarm_transport.engine import make_plan
-from swarm_transport.errors import SingularFollowerBlock
 from swarm_transport.formation import LayeredGraph, build_actual
-from swarm_transport.setpoints import (
-    build_comm_matrix,
-    propagate_setpoints,
-    setpoint_residual,
-    solve_setpoints_dense,
-)
+from swarm_transport.setpoints import propagate_setpoints
 from swarm_transport.targets import DesiredPositions
 from swarm_transport.weights import WeightSchedule, build_schedule, weights_at
 
