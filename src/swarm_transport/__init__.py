@@ -37,7 +37,7 @@ from .scenario import (
 )
 from .setpoints import propagate_setpoints
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
-from .weights import WeightSchedule, beta, build_schedule, weights_at
+from .weights import WeightSchedule, beta, build_schedule
 
 __version__ = "0.1.0"
 
@@ -78,5 +78,4 @@ __all__ = [
     "setpoint_series",
     "step",
     "virtual_control",
-    "weights_at",
 ]

@@ -179,7 +179,7 @@ def _integrate(plan: Plan) -> SimTrace:
     steps = int(round((sc.t_end - sc.t0) / sc.dt))
     log_every = int(round(sc.output_period / sc.dt))
     t = sc.t0 + np.arange(steps + 1) * sc.dt
-    b = np.array([beta(tk, sc.t0, sc.tf) for tk in t.tolist()])
+    b = beta(t, sc.t0, sc.tf)
     logged = np.union1d(np.arange(0, steps + 1, log_every), [steps])
     pos_log = np.empty((len(logged), n_agents, dim))
     des_log = np.empty_like(pos_log)
@@ -280,5 +280,9 @@ def convergence_check(positions, zone, margin: float):
 
 
 def setpoint_series(plan: Plan, times) -> np.ndarray:
-    """Planned set-point positions on a time grid, shaped (T, N, n)."""
-    return propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, times)
+    """Planned set-point positions on a time grid, shaped (T, N, n): one
+    propagation per distinct ramp value (by bit pattern), expanded back."""
+    times = np.asarray(times, dtype=float)
+    b = beta(times, plan.schedule.t0, plan.schedule.tf).view(np.int64)
+    _, first, back = np.unique(b, return_index=True, return_inverse=True)
+    return propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, times[first])[back]

@@ -4,9 +4,13 @@ Every writer goes through ``atomic_write_text`` (write to a temp file in the
 same directory, then rename), and all float formatting is fixed so repeated
 runs of the same scenario produce byte-identical files.
 
-The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``, are
-formatted one output frame per ``%`` operation. A frame, not the whole
-table, bounds the arguments held at once, so the peak allocation stays near
+The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``,
+format each distinct piece of text once: a cell with the same bits in every
+output frame goes into the frame template, a frame is one ``%`` over its
+time and other cells, and a frame that repeats the one before copies its
+text with the time replaced. Frames are handled a block of about 131,072
+cells at a time, and a block's frames are joined into one string, so the
+text is held as a few large pieces and the peak allocation stays near
 twice the finished text. ``"%.9g" % x`` and ``f"{x:.9g}"`` share CPython's
 correctly rounded float-to-string conversion, -0, nan and inf included, so
 the bytes equal those of formatting every cell on its own
@@ -26,10 +30,6 @@ from .engine import Plan, RunResult, SimTrace
 from .formation import ROLE_COOPERATIVE
 
 
-def fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -44,45 +44,58 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _frames(header: str, times, rows, *blocks: np.ndarray) -> str:
-    """``header`` plus one frame of ``rows`` per output time.
+def _frames(header: str, times, heads, tails, *blocks: np.ndarray) -> str:
+    """``header`` and one frame of rows per output time, each line ended by a newline.
 
-    Row template k holds agent k's constant fields, a ``%s`` for the time and
-    one ``%.9g`` for each column of the (T, N, ·) ``blocks`` side by side.
-    The templates are joined into one frame template, and each frame is one
-    ``%`` over the time string and that frame's values as Python floats.
+    Row k of a frame is the time, ``heads[k]``, row k of the (T, N, ·)
+    ``blocks`` side by side as ``%.9g`` cells, then ``tails[k]``. Bits are
+    compared as int64, so -0.0 differs from 0.0 and a NaN equals itself.
     """
-    frame = "".join(rows)
-    cells = np.empty((len(rows), 1 + sum(b.shape[2] for b in blocks)), dtype=object)
-    out = [header]
-    for t, *values in zip(np.asarray(times, dtype=float).tolist(), *blocks):
-        cells[:, 0] = "%.9g" % t
-        cells[:, 1:] = np.hstack(values)
-        out.append(frame % tuple(cells.ravel().tolist()))
+    times = ["%.9g" % t for t in np.asarray(times, dtype=float).tolist()]
+    if not times:
+        return header + "\n"
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    step = max(1, (1 << 17) // sum(b[0].size for b in blocks))  # frames per block of ~131,072 cells
+
+    def bits(s):  # frames s .. s+step-1 side by side, as (F, N, cells) int64
+        return np.concatenate([b[s : s + step] for b in blocks], axis=2).view(np.int64)
+    first = np.concatenate([b[0] for b in blocks], axis=1).view(np.int64)
+    const = np.ones(first.shape, dtype=bool)
+    for s in range(0, len(times), step):
+        const &= (bits(s) == first).all(axis=0)
+    cells = np.full(const.shape, "%.9g", dtype=object)
+    cells[const] = ["%.9g" % v for v in first.view(float)[const].tolist()]
+    # a line starts with its newline, so a newline is followed by a time only at a row start
+    template = "".join(f"\n%s,{h},{','.join(row)}{t}" for h, row, t in zip(heads, cells.tolist(), tails))
+    width = 1 + (~const).sum(axis=1)  # arguments of a row: its time and varying cells
+    is_time = np.zeros(width.sum(), dtype=bool)
+    is_time[np.cumsum(width) - width] = True
+    args = np.empty(len(is_time), dtype=object)
+    out, prev = [header], None
+    for s in range(0, len(times), step):
+        v = bits(s)[:, ~const]
+        again = [prev is not None and np.array_equal(v[0], prev)] + (v[1:] == v[:-1]).all(axis=1).tolist()
+        prev, block = v[-1], []
+        for k, repeat in enumerate(again, start=s):
+            if repeat:
+                text = text.replace(f"\n{times[k - 1]},", f"\n{times[k]},")
+            else:
+                args[is_time] = times[k]
+                args[~is_time] = v[k - s].view(float)
+                text = template % tuple(args.tolist())
+            block.append(text)
+        out.append("".join(block))
+    out.append("\n")
     return "".join(out)
-
-
-def _float_fields(k: int) -> str:
-    return ",".join(["%.9g"] * k)
 
 
 def trace_table(trace: SimTrace) -> str:
     """Delimited text: one row per (time, agent) on the output grid."""
-    n = trace.positions.shape[2]
-    coords = ["x", "y", "z"][:n]
-    header = (
-        ["time", "agent_id", "role", "layer"]
-        + coords
-        + [c + "d" for c in coords]
-        + ["converged"]
-    )
-    rows = []
-    for a, role, layer, conv, scored in zip(
-        trace.ids, trace.roles, trace.layer, trace.converged, trace.scored
-    ):
-        verdict = int(conv) if scored else "-"
-        rows.append(f"%s,{a},{role},{layer},{_float_fields(2 * n)},{verdict}\n")
-    return _frames(",".join(header) + "\n", trace.times, rows, trace.positions, trace.desired)
+    coords = ["x", "y", "z"][: trace.positions.shape[2]]
+    header = ["time", "agent_id", "role", "layer", *coords, *(c + "d" for c in coords), "converged"]
+    heads = [f"{a},{role},{layer}" for a, role, layer in zip(trace.ids, trace.roles, trace.layer)]
+    tails = [f",{int(c)}" if s else ",-" for c, s in zip(trace.converged, trace.scored)]
+    return _frames(",".join(header), trace.times, heads, tails, trace.positions, trace.desired)
 
 
 def metrics_document(result: RunResult) -> dict:
@@ -130,9 +143,7 @@ def plan_document(plan: Plan) -> dict:
         "final_positions": {str(a): row for a, row in zip(ids, p)},
         "captured_counts": {str(ids[a]): len(idx) for a, idx in sorted(plan.desired.captured.items())},
         "fallback_agents": [ids[k] for k in sorted(plan.desired.fallback_ids)],
-        "uncovered_sample_count": len(
-            plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
-        ),
+        "uncovered_sample_count": len(plan.desired.uncovered_samples(len(plan.scenario.targets.samples))),
     }
 
 
@@ -147,17 +158,16 @@ def weights_table(plan: Plan) -> str:
     lines = ["# id\tmentors\tinitial_weights\tfinal_weights"]
     for k in np.argsort(graph.mentees):
         mentors = ",".join(str(ids[m]) for m in graph.mentors[k])
-        w0 = ",".join(fmt(v) for v in sched.omega[k])
-        w1 = ",".join(fmt(v) for v in sched.varpi[k])
+        w0 = ",".join(f"{v:.9g}" for v in sched.omega[k])
+        w1 = ",".join(f"{v:.9g}" for v in sched.varpi[k])
         lines.append(f"{ids[graph.mentees[k]]}\t{mentors}\t{w0}\t{w1}")
     return "\n".join(lines) + "\n"
 
 
 def setpoints_table(ids, times, setpoints: np.ndarray) -> str:
     """Planned set-point positions sampled on the output grid."""
-    n = setpoints.shape[2]
-    header = ",".join(["time", "agent_id"] + ["sx", "sy", "sz"][:n]) + "\n"
-    return _frames(header, times, [f"%s,{a},{_float_fields(n)}\n" for a in ids], setpoints)
+    header = ",".join(["time", "agent_id"] + ["sx", "sy", "sz"][: setpoints.shape[2]])
+    return _frames(header, times, ids, [""] * len(ids), setpoints)
 
 
 def _n_cooperative(graph) -> int:

@@ -33,7 +33,7 @@ def propagate_setpoints(
     boundary data and its follower rows are ignored.
     """
     anchors = np.asarray(anchors, dtype=float)
-    b = np.array([beta(float(t), schedule.t0, schedule.tf) for t in times])[:, None, None]
+    b = beta(times, schedule.t0, schedule.tf)[:, None, None]
     s = np.repeat(anchors[None], len(b), axis=0)
     starts = np.searchsorted(graph.layer[graph.mentees], np.arange(1, graph.n_layers + 2))
     for sl in map(slice, starts[:-1], starts[1:]):

@@ -1,8 +1,10 @@
 """Dependency-free SVG renderings of formations and simulation snapshots.
 
 Only the first two coordinates are drawn; 3-D scenes are projected onto the
-xy plane. Output is deterministic (fixed float formatting), so the files
-diff cleanly between runs.
+xy plane. Each kind of element (lines, circles, a polygon's corners) is
+mapped to the viewport by one numpy expression and rendered by one ``%``
+over its repeated template. Output is deterministic (fixed float
+formatting), so the files diff cleanly between runs.
 """
 
 from __future__ import annotations
@@ -25,50 +27,54 @@ class _Canvas:
 
     def __init__(self, points: np.ndarray, size: int = 720, pad: float = 0.06):
         pts = np.asarray(points, dtype=float)[:, :2]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = np.maximum(hi - lo, 1e-9)
-        margin = pad * float(span.max())
-        self.lo = lo - margin
-        self.hi = hi + margin
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        margin = pad * float(np.maximum(hi - lo, 1e-9).max())
+        self.lo, self.hi = lo - margin, hi + margin
         extent = self.hi - self.lo
         self.scale = size / float(extent.max())
-        self.width = extent[0] * self.scale
-        self.height = extent[1] * self.scale
+        self.width, self.height = extent * self.scale
         self.elements: list[str] = []
 
-    def xy(self, p) -> tuple[float, float]:
-        x = (float(p[0]) - self.lo[0]) * self.scale
-        y = self.height - (float(p[1]) - self.lo[1]) * self.scale
-        return x, y
+    def _map(self, points) -> list[list[float]]:
+        """Viewport x and y of each point, by the same float operations for all."""
+        p = np.asarray(points, dtype=float)
+        x = (p[:, 0] - self.lo[0]) * self.scale
+        return [x.tolist(), (self.height - (p[:, 1] - self.lo[1]) * self.scale).tolist()]
 
-    def line(self, a, b, color=EDGE_COLOR, width=0.8, opacity=0.6):
-        (x1, y1), (x2, y2) = self.xy(a), self.xy(b)
-        self.elements.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{color}" stroke-width="{width}" stroke-opacity="{opacity}"/>'
-        )
+    @staticmethod
+    def _fill(tmpl: str, columns, sep: str) -> str:
+        """``tmpl`` once per row of ``columns``, joined by ``sep``, filled by one ``%``."""
+        args = np.array(columns, dtype=object).T.ravel().tolist()
+        return sep.join([tmpl] * len(columns[0])) % tuple(args)
 
-    def circle(self, p, radius=4.0, color="#000000", title=None):
-        x, y = self.xy(p)
-        body = f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="{color}"'
-        if title is not None:
-            self.elements.append(body + f"><title>{title}</title></circle>")
+    def _put(self, tmpl: str, *columns) -> None:
+        if len(columns[0]):
+            self.elements.append(self._fill(tmpl, columns, "\n"))
+
+    def lines(self, a, b, color=EDGE_COLOR, width=0.8, opacity=0.6):
+        """A line from each point of ``a`` to the same row of ``b``."""
+        style = f'stroke="{color}" stroke-width="{width}" stroke-opacity="{opacity}"/>'
+        self._put('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" ' + style, *self._map(a), *self._map(b))
+
+    def circles(self, points, radius, colors, titles=None):
+        """A circle at each point; ``colors`` is one color or one per point."""
+        cols, fill = self._map(points), colors
+        if not isinstance(colors, str):
+            cols, fill = [*cols, colors], "%s"
+        tmpl = f'<circle cx="%.2f" cy="%.2f" r="{radius}" fill="{fill}"'
+        if titles is None:
+            self._put(tmpl + "/>", *cols)
         else:
-            self.elements.append(body + "/>")
+            self._put(tmpl + "><title>%s</title></circle>", *cols, titles)
 
     def polygon(self, pts, color=ZONE_COLOR, width=1.2, dashed=False):
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (self.xy(p) for p in pts))
+        coords = self._fill("%.2f,%.2f", self._map(pts), " ")
         dash = ' stroke-dasharray="6,4"' if dashed else ""
-        self.elements.append(
-            f'<polygon points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{dash}/>'
-        )
+        style = f'fill="none" stroke="{color}" stroke-width="{width}"{dash}/>'
+        self.elements.append(f'<polygon points="{coords}" {style}')
 
     def text(self, message, x=8.0, y=16.0):
-        self.elements.append(
-            f'<text x="{x}" y="{y}" font-family="monospace" font-size="13">{message}</text>'
-        )
+        self.elements.append(f'<text x="{x}" y="{y}" font-family="monospace" font-size="13">{message}</text>')
 
     def render(self) -> str:
         return (
@@ -80,10 +86,11 @@ class _Canvas:
         )
 
 
-def _edges(graph) -> list[tuple[int, int]]:
-    """(mentor row, mentee row) pairs of the mentor graph, sorted."""
-    mentees = np.repeat(graph.mentees, graph.mentors.shape[1])
-    return sorted(zip(graph.mentors.ravel().tolist(), mentees.tolist()))
+def _edges(graph) -> tuple[np.ndarray, np.ndarray]:
+    """Mentor and mentee rows of the mentor graph's edges, by mentor, then mentee."""
+    mentors, mentees = graph.mentors.ravel(), np.repeat(graph.mentees, graph.mentors.shape[1])
+    order = np.lexsort((mentees, mentors))
+    return mentors[order], mentees[order]
 
 
 def formation_svg(formation, graph) -> str:
@@ -91,45 +98,30 @@ def formation_svg(formation, graph) -> str:
     pos = formation.positions
     canvas = _Canvas(pos)
     canvas.polygon(pos[formation.boundary], color="#333333", width=1.0)
-    for mentor, mentee in _edges(graph):
-        canvas.line(pos[mentor], pos[mentee])
-    for a, p, role in zip(formation.ids, pos, graph.roles):
-        canvas.circle(p, radius=4.0, color=ROLE_COLORS[role], title=str(a))
+    mentor, mentee = _edges(graph)
+    canvas.lines(pos[mentor], pos[mentee])
+    canvas.circles(pos, 4.0, [ROLE_COLORS[r] for r in graph.roles], titles=formation.ids)
     canvas.text(f"agents={formation.n_agents} layers={graph.n_layers}")
     return canvas.render()
 
 
 def snapshot_svg(
-    positions,
-    roles,
-    t: float,
-    zone=None,
-    inflated_zone=None,
-    samples=None,
-    graph=None,
-    ids=None,
+    positions, roles, t: float, zone=None, inflated_zone=None, samples=None, graph=None, ids=None
 ) -> str:
     """Team snapshot at time t with zone outlines, target samples and, given
     the mentor ``graph``, its edges between the agents' current positions."""
     pts = np.asarray(positions, dtype=float)
-    frame = [pts]
-    if zone is not None:
-        frame.append(np.asarray(zone, dtype=float))
-    if inflated_zone is not None:
-        frame.append(np.asarray(inflated_zone, dtype=float))
-    canvas = _Canvas(np.vstack(frame))
+    outlines = [np.asarray(z, dtype=float) for z in (zone, inflated_zone) if z is not None]
+    canvas = _Canvas(np.vstack([pts, *outlines]))
     if samples is not None and len(samples):
-        for s in np.asarray(samples, dtype=float):
-            canvas.circle(s, radius=1.5, color=SAMPLE_COLOR)
+        canvas.circles(samples, 1.5, SAMPLE_COLOR)
     if zone is not None:
         canvas.polygon(zone)
     if inflated_zone is not None:
         canvas.polygon(inflated_zone, dashed=True)
     if graph is not None:
-        for mentor, mentee in _edges(graph):
-            canvas.line(pts[mentor], pts[mentee], opacity=0.35)
-    for k in range(len(pts)):
-        title = str(ids[k]) if ids is not None else None
-        canvas.circle(pts[k], radius=3.5, color=ROLE_COLORS[roles[k]], title=title)
+        mentor, mentee = _edges(graph)
+        canvas.lines(pts[mentor], pts[mentee], opacity=0.35)
+    canvas.circles(pts, 3.5, [ROLE_COLORS[r] for r in roles], titles=ids)
     canvas.text(f"t = {t:g} s")
     return canvas.render()

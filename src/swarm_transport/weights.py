@@ -26,16 +26,17 @@ from .targets import DesiredPositions
 NEGATIVE_WEIGHT_TOL = 1e-9
 
 
-def beta(t: float, t0: float, tf: float) -> float:
+def beta(t, t0: float, tf: float) -> float | np.ndarray:
     """Minimum-jerk quintic ramp: 0 at t0, 1 at tf, clamped outside.
 
-    First and second derivatives vanish at both endpoints.
+    First and second derivatives vanish at both endpoints. A float ``t``
+    gives a float, an array of times the array of ramp values.
     """
     if tf <= t0:
         raise BadInterval(f"blend interval must satisfy t0 < tf, got [{t0}, {tf}]")
-    tau = (t - t0) / (tf - t0)
-    tau = min(max(tau, 0.0), 1.0)
-    return tau**3 * (10.0 - 15.0 * tau + 6.0 * tau * tau)
+    tau = np.clip((np.asarray(t, dtype=float) - t0) / (tf - t0), 0.0, 1.0)
+    b = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
+    return b if b.ndim else float(b)
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,3 @@ def build_schedule(
         t0=float(t0),
         tf=float(tf),
     )
-
-
-def weights_at(schedule: WeightSchedule, t: float) -> np.ndarray:
-    """Convex blend of the endpoint weights at time t, shaped (M, n+1)."""
-    b = beta(t, schedule.t0, schedule.tf)
-    return (1.0 - b) * schedule.omega + b * schedule.varpi

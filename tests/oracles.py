@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from swarm_transport import dynamics, geometry
+from swarm_transport import dynamics, geometry, svgplot
 from swarm_transport.engine import SimTrace, convergence_check
 from swarm_transport.errors import (
     DegenerateMentorSimplex,
@@ -24,7 +24,13 @@ from swarm_transport.formation import (
     select_core,
 )
 from swarm_transport.targets import DesiredPositions
-from swarm_transport.weights import NEGATIVE_WEIGHT_TOL, beta, weights_at
+from swarm_transport.weights import NEGATIVE_WEIGHT_TOL, beta
+
+
+def weights_at(schedule, t: float) -> np.ndarray:
+    """Convex blend of the endpoint weights at time t, shaped (M, n+1)."""
+    b = beta(t, schedule.t0, schedule.tf)
+    return (1.0 - b) * schedule.omega + b * schedule.varpi
 
 
 def staged_rk4(state, r_d, gains, dt):
@@ -333,3 +339,80 @@ def tracking_error_report(trace, setpoint_times, setpoints) -> TrackingReport:
         errors=errors,
         terminal=trace.terminal_error.copy(),
     )
+
+
+class ElementCanvas(svgplot._Canvas):
+    """The per-element canvas that the array methods replaced: one method
+    call and one f-string per element."""
+
+    def xy(self, p) -> tuple[float, float]:
+        x = (float(p[0]) - self.lo[0]) * self.scale
+        y = self.height - (float(p[1]) - self.lo[1]) * self.scale
+        return x, y
+
+    def line(self, a, b, color=svgplot.EDGE_COLOR, width=0.8, opacity=0.6):
+        (x1, y1), (x2, y2) = self.xy(a), self.xy(b)
+        self.elements.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{color}" stroke-width="{width}" stroke-opacity="{opacity}"/>'
+        )
+
+    def circle(self, p, radius=4.0, color="#000000", title=None):
+        x, y = self.xy(p)
+        body = f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="{color}"'
+        if title is not None:
+            self.elements.append(body + f"><title>{title}</title></circle>")
+        else:
+            self.elements.append(body + "/>")
+
+    def polygon(self, pts, color=svgplot.ZONE_COLOR, width=1.2, dashed=False):
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (self.xy(p) for p in pts))
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
+        self.elements.append(
+            f'<polygon points="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}"{dash}/>'
+        )
+
+
+def _sorted_edges(graph) -> list[tuple[int, int]]:
+    mentees = np.repeat(graph.mentees, graph.mentors.shape[1])
+    return sorted(zip(graph.mentors.ravel().tolist(), mentees.tolist()))
+
+
+def elementwise_formation_svg(formation, graph) -> str:
+    pos = formation.positions
+    canvas = ElementCanvas(pos)
+    canvas.polygon(pos[formation.boundary], color="#333333", width=1.0)
+    for mentor, mentee in _sorted_edges(graph):
+        canvas.line(pos[mentor], pos[mentee])
+    for a, p, role in zip(formation.ids, pos, graph.roles):
+        canvas.circle(p, radius=4.0, color=svgplot.ROLE_COLORS[role], title=str(a))
+    canvas.text(f"agents={formation.n_agents} layers={graph.n_layers}")
+    return canvas.render()
+
+
+def elementwise_snapshot_svg(
+    positions, roles, t, zone=None, inflated_zone=None, samples=None, graph=None, ids=None
+) -> str:
+    pts = np.asarray(positions, dtype=float)
+    frame = [pts]
+    if zone is not None:
+        frame.append(np.asarray(zone, dtype=float))
+    if inflated_zone is not None:
+        frame.append(np.asarray(inflated_zone, dtype=float))
+    canvas = ElementCanvas(np.vstack(frame))
+    if samples is not None and len(samples):
+        for s in np.asarray(samples, dtype=float):
+            canvas.circle(s, radius=1.5, color=svgplot.SAMPLE_COLOR)
+    if zone is not None:
+        canvas.polygon(zone)
+    if inflated_zone is not None:
+        canvas.polygon(inflated_zone, dashed=True)
+    if graph is not None:
+        for mentor, mentee in _sorted_edges(graph):
+            canvas.line(pts[mentor], pts[mentee], opacity=0.35)
+    for k in range(len(pts)):
+        title = str(ids[k]) if ids is not None else None
+        canvas.circle(pts[k], radius=3.5, color=svgplot.ROLE_COLORS[roles[k]], title=title)
+    canvas.text(f"t = {t:g} s")
+    return canvas.render()

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import ancestors
-from oracles import setpoint_residual, solve_setpoints_dense
+from oracles import setpoint_residual, solve_setpoints_dense, weights_at
 from swarm_transport import engine
 from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, initial_state, rk4_map, step
 from swarm_transport.formation import build_actual
@@ -18,7 +18,7 @@ from swarm_transport.geometry import barycentric
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.scenario import GenerateParams, generate_scenario
 from swarm_transport.setpoints import propagate_setpoints
-from swarm_transport.weights import beta, weights_at
+from swarm_transport.weights import beta
 
 
 def _verdict(name: str, ok: bool) -> bool:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swarm_transport
 from swarm_transport.cli import main
 
 
@@ -106,12 +111,30 @@ class TestSimulate:
         assert not (out / "trace.csv").exists()
 
     def test_repeat_runs_bit_identical(self, tmp_path):
-        path = _generate(tmp_path, agents=24, boundary=6, seed=5)
+        # every output, the SVGs and set-points included
+        path = _generate(tmp_path, agents=24, boundary=6, uncoop=1, seed=5)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["simulate", str(path), "--out-dir", str(out1)]) == 0
-        assert main(["simulate", str(path), "--out-dir", str(out2)]) == 0
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-        assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
+        assert main(["simulate", str(path), "--out-dir", str(out1), "--export-setpoints"]) == 0
+        assert main(["simulate", str(path), "--out-dir", str(out2), "--export-setpoints"]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert len(names) == 10 and names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_2d_simulate_imports_no_scipy(self, tmp_path):
+        path = _generate(tmp_path, agents=24, boundary=6, uncoop=1, seed=5)
+        script = (
+            "import sys\n"
+            "from swarm_transport.cli import main\n"
+            f"assert main(['simulate', {str(path)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(swarm_transport.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "trace.csv").exists()
 
     def test_margin_override_changes_outcome(self, tmp_path):
         path = _generate(tmp_path, agents=24, boundary=6, seed=3)

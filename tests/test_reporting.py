@@ -111,6 +111,38 @@ def test_synthetic_values():
     assert rows[3] == "0,11,uncooperative,0,123456790,3,-1e+22,-0.666666667,-"
     assert rows[-1] == "123456790,20,cooperative,2,-42,1e-300,-0.1,-4.94065646e-324,0"
 
+    # cells that only look constant, and frames that repeat
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    cases = {
+        "mixed": np.resize(rng.normal(size=(4, 2)), (6, 4, 2)),
+        "AABA": np.stack([a, a, b, a]),
+        "T=1": a[None],
+    }
+    cases["mixed"][:, 0, 0] = [0.0, -0.0] * 3  # equal as floats, not as bits
+    cases["mixed"][:, 1, 1] = np.nan  # constant NaN
+    cases["mixed"][:, 2, :] = 7.25  # constant, then one frame differs
+    cases["mixed"][3, 2, 1] = 7.5
+    for pos in cases.values():
+        times = np.arange(len(pos)) * 0.1
+        synthetic = dataclasses.replace(trace, times=times, positions=pos, desired=pos[:, ::-1] * 3.0)
+        assert_tables_match(synthetic, pos)
+    mixed = cases["mixed"]
+    rows = trace_table(dataclasses.replace(trace, times=np.arange(6) * 0.1, positions=mixed, desired=mixed))
+    cells = [row.split(",") for row in rows.splitlines()[1:]]
+    assert [r[4] for r in cells[0::4]] == ["0", "-0"] * 3
+    assert {r[5] for r in cells[1::4]} == {"nan"}
+    assert [r[5] for r in cells[2::4]] == ["7.25"] * 3 + ["7.5"] + ["7.25"] * 2
+
+
+def test_leader_blend_run():
+    # with the blend, anchors' reference positions move, so their cells vary
+    sc = dataclasses.replace(quick_scenario(seed=1, n=40, nb=10, uncoop=2), leader_blend=True)
+    res = run(sc)
+    anchors = np.isin(res.trace.roles, ["boundary", "core"])
+    assert not np.array_equal(res.trace.desired[0, anchors], res.trace.desired[-1, anchors])
+    assert_tables_match(res.trace, setpoint_series(res.plan, res.trace.times))
+
 
 def test_no_output_times(clamped_run):
     res, series = clamped_run

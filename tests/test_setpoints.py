@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import quick_scenario, square_core_formation
-from oracles import SingularFollowerBlock, build_comm_matrix, setpoint_residual, solve_setpoints_dense
-from swarm_transport.engine import make_plan
+from oracles import (
+    SingularFollowerBlock,
+    build_comm_matrix,
+    setpoint_residual,
+    solve_setpoints_dense,
+    weights_at,
+)
+from swarm_transport.engine import make_plan, setpoint_series
 from swarm_transport.formation import LayeredGraph, build_actual
 from swarm_transport.setpoints import propagate_setpoints
 from swarm_transport.targets import DesiredPositions
-from swarm_transport.weights import WeightSchedule, build_schedule, weights_at
+from swarm_transport.weights import WeightSchedule, build_schedule
 
 
 def _plan(seed=0, n=26, nb=7, uncoop=0):
@@ -107,6 +113,17 @@ class TestPropagate:
             for k, (a, mentors) in enumerate(zip(plan.graph.mentees, plan.graph.mentors)):
                 blend = w[k] @ s[ti, mentors]
                 assert np.linalg.norm(s[ti, a] - blend) < 1e-9
+
+    def test_series_equals_propagation_at_every_time(self):
+        # setpoint_series propagates once per distinct ramp value; the output
+        # grid plus times before t0, after tf, repeated and out of order
+        plan = _plan(seed=7, n=32, nb=8, uncoop=1)
+        sch = plan.schedule
+        times = np.concatenate([np.arange(251) * 0.1, [-2.0, sch.t0, sch.tf, 40.0, 3.3, 3.3, 0.05]])
+        want = propagate_setpoints(plan.graph, sch, plan.desired.p, times)
+        got = setpoint_series(plan, times)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestDenseOracle:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import quick_scenario, square_core_formation
+from oracles import weights_at
 from swarm_transport.engine import make_plan
 from swarm_transport.errors import BadInterval
 from swarm_transport.formation import build_actual
 from swarm_transport.targets import TargetSet, compute_desired, leader_final_positions
-from swarm_transport.weights import WeightSchedule, beta, build_schedule, weights_at
+from swarm_transport.weights import WeightSchedule, beta, build_schedule
 
 
 class TestBeta:
@@ -41,6 +42,21 @@ class TestBeta:
         d1 = (beta(tf, t0, tf) - beta(tf - h, t0, tf)) / h
         assert abs(d0) < 1e-6
         assert abs(d1) < 1e-6
+
+    def test_array_ramp_equals_scalar_ramp_bitwise(self):
+        # the closed loop's 2,501 step times, times before t0 and after tf,
+        # and the exact endpoints
+        t0, tf = 0.0, 15.0
+        ts = np.concatenate([t0 + np.arange(2501) * 0.01, [-3.0, -1e-300, t0, tf, 15.0 + 1e-12, 1e9]])
+        ramp = beta(ts, t0, tf)
+        scalars = [beta(t, t0, tf) for t in ts.tolist()]
+        assert ramp.shape == ts.shape and all(type(b) is float for b in scalars)
+        assert np.array_equal(ramp.view(np.int64), np.array(scalars).view(np.int64))
+        # and both are the quintic in Python float arithmetic
+        for t, b in zip(ts.tolist(), scalars):
+            tau = min(max((t - t0) / (tf - t0), 0.0), 1.0)
+            assert b == tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
+        assert (ramp[ts <= t0] == 0.0).all() and (ramp[ts >= tf] == 1.0).all()
 
 
 def _planned(seed=3, n=28, nb=7, uncoop=0):
