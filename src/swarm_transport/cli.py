@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, reporting, scenario as scenario_io, svgplot
-from .errors import SwarmTransportError
+from .errors import BadConfig, ParseError, SwarmTransportError
 from .formation import build_actual, graph_records
 from .geometry import ensure_ccw, scale_polygon
 from .scenario import GenerateParams
@@ -89,8 +89,8 @@ def _write_snapshots(result, out: Path, snapshot_times) -> None:
     if zone.shape[1] != 2:
         return  # snapshots are drawn for planar scenes only
     inflated = scale_polygon(ensure_ccw(zone), 1.0 + plan.scenario.margin)
-    for t_snap in snapshot_times:
-        k = int(np.argmin(np.abs(trace.times - t_snap)))
+    frames = [int(np.argmin(np.abs(trace.times - t_snap))) for t_snap in snapshot_times]
+    for k in dict.fromkeys(frames):  # each output frame once, in first-asked order
         svg = svgplot.snapshot_svg(
             trace.positions[k],
             trace.roles,
@@ -105,8 +105,26 @@ def _write_snapshots(result, out: Path, snapshot_times) -> None:
         reporting.atomic_write_text(out / name, svg)
 
 
+def _snapshot_times(text: str | None, sc) -> list[float]:
+    """The ``--snapshot-times`` list, or t0, 10 s and t_end; ``BadConfig``
+    for an entry that is not a finite number."""
+    if not text:
+        return [sc.t0, 10.0, sc.t_end]
+    times = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            value = float("nan")
+        if not np.isfinite(value):
+            raise BadConfig(f"--snapshot-times entry {item!r} is not a finite number")
+        times.append(value)
+    return times
+
+
 def cmd_simulate(args) -> int:
     sc = _apply_overrides(scenario_io.load_scenario(args.scenario), args)
+    snapshot_times = _snapshot_times(args.snapshot_times, sc)
     out = _out_dir(args)
     if args.dry_run:
         plan = engine.make_plan(sc)
@@ -120,7 +138,6 @@ def cmd_simulate(args) -> int:
     _write_plan_outputs(result.plan, out)
     reporting.atomic_write_text(out / "trace.csv", reporting.trace_table(result.trace))
     reporting.atomic_write_text(out / "metrics.json", reporting.metrics_json(result))
-    snapshot_times = [float(s) for s in args.snapshot_times.split(",")] if args.snapshot_times else [sc.t0, 10.0, sc.t_end]
     _write_snapshots(result, out, snapshot_times)
     if args.export_setpoints:
         series = engine.setpoint_series(result.plan, result.trace.times)
@@ -142,26 +159,33 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.metrics) as handle:
-        doc = json.load(handle)
-    print(
+    try:
+        lines = _report_lines(json.loads(scenario_io.read_text(args.metrics, "metrics file")))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{args.metrics}: invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{args.metrics}: not a metrics document ({exc!r})") from exc
+    print("\n".join(lines))
+    return 0
+
+
+def _report_lines(doc) -> list[str]:
+    lines = [
         f"N={doc['n_agents']} boundary={doc['n_boundary']} "
         f"cooperative={doc['n_cooperative']} uncooperative={doc['n_uncooperative']} "
-        f"layers={doc['n_layers']}"
-    )
-    print(
+        f"layers={doc['n_layers']}",
         f"convergence rate {doc['convergence_rate']:.4f} "
-        f"({doc['converged_count']}/{doc['evaluated_count']})"
-    )
+        f"({doc['converged_count']}/{doc['evaluated_count']})",
+    ]
     if doc["unconverged_ids"]:
-        print(f"unconverged agents: {doc['unconverged_ids']}")
+        lines.append(f"unconverged agents: {doc['unconverged_ids']}")
     if doc["fallback_agents"]:
-        print(f"fallback mentees (empty capture): {doc['fallback_agents']}")
+        lines.append(f"fallback mentees (empty capture): {doc['fallback_agents']}")
     if doc["uncovered_sample_count"]:
-        print(f"uncovered target samples: {doc['uncovered_sample_count']}")
+        lines.append(f"uncovered target samples: {doc['uncovered_sample_count']}")
     worst = sorted(doc["terminal_errors"], key=lambda row: -row[1])[:5]
-    print("largest terminal errors: " + ", ".join(f"{a}:{e:.3g}" for a, e in worst))
-    return 0
+    lines.append("largest terminal errors: " + ", ".join(f"{a}:{e:.3g}" for a, e in worst))
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:

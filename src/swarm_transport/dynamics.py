@@ -11,8 +11,15 @@ Over many steps that map is a linear recurrence in the error state
 e = x - p e0 about a fixed point p, driven by the held inputs u = r_d - p:
 e' = Phi e + (I - Phi) e0 u. ``block_maps`` stacks its powers and the lower
 block-Toeplitz input map once per run, so ``advance`` moves any set of
-chains through a block of steps in one matrix product; ``step`` is the
-one-step form.
+chains through a block of steps in one matrix product, testing the
+divergence bound at every step; ``step`` is the one-step form.
+``position_maps`` keeps only the columns a block needs to go on, the
+positions at each step and the full state at its end, a quarter of the
+product. Their rows are never bound-tested one by one: ``bound_factors``
+and ``certified`` bound every entry of the full product, rounding included,
+from the largest start state and input of the block (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, section 3.1), and a block they
+cannot clear is rerun through ``advance``.
 """
 
 from __future__ import annotations
@@ -134,3 +141,29 @@ def advance(maps: np.ndarray, z: np.ndarray, p: np.ndarray, out: np.ndarray) -> 
     rates = np.abs(out).max(axis=0).reshape(m, 4)[:, 1:].max(axis=1)
     ok = np.maximum(positions, rates) <= DIVERGENCE_THRESHOLD  # also false for NaN and inf
     return m if ok.all() else int(np.argmin(ok))
+
+
+def position_maps(maps: np.ndarray, m: int) -> np.ndarray:
+    """The (4 + m, m + 3) columns of ``maps = block_maps(phi, size)``, for
+    1 <= m <= size steps, giving a chain's error position after each of steps
+    1..m, then its velocity, acceleration and jerk after step m."""
+    cols = np.concatenate([np.arange(0, 4 * m, 4), 4 * m - 3 + np.arange(3)])
+    return np.ascontiguousarray(maps[: 4 + m, cols])
+
+
+def bound_factors(maps: np.ndarray) -> tuple[float, float]:
+    """(S, I): the largest column sums of |maps| over its 4 state rows and over
+    its input rows. Every entry of ``z @ maps`` is then at most
+    S max|e| + I max|u| times 1 + gamma_(4+size), in any summation order."""
+    a = np.abs(maps)
+    return float(a[:4].sum(axis=0).max()), float(a[4:].sum(axis=0).max())
+
+
+def certified(factors: tuple[float, float], e_max: float, u_max: float, p_max: float) -> bool:
+    """Whether chains whose error states start within ``e_max``, whose held
+    inputs stay within ``u_max`` and whose fixed points lie within ``p_max``
+    keep every state row, positions included, within the divergence bound
+    through a block of ``block_maps`` steps: the test ``advance`` makes at
+    every step, passed by all of them at once. False for NaN and inf."""
+    s, i = factors
+    return bool((s * e_max + i * u_max) * (1.0 + 1e-9) + p_max <= DIVERGENCE_THRESHOLD)

@@ -70,7 +70,7 @@ def parse_scenario_text(text: str) -> Scenario:
     _reject_unknown(doc, _TOP_KEYS, "scenario")
 
     dim = doc.get("dimension")
-    if dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):  # not 2.0, nor True
         raise ParseError("dimension must be 2 or 3", field="dimension")
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -180,7 +180,7 @@ def parse_scenario_text(text: str) -> Scenario:
             if not isinstance(entry, dict):
                 raise ParseError(f"{where} must be an object", field="positions")
             _reject_unknown(entry, {"id", *coord_keys}, where)
-            if "id" not in entry or not isinstance(entry["id"], int):
+            if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
                 raise ParseError(f"{where} needs an integer id", field="id")
             leader_positions[entry["id"]] = np.array(
                 [_number(entry, c, where) for c in coord_keys]
@@ -251,9 +251,25 @@ def _grid_samples(zone: np.ndarray, spacing: float) -> np.ndarray:
     return pts[geometry.point_in_polygon(pts, zone)]
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; ``ParseError`` naming the
+    file when it is missing, a directory, unreadable or not UTF-8."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {what} {path}: not UTF-8 text") from exc
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, "r") as handle:
-        return parse_scenario_text(handle.read())
+    """Parse the scenario file at ``path``; every ``ParseError`` names the file."""
+    text = read_text(path, "scenario")
+    try:
+        return parse_scenario_text(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}", field=exc.field, line=exc.line) from exc
 
 
 def serialize_scenario(scenario: Scenario) -> str:

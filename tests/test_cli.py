@@ -188,11 +188,15 @@ class TestPlanAndReport:
             "BadConfig",
             "RK4",
         ),
+        (None, ["--snapshot-times", "abc"], "BadConfig", "snapshot-times"),
+        (None, ["--snapshot-times", "0,nan,25"], "BadConfig", "'nan'"),
+        (None, ["--snapshot-times", "10,1e400"], "BadConfig", "'1e400'"),
     ],
     ids=[
         "dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan",
         "flag-dt-nan", "flag-margin-nan", "flag-dt-inf", "gains-not-hurwitz",
-        "gains-rk4-unstable",
+        "gains-rk4-unstable", "snapshot-times-text", "snapshot-times-nan",
+        "snapshot-times-overflow",
     ],
 )
 def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named):
@@ -207,4 +211,49 @@ def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named)
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == error
     assert named in record["message"]
-    assert not (tmp_path / "out" / "trace.csv").exists()
+    assert not (tmp_path / "out").exists()  # refused before any output is written
+
+
+def _bad_input_files(tmp_path):
+    """A missing path, a directory, and files that are not JSON or not UTF-8."""
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "text.json").write_text("not json at all\n")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00{")
+    return [tmp_path / "missing.json", tmp_path / "folder", tmp_path / "text.json", tmp_path / "binary.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan", "build-graph"])
+def test_unreadable_scenario_file_is_a_parse_error(tmp_path, capsys, command):
+    for path in _bad_input_files(tmp_path):
+        capsys.readouterr()
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1, path
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError"
+        assert str(path) in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_metrics_file_is_a_parse_error(tmp_path, capsys):
+    scenario = _generate(tmp_path, agents=12, boundary=4, seed=1)  # JSON, but not metrics
+    for path in _bad_input_files(tmp_path) + [scenario]:
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 1, path
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)
+        assert record["error"] == "ParseError"
+        assert str(path) in record["message"]
+        assert captured.out == ""
+
+
+def test_snapshot_drawn_once_per_output_frame(tmp_path, monkeypatch):
+    # 10 and 10.04 both pick the 10 s frame of the 0.1 s output grid
+    from swarm_transport import svgplot
+
+    drawn = []
+    snapshot_svg = svgplot.snapshot_svg
+    monkeypatch.setattr(svgplot, "snapshot_svg", lambda *a, **k: drawn.append(a[2]) or snapshot_svg(*a, **k))
+    path = _generate(tmp_path, agents=12, boundary=4, seed=1)
+    out = tmp_path / "run"
+    assert main(["simulate", str(path), "--out-dir", str(out), "--snapshot-times", "10,25,10.04"]) == 0
+    assert drawn == [10.0, 25.0]
+    assert sorted(p.name for p in out.glob("snapshot_*.svg")) == ["snapshot_t10.svg", "snapshot_t25.svg"]

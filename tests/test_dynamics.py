@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from oracles import staged_rk4
 from swarm_transport.dynamics import (
     DEFAULT_GAINS,
+    DIVERGENCE_THRESHOLD,
     Gains,
     advance,
     block_maps,
+    bound_factors,
+    certified,
     check_hurwitz,
     initial_state,
+    position_maps,
     rk4_map,
     step,
     virtual_control,
@@ -266,3 +270,43 @@ def test_advance_matches_repeated_steps(gains_dt, chains, m, spare, scale, seed)
     oracle = _stepped(z[:, :4].T, z[:, 4:].T, p, phi)
     bound = 1e-12 * max(1.0, np.max(np.abs(z)), np.max(np.abs(p)), np.max(np.abs(oracle)))
     assert np.max(np.abs(out - oracle)) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hurwitz_gains_and_dt(),
+    st.integers(1, 6),
+    st.integers(1, 60),
+    st.integers(0, 10),
+    st.floats(1e-3, 1e5),
+    st.floats(1e-3, 1e5),
+    st.integers(0, 2**32 - 1),
+)
+def test_certificate_bounds_the_full_product(gains_dt, chains, m, spare, e_scale, u_scale, seed):
+    gains, dt = gains_dt
+    maps = block_maps(rk4_map(gains, dt), m + spare)
+    rng = np.random.default_rng(seed)
+    z = np.hstack([e_scale * rng.standard_normal((chains, 4)), u_scale * rng.standard_normal((chains, m))])
+    p = e_scale * rng.standard_normal(chains)
+    e_max, u_max, p_max = np.abs(z[:, :4]).max(), np.abs(z[:, 4:]).max(), np.abs(p).max()
+    full = z @ maps[: 4 + m, : 4 * m]
+    s, i = bound_factors(maps)
+    assert np.abs(full).max() <= (s * e_max + i * u_max) * (1.0 + 1e-9)
+    # the certificate clears only blocks that the per-step test passes
+    if certified((s, i), e_max, u_max, p_max):
+        assert advance(maps, z, p, np.empty((chains, 4 * m))) == m
+    assert not certified((s, i), e_max, u_max, DIVERGENCE_THRESHOLD * (1.0 + 1e-12))
+    # positions after every step and the last full state, from a quarter of the columns
+    part = z @ position_maps(maps, m)
+    want = np.hstack([full[:, 0::4], full[:, 4 * m - 3 :]])
+    assert part.shape == (chains, m + 3)
+    assert np.max(np.abs(part - want)) <= 1e-12 * max(np.abs(full).max(), np.finfo(float).tiny)
+
+
+def test_certificate_fails_on_nan_and_inf():
+    factors = bound_factors(block_maps(rk4_map(DEFAULT_GAINS, 0.01), 50))
+    assert certified(factors, 1.0, 1.0, 1.0)
+    for bad in (float("nan"), float("inf")):
+        assert not certified(factors, bad, 1.0, 1.0)
+        assert not certified(factors, 1.0, bad, 1.0)
+        assert not certified((bad, factors[1]), 0.0, 1.0, 1.0)

@@ -15,10 +15,11 @@ from oracles import (
     stepwise_integrate,
     tracking_error_report,
 )
-from swarm_transport import engine
+from swarm_transport import dynamics, engine
 from swarm_transport.dynamics import Gains
 from swarm_transport.engine import convergence_check, make_plan, run, setpoint_series
 from swarm_transport.errors import BadConfig, Diverged, SwarmTransportError
+from swarm_transport.formation import Formation
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.scenario import parse_scenario_text, serialize_scenario
 from swarm_transport.weights import beta
@@ -307,6 +308,38 @@ def test_integrate_matches_stepwise_oracle(team, leader_blend, dt, steps, log_ev
     assert np.max(np.abs(got.desired - want.desired)) <= 1e-12
     assert np.array_equal(got.converged, want.converged)
     assert got.rate == want.rate
+
+
+def test_certified_blocks_skip_the_full_state_product(monkeypatch):
+    # Default 2-D and 3-D runs never need the full-state product: every block
+    # is advanced by positions only and cleared by its certificate. A bound
+    # that always failed would pass every other test and only run slower.
+    plans = [make_plan(quick_scenario()), make_plan(cube_scenario())]
+    advance = dynamics.advance
+
+    def refuse(*args):
+        raise AssertionError("full-state product on a certified run")
+
+    monkeypatch.setattr(dynamics, "advance", refuse)
+    for plan in plans:
+        engine._integrate(plan)
+    # The same team scaled to about 2e5 m: blocks fail the certificate and
+    # are rerun through the full-state product, which stays within the bound.
+    sc, k = quick_scenario(), 2e4
+    f = sc.formation
+    far = manual_scenario(
+        Formation.build(f.ids, k * f.positions, k * sc.targets.center(), declared_boundary=[f.ids[b] for b in f.boundary]),
+        k * sc.targets.samples,
+        zone=k * sc.targets.zone,
+    )
+    plan = make_plan(far)
+    calls = []
+    monkeypatch.setattr(dynamics, "advance", lambda *args: calls.append(1) or advance(*args))
+    got, want = engine._integrate(plan), stepwise_integrate(plan)
+    assert calls
+    assert np.abs(want.positions).max() > 1e5
+    assert np.max(np.abs(got.positions - want.positions)) <= 1e-12 * np.abs(want.positions).max()
+    assert np.array_equal(got.converged, want.converged)
 
 
 class TestTrackingReport:

@@ -1,10 +1,16 @@
+import copy
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import cube_scenario
 
 from swarm_transport.engine import make_plan, run
-from swarm_transport.errors import InfeasibleParams, ParseError
+from swarm_transport.errors import InfeasibleParams, ParseError, SwarmTransportError
 from swarm_transport.formation import build_actual
 from swarm_transport.scenario import (
     GenerateParams,
@@ -44,6 +50,13 @@ class TestParse:
                                '"id": 6, "x": 2.0, "y": 1.0, "role": "stubborn"')
         with pytest.raises(ParseError, match="agent 6"):
             parse_scenario_text(text)
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", None])
+    def test_dimension_must_be_an_integer(self, dim):
+        doc = json.loads(MINIMAL)
+        doc["dimension"] = dim
+        with pytest.raises(ParseError, match="dimension"):
+            parse_scenario_text(json.dumps(doc))
 
     def test_unknown_key_rejected(self):
         doc = json.loads(MINIMAL)
@@ -120,6 +133,13 @@ class TestParse:
         plan = make_plan(sc)
         assert sc.formation.ids[sc.formation.boundary[0]] == 1
         assert np.allclose(plan.desired.p[sc.formation.boundary], [[1, 1], [3, 1], [3, 3], [1, 3]])
+
+    def test_explicit_leader_id_true_is_not_agent_1(self):
+        doc = json.loads(MINIMAL)
+        rows = [{"id": b, "x": 1.0, "y": 1.0} for b in (True, 2, 3, 4)]
+        doc["leader_final"] = {"mode": "explicit", "positions": rows}
+        with pytest.raises(ParseError, match="integer id"):
+            parse_scenario_text(json.dumps(doc))
 
 
 class TestRoundTrip:
@@ -200,3 +220,60 @@ class TestGenerate:
         )
         res = run(sc)
         assert len(res.trace.times) == 51
+
+
+@functools.cache
+def _base_documents():
+    """A generated planar document and the 3-D team with explicit anchors."""
+    planar = generate_scenario(GenerateParams(n_agents=12, n_boundary=4, n_uncooperative=1), seed=2)
+    return tuple(json.loads(serialize_scenario(sc)) for sc in (planar, cube_scenario()))
+
+
+def _node_path(draw, doc):
+    """A path of keys from the root to one node, stopping at each level with
+    probability one half, so top-level fields are hit as often as leaves."""
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and (not path or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return path
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(_base_documents()[draw(st.integers(0, 1))])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "count", "duplicate-id"]))
+        agents = doc.get("agents") if isinstance(doc, dict) else None
+        if kind == "duplicate-id":
+            if isinstance(agents, list) and len(agents) >= 2 and all(isinstance(e, dict) for e in agents):
+                i, j = draw(st.lists(st.integers(0, len(agents) - 1), min_size=2, max_size=2, unique=True))
+                agents[j]["id"] = agents[i].get("id")
+            continue
+        path = _node_path(draw, doc)
+        if not path:
+            continue
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        key, value = path[-1], parent[path[-1]]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            other = [float(value)] if type(value) is int and abs(value) < 2**53 else []  # 2 -> 2.0
+            parent[key] = draw(st.sampled_from(["2", [], [1.0], None, {}, {"x": 1.0}, True, *other]))
+        elif isinstance(value, list):
+            parent[key] = value[: draw(st.integers(0, 2))]
+        else:
+            parent[key] = draw(st.sampled_from([0, -1, 0.0, -0.5, -(10**400)]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_parse_or_raise_typed_errors(doc):
+    # a dropped key, a value of the wrong type, a zero or negative count or
+    # length, a duplicated agent id: parsed, or refused with a typed error
+    try:
+        parse_scenario_text(json.dumps(doc))
+    except SwarmTransportError:
+        pass
