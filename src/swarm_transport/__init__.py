@@ -27,7 +27,7 @@ from .formation import (
     fan_triangulate,
     select_core,
 )
-from .geometry import barycentric, contains, convex_hull
+from .geometry import barycentric, convex_hull
 from .scenario import (
     GenerateParams,
     generate_scenario,
@@ -61,7 +61,6 @@ __all__ = [
     "build_schedule",
     "check_hurwitz",
     "compute_desired",
-    "contains",
     "convergence_check",
     "convex_hull",
     "fan_triangulate",

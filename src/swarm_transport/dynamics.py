@@ -10,16 +10,16 @@ matrix (``rk4_map``), whose spectral radius below 1 is RK4's stability test.
 Over many steps that map is a linear recurrence in the error state
 e = x - p e0 about a fixed point p, driven by the held inputs u = r_d - p:
 e' = Phi e + (I - Phi) e0 u. ``block_maps`` stacks its powers and the lower
-block-Toeplitz input map once per run, so ``advance`` moves any set of
-chains through a block of steps in one matrix product, testing the
-divergence bound at every step; ``step`` is the one-step form.
-``position_maps`` keeps only the columns a block needs to go on, the
-positions at each step and the full state at its end, a quarter of the
-product. Their rows are never bound-tested one by one: ``bound_factors``
+block-Toeplitz input map, positions first, so one matrix product moves any
+set of chains through a block of steps: its leading columns give the
+positions at every step and the full state at the block's end, a quarter of
+the product, and all of its columns give every state. ``step`` is the
+one-step form. States are never bound-tested one by one: ``bound_factors``
 and ``certified`` bound every entry of the full product, rounding included,
 from the largest start state and input of the block (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, section 3.1), and a block they
-cannot clear is rerun through ``advance``.
+Stability of Numerical Algorithms*, 2002, section 3.1), and only a block
+they cannot clear is multiplied out in full and tested step by step by
+``held_steps``.
 """
 
 from __future__ import annotations
@@ -54,14 +54,6 @@ def check_hurwitz(gains: Gains) -> bool:
     return k1 * k2 > k3 and (k1 * k2 - k3) * k3 > k1 * k1 * k4
 
 
-def initial_state(position) -> np.ndarray:
-    """State at rest at ``position``: all derivatives zero."""
-    pos = np.asarray(position, dtype=float)
-    state = np.zeros(pos.shape[:-1] + (4,) + pos.shape[-1:])
-    state[..., 0, :] = pos
-    return state
-
-
 def virtual_control(state: np.ndarray, r_d, gains: Gains) -> np.ndarray:
     """Snap command: -k1*jerk - k2*accel - k3*vel + k4*(r_d - pos)."""
     state = np.asarray(state, dtype=float)
@@ -93,7 +85,9 @@ def step(state: np.ndarray, r_d, phi: np.ndarray) -> np.ndarray:
     the error state: an agent at rest on its ``r_d`` stays bitwise fixed. The
     product is summed elementwise in a fixed order, not by BLAS, whose one- and
     many-column kernels round differently, so no agent's result depends on the
-    batch or the axes it is stepped with."""
+    batch or the axes it is stepped with. The closed loop moves blocks of
+    steps instead; this form is the tests' oracle, and the traced benchmark
+    run (``perfbench/layers.py``) wraps it by name."""
     state = np.asarray(state, dtype=float)
     nd = state.ndim
     e = state.transpose(nd - 2, *range(nd - 2), nd - 1).copy()  # (4, ..., n)
@@ -108,53 +102,46 @@ def step(state: np.ndarray, r_d, phi: np.ndarray) -> np.ndarray:
 
 def block_maps(phi: np.ndarray, size: int) -> np.ndarray:
     """The (4 + size, 4 size) map taking a chain's row [e | u_0..u_{size-1}]
-    of error state and held inputs to its error states after 1..size steps,
-    side by side. Column block m-1 is the transpose of
-    [Phi^m | Phi^(m-1) g, ..., Phi g, g, 0, ..., 0] with g = (I - Phi) e0."""
+    of error state and held inputs to its error states after 1..size steps:
+    first the positions after steps 1..size, then the velocity, acceleration
+    and jerk after step size, then those after steps 1..size-1, step by step.
+    So the leading size + 3 columns give the positions at every step and,
+    from column size - 1 on, the full state at the block's end. The state
+    after step k is the transpose of [Phi^k | Phi^(k-1) g, ..., Phi g, g, 0,
+    ..., 0] with g = (I - Phi) e0; a chain with zero error and zero inputs
+    stays exactly zero."""
     g = np.eye(4)[:, 0] - phi[:, 0]
     powers = [np.eye(4)]
     for _ in range(size):
         powers.append(phi @ powers[-1])
-    lag = np.arange(size)[:, None] - np.arange(size)  # m-1-j: steps since input j
-    inputs = np.stack([q @ g for q in powers[:size]])[np.maximum(lag, 0)]  # (m, j, 4)
+    lag = np.arange(size)[:, None] - np.arange(size)  # k-1-j: steps since input j
+    inputs = np.stack([q @ g for q in powers[:size]])[np.maximum(lag, 0)]  # (k, j, 4)
     inputs[lag < 0] = 0.0
-    by_step = np.concatenate([np.stack(powers[1:]), inputs.transpose(0, 2, 1)], axis=2)  # (m, 4, 4+size)
-    return by_step.reshape(4 * size, 4 + size).T
+    by_step = np.concatenate([np.stack(powers[1:]), inputs.transpose(0, 2, 1)], axis=2)  # (k, 4, 4+size)
+    cols = [by_step[:, 0], by_step[-1, 1:], by_step[:-1, 1:].reshape(-1, 4 + size)]
+    return np.ascontiguousarray(np.concatenate(cols).T)
 
 
-def advance(maps: np.ndarray, z: np.ndarray, p: np.ndarray, out: np.ndarray) -> int:
-    """Advance C chains through m = out.shape[1] // 4 steps at once, in error
-    coordinates about their fixed points ``p`` (shape (C,)).
-
-    Row c of ``z`` (C, 4 + m) is chain c's error state x - p e0, then its
-    held inputs u_j = r_d(j) - p of the m steps; ``maps = block_maps(phi,
-    size)`` for any size >= m. Row c of ``out`` (C, 4 m) receives the chain's
-    error states after 1..m steps, one 4-block per step. A chain with zero
-    error and zero inputs stays exactly zero. Returns how many leading steps
-    keep every state row, positions included, within the divergence bound:
-    m unless some chain diverges, in which case the later states in ``out``
-    may be huge or not finite.
-    """
+def held_steps(out: np.ndarray, p: np.ndarray) -> int:
+    """How many leading steps of a block keep every state row, positions
+    included, within the divergence bound, for the C chains whose error
+    states ``out = z @ block_maps(phi, m)`` (C, 4 m) holds, in error
+    coordinates about their fixed points ``p`` (C,): m unless some chain
+    diverges, in which case the later states in ``out`` may be huge or not
+    finite. The same test as ``step``'s, made for every step at once."""
     m = out.shape[1] // 4
-    np.matmul(z, maps[: 4 + m, : 4 * m], out=out)
-    positions = np.abs(out[:, 0::4] + p[:, None]).max(axis=0)
-    rates = np.abs(out).max(axis=0).reshape(m, 4)[:, 1:].max(axis=1)
-    ok = np.maximum(positions, rates) <= DIVERGENCE_THRESHOLD  # also false for NaN and inf
+    positions = np.abs(out[:, :m] + p[:, None]).max(axis=0)
+    rates = np.abs(out[:, m:]).max(axis=0).reshape(m, 3).max(axis=1)  # step m first
+    ok = np.maximum(positions, np.roll(rates, -1)) <= DIVERGENCE_THRESHOLD  # also false for NaN and inf
     return m if ok.all() else int(np.argmin(ok))
-
-
-def position_maps(maps: np.ndarray, m: int) -> np.ndarray:
-    """The (4 + m, m + 3) columns of ``maps = block_maps(phi, size)``, for
-    1 <= m <= size steps, giving a chain's error position after each of steps
-    1..m, then its velocity, acceleration and jerk after step m."""
-    cols = np.concatenate([np.arange(0, 4 * m, 4), 4 * m - 3 + np.arange(3)])
-    return np.ascontiguousarray(maps[: 4 + m, cols])
 
 
 def bound_factors(maps: np.ndarray) -> tuple[float, float]:
     """(S, I): the largest column sums of |maps| over its 4 state rows and over
     its input rows. Every entry of ``z @ maps`` is then at most
-    S max|e| + I max|u| times 1 + gamma_(4+size), in any summation order."""
+    S max|e| + I max|u| times 1 + gamma_(4+size), in any summation order. The
+    factors of a map bound the maps of fewer steps too: their columns are
+    some of its columns, cut to leading rows after which it holds zeros."""
     a = np.abs(maps)
     return float(a[:4].sum(axis=0).max()), float(a[4:].sum(axis=0).max())
 
@@ -163,7 +150,7 @@ def certified(factors: tuple[float, float], e_max: float, u_max: float, p_max: f
     """Whether chains whose error states start within ``e_max``, whose held
     inputs stay within ``u_max`` and whose fixed points lie within ``p_max``
     keep every state row, positions included, within the divergence bound
-    through a block of ``block_maps`` steps: the test ``advance`` makes at
-    every step, passed by all of them at once. False for NaN and inf."""
+    through a block of ``block_maps`` steps: the test ``held_steps`` makes
+    at every step, passed by all of them at once. False for NaN and inf."""
     s, i = factors
     return bool((s * e_max + i * u_max) * (1.0 + 1e-9) + p_max <= DIVERGENCE_THRESHOLD)

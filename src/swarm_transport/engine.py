@@ -14,14 +14,15 @@ Mentors sit in strictly earlier layers, so the loop runs over blocks of
 steps and, inside a block, one mentor layer at a time: a layer's desired
 positions over the whole block are blends of mentor positions already
 computed for that block, and one matrix product then moves the layer
-through the block. That product gives only the positions at each step and
-the full state at the block's end (``dynamics.position_maps``); once every
-layer has run, one certificate from the block's largest start state and
-input (``dynamics.certified``) stands in for the per-step divergence test.
-A block it cannot clear is rerun from its start state by the same loop
-body with the full-state ``dynamics.advance``, which tests every step, so
-a divergence is reported at the same step and agent. The Python loop runs
-once per layer per block, and memory beyond the logs is O(block N n).
+through the block. The product takes the leading columns of
+``dynamics.block_maps``: the positions at each step and the full state at
+the block's end. Once every layer has run, one certificate from the block's
+largest start state and input (``dynamics.certified``) stands in for the
+per-step divergence test. A block it cannot clear is rerun from its start
+state by the same loop body with all of the map's columns, every state of
+every step, which ``dynamics.held_steps`` tests, so a divergence is
+reported at the same step and agent. The Python loop runs once per layer
+per block, and memory beyond the logs is O(block N n).
 Planned set-points are computed separately for reporting, all output times
 at once, and never drive the loop.
 """
@@ -192,52 +193,43 @@ def _integrate(plan: Plan) -> SimTrace:
 
     # Agent-major block buffers, one row per (agent, axis) chain: error state
     # x - p e0 then held inputs r_d - p; positions and r_d at the block's
-    # steps; error positions after each step, then the last step's rates.
-    # Layer 0 rests at r_d = p, inputs zero, unless the leader blend moves it.
-    z = np.zeros((n_agents, dim, 4 + _BLOCK))
-    z[:, :, 0] = a - p
+    # steps; the block product's error positions after each step and the last
+    # step's rates. Layer 0 rests at r_d = p, inputs zero, unless the leader
+    # blend moves it.
+    z = np.zeros((n_agents * dim, 4 + _BLOCK))
+    z3 = z.reshape(n_agents, dim, -1)
+    z3[:, :, 0] = a - p
     x = np.empty((n_agents, dim, _BLOCK + 1))
     x[:, :, 0] = a
     r_d = np.empty((n_agents, dim, _BLOCK))
     r_d[:n0] = p[:n0, :, None]
-    fast = np.empty((n_agents, dim, _BLOCK + 3))
-    states = None  # full error states, (N, n, _BLOCK, 4), for blocks not certified
-    zf, ff, pf = z.reshape(-1, 4 + _BLOCK), fast.reshape(-1, _BLOCK + 3), p.ravel()
+    fast = np.empty((n_agents * dim, _BLOCK + 3))
+    full = None  # every error state, (N n, 4 _BLOCK), for blocks not certified
     omega, varpi = plan.schedule.omega[:, :, None], plan.schedule.varpi[:, :, None]
 
-    def layers(pmaps, m: int, adv: int, w: np.ndarray) -> int:
+    def layers(cols: np.ndarray, out: np.ndarray, m: int, adv: int, w: np.ndarray) -> None:
         """Form each mentee layer's r_d over the block's m steps, a blend of
         mentor positions already moved, and move every layer through adv
-        steps: by positions and end state alone with ``pmaps``
-        (``dynamics.position_maps``), testing no step, or with None by the
-        full-state ``dynamics.advance``, testing every step. Returns the
-        fewest steps any layer kept within the bound."""
-        if pmaps is None:
-            out, pos = states.reshape(-1, 4 * _BLOCK)[:, : 4 * adv], states[:, :, :adv, 0]
-        else:
-            out, pos = ff[:, : adv + 3], fast[:, :, :adv]
-        held = adv
+        steps by one product with the ``block_maps`` columns ``cols`` into
+        ``out``, whose leading adv columns are the error positions."""
+        pos = out.reshape(n_agents, dim, -1)[:, :, :adv]  # a view, read after each product
         for s, e in zip(bounds[:-1], bounds[1:]):
             if s:
                 ms = slice(s - n0, e - n0)
                 r_d[s:e, :, :m] = (w[ms, :, None] * x[mentors[ms], :, :m]).sum(axis=1)
-                np.subtract(r_d[s:e, :, :adv], p[s:e, :, None], out=z[s:e, :, 4 : 4 + adv])
+                np.subtract(r_d[s:e, :, :adv], p[s:e, :, None], out=z3[s:e, :, 4 : 4 + adv])
             if adv:
                 c = slice(s * dim, e * dim)
-                if pmaps is None:
-                    held = min(held, dynamics.advance(maps, zf[c, : 4 + adv], pf[c], out[c]))
-                else:
-                    np.matmul(zf[c, : 4 + adv], pmaps, out=out[c])
+                np.matmul(z[c, : 4 + adv], cols, out=out[c])
                 np.add(pos[s:e], p[s:e, :, None], out=x[s:e, :, 1 : adv + 1])
-        return held
 
     # Steps after a divergence, and the map powers of gains outside the RK4
     # region, may overflow or turn NaN; the certificate fails on every such
-    # value, and the full-state rerun's divergence test raises.
+    # value, and the full product's step-by-step test then stops the run.
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = dynamics.block_maps(dynamics.rk4_map(sc.gains, sc.dt), _BLOCK)
+        phi = dynamics.rk4_map(sc.gains, sc.dt)
+        maps = dynamics.block_maps(phi, _BLOCK)
         factors, p_max = dynamics.bound_factors(maps), np.abs(p).max()
-        pmaps = dynamics.position_maps(maps, _BLOCK)
         i0 = 0
         for k0 in range(0, steps + 1, _BLOCK):
             m = min(_BLOCK, steps + 1 - k0)  # steps whose r_d is formed and maybe logged
@@ -251,31 +243,33 @@ def _integrate(plan: Plan) -> SimTrace:
                 w = (1.0 - bk) * omega + bk * varpi  # (M, n+1, m)
             if sc.leader_blend:
                 r_d[anchor, :, :m] = (1.0 - bk) * a[anchor, :, None] + bk * p[anchor, :, None]
-                np.subtract(r_d[:n0, :, :adv], p[:n0, :, None], out=z[:n0, :, 4 : 4 + adv])
+                np.subtract(r_d[:n0, :, :adv], p[:n0, :, None], out=z3[:n0, :, 4 : 4 + adv])
             if 0 < adv < _BLOCK:
-                pmaps = dynamics.position_maps(maps, adv)
-            e_max = np.abs(z[:, :, :4]).max()
-            layers(pmaps, m, adv, w)
-            end = fast[:, :, adv - 1 : adv + 3]  # the state after the block's last step
-            if adv and not dynamics.certified(factors, e_max, np.abs(z[:, :, 4 : 4 + adv]).max(), p_max):
-                # rerun the block from its start state, testing every step
-                if states is None:
-                    states = np.empty((n_agents, dim, _BLOCK, 4))
-                held = layers(None, m, adv, w)
+                maps = dynamics.block_maps(phi, adv)  # the final, shorter block
+            e_max = np.abs(z[:, :4]).max()
+            out = fast[:, : adv + 3]
+            layers(maps[:, : adv + 3], out, m, adv, w)
+            if adv and not dynamics.certified(factors, e_max, np.abs(z[:, 4 : 4 + adv]).max(), p_max):
+                # rerun the block from its start state with every state, testing every step
+                if full is None:
+                    full = np.empty((n_agents * dim, 4 * _BLOCK))
+                out = full[:, : 4 * adv]
+                layers(maps, out, m, adv, w)
+                held = dynamics.held_steps(out, p.ravel())
                 if held < adv:
                     # the first step that left the bound, judged from the state before it
-                    rates = z[:, :, 1:4] if held == 0 else states[:, :, held - 1, 1:]
-                    peak = np.maximum(np.abs(x[:, :, held]).max(axis=1), np.abs(rates).max(axis=(1, 2)))
+                    rates = z[:, 1:4] if held == 0 else out[:, adv + 3 * held : adv + 3 + 3 * held]
+                    rates = np.abs(rates).reshape(n_agents, -1).max(axis=1)
+                    peak = np.maximum(np.abs(x[:, :, held]).max(axis=1), rates)
                     worst = ids[int(np.argmax(peak[rank]))]
                     raise Diverged(f"agent {worst} diverged near t = {t[k0 + held]:.3f} s")
-                end = states[:, :, adv - 1]
             i1 = int(np.searchsorted(logged, k0 + m))
             js = logged[i0:i1] - k0
             pos_log[i0:i1, order] = x[:, :, js].transpose(2, 0, 1)
             des_log[i0:i1, order] = r_d[:, :, js].transpose(2, 0, 1)
             i0 = i1
             if adv == m:  # another block follows
-                z[:, :, :4] = end
+                z[:, :4] = out[:, adv - 1 : adv + 3]  # the state after the block's last step
                 x[:, :, 0] = x[:, :, adv]
 
     final = pos_log[-1]

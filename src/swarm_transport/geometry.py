@@ -161,11 +161,6 @@ class PointIndex:
         return cell[inside], idx[inside], score[inside]
 
 
-def contains(vertices, point, tol: float = CONTAINMENT_TOL) -> bool:
-    """True iff ``point`` lies in the closed simplex (faces count as inside)."""
-    return bool(np.min(barycentric(point, vertices)) >= -tol)
-
-
 def convex_hull(points) -> list[int]:
     """Indices of the convex hull vertices of a 2-D or 3-D point set.
 

@@ -98,20 +98,27 @@ def trace_table(trace: SimTrace) -> str:
     return _frames(",".join(header), trace.times, heads, tails, trace.positions, trace.desired)
 
 
-def metrics_document(result: RunResult) -> dict:
-    plan = result.plan
-    trace = result.trace
-    formation = plan.scenario.formation
-    ids = formation.ids
-    uncovered = plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
+def _team_counts(plan: Plan) -> dict:
+    """The leading keys of ``metrics.json`` and ``plan.json``: the team and its graph."""
+    formation, graph = plan.scenario.formation, plan.graph
     return {
         "n_agents": formation.n_agents,
         "n_boundary": len(formation.boundary),
-        "n_initial_simplices": plan.graph.n_initial_simplices,
-        "n_layers": plan.graph.n_layers,
-        "n_cooperative": _n_cooperative(plan.graph),
+        "n_initial_simplices": graph.n_initial_simplices,
+        "n_layers": graph.n_layers,
+        "n_cooperative": _n_cooperative(graph),
         "n_uncooperative": len(formation.clamped),
-        "core_id": ids[plan.graph.core],
+        "core_id": formation.ids[graph.core],
+    }
+
+
+def metrics_document(result: RunResult) -> dict:
+    plan = result.plan
+    trace = result.trace
+    ids = plan.scenario.formation.ids
+    uncovered = plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
+    return {
+        **_team_counts(plan),
         "convergence_rate": trace.rate,
         "evaluated_count": int(trace.scored.sum()),
         "converged_count": int(trace.converged.sum()),
@@ -132,13 +139,7 @@ def plan_document(plan: Plan) -> dict:
     ids = formation.ids
     p = plan.desired.p.tolist()
     return {
-        "n_agents": formation.n_agents,
-        "n_boundary": len(formation.boundary),
-        "n_initial_simplices": plan.graph.n_initial_simplices,
-        "n_layers": plan.graph.n_layers,
-        "n_cooperative": _n_cooperative(plan.graph),
-        "n_uncooperative": len(formation.clamped),
-        "core_id": ids[plan.graph.core],
+        **_team_counts(plan),
         "leader_final": {str(ids[b]): p[b] for b in formation.boundary.tolist()},
         "final_positions": {str(a): row for a, row in zip(ids, p)},
         "captured_counts": {str(ids[a]): len(idx) for a, idx in sorted(plan.desired.captured.items())},

@@ -30,6 +30,10 @@ _GAIN_KEYS = {"k1", "k2", "k3", "k4"}
 
 DEFAULT_TIMES = {"t0": 0.0, "tf": 15.0, "t_end": 25.0, "dt": 0.01, "output_period": 0.1}
 
+# most points a sample grid's bounding box may hold, far above the ~38,000
+# samples a generated team of 10,000 agents draws
+_MAX_GRID_POINTS = 2**22
+
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(obj) - allowed)
@@ -154,7 +158,7 @@ def parse_scenario_text(text: str) -> Scenario:
         spacing = _number(targets_doc, "sample_spacing", "targets")
         if spacing <= 0:
             raise ParseError("sample_spacing must be positive", field="sample_spacing")
-        samples = _grid_samples(zone, spacing)
+        samples = _grid_samples(zone, spacing, lambda msg: ParseError(msg, field="sample_spacing"))
     else:
         raise ParseError("targets need samples or a zone with sample_spacing", field="targets")
     if zone is None and len(samples) < 3:
@@ -240,10 +244,16 @@ def _point_rows(rows, dim, where, minimum) -> np.ndarray:
     return out
 
 
-def _grid_samples(zone: np.ndarray, spacing: float) -> np.ndarray:
-    """Axis-aligned grid of points covering the zone polygon interior."""
+def _grid_samples(zone: np.ndarray, spacing: float, error) -> np.ndarray:
+    """Axis-aligned grid of points covering the zone polygon interior. Raises
+    ``error(message)`` before allocating anything when the grid over the
+    zone's bounding box would exceed ``_MAX_GRID_POINTS``."""
     lo = zone.min(axis=0)
     hi = zone.max(axis=0)
+    with np.errstate(over="ignore"):
+        count = np.prod(np.ceil((hi - lo) / spacing + 0.5))
+    if not count <= _MAX_GRID_POINTS:
+        raise error(f"sample_spacing {spacing:g} gives a grid of {count:.3g} points, more than {_MAX_GRID_POINTS}")
     xs = np.arange(lo[0], hi[0] + spacing / 2, spacing)
     ys = np.arange(lo[1], hi[1] + spacing / 2, spacing)
     gx, gy = np.meshgrid(xs, ys)  # rows run along x, one row per y
@@ -368,6 +378,10 @@ def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
         )
     if not (0 < p.zone_scale < 0.9):
         raise InfeasibleParams("zone_scale must lie in (0, 0.9)")
+    for name in ("radius", "sample_spacing"):
+        value = getattr(p, name)
+        if value is not None and not 0 < value < math.inf:  # NaN fails too
+            raise InfeasibleParams(f"{name} must be a positive finite number, got {value}")
 
     from .engine import make_plan
     from .errors import BuildFailure, DegenerateSimplex
@@ -409,7 +423,7 @@ def _draw_scenario(p: GenerateParams, seed: int, attempt: int) -> Scenario:
     else:
         # enough samples that distinct capture simplices see distinct sets
         spacing = zone_radius * float(np.sqrt(np.pi / max(200.0, 4.0 * p.n_agents)))
-    grid = _grid_samples(zone - center, spacing)
+    grid = _grid_samples(zone - center, spacing, InfeasibleParams)
     grid = grid + rng.uniform(-0.3, 0.3, grid.shape) * spacing  # de-lattice
     samples = center + grid[geometry.point_in_polygon(grid, zone - center)]
 

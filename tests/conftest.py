@@ -1,6 +1,7 @@
 """Shared builders for small, fully-specified formations and scenarios."""
 
 import numpy as np
+import pytest
 
 from swarm_transport.dynamics import DEFAULT_GAINS
 from swarm_transport.engine import Scenario
@@ -20,6 +21,24 @@ def square_core_formation(extra=(), uncooperative=(), core=None):
     return Formation.build(
         ids, pos, (2.0, 2.0), uncooperative=uncooperative, core_id=core
     )
+
+
+class GridAxisAllocated(AssertionError):
+    """A sample grid axis was about to be allocated."""
+
+
+@pytest.fixture
+def no_grid_axes(monkeypatch):
+    """Make every three-argument ``np.arange``, the form that builds a sample
+    grid's axes, raise ``GridAxisAllocated`` instead of allocating."""
+    arange = np.arange
+
+    def guarded(*args, **kwargs):
+        if len(args) == 3:
+            raise GridAxisAllocated(f"np.arange{args}")
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
 
 
 def ancestors(graph, row):

@@ -33,6 +33,19 @@ def weights_at(schedule, t: float) -> np.ndarray:
     return (1.0 - b) * schedule.omega + b * schedule.varpi
 
 
+def initial_state(position) -> np.ndarray:
+    """State at rest at ``position``: all derivatives zero."""
+    pos = np.asarray(position, dtype=float)
+    state = np.zeros(pos.shape[:-1] + (4,) + pos.shape[-1:])
+    state[..., 0, :] = pos
+    return state
+
+
+def contains(vertices, point, tol: float = geometry.CONTAINMENT_TOL) -> bool:
+    """True iff ``point`` lies in the closed simplex (faces count as inside)."""
+    return bool(np.min(geometry.barycentric(point, vertices)) >= -tol)
+
+
 def staged_rk4(state, r_d, gains, dt):
     """Classic four-stage RK4 on the state with ``r_d`` held."""
     state = np.asarray(state, dtype=float)
@@ -64,7 +77,7 @@ def stepwise_integrate(plan, step=dynamics.step) -> SimTrace:
 
     steps = int(round((sc.t_end - sc.t0) / sc.dt))
     log_every = int(round(sc.output_period / sc.dt))
-    states = dynamics.initial_state(a_arr)  # (N, 4, n)
+    states = initial_state(a_arr)  # (N, 4, n)
     phi = dynamics.rk4_map(sc.gains, sc.dt)
 
     times, pos_log, des_log = [], [], []
@@ -118,7 +131,7 @@ class Simplex:
     vertex_points: np.ndarray  # (n+1, n); point k belongs to vertex_rows[k]
 
     def contains(self, point, tol=geometry.CONTAINMENT_TOL) -> bool:
-        return geometry.contains(self.vertex_points, point, tol)
+        return contains(self.vertex_points, point, tol)
 
     def is_degenerate(self) -> bool:
         return bool(geometry.degenerate(self.vertex_points))

@@ -10,9 +10,9 @@ import time
 import numpy as np
 
 from conftest import ancestors
-from oracles import setpoint_residual, solve_setpoints_dense, weights_at
+from oracles import initial_state, setpoint_residual, solve_setpoints_dense, weights_at
 from swarm_transport import engine
-from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, initial_state, rk4_map, step
+from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, rk4_map, step
 from swarm_transport.formation import build_actual
 from swarm_transport.geometry import barycentric
 from swarm_transport.reporting import metrics_json, trace_table

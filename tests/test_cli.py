@@ -43,6 +43,28 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--sample-spacing", "0", "sample_spacing must be"),
+            ("--sample-spacing", "nan", "sample_spacing must be"),
+            ("--sample-spacing", "-1", "sample_spacing must be"),
+            ("--sample-spacing", "1e-9", "sample_spacing 1e-09 gives a grid"),
+            ("--radius", "0", "radius must be"),
+            ("--radius", "nan", "radius must be"),
+            ("--radius", "inf", "radius must be"),
+        ],
+    )
+    def test_bad_sizes_are_refused(self, tmp_path, capsys, no_grid_axes, flag, value, named):
+        path = tmp_path / "scenario.json"
+        argv = ["generate", "--out", str(path), "--agents", "24", "--boundary", "6", flag, value]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InfeasibleParams"
+        assert named in record["message"]
+        assert not path.exists()
+
+
 class TestBuildGraph:
     def test_prints_team_summary(self, tmp_path, capsys):
         path = _generate(tmp_path, agents=95, boundary=16, seed=1)

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import staged_rk4
+from oracles import initial_state, staged_rk4
 from swarm_transport.dynamics import (
     DEFAULT_GAINS,
     DIVERGENCE_THRESHOLD,
     Gains,
-    advance,
     block_maps,
     bound_factors,
     certified,
     check_hurwitz,
-    initial_state,
-    position_maps,
+    held_steps,
     rk4_map,
     step,
     virtual_control,
@@ -150,14 +148,15 @@ class TestStep:
 
 
 def _stepped(e, u, p, phi):
-    """Error states after each of len(u) ``step`` calls, as ``advance`` lays
-    them out: chains (C,) of a (4, C) error state, inputs (m, C)."""
+    """Error states after each of len(u) ``step`` calls, as ``block_maps``
+    lays them out: chains (C,) of a (4, C) error state, inputs (m, C)."""
     state = (e + np.eye(4)[:, :1] * p).T[:, :, None]  # (C, 4, 1)
     out = []
     for u_j in u:
         state = step(state, (u_j + p)[:, None], phi)
         out.append(state[:, :, 0] - np.eye(4)[0] * p[:, None])
-    return np.stack(out, axis=1).reshape(len(p), -1)
+    s = np.stack(out, axis=1)  # (C, m, 4)
+    return np.hstack([s[:, :, 0], s[:, -1, 1:], s[:, :-1, 1:].reshape(len(p), -1)])
 
 
 class TestAdvance:
@@ -166,15 +165,14 @@ class TestAdvance:
         z = np.zeros((3, 54))
         z[1] = 1e-3  # one moving chain beside two at rest
         out = np.full((3, 200), np.nan)
-        assert advance(maps, z, np.array([7.0, -2.5, 1e5]), out) == 50
+        np.matmul(z, maps, out=out)
+        assert held_steps(out, np.array([7.0, -2.5, 1e5])) == 50
         assert np.all(out[[0, 2]] == 0.0) and np.all(out[1] != 0.0)
 
     def test_counts_steps_within_the_bound(self):
         # wrong-sign position feedback: the count is the step before the
         # first state that ``step`` refuses, for any block size
         phi = rk4_map(Gains(8.0, 24.0, 32.0, -1e6), 0.01)
-        z = np.zeros((2, 4 + 40))
-        z[0, 0] = -1.0
         steps_ok = 0
         state = initial_state([[0.0], [1.0]])
         while True:
@@ -184,13 +182,14 @@ class TestAdvance:
                 break
             steps_ok += 1
         assert 0 < steps_ok < 40
-        for size in (40, 60):
-            assert advance(block_maps(phi, size), z, np.ones(2), np.empty((2, 160))) == steps_ok
-        assert advance(block_maps(phi, 40), z[:, : 4 + steps_ok], np.ones(2), np.empty((2, 4 * steps_ok))) == steps_ok
+        for size in (40, 60, steps_ok):
+            z = np.zeros((2, 4 + size))
+            z[0, 0] = -1.0
+            assert held_steps(z @ block_maps(phi, size), np.ones(2)) == steps_ok
         # positions count too: a chain at rest beyond the bound fails at once, as in ``step``
         with pytest.raises(Diverged):
             step(initial_state([2e6]), [2e6], phi)
-        assert advance(block_maps(phi, 40), np.zeros((1, 44)), np.array([2e6]), np.empty((1, 160))) == 0
+        assert held_steps(np.zeros((1, 44)) @ block_maps(phi, 40), np.array([2e6])) == 0
 
 
 class TestRk4Map:
@@ -265,11 +264,14 @@ def test_advance_matches_repeated_steps(gains_dt, chains, m, spare, scale, seed)
     rng = np.random.default_rng(seed)
     p = scale * rng.standard_normal(chains)
     z = scale * rng.standard_normal((chains, 4 + m))
-    out = np.empty((chains, 4 * m))
-    assert advance(block_maps(phi, m + spare), z, p, out) == m
+    maps = block_maps(phi, m)
+    out = z @ maps
+    assert held_steps(out, p) == m
     oracle = _stepped(z[:, :4].T, z[:, 4:].T, p, phi)
     bound = 1e-12 * max(1.0, np.max(np.abs(z)), np.max(np.abs(p)), np.max(np.abs(oracle)))
     assert np.max(np.abs(out - oracle)) <= bound
+    # a longer block's positions after steps 1..m, on its leading rows, are these exactly
+    assert np.array_equal(block_maps(phi, m + spare)[: 4 + m, :m], maps[:, :m])
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,24 +285,25 @@ def test_advance_matches_repeated_steps(gains_dt, chains, m, spare, scale, seed)
     st.integers(0, 2**32 - 1),
 )
 def test_certificate_bounds_the_full_product(gains_dt, chains, m, spare, e_scale, u_scale, seed):
+    # the factors of a longer block's map bound a shorter block's product
     gains, dt = gains_dt
-    maps = block_maps(rk4_map(gains, dt), m + spare)
+    phi = rk4_map(gains, dt)
+    maps = block_maps(phi, m)
     rng = np.random.default_rng(seed)
     z = np.hstack([e_scale * rng.standard_normal((chains, 4)), u_scale * rng.standard_normal((chains, m))])
     p = e_scale * rng.standard_normal(chains)
     e_max, u_max, p_max = np.abs(z[:, :4]).max(), np.abs(z[:, 4:]).max(), np.abs(p).max()
-    full = z @ maps[: 4 + m, : 4 * m]
-    s, i = bound_factors(maps)
+    full = z @ maps
+    s, i = bound_factors(block_maps(phi, m + spare))
     assert np.abs(full).max() <= (s * e_max + i * u_max) * (1.0 + 1e-9)
     # the certificate clears only blocks that the per-step test passes
     if certified((s, i), e_max, u_max, p_max):
-        assert advance(maps, z, p, np.empty((chains, 4 * m))) == m
+        assert held_steps(full, p) == m
     assert not certified((s, i), e_max, u_max, DIVERGENCE_THRESHOLD * (1.0 + 1e-12))
     # positions after every step and the last full state, from a quarter of the columns
-    part = z @ position_maps(maps, m)
-    want = np.hstack([full[:, 0::4], full[:, 4 * m - 3 :]])
+    part = z @ maps[:, : m + 3]
     assert part.shape == (chains, m + 3)
-    assert np.max(np.abs(part - want)) <= 1e-12 * max(np.abs(full).max(), np.finfo(float).tiny)
+    assert np.max(np.abs(part - full[:, : m + 3])) <= 1e-12 * max(np.abs(full).max(), np.finfo(float).tiny)
 
 
 def test_certificate_fails_on_nan_and_inf():

@@ -315,12 +315,12 @@ def test_certified_blocks_skip_the_full_state_product(monkeypatch):
     # is advanced by positions only and cleared by its certificate. A bound
     # that always failed would pass every other test and only run slower.
     plans = [make_plan(quick_scenario()), make_plan(cube_scenario())]
-    advance = dynamics.advance
+    held_steps = dynamics.held_steps
 
     def refuse(*args):
         raise AssertionError("full-state product on a certified run")
 
-    monkeypatch.setattr(dynamics, "advance", refuse)
+    monkeypatch.setattr(dynamics, "held_steps", refuse)
     for plan in plans:
         engine._integrate(plan)
     # The same team scaled to about 2e5 m: blocks fail the certificate and
@@ -334,7 +334,7 @@ def test_certified_blocks_skip_the_full_state_product(monkeypatch):
     )
     plan = make_plan(far)
     calls = []
-    monkeypatch.setattr(dynamics, "advance", lambda *args: calls.append(1) or advance(*args))
+    monkeypatch.setattr(dynamics, "held_steps", lambda *args: calls.append(1) or held_steps(*args))
     got, want = engine._integrate(plan), stepwise_integrate(plan)
     assert calls
     assert np.abs(want.positions).max() > 1e5

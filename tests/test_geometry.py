@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Simplex
+from oracles import Simplex, contains
 from swarm_transport import geometry
 from swarm_transport.errors import DegenerateInput, DegenerateSimplex
 from swarm_transport.geometry import (
     barycentric,
-    contains,
     convex_hull,
     point_in_polygon,
     polygon_area,

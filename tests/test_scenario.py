@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cube_scenario
+from conftest import GridAxisAllocated, cube_scenario
 
 from swarm_transport.engine import make_plan, run
 from swarm_transport.errors import InfeasibleParams, ParseError, SwarmTransportError
@@ -111,6 +111,20 @@ class TestParse:
         assert len(sc.targets.samples) == 25  # 5x5 grid over a 2x2 box
         assert np.all(np.abs(sc.targets.samples - 2.0) <= 1.0 + 1e-12)
 
+    def test_sample_grid_is_counted_before_it_is_built(self, no_grid_axes):
+        # a 2x2 zone: spacing 2/2047 gives 2048^2 = 2^22 grid points, the most
+        # allowed, and 2/2048 one row and column more; 1e-7 gives 4e14
+        doc = json.loads(MINIMAL)
+        doc["targets"] = {"zone": [[1.0, 1.0], [3.0, 1.0], [3.0, 3.0], [1.0, 3.0]]}
+        for spacing in (2.0 / 2048, 1e-7):
+            doc["targets"]["sample_spacing"] = spacing
+            with pytest.raises(ParseError, match="grid of") as info:
+                parse_scenario_text(json.dumps(doc))
+            assert info.value.field == "sample_spacing"
+        doc["targets"]["sample_spacing"] = 2.0 / 2047
+        with pytest.raises(GridAxisAllocated):
+            parse_scenario_text(json.dumps(doc))
+
     def test_samples_and_spacing_conflict(self):
         doc = json.loads(MINIMAL)
         doc["targets"]["sample_spacing"] = 0.5
@@ -212,6 +226,11 @@ class TestGenerate:
     def test_infeasible_params(self, params):
         with pytest.raises(InfeasibleParams):
             generate_scenario(params, seed=0)
+
+    @pytest.mark.parametrize("spacing", [1e-9, 1e-300])
+    def test_sample_grid_is_counted_before_it_is_built(self, no_grid_axes, spacing):
+        with pytest.raises(InfeasibleParams, match="grid of"):
+            generate_scenario(GenerateParams(n_agents=24, n_boundary=6, sample_spacing=spacing), seed=0)
 
     def test_short_horizon_smoke(self):
         sc = generate_scenario(
