@@ -136,15 +136,12 @@ def cmd_simulate(args) -> int:
     result = engine.run(sc)
     elapsed = time.perf_counter() - started
     _write_plan_outputs(result.plan, out)
-    reporting.atomic_write_text(out / "trace.csv", reporting.trace_table(result.trace))
+    reporting.trace_table(result.trace, out / "trace.csv")
     reporting.atomic_write_text(out / "metrics.json", reporting.metrics_json(result))
     _write_snapshots(result, out, snapshot_times)
     if args.export_setpoints:
         series = engine.setpoint_series(result.plan, result.trace.times)
-        reporting.atomic_write_text(
-            out / "setpoints.csv",
-            reporting.setpoints_table(result.trace.ids, result.trace.times, series),
-        )
+        reporting.setpoints_table(result.trace.ids, result.trace.times, series, out / "setpoints.csv")
     print(reporting.build_summary(sc.formation, result.plan.graph))
     trace = result.trace
     unconverged = [trace.ids[k] for k in np.flatnonzero(trace.scored & ~trace.converged)]

@@ -45,7 +45,7 @@ from .formation import (
     LayeredGraph,
     build_actual,
 )
-from .setpoints import propagate_setpoints
+from .setpoints import blend, propagate_setpoints
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
 from .weights import WeightSchedule, beta, build_schedule
 
@@ -216,7 +216,7 @@ def _integrate(plan: Plan) -> SimTrace:
         for s, e in zip(bounds[:-1], bounds[1:]):
             if s:
                 ms = slice(s - n0, e - n0)
-                r_d[s:e, :, :m] = (w[ms, :, None] * x[mentors[ms], :, :m]).sum(axis=1)
+                blend(w[ms], x[mentors[ms], :, :m], out=r_d[s:e, :, :m])
                 np.subtract(r_d[s:e, :, :adv], p[s:e, :, None], out=z3[s:e, :, 4 : 4 + adv])
             if adv:
                 c = slice(s * dim, e * dim)

@@ -1,20 +1,21 @@
 """File outputs: trace tables, metrics, weight and set-point dumps.
 
-Every writer goes through ``atomic_write_text`` (write to a temp file in the
+Every writer goes through one atomic write (write to a temp file in the
 same directory, then rename), and all float formatting is fixed so repeated
 runs of the same scenario produce byte-identical files.
 
-The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``,
-format each distinct piece of text once: a cell with the same bits in every
-output frame goes into the frame template, a frame is one ``%`` over its
-time and other cells, and a frame that repeats the one before copies its
-text with the time replaced. Frames are handled a block of about 131,072
-cells at a time, and a block's frames are joined into one string, so the
-text is held as a few large pieces and the peak allocation stays near
-twice the finished text. ``"%.9g" % x`` and ``f"{x:.9g}"`` share CPython's
-correctly rounded float-to-string conversion, -0, nan and inf included, so
-the bytes equal those of formatting every cell on its own
-(``tests/test_reporting.py`` checks this against that per-cell writer).
+The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``, are
+streamed to their file as bytes and format each distinct piece of text
+once: a cell with the same bits in every output frame goes into the frame
+template, a frame is one bytes ``%`` over its time and other cells, and a
+frame that repeats the one before copies its text with the time replaced.
+Frames are formatted a block of about 131,072 cells at a time and each
+block is written as one piece, so the peak allocation is bounded by a
+block's text, not by the file's. ``b"%.9g" % x``, ``"%.9g" % x`` and
+``f"{x:.9g}"`` share CPython's correctly rounded float-to-string
+conversion, -0, nan and inf included, so the bytes equal those of
+formatting every cell on its own (``tests/test_reporting.py`` checks this
+against that per-cell writer).
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ from .engine import Plan, RunResult, SimTrace
 from .formation import ROLE_COOPERATIVE
 
 
-def atomic_write_text(path, text: str) -> None:
+def _atomic_write(path, pieces) -> None:
+    """Write the bytes ``pieces`` to a temp file beside ``path``, then rename
+    it over ``path``; on any error the temp file goes and ``path`` is untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,16 +47,22 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _frames(header: str, times, heads, tails, *blocks: np.ndarray) -> str:
-    """``header`` and one frame of rows per output time, each line ended by a newline.
+def atomic_write_text(path, text: str) -> None:
+    _atomic_write(path, [text.encode()])
+
+
+def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
+    """Yield ``header`` and one frame of rows per output time as bytes, one
+    piece per block of frames, each line ended by a newline.
 
     Row k of a frame is the time, ``heads[k]``, row k of the (T, N, ·)
     ``blocks`` side by side as ``%.9g`` cells, then ``tails[k]``. Bits are
     compared as int64, so -0.0 differs from 0.0 and a NaN equals itself.
     """
-    times = ["%.9g" % t for t in np.asarray(times, dtype=float).tolist()]
+    times = [b"%.9g" % t for t in np.asarray(times, dtype=float).tolist()]
     if not times:
-        return header + "\n"
+        yield header.encode() + b"\n"
+        return
     blocks = [np.asarray(b, dtype=float) for b in blocks]
     step = max(1, (1 << 17) // sum(b[0].size for b in blocks))  # frames per block of ~131,072 cells
 
@@ -66,36 +75,36 @@ def _frames(header: str, times, heads, tails, *blocks: np.ndarray) -> str:
     cells = np.full(const.shape, "%.9g", dtype=object)
     cells[const] = ["%.9g" % v for v in first.view(float)[const].tolist()]
     # a line starts with its newline, so a newline is followed by a time only at a row start
-    template = "".join(f"\n%s,{h},{','.join(row)}{t}" for h, row, t in zip(heads, cells.tolist(), tails))
+    template = "".join(f"\n%s,{h},{','.join(row)}{t}" for h, row, t in zip(heads, cells.tolist(), tails)).encode()
     width = 1 + (~const).sum(axis=1)  # arguments of a row: its time and varying cells
     is_time = np.zeros(width.sum(), dtype=bool)
     is_time[np.cumsum(width) - width] = True
     args = np.empty(len(is_time), dtype=object)
-    out, prev = [header], None
+    yield header.encode()
+    prev = None
     for s in range(0, len(times), step):
         v = bits(s)[:, ~const]
         again = [prev is not None and np.array_equal(v[0], prev)] + (v[1:] == v[:-1]).all(axis=1).tolist()
         prev, block = v[-1], []
         for k, repeat in enumerate(again, start=s):
             if repeat:
-                text = text.replace(f"\n{times[k - 1]},", f"\n{times[k]},")
+                text = text.replace(b"\n" + times[k - 1] + b",", b"\n" + times[k] + b",")
             else:
                 args[is_time] = times[k]
                 args[~is_time] = v[k - s].view(float)
                 text = template % tuple(args.tolist())
             block.append(text)
-        out.append("".join(block))
-    out.append("\n")
-    return "".join(out)
+        yield b"".join(block)
+    yield b"\n"
 
 
-def trace_table(trace: SimTrace) -> str:
-    """Delimited text: one row per (time, agent) on the output grid."""
+def trace_table(trace: SimTrace, path) -> None:
+    """Write ``path``: one delimited row per (time, agent) on the output grid."""
     coords = ["x", "y", "z"][: trace.positions.shape[2]]
     header = ["time", "agent_id", "role", "layer", *coords, *(c + "d" for c in coords), "converged"]
     heads = [f"{a},{role},{layer}" for a, role, layer in zip(trace.ids, trace.roles, trace.layer)]
     tails = [f",{int(c)}" if s else ",-" for c, s in zip(trace.converged, trace.scored)]
-    return _frames(",".join(header), trace.times, heads, tails, trace.positions, trace.desired)
+    _atomic_write(path, _frames(",".join(header), trace.times, heads, tails, trace.positions, trace.desired))
 
 
 def _team_counts(plan: Plan) -> dict:
@@ -165,10 +174,10 @@ def weights_table(plan: Plan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def setpoints_table(ids, times, setpoints: np.ndarray) -> str:
-    """Planned set-point positions sampled on the output grid."""
+def setpoints_table(ids, times, setpoints: np.ndarray, path) -> None:
+    """Write ``path``: the planned set-point positions sampled on the output grid."""
     header = ",".join(["time", "agent_id"] + ["sx", "sy", "sz"][: setpoints.shape[2]])
-    return _frames(header, times, ids, [""] * len(ids), setpoints)
+    _atomic_write(path, _frames(header, times, ids, [""] * len(ids), setpoints))
 
 
 def _n_cooperative(graph) -> int:

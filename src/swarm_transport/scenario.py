@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry
-from .dynamics import DEFAULT_GAINS, Gains
+from .dynamics import DEFAULT_GAINS, DIVERGENCE_THRESHOLD, Gains
 from .engine import Scenario, validate_scenario
 from .errors import BadConfig, InfeasibleParams, ParseError
 from .formation import Formation, agent_roles
@@ -91,12 +91,7 @@ def parse_scenario_text(text: str) -> Scenario:
     if not isinstance(gains_doc, dict):
         raise ParseError("gains must be an object", field="gains")
     _reject_unknown(gains_doc, _GAIN_KEYS, "gains")
-    gains = Gains(
-        k1=_number(gains_doc, "k1", "gains", default=DEFAULT_GAINS.k1),
-        k2=_number(gains_doc, "k2", "gains", default=DEFAULT_GAINS.k2),
-        k3=_number(gains_doc, "k3", "gains", default=DEFAULT_GAINS.k3),
-        k4=_number(gains_doc, "k4", "gains", default=DEFAULT_GAINS.k4),
-    )
+    gains = Gains(**{k: _number(gains_doc, k, "gains", default=getattr(DEFAULT_GAINS, k)) for k in sorted(_GAIN_KEYS)})
 
     agents = doc.get("agents")
     if not isinstance(agents, list) or not agents:
@@ -211,13 +206,9 @@ def parse_scenario_text(text: str) -> Scenario:
         formation=formation,
         targets=target_set,
         gains=gains,
-        t0=tvals["t0"],
-        tf=tvals["tf"],
-        t_end=tvals["t_end"],
-        dt=tvals["dt"],
+        **tvals,
         margin=margin,
         seed=seed,
-        output_period=tvals["output_period"],
         leader_mode=mode if isinstance(mode, str) else "generated",
         leader_scale=leader_scale,
         leader_positions=leader_positions,
@@ -289,11 +280,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     agents = []
     roles = agent_roles(formation, formation.core)
     for a, pos, role in zip(formation.ids, formation.positions, roles):
-        entry: dict = {"id": a}
-        for c, v in zip(coord_keys, pos):
-            entry[c] = float(v)
-        entry["role"] = role
-        agents.append(entry)
+        agents.append({"id": a, **{c: float(v) for c, v in zip(coord_keys, pos)}, "role": role})
 
     targets: dict = {}
     if scenario.targets.zone is not None:
@@ -315,19 +302,8 @@ def serialize_scenario(scenario: Scenario) -> str:
         "dimension": formation.dim,
         "seed": scenario.seed,
         "margin": scenario.margin,
-        "times": {
-            "t0": scenario.t0,
-            "tf": scenario.tf,
-            "t_end": scenario.t_end,
-            "dt": scenario.dt,
-            "output_period": scenario.output_period,
-        },
-        "gains": {
-            "k1": scenario.gains.k1,
-            "k2": scenario.gains.k2,
-            "k3": scenario.gains.k3,
-            "k4": scenario.gains.k4,
-        },
+        "times": {k: getattr(scenario, k) for k in DEFAULT_TIMES},
+        "gains": {k: getattr(scenario.gains, k) for k in sorted(_GAIN_KEYS)},
         "leader_final": leader_final,
         "agents": agents,
         "targets": targets,
@@ -382,6 +358,15 @@ def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
         value = getattr(p, name)
         if value is not None and not 0 < value < math.inf:  # NaN fails too
             raise InfeasibleParams(f"{name} must be a positive finite number, got {value}")
+    # A run tests lengths against absolute thresholds: states beyond
+    # DIVERGENCE_THRESHOLD end it, and hull and containment tests hold
+    # CONTAINMENT_TOL on lengths and DEGENERACY_COEFF on areas below unit
+    # scale. The team's scale is its radius; keep it three orders of
+    # magnitude from each of them.
+    low = 1e3 * max(geometry.CONTAINMENT_TOL, math.sqrt(geometry.DEGENERACY_COEFF))
+    high = 1e-3 * DIVERGENCE_THRESHOLD
+    if not low <= p.radius <= high:
+        raise InfeasibleParams(f"radius must lie in [{low:g}, {high:g}], got {p.radius:g}")
 
     from .engine import make_plan
     from .errors import BuildFailure, DegenerateSimplex

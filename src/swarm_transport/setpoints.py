@@ -8,8 +8,9 @@ strictly earlier layers, the relation is solved exactly by propagating the
 anchors forward one mentor layer at a time, for all output times at once.
 The propagation reads the mentor graph's (M,) mentee rows and (M, n+1)
 mentor rows beside the schedule's weights of the same shape. Rows are
-formation rows throughout, the order the trace and the writers use. The
-CSR matrix and the dense partitioned solve live with the tests, as
+formation rows throughout, the order the trace and the writers use, and
+time is the innermost axis of every blend (``blend``, which the closed loop
+shares). The CSR matrix and the dense partitioned solve live with the tests, as
 independent oracles for the propagation.
 """
 
@@ -19,6 +20,13 @@ import numpy as np
 
 from .formation import LayeredGraph
 from .weights import WeightSchedule, beta
+
+
+def blend(w: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """Convex blends of mentor positions, time innermost: ``out[k, d, t]`` is
+    the sum over mentors j of ``w[k, j, t] * x[k, j, d, t]``, added in mentor
+    order; a ``w`` with one time applies to every time."""
+    return np.einsum("kjt,kjdt->kdt", w, x, out=out)
 
 
 def propagate_setpoints(
@@ -33,10 +41,10 @@ def propagate_setpoints(
     boundary data and its follower rows are ignored.
     """
     anchors = np.asarray(anchors, dtype=float)
-    b = beta(times, schedule.t0, schedule.tf)[:, None, None]
-    s = np.repeat(anchors[None], len(b), axis=0)
+    b = beta(times, schedule.t0, schedule.tf)
+    s = np.repeat(anchors[:, :, None], len(b), axis=2)  # (N, n, T)
     starts = np.searchsorted(graph.layer[graph.mentees], np.arange(1, graph.n_layers + 2))
     for sl in map(slice, starts[:-1], starts[1:]):
-        w = (1.0 - b) * schedule.omega[sl] + b * schedule.varpi[sl]
-        s[:, graph.mentees[sl]] = np.einsum("tmk,tmkd->tmd", w, s[:, graph.mentors[sl]])
-    return s
+        w = (1.0 - b) * schedule.omega[sl, :, None] + b * schedule.varpi[sl, :, None]
+        s[graph.mentees[sl]] = blend(w, s[graph.mentors[sl]])
+    return s.transpose(2, 0, 1)

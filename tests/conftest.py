@@ -1,5 +1,8 @@
 """Shared builders for small, fully-specified formations and scenarios."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,15 @@ def square_core_formation(extra=(), uncooperative=(), core=None):
     return Formation.build(
         ids, pos, (2.0, 2.0), uncooperative=uncooperative, core_id=core
     )
+
+
+def written(writer, *args) -> str:
+    """The text that a table writer which streams to a path, such as
+    ``reporting.trace_table``, puts in its file, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        writer(*args, path)
+        return path.read_bytes().decode()
 
 
 class GridAxisAllocated(AssertionError):

@@ -289,6 +289,26 @@ class GridMismatch(SwarmTransportError):
     """Time grids of two series do not line up."""
 
 
+def loop_blend(w, x) -> np.ndarray:
+    """The closed loop's mentor blend before time became the innermost
+    axis: ``w`` (k, j, t) or (k, j, 1) weights, ``x`` (k, j, d, t) mentor
+    positions, summed over the mentors j as one strided reduction."""
+    return (w[:, :, None] * x).sum(axis=1)
+
+
+def time_major_setpoints(graph, schedule, anchors, times) -> np.ndarray:
+    """``setpoints.propagate_setpoints`` on a (T, N, n) array, time the
+    outermost axis of every blend."""
+    anchors = np.asarray(anchors, dtype=float)
+    b = beta(times, schedule.t0, schedule.tf)[:, None, None]
+    s = np.repeat(anchors[None], len(b), axis=0)
+    starts = np.searchsorted(graph.layer[graph.mentees], np.arange(1, graph.n_layers + 2))
+    for sl in map(slice, starts[:-1], starts[1:]):
+        w = (1.0 - b) * schedule.omega[sl] + b * schedule.varpi[sl]
+        s[:, graph.mentees[sl]] = np.einsum("tmk,tmkd->tmd", w, s[:, graph.mentors[sl]])
+    return s
+
+
 def build_comm_matrix(graph, schedule, t) -> scipy.sparse.csr_matrix:
     """The (N, N) communication matrix at time t, in formation row order:
     -1 on the diagonal, the mentor weights on follower rows."""

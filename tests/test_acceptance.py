@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import ancestors
+from conftest import ancestors, written
 from oracles import initial_state, setpoint_residual, solve_setpoints_dense, weights_at
 from swarm_transport import engine
 from swarm_transport.dynamics import DEFAULT_GAINS, Gains, check_hurwitz, rk4_map, step
@@ -251,7 +251,7 @@ def test_criterion_8_bitwise_determinism():
     )
     res1 = engine.run(sc)
     res2 = engine.run(sc)
-    same_trace = trace_table(res1.trace) == trace_table(res2.trace)
+    same_trace = written(trace_table, res1.trace) == written(trace_table, res2.trace)
     same_metrics = metrics_json(res1) == metrics_json(res2)
     ok = same_trace and same_metrics
     assert _verdict(

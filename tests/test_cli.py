@@ -53,6 +53,11 @@ class TestGenerate:
             ("--radius", "0", "radius must be"),
             ("--radius", "nan", "radius must be"),
             ("--radius", "inf", "radius must be"),
+            # beyond the divergence bound, overflowing the hull's geometry,
+            # and below the absolute hull tolerances
+            ("--radius", "1e12", "radius must lie in [0.001, 1000], got 1e+12"),
+            ("--radius", "1e300", "radius must lie in [0.001, 1000], got 1e+300"),
+            ("--radius", "1e-12", "radius must lie in [0.001, 1000], got 1e-12"),
         ],
     )
     def test_bad_sizes_are_refused(self, tmp_path, capsys, no_grid_axes, flag, value, named):
@@ -63,6 +68,14 @@ class TestGenerate:
         assert record["error"] == "InfeasibleParams"
         assert named in record["message"]
         assert not path.exists()
+
+    @pytest.mark.parametrize("radius", ["1e-3", "1e3"])
+    def test_radius_range_ends_generate_and_simulate(self, tmp_path, capsys, radius):
+        path = tmp_path / "scenario.json"
+        argv = ["generate", "--out", str(path), "--agents", "24", "--boundary", "6", "--radius", radius]
+        assert main(argv) == 0
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert "convergence rate 1.0000 (17/17)" in capsys.readouterr().out
 
 
 class TestBuildGraph:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ancestors, cube_scenario, manual_scenario, quick_scenario, square_core_formation
+from conftest import ancestors, cube_scenario, manual_scenario, quick_scenario, square_core_formation, written
 from oracles import (
     GridMismatch,
     setpoint_residual,
@@ -182,7 +182,7 @@ class TestRun:
         res2 = run(sc)
         assert np.array_equal(res1.trace.positions, res2.trace.positions)
         assert np.array_equal(res1.trace.desired, res2.trace.desired)
-        assert trace_table(res1.trace) == trace_table(res2.trace)
+        assert written(trace_table, res1.trace) == written(trace_table, res2.trace)
         assert metrics_json(res1) == metrics_json(res2)
 
     def test_divergence_reports_agent_and_time(self):
@@ -209,6 +209,37 @@ class TestRun:
             with pytest.raises(Diverged) as want:
                 stepwise_integrate(bad_plan)
             assert str(got.value) == str(want.value)
+
+    def test_divergence_names_the_worst_agent_before_the_failing_step(self, monkeypatch):
+        # seed 2 moved 8e5 along both axes, under poles (-2 +- 7i, -1, -1) at
+        # dt 0.4: at step 117, the 18th of its block, agent 1 has the largest
+        # state (its position) and agent 4's rates then leave the bound in
+        # one step, so the agent named depends on which step's rates are read
+        sc = quick_scenario(seed=2, n=20, nb=6)
+        f, off = sc.formation, 8e5
+        form = Formation.build(f.ids, f.positions + off, f.target_center + off)
+        ok = manual_scenario(
+            form, sc.targets.samples + off, zone=sc.targets.zone + off, t_end=200.0, tf=10.0, dt=0.4, output_period=0.8
+        )
+        poles = np.poly([-2 + 7j, -2 - 7j, -1, -1]).real
+        bad_plan = dataclasses.replace(make_plan(ok), scenario=dataclasses.replace(ok, gains=Gains(*poles[1:])))
+        seen = []
+
+        def step(states, r_d, phi):
+            seen.append((states, r_d, phi))
+            return dynamics.step(states, r_d, phi)
+
+        with pytest.raises(Diverged) as want:
+            stepwise_integrate(bad_plan, step=step)
+        states, r_d, phi = seen[-1]
+        monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", np.inf)
+        after = dynamics.step(states, r_d, phi)  # the step that left the bound
+        worst = [form.ids[int(np.argmax(np.abs(x).max(axis=(1, 2))))] for x in (states, after)]
+        assert (len(seen) - 1, worst) == (117, [1, 4])
+        monkeypatch.undo()
+        with pytest.raises(Diverged) as got:
+            engine._integrate(bad_plan)
+        assert str(got.value) == str(want.value) == "agent 1 diverged near t = 46.800 s"
 
     def test_fixed_map_matches_staged_rk4(self):
         # a planar team with clamped agents and the 3-D team, against the

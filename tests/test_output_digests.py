@@ -1,0 +1,51 @@
+"""Byte-identity guard: the SHA-256 of every file ``simulate --export-setpoints``
+writes, against digests recorded before the writers and the mentor blends
+were last rewritten.
+
+The digests hold for this toolchain (numpy 2.4.6 with its bundled
+OpenBLAS). A different numpy or BLAS may round a product differently and
+move a trajectory digit; re-record then, on a commit whose outputs are
+trusted, with ``PYTHONPATH=src python tests/test_output_digests.py``.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from conftest import cube_scenario, quick_scenario
+from swarm_transport.cli import main
+from swarm_transport.scenario import serialize_scenario
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+CASES = {
+    "quick-seed1-n40": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2), []),
+    "cube": (cube_scenario, []),
+    "cube-leader-blend": (cube_scenario, ["--leader-blend"]),
+}
+
+
+def output_digests(case: str, tmp_path: Path) -> dict[str, str]:
+    build, flags = CASES[case]
+    path = tmp_path / "scenario.json"
+    path.write_text(serialize_scenario(build()))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out), "--export-setpoints", *flags]) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_recorded_digests(case, tmp_path):
+    assert output_digests(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
+
+
+if __name__ == "__main__":
+    record = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            record[case] = output_digests(case, Path(tmp))
+    DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")

@@ -1,11 +1,13 @@
 """The frame-at-a-time table writers against a per-cell oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import cube_scenario, quick_scenario
+from conftest import cube_scenario, quick_scenario, written
+from swarm_transport import reporting
 from swarm_transport.engine import SimTrace, run, setpoint_series
 from swarm_transport.reporting import setpoints_table, trace_table
 
@@ -20,12 +22,14 @@ def trace_table_oracle(trace):
     coords = ["x", "y", "z"][:n]
     header = ["time", "agent_id", "role", "layer"] + coords + [c + "d" for c in coords] + ["converged"]
     lines = [",".join(header)]
+    scored = trace.scored
+    positions, desired = trace.positions.tolist(), trace.desired.tolist()
     for ti, t in enumerate(trace.times):
         for k, a in enumerate(trace.ids):
             row = [fmt(float(t)), str(a), trace.roles[k], str(trace.layer[k])]
-            row += [fmt(v) for v in trace.positions[ti, k]]
-            row += [fmt(v) for v in trace.desired[ti, k]]
-            row.append(str(int(trace.converged[k])) if trace.scored[k] else "-")
+            row += [fmt(v) for v in positions[ti][k]]
+            row += [fmt(v) for v in desired[ti][k]]
+            row.append(str(int(trace.converged[k])) if scored[k] else "-")
             lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -50,11 +54,11 @@ def assert_same_text(got, want):
 
 
 def assert_tables_match(trace, series):
-    text = trace_table(trace)
+    text = written(trace_table, trace)
     assert_same_text(text, trace_table_oracle(trace))
     assert text.endswith("\n") and not text.endswith("\n\n")
     assert text.count("\n") == 1 + trace.positions.shape[0] * trace.positions.shape[1]
-    sp = setpoints_table(trace.ids, trace.times, series)
+    sp = written(setpoints_table, trace.ids, trace.times, series)
     assert_same_text(sp, setpoints_table_oracle(trace.ids, trace.times, series))
     assert sp.endswith("\n") and not sp.endswith("\n\n")
 
@@ -68,7 +72,7 @@ def clamped_run():
 
 def test_2d_trace_with_clamped_agent(clamped_run):
     res, series = clamped_run
-    verdicts = {row.split(",")[-1] for row in trace_table(res.trace).splitlines()[1:]}
+    verdicts = {row.split(",")[-1] for row in written(trace_table, res.trace).splitlines()[1:]}
     assert verdicts == {"-", "0", "1"}
     assert "uncooperative" in res.trace.roles
     assert_tables_match(res.trace, series)
@@ -76,15 +80,15 @@ def test_2d_trace_with_clamped_agent(clamped_run):
 
 def test_headers(clamped_run):
     res, series = clamped_run
-    assert trace_table(res.trace).startswith("time,agent_id,role,layer,x,y,xd,yd,converged\n0,1,")
-    assert setpoints_table(res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy\n0,1,")
+    assert written(trace_table, res.trace).startswith("time,agent_id,role,layer,x,y,xd,yd,converged\n0,1,")
+    assert written(setpoints_table, res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy\n0,1,")
 
 
 def test_3d_cube_run():
     res = run(cube_scenario())
     series = setpoint_series(res.plan, res.trace.times)
-    assert trace_table(res.trace).startswith("time,agent_id,role,layer,x,y,z,xd,yd,zd,converged\n")
-    assert setpoints_table(res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy,sz\n")
+    assert written(trace_table, res.trace).startswith("time,agent_id,role,layer,x,y,z,xd,yd,zd,converged\n")
+    assert written(setpoints_table, res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy,sz\n")
     assert_tables_match(res.trace, series)
 
 
@@ -105,7 +109,7 @@ def test_synthetic_values():
         terminal_error=np.zeros(4),
     )
     assert_tables_match(trace, positions)
-    rows = trace_table(trace).splitlines()
+    rows = written(trace_table, trace).splitlines()
     assert rows[1] == "0,3,boundary,0,-0,0,-1.79769313e+308,inf,-"
     assert rows[2] == "0,7,cooperative,1,1e-05,1e+16,-inf,nan,1"
     assert rows[3] == "0,11,uncooperative,0,123456790,3,-1e+22,-0.666666667,-"
@@ -128,7 +132,8 @@ def test_synthetic_values():
         synthetic = dataclasses.replace(trace, times=times, positions=pos, desired=pos[:, ::-1] * 3.0)
         assert_tables_match(synthetic, pos)
     mixed = cases["mixed"]
-    rows = trace_table(dataclasses.replace(trace, times=np.arange(6) * 0.1, positions=mixed, desired=mixed))
+    mixed_trace = dataclasses.replace(trace, times=np.arange(6) * 0.1, positions=mixed, desired=mixed)
+    rows = written(trace_table, mixed_trace)
     cells = [row.split(",") for row in rows.splitlines()[1:]]
     assert [r[4] for r in cells[0::4]] == ["0", "-0"] * 3
     assert {r[5] for r in cells[1::4]} == {"nan"}
@@ -149,5 +154,75 @@ def test_no_output_times(clamped_run):
     empty = dataclasses.replace(
         res.trace, times=res.trace.times[:0], positions=res.trace.positions[:0], desired=res.trace.desired[:0]
     )
-    assert trace_table(empty) == trace_table_oracle(empty) == trace_table(res.trace).split("\n")[0] + "\n"
-    assert setpoints_table(empty.ids, empty.times, series[:0]) == "time,agent_id,sx,sy\n"
+    header = written(trace_table, res.trace).split("\n")[0] + "\n"
+    assert written(trace_table, empty) == trace_table_oracle(empty) == header
+    assert written(setpoints_table, empty.ids, empty.times, series[:0]) == "time,agent_id,sx,sy\n"
+
+
+def synthetic_trace(positions, desired, times):
+    """A trace of any shape around given arrays; every other agent is scored."""
+    n_agents = positions.shape[1]
+    return SimTrace(
+        ids=tuple(range(1, n_agents + 1)),
+        roles=np.resize(np.array(["cooperative", "boundary"], dtype=object), n_agents),
+        layer=np.arange(n_agents) % 3,
+        times=times,
+        positions=positions,
+        desired=desired,
+        converged=np.arange(n_agents) % 4 == 0,
+        rate=0.5,
+        terminal_error=np.zeros(n_agents),
+    )
+
+
+def test_frames_across_blocks():
+    # 1,024 agents in 2-D: 32 frames of 4,096 trace cells and 64 frames of
+    # 2,048 set-point cells to a block, so 130 frames are 5 and 3 blocks
+    rng = np.random.default_rng(11)
+    pos = rng.normal(size=(130, 1024, 2)) * 10.0 ** rng.integers(-5, 6, size=(1, 1024, 1))
+    pos[32] = pos[31]  # repeats across a trace block boundary
+    pos[64] = pos[63]  # and across a boundary of both tables' blocks
+    pos[:, 5, 0] = np.nan  # constant NaN cells
+    pos[:, 6, 1] = [0.0, -0.0] * 65  # cells that differ only in the sign of zero
+    pos[:, 7, 0] = -0.0  # a constant -0.0 cell
+    pos[:, 8] = -np.abs(pos[:, 8])  # negative coordinates
+    times = np.arange(130) * 0.1
+    assert_tables_match(synthetic_trace(pos, pos[:, ::-1] * -2.0, times), pos)
+
+
+def test_table_memory_is_bounded_by_a_block(tmp_path):
+    # 1,004 frames of 600 agents, about 40 MB of text: the peak of the
+    # writer's allocations is one block's text, not the file's (84 MB when
+    # the whole table was one string). Ten agents move; the rest stand
+    # still, which keeps the run short under tracemalloc.
+    rng = np.random.default_rng(2)
+    pos = np.repeat(rng.normal(size=(1, 600, 2)) * 100.0, 1004, axis=0)
+    pos[:, :10] = rng.normal(size=(1004, 10, 2)) * 100.0
+    trace = synthetic_trace(pos, pos + 1.0, np.arange(1004) * 0.1)
+    tracemalloc.start()
+    try:
+        trace_table(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trace.csv").stat().st_size > 35e6
+    assert peak < 10e6
+
+
+def test_failed_write_leaves_no_temp_file_and_keeps_the_target(tmp_path):
+    target = tmp_path / "trace.csv"
+    target.write_bytes(b"previous run\n")
+
+    def pieces():
+        yield b"time,agent_id\n"
+        raise RuntimeError("stopped mid-stream")
+
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        reporting._atomic_write(target, pieces())
+    assert target.read_bytes() == b"previous run\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["trace.csv"]
+    bad = synthetic_trace(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)), np.arange(3) * 0.1)  # desired too short
+    with pytest.raises(ValueError):
+        trace_table(bad, target)
+    assert target.read_bytes() == b"previous run\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["trace.csv"]

@@ -1,17 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import quick_scenario, square_core_formation
+from conftest import cube_scenario, quick_scenario, square_core_formation
 from oracles import (
     SingularFollowerBlock,
     build_comm_matrix,
+    loop_blend,
     setpoint_residual,
     solve_setpoints_dense,
+    time_major_setpoints,
     weights_at,
 )
 from swarm_transport.engine import make_plan, setpoint_series
 from swarm_transport.formation import LayeredGraph, build_actual
-from swarm_transport.setpoints import propagate_setpoints
+from swarm_transport.setpoints import blend, propagate_setpoints
 from swarm_transport.targets import DesiredPositions
 from swarm_transport.weights import WeightSchedule, build_schedule
 
@@ -182,3 +189,52 @@ class TestDenseOracle:
         anchors = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularFollowerBlock):
             solve_setpoints_dense(graph, sched, anchors, 0.0)
+
+
+# Coordinates and weights for the bitwise blend properties: signed zeros,
+# negatives and exact zero weights drawn often.
+COORDS = st.sampled_from([0.0, -0.0, -1.0, 1e-300]) | st.floats(-1e6, 1e6)
+WEIGHTS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]), k=st.integers(1, 6), t=st.integers(1, 12), one_time=st.booleans())
+def test_blend_equals_loop_blend_bitwise(data, dim, k, t, one_time):
+    # the closed loop's case: w with one time (a held endpoint) or m, written
+    # into the leading m columns of a wider buffer
+    w = data.draw(hnp.arrays(float, (k, dim + 1, 1 if one_time else t), elements=WEIGHTS))
+    x = data.draw(hnp.arrays(float, (k, dim + 1, dim, t), elements=COORDS))
+    buf = np.full((k, dim, t + 3), np.nan)
+    blend(w, x, out=buf[:, :, :t])
+    assert same_bits(buf[:, :, :t], loop_blend(w, x))
+    assert same_bits(blend(w, x), loop_blend(w, x))
+
+
+_PLANS = {}
+
+
+def _property_plan(team):
+    if team not in _PLANS:
+        _PLANS[team] = make_plan(quick_scenario(seed=3) if team == "2d" else cube_scenario())
+    return _PLANS[team]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), team=st.sampled_from(["2d", "3d"]), n_times=st.integers(1, 8))
+def test_propagation_equals_time_major_oracle_bitwise(data, team, n_times):
+    plan = _property_plan(team)
+    n_agents, dim = plan.desired.p.shape
+    shape = plan.schedule.omega.shape
+    schedule = dataclasses.replace(
+        plan.schedule,
+        omega=data.draw(hnp.arrays(float, shape, elements=WEIGHTS)),
+        varpi=data.draw(hnp.arrays(float, shape, elements=WEIGHTS)),
+    )
+    anchors = data.draw(hnp.arrays(float, (n_agents, dim), elements=COORDS))
+    times = np.array(data.draw(st.lists(st.floats(-5.0, 30.0), min_size=n_times, max_size=n_times)))
+    got = propagate_setpoints(plan.graph, schedule, anchors, times)
+    assert same_bits(got, time_major_setpoints(plan.graph, schedule, anchors, times))
