@@ -5,17 +5,20 @@ same directory, then rename), and all float formatting is fixed so repeated
 runs of the same scenario produce byte-identical files.
 
 The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``, are
-streamed to their file as bytes and format each distinct piece of text
-once: a cell with the same bits in every output frame goes into the frame
-template, a frame is one bytes ``%`` over its time and other cells, and a
-frame that repeats the one before copies its text with the time replaced.
-Frames are formatted a block of about 131,072 cells at a time and each
-block is written as one piece, so the peak allocation is bounded by a
-block's text, not by the file's. ``b"%.9g" % x``, ``"%.9g" % x`` and
-``f"{x:.9g}"`` share CPython's correctly rounded float-to-string
-conversion, -0, nan and inf included, so the bytes equal those of
-formatting every cell on its own (``tests/test_reporting.py`` checks this
-against that per-cell writer).
+streamed to their file a frame at a time and compared and formatted a block
+of about 16,384 cells at a time, so the peak allocation is bounded by a
+block's cells and text, not by the file's. A cell with the same bits in
+every frame goes into the frame template, the other cells fill its ``%s``
+slots, a frame that repeats the one before reuses its text, and the
+time goes in after each newline. Every cell is ``%.9g``. ``_g9`` formats in
+numpy each value of decimal exponent -4 to 8 (fixed notation: nearly every
+coordinate of a team of radius 0.01 to 100) whose rounding it certifies:
+scaled to 9 integer digits, the value carries one rounding error below
+6e-8, so if it lies more than 1e-6 from a half it rounds to the digits of
+CPython's correctly rounded conversion. Exponent form, -0, 0, nan, inf and
+near ties go through ``b"%.9g" % v`` itself. So the bytes equal those of
+formatting each cell on its own (``tests/test_reporting.py`` checks the
+tables against that per-cell writer and ``_g9`` against ``b"%.9g"``).
 """
 
 from __future__ import annotations
@@ -51,20 +54,85 @@ def atomic_write_text(path, text: str) -> None:
     _atomic_write(path, [text.encode()])
 
 
+def _g9_tables():
+    """ASCII of 0000..9999 (first digit in the low byte); 8 times their trailing
+    zeros (4 for 0000); per exponent e = -4..8 of a positive, then a negative value:
+    the prefix ("-", "0.", "-0.000", ...) and, in bits, its length, the ninth
+    digit's place, the point's place, the digits written ahead of the point (all
+    9 when it is in the prefix) and the fraction digits; and 10**(8 - e)."""
+    k = np.arange(10000)
+    digits = sum((k // 10 ** (3 - j) % 10 + 48).astype(np.uint64) << np.uint64(8 * j) for j in range(4))
+    zeros = np.select([k == 0, k % 1000 == 0, k % 100 == 0, k % 10 == 0], [32, 24, 16, 8], 0).astype(np.uint64)
+    layout = []
+    for sign in (b"", b"-"):
+        for e in range(-4, 9):
+            pre = sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+            q = e + 1 if e >= 0 else 9
+            point = len(pre) + q if e >= 0 else len(sign) + 1
+            ninth = len(pre) + 8 + (q < 9)
+            layout.append((int.from_bytes(pre, "little"), 8 * len(pre), 8 * ninth - 64, 8 * point, 8 * q, 8 * (8 - e)))
+    return digits, zeros, np.array(layout, dtype=np.uint64).T.copy(), (10 ** np.arange(12, -1, -1)).astype(float)
+
+
+_DIGITS, _ZEROS, _LAYOUT, _SCALE = _g9_tables()
+
+
+def _g9_fallback(values: list) -> list:
+    return [b"%.9g" % v for v in values]
+
+
+def _g9(x: np.ndarray) -> np.ndarray:
+    """``b"%.9g" % v`` for every v of the float64 array ``x``, as an S16 array.
+
+    A value of decimal exponent e in [-4, 8] whose m = |v| * 10**(8 - e) lies
+    in [1e8, 1e9) more than 1e-6 from a half is written from the integer
+    nearest m: its digits through ``_DIGITS`` into two little-endian words
+    with the sign, the zeros of "0.000" and the point, cut after the last
+    nonzero fraction digit. The rest go to ``_g9_fallback``. The words rely
+    on numpy's shifts by 64 bits or more giving 0.
+    """
+    u8, full = np.uint64(8), np.uint64(2**64 - 1)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i = np.fmin(np.fmax(np.floor(np.log10(a)) + 4, 0), 12).astype(np.intp)
+        y = a * _SCALE[i]
+        m = np.rint(y)
+        ok = (y >= 1e8) & (m < 1e9) & (np.abs(y - m) < 0.5 - 1e-6)
+    m = np.fmin(np.fmax(m, 1e8), 1e9 - 1).astype(np.int64)  # in range for the tables; the fallback rewrites the rest
+    pre, s, s9, point, q, frac = np.take(_LAYOUT, np.where(np.signbit(x), i + 13, i), axis=1)
+    top, mid = m // 100000000, m // 10000
+    low, group = m - mid * 10000, mid - top * 10000
+    zeros = np.where(low == 0, _ZEROS[group] + 32, _ZEROS[low])
+    low = _DIGITS[low]
+    digits = (top.astype(np.uint64) + 48) | _DIGITS[group] << u8 | low << np.uint64(40)  # all but the ninth
+    head = digits & ~(full << q)  # before the point
+    tail = digits ^ head
+    end = np.where(zeros < frac, point + frac + u8 - zeros, point)
+    words = np.empty((len(x), 2), dtype="<u8")
+    words[:, 0] = (pre | head << s | tail << (s + u8) | np.uint64(46) << point) & ~(full << end)
+    ninth = low >> np.uint64(24) << s9
+    words[:, 1] = (head >> (64 - s) | tail >> (56 - s) | ninth | np.uint64(46) << (point - 64)) & full >> (128 - end)
+    out = words.view("S16")[:, 0]
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        out[bad] = _g9_fallback(x[bad].tolist())
+    return out
+
+
 def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
-    """Yield ``header`` and one frame of rows per output time as bytes, one
-    piece per block of frames, each line ended by a newline.
+    """Yield ``header`` and then one frame of rows per output time as bytes,
+    each line ended by a newline.
 
     Row k of a frame is the time, ``heads[k]``, row k of the (T, N, ·)
     ``blocks`` side by side as ``%.9g`` cells, then ``tails[k]``. Bits are
     compared as int64, so -0.0 differs from 0.0 and a NaN equals itself.
     """
-    times = [b"%.9g" % t for t in np.asarray(times, dtype=float).tolist()]
+    times = _g9(np.asarray(times, dtype=float)).tolist()
     if not times:
         yield header.encode() + b"\n"
         return
     blocks = [np.asarray(b, dtype=float) for b in blocks]
-    step = max(1, (1 << 17) // sum(b[0].size for b in blocks))  # frames per block of ~131,072 cells
+    step = max(1, (1 << 14) // sum(b[0].size for b in blocks))  # frames per block of ~16,384 cells
 
     def bits(s):  # frames s .. s+step-1 side by side, as (F, N, cells) int64
         return np.concatenate([b[s : s + step] for b in blocks], axis=2).view(np.int64)
@@ -72,29 +140,21 @@ def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
     const = np.ones(first.shape, dtype=bool)
     for s in range(0, len(times), step):
         const &= (bits(s) == first).all(axis=0)
-    cells = np.full(const.shape, "%.9g", dtype=object)
-    cells[const] = ["%.9g" % v for v in first.view(float)[const].tolist()]
-    # a line starts with its newline, so a newline is followed by a time only at a row start
-    template = "".join(f"\n%s,{h},{','.join(row)}{t}" for h, row, t in zip(heads, cells.tolist(), tails)).encode()
-    width = 1 + (~const).sum(axis=1)  # arguments of a row: its time and varying cells
-    is_time = np.zeros(width.sum(), dtype=bool)
-    is_time[np.cumsum(width) - width] = True
-    args = np.empty(len(is_time), dtype=object)
+    cells = np.full(const.shape, "%s", dtype=object)
+    cells[const] = _g9(first.view(float)[const]).astype(str)
+    # a frame without its times: each line starts with its newline, and a newline is followed by the time
+    template = "".join(f"\n{h},{','.join(row)}{t}" for h, row, t in zip(heads, cells.tolist(), tails)).encode()
     yield header.encode()
     prev = None
     for s in range(0, len(times), step):
         v = bits(s)[:, ~const]
         again = [prev is not None and np.array_equal(v[0], prev)] + (v[1:] == v[:-1]).all(axis=1).tolist()
-        prev, block = v[-1], []
+        prev = v[-1]
+        new = v[~np.array(again)].view(float)
+        texts = (template % tuple(row) for row in _g9(new.ravel()).reshape(new.shape).tolist())
         for k, repeat in enumerate(again, start=s):
-            if repeat:
-                text = text.replace(b"\n" + times[k - 1] + b",", b"\n" + times[k] + b",")
-            else:
-                args[is_time] = times[k]
-                args[~is_time] = v[k - s].view(float)
-                text = template % tuple(args.tolist())
-            block.append(text)
-        yield b"".join(block)
+            untimed = untimed if repeat else next(texts)
+            yield untimed.replace(b"\n", b"\n" + times[k] + b",")
     yield b"\n"
 
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cube_scenario, quick_scenario, written
 from swarm_transport import reporting
@@ -176,12 +178,13 @@ def synthetic_trace(positions, desired, times):
 
 
 def test_frames_across_blocks():
-    # 1,024 agents in 2-D: 32 frames of 4,096 trace cells and 64 frames of
-    # 2,048 set-point cells to a block, so 130 frames are 5 and 3 blocks
+    # 1,024 agents in 2-D: 4 frames of 4,096 trace cells and 8 frames of
+    # 2,048 set-point cells to a block, so 130 frames are 33 and 17 blocks
     rng = np.random.default_rng(11)
     pos = rng.normal(size=(130, 1024, 2)) * 10.0 ** rng.integers(-5, 6, size=(1, 1024, 1))
-    pos[32] = pos[31]  # repeats across a trace block boundary
-    pos[64] = pos[63]  # and across a boundary of both tables' blocks
+    pos[32] = pos[31]  # repeats across a boundary of both tables' blocks
+    pos[36] = pos[35]  # and of the trace's blocks only
+    pos[64] = pos[63]
     pos[:, 5, 0] = np.nan  # constant NaN cells
     pos[:, 6, 1] = [0.0, -0.0] * 65  # cells that differ only in the sign of zero
     pos[:, 7, 0] = -0.0  # a constant -0.0 cell
@@ -192,9 +195,10 @@ def test_frames_across_blocks():
 
 def test_table_memory_is_bounded_by_a_block(tmp_path):
     # 1,004 frames of 600 agents, about 40 MB of text: the peak of the
-    # writer's allocations is one block's text, not the file's (84 MB when
-    # the whole table was one string). Ten agents move; the rest stand
-    # still, which keeps the run short under tracemalloc.
+    # writer's allocations is a block's cells and text, 0.8 MB, not the
+    # file's (84 MB when the whole table was one string, 4.8 MB with the
+    # text of a block of 131,072 cells joined). Ten agents move; the rest
+    # stand still, which keeps the run short under tracemalloc.
     rng = np.random.default_rng(2)
     pos = np.repeat(rng.normal(size=(1, 600, 2)) * 100.0, 1004, axis=0)
     pos[:, :10] = rng.normal(size=(1004, 10, 2)) * 100.0
@@ -226,3 +230,65 @@ def test_failed_write_leaves_no_temp_file_and_keeps_the_target(tmp_path):
         trace_table(bad, target)
     assert target.read_bytes() == b"previous run\n"
     assert [f.name for f in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def floats_from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def tens(e):
+    return float(np.float64(10.0) ** e)
+
+
+NEG_NAN = 0xFFF8000000000000
+# every float64 bit pattern, subnormals among them
+BIT_PATTERNS = st.one_of(st.integers(0, 2**64 - 1), st.integers(1, 2**52 - 1), st.integers(2**63 + 1, 2**63 + 2**52 - 1))
+# a value of each decimal exponent from -6 to 10, either sign
+BY_EXPONENT = st.builds(lambda e, m, sign: sign * m * tens(e), st.integers(-6, 10), st.floats(1.0, 10.0), st.sampled_from([1.0, -1.0]))
+# powers of ten and the floats a few ulps either side
+NEAR_TENS = st.builds(
+    lambda e, k, sign: sign * floats_from_bits([int(np.float64(tens(e)).view(np.uint64)) + k])[0],
+    st.integers(-6, 10), st.integers(-4, 4), st.sampled_from([1.0, -1.0]),
+)
+# (k + 1/2) * 10**(e - 8) for a 9-digit k: halfway between two 9-digit roundings
+NEAR_TIES = st.builds(lambda k, e: (k + 0.5) * tens(e - 8), st.integers(10**8, 10**9 - 1), st.integers(-6, 10))
+CARRIES = [9.9999999995, 999999999.5, 99999999.95, 9.99999999949999, 0.000099999999995, 0.00099999999995, 99999999.5]
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, float(floats_from_bits([NEG_NAN])[0]), 5e-324, -5e-324, 1e-4, 1e9]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(BIT_PATTERNS.map(lambda b: float(floats_from_bits([b])[0])), BY_EXPONENT, NEAR_TENS, NEAR_TIES), max_size=64)
+)
+@example(CARRIES + [-v for v in CARRIES])
+@example(SPECIALS)
+def test_g9_equals_cpython_percent_9g(values):
+    x = np.array(values, dtype=float)
+    assert reporting._g9(x).tolist() == [b"%.9g" % v for v in x.tolist()]
+
+
+@pytest.mark.parametrize("radius", [0.01, 100.0])
+def test_tables_of_teams_far_from_radius_ten(radius):
+    # cells of decimal exponent -7 to -3 at radius 0.01, 1,437 of them in
+    # exponent form, and -3 to 1 at radius 100
+    res = run(quick_scenario(seed=1, n=40, nb=10, uncoop=2, radius=radius))
+    assert_tables_match(res.trace, setpoint_series(res.plan, res.trace.times))
+
+
+def test_fixed_notation_cells_never_fall_back(monkeypatch):
+    sent = []
+
+    def fallback(values):
+        sent.extend(values)
+        return [b"%.9g" % v for v in values]
+
+    monkeypatch.setattr(reporting, "_g9_fallback", fallback)
+    # every cell and time in fixed notation, exponents -4 to 8 and either sign
+    rng = np.random.default_rng(3)
+    pos = rng.uniform(1.0, 4.5, size=(40, 200, 2)) * 10.0 ** rng.integers(-4, 9, size=(1, 200, 2))
+    pos[:, ::3] *= -1.0
+    trace = synthetic_trace(pos, pos[:, ::-1] * 2.0, np.arange(1, 41) * 0.1)
+    assert_tables_match(trace, pos)
+    assert sent == []
+    reporting._g9(np.array([1e-5, 1.0, 0.0]))
+    assert sent == [1e-5, 0.0]
