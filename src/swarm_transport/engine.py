@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dynamics, geometry
 from .dynamics import Gains
-from .errors import BadConfig, Diverged
+from .errors import BadConfig, DegenerateInput, Diverged
 from .formation import (
     ROLE_BOUNDARY,
     ROLE_COOPERATIVE,
@@ -72,6 +72,11 @@ class Scenario:
     validated: bool = field(default=False, init=False, repr=False, compare=False)
 
 
+# most RK4 steps a run may take: 1,678 times the default 2,500 (17 s of loop
+# at N = 40); more means a t_end or dt off by orders of magnitude
+_MAX_STEPS = 2**22
+
+
 def validate_scenario(scenario: Scenario) -> None:
     """Raise ``BadConfig`` unless the scenario can run; else mark it ``validated``."""
     sc = scenario
@@ -82,14 +87,21 @@ def validate_scenario(scenario: Scenario) -> None:
         raise BadConfig(f"times must satisfy t0 < tf <= t_end, got {sc.t0}, {sc.tf}, {sc.t_end}")
     if sc.dt <= 0:
         raise BadConfig("dt must be positive")
+    nsteps = (sc.t_end - sc.t0) / sc.dt
+    if not nsteps <= _MAX_STEPS:
+        raise BadConfig(f"times t0 {sc.t0:g}, t_end {sc.t_end:g}, dt {sc.dt:g}: {nsteps:.3g} steps, over {_MAX_STEPS}")
     ratio = sc.output_period / sc.dt
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise BadConfig("dt must divide the output sampling period")
-    nsteps = (sc.t_end - sc.t0) / sc.dt
     if abs(nsteps - round(nsteps)) > 1e-6:
         raise BadConfig("dt must divide the simulation horizon t_end - t0")
     if sc.margin < 0:
         raise BadConfig("margin must be nonnegative")
+    try:
+        if sc.targets.zone is not None:
+            geometry.convex_hull(sc.targets.zone)
+    except DegenerateInput as exc:
+        raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
     if not dynamics.check_hurwitz(sc.gains):
         raise BadConfig(f"gains {sc.gains} do not make the closed loop Hurwitz-stable")
     if np.max(np.abs(np.linalg.eigvals(dynamics.rk4_map(sc.gains, sc.dt)))) >= 1.0:
@@ -305,10 +317,8 @@ def convergence_check(positions, zone, margin: float):
         inflated = geometry.scale_polygon(geometry.ensure_ccw(zone), 1.0 + margin)
         inside = geometry.point_in_polygon(pts.reshape(-1, 2), inflated)
     else:
-        from scipy.spatial import ConvexHull
-
         center = zone.mean(axis=0)
-        hull = ConvexHull(center + (1.0 + margin) * (zone - center))
+        hull = geometry.hull_3d(center + (1.0 + margin) * (zone - center))
         vals = pts.reshape(-1, 3) @ hull.equations[:, :-1].T + hull.equations[:, -1]
         inside = np.all(vals <= geometry.CONTAINMENT_TOL, axis=1)
     return bool(inside[0]) if pts.ndim == 1 else inside

@@ -218,10 +218,8 @@ def _strictly_inside(formation: Formation, pts: np.ndarray) -> np.ndarray:
             cross = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
             mask &= cross > eps
         return mask
-    from scipy.spatial import ConvexHull
-
     # scipy's facet equations are (normal, offset) with inside <= 0
-    hull = ConvexHull(hull_pts)
+    hull = geometry.hull_3d(hull_pts)
     vals = pts @ hull.equations[:, :-1].T + hull.equations[:, -1]
     return np.all(vals < -geometry.DEGENERACY_COEFF * scale, axis=1)
 
@@ -241,7 +239,7 @@ def build_actual(formation: Formation) -> LayeredGraph:
     flat = geometry.degenerate(pos[cells])
     stop = int(np.argmax(flat)) if flat.any() else len(cells)
     for u in formation.clamped.tolist():
-        lam = geometry.barycentric(np.broadcast_to(pos[u], (stop, formation.dim)), pos[cells[:stop]])
+        lam = geometry.inverse_coordinates(geometry.simplex_inverse(pos[cells[:stop]]), pos[u])
         hit = np.flatnonzero(lam.min(axis=1) >= -geometry.CONTAINMENT_TOL)
         if not len(hit) and stop < len(cells):
             raise DegenerateSimplex("simplex vertices are affinely dependent")
@@ -304,16 +302,6 @@ def _pick_mentee(cells: np.ndarray, stop: int, free: np.ndarray, pos: np.ndarray
         lo, hi = np.searchsorted(cell, [c, c + 1])
         pick[c] = next((r for r in k[lo:hi].tolist() if r not in taken), -1)
         taken.add(int(pick[c]))
-    # Once one row is left, the one-cell-at-a-time search solved it alone, a
-    # one-column solve that rounds differently: redo those turns that way.
-    before = np.cumsum(pick >= 0) - (pick >= 0)
-    if len(free) > 1 and (before == len(free) - 1).any():
-        i = int(np.argmax(before == len(free) - 1))
-        (r,) = np.setdiff1d(np.arange(len(free)), pick[:i])
-        lam = geometry.barycentric(np.broadcast_to(pos[free[r]], (stop - i, pos.shape[1])), pos[cells[i:stop]])
-        inside = np.flatnonzero(lam.min(axis=1) >= -geometry.CONTAINMENT_TOL)
-        pick[i:] = -1
-        pick[i + inside[:1]] = r
     if stop < len(cells) and np.count_nonzero(pick >= 0) < len(free):
         raise DegenerateSimplex("simplex vertices are affinely dependent")
     return np.where(pick >= 0, free[pick], -1)

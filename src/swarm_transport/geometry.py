@@ -1,8 +1,10 @@
 """Simplex and polygon geometry in R^2 and R^3.
 
 Convex hulls, barycentric coordinates, containment tests and a few polygon
-utilities. Everything operates on plain numpy arrays in workspace units
-(meters) and is pure, so calls are safe from any thread.
+utilities. Weights come from a LAPACK solve, containment from each simplex's
+inverse applied elementwise, which gives a point the same bits in any batch.
+Everything operates on plain numpy arrays in workspace units (meters) and
+is pure, so calls are safe from any thread.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 from .errors import DegenerateInput, DegenerateSimplex
 
 # A simplex counts as degenerate when |det| of its augmented vertex matrix
-# falls below DEGENERACY_COEFF * (max vertex coordinate magnitude)^n.
+# is at most DEGENERACY_COEFF * (max vertex coordinate magnitude)^n, so one
+# with every vertex at the origin is too.
 DEGENERACY_COEFF = 1e-12
 # Points within this slack of a face still count as inside the simplex.
 CONTAINMENT_TOL = 1e-9
@@ -31,12 +34,12 @@ def augmented_matrix(vertices: np.ndarray) -> np.ndarray:
 
 def degenerate(vertices) -> np.ndarray:
     """Whether each simplex of a (..., n+1, n) stack is degenerate: |det| of its
-    augmented matrix below DEGENERACY_COEFF * (max |vertex coordinate|)^n."""
+    augmented matrix at most DEGENERACY_COEFF * (max |vertex coordinate|)^n."""
     verts = np.asarray(vertices, dtype=float)
     scale = np.abs(verts).max(axis=(-2, -1), initial=0.0)
     # Python's float power: np.power can differ in the last bit
     threshold = [DEGENERACY_COEFF * s ** verts.shape[-1] for s in scale.ravel().tolist()]
-    return np.abs(np.linalg.det(augmented_matrix(verts))) < np.reshape(threshold, scale.shape)
+    return np.abs(np.linalg.det(augmented_matrix(verts))) <= np.reshape(threshold, scale.shape)
 
 
 def barycentric(point, vertices) -> np.ndarray:
@@ -48,9 +51,8 @@ def barycentric(point, vertices) -> np.ndarray:
 
 def barycentric_many(points, vertices) -> np.ndarray:
     """Barycentric coordinates of (K, n) points in one (n+1, n) simplex, as
-    (K, n+1), or of a (C, K, n) stack in a (C, n+1, n) stack. Each simplex
-    is one solve with K right-hand sides; its columns do not depend on K
-    for K >= 2, while one column takes another BLAS path and rounds apart."""
+    (K, n+1), or of a (C, K, n) stack in a (C, n+1, n) stack, by one solve
+    per simplex with K right-hand sides."""
     pts = np.asarray(points, dtype=float)
     verts = np.asarray(vertices, dtype=float)
     if degenerate(verts).any():
@@ -59,12 +61,32 @@ def barycentric_many(points, vertices) -> np.ndarray:
     return np.swapaxes(np.linalg.solve(augmented_matrix(verts), rhs), -1, -2)
 
 
+def simplex_inverse(vertices) -> np.ndarray:
+    """Inverses of the augmented matrices of a (..., n+1, n) stack of simplices,
+    for ``inverse_coordinates``; ``DegenerateSimplex`` if any is degenerate."""
+    verts = np.asarray(vertices, dtype=float)
+    if degenerate(verts).any():
+        raise DegenerateSimplex("simplex vertices are affinely dependent")
+    return np.linalg.inv(augmented_matrix(verts))
+
+
+def inverse_coordinates(inverse, points) -> np.ndarray:
+    """Barycentric coordinates of (..., n) points through (..., n+1, n+1)
+    simplex inverses broadcast against them, as (..., n+1): column j of the
+    inverse times coordinate j, summed for j = 0..n-1 in order, then plus the
+    last column, all elementwise, so a point's bits never depend on its batch."""
+    x = np.asarray(points, dtype=float)[..., None, :]
+    lam = inverse[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        lam = lam + inverse[..., j] * x[..., j]
+    return lam + inverse[..., -1]
+
+
 # A simplex looks for points only where every barycentric coordinate is
 # >= -_SLACK: the simplex scaled by 1 + (n+1)*_SLACK about its centroid.
-# The slack lies far above CONTAINMENT_TOL and the solves' rounding, so that
-# region holds every point the solve can find inside.
+# The slack lies far above CONTAINMENT_TOL and the coordinates' rounding, so
+# that region holds every point the test can find inside.
 _SLACK = 1e-3
-_MIN_COLUMNS = 16  # the least padded width; larger groups grow by powers of 4
 _EDGES = {m: np.triu_indices(m, 1) for m in (3, 4)}  # vertex pairs of a simplex
 
 
@@ -95,14 +117,13 @@ class PointIndex:
 
     def inside(self, vertices):
         """Every (simplex, point) pair with the point in the closed simplex,
-        for a (C, n+1, n) stack of non-degenerate simplices: the simplex
-        and point indices, sorted by simplex then point, and the points'
-        minimum barycentric coordinates. A simplex takes as candidates the
-        points of each column it spans that lie in the box around its part
-        of that column's x-slab, so no (C, P) array is formed. Each group of
-        simplices by candidate count is one solve padded to at least
-        _MIN_COLUMNS right-hand sides (one when P is 1), so the coordinates
-        equal those of one ``barycentric_many`` over all P points.
+        for a (C, n+1, n) stack of simplices: the simplex and point indices,
+        sorted by simplex then point, and the points' minimum barycentric
+        coordinates. A simplex takes as candidates the points of each column
+        it spans that lie in the box around its part of that column's
+        x-slab, so no (C, P) array is formed. Every candidate pair is scored
+        in one pass by ``inverse_coordinates``, inverting only the simplices
+        that have candidates (``DegenerateSimplex`` if one is degenerate).
         """
         verts = np.asarray(vertices, dtype=float)
         pts, xs, per, n_pts = self.points, self.xs, self.per, len(self.points)
@@ -139,25 +160,11 @@ class PointIndex:
         x = pts[idx]
         keep = (x[:, 0] >= xa[q]) & (x[:, 0] <= xb[q]) & np.all((x[:, 1:] >= lo[q]) & (x[:, 1:] <= hi[q]), axis=1)
         cell, idx = q_cell[q[keep]], idx[keep]
-        order = np.argsort(cell * n_pts + idx)
-        cell, idx = cell[order], idx[order]
-
-        score = np.empty(len(cell))
-        begin = np.flatnonzero(np.diff(cell, prepend=-1))
-        size = np.diff(begin, append=len(cell))
-        owner = np.repeat(np.arange(len(begin)), size)  # of each pair
-        slot = np.arange(len(cell)) - begin[owner]
-        cols = np.maximum(min(n_pts, _MIN_COLUMNS), np.left_shift(1, 2 * np.ceil(np.log2(size) / 2).astype(np.intp)))
-        if cols.max(initial=0) * len(cols) <= 4 * len(cell) + _MIN_COLUMNS * len(cols):
-            cols[:] = cols.max(initial=0)  # one solve pads little
-        for w in np.unique(cols).tolist():
-            group = cols == w
-            rank = (np.cumsum(group) - 1)[owner]
-            sel = np.flatnonzero(group[owner])
-            rhs = np.zeros((int(group.sum()), w, pts.shape[1]))
-            rhs[rank[sel], slot[sel]] = pts[idx[sel]]
-            score[sel] = barycentric_many(rhs, verts[cell[begin[group]]]).min(axis=2)[rank[sel], slot[sel]]
-        inside = score >= -CONTAINMENT_TOL
+        used = np.bincount(cell, minlength=len(verts)) > 0
+        inv = simplex_inverse(verts[used])[np.cumsum(used)[cell] - 1]
+        score = inverse_coordinates(inv, pts[idx]).min(axis=1)
+        inside = np.flatnonzero(score >= -CONTAINMENT_TOL)
+        inside = inside[np.argsort(cell[inside] * n_pts + idx[inside])]
         return cell[inside], idx[inside], score[inside]
 
 
@@ -175,7 +182,7 @@ def convex_hull(points) -> list[int]:
         raise DegenerateInput("need at least n+1 points for a full-dimensional hull")
     if pts.shape[1] == 2:
         return _hull_2d(pts)
-    return _hull_3d(pts)
+    return sorted(int(i) for i in hull_3d(pts).vertices)
 
 
 def _hull_2d(pts: np.ndarray) -> list[int]:
@@ -206,26 +213,19 @@ def _hull_2d(pts: np.ndarray) -> list[int]:
     return hull[start:] + hull[:start]
 
 
-def _hull_3d(pts: np.ndarray) -> list[int]:
+def hull_3d(points):
+    """scipy's ``ConvexHull`` of 3-D points; ``DegenerateInput`` where Qhull fails."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        hull = ConvexHull(pts)
+        return ConvexHull(np.asarray(points, dtype=float))
     except QhullError as exc:
         raise DegenerateInput(f"degenerate 3-d point set: {exc}") from exc
-    return sorted(int(i) for i in hull.vertices)
 
 
 def hull_facets(points) -> list[tuple[int, ...]]:
     """Triangular facets (vertex index triples) of a 3-D convex hull."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = np.asarray(points, dtype=float)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise DegenerateInput(f"degenerate 3-d point set: {exc}") from exc
-    facets = [tuple(int(i) for i in f) for f in hull.simplices]
+    facets = [tuple(int(i) for i in f) for f in hull_3d(points).simplices]
     return sorted(facets, key=lambda f: tuple(sorted(f)))
 
 

@@ -43,7 +43,7 @@ def initial_state(position) -> np.ndarray:
 
 def contains(vertices, point, tol: float = geometry.CONTAINMENT_TOL) -> bool:
     """True iff ``point`` lies in the closed simplex (faces count as inside)."""
-    return bool(np.min(geometry.barycentric(point, vertices)) >= -tol)
+    return bool(np.min(geometry.inverse_coordinates(geometry.simplex_inverse(vertices), point)) >= -tol)
 
 
 def staged_rk4(state, r_d, gains, dt):
@@ -200,7 +200,8 @@ def _pick_one(simplex, unassigned, formation):
     smaller row on ties; None when no row lies inside."""
     if not len(unassigned):
         return None
-    weights = geometry.barycentric_many(formation.positions[unassigned], simplex.vertex_points)
+    inverse = geometry.simplex_inverse(simplex.vertex_points)
+    weights = geometry.inverse_coordinates(inverse, formation.positions[unassigned])
     min_w = weights.min(axis=1)
     eligible = min_w >= -geometry.CONTAINMENT_TOL
     if not np.any(eligible):
@@ -240,7 +241,7 @@ def cellwise_compute_desired(graph, formation, targets, leader_p) -> DesiredPosi
         verts = p[mentors]
         try:
             if len(samples):
-                weights = geometry.barycentric_many(samples, verts)
+                weights = geometry.inverse_coordinates(geometry.simplex_inverse(verts), samples)
                 inside = np.where(weights.min(axis=1) >= -geometry.CONTAINMENT_TOL)[0]
             else:
                 inside = np.empty(0, dtype=int)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import swarm_transport
+from conftest import cube_scenario
 from swarm_transport.cli import main
+from swarm_transport.scenario import serialize_scenario
 
 
 def _generate(tmp_path, name="scenario.json", agents=30, boundary=8, uncoop=0, seed=0):
@@ -247,6 +249,58 @@ def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named)
     assert record["error"] == error
     assert named in record["message"]
     assert not (tmp_path / "out").exists()  # refused before any output is written
+
+
+def _edited_simulate(tmp_path, capsys, edit, scenario=None):
+    """Exit code and stderr of ``simulate`` on a scenario document after
+    ``edit(doc)``: sweep-small's seed 1 unless ``scenario`` is given."""
+    if scenario is None:
+        path = _generate(tmp_path, agents=40, boundary=10, uncoop=2, seed=1)
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(serialize_scenario(scenario))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times", [{"t_end": 1e9}, {"dt": 1e-9}], ids=["t_end-1e9", "dt-1e-9"])
+def test_step_count_beyond_the_cap_is_refused(tmp_path, capsys, times):
+    code, err = _edited_simulate(tmp_path, capsys, lambda doc: doc["times"].update(times))
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "BadConfig"
+    assert all(name in record["message"] for name in ("t0", "t_end", "dt", "steps"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, zone",
+    [
+        (None, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+        (cube_scenario, [[x, y, 1.0] for x in (1.0, 3.0) for y in (1.0, 3.0)]),
+    ],
+    ids=["2d-collinear", "3d-coplanar"],
+)
+def test_zone_without_area_or_volume_is_refused(tmp_path, capsys, scenario, zone):
+    edit = lambda doc: doc["targets"].update(zone=zone)  # noqa: E731
+    code, err = _edited_simulate(tmp_path, capsys, edit, scenario and scenario())
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "BadConfig"
+    assert "targets.zone" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_sample_list_runs_with_every_mentee_on_its_fallback(tmp_path, capsys):
+    # no layer has a candidate pair, so no simplex is inverted
+    code, err = _edited_simulate(tmp_path, capsys, lambda doc: doc["targets"].update(samples=[]))
+    assert code == 0, err
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert len(metrics["fallback_agents"]) == metrics["n_agents"] - metrics["n_boundary"] - 3
 
 
 def _bad_input_files(tmp_path):

@@ -73,6 +73,14 @@ class TestScenarioValidation:
         with pytest.raises(BadConfig):
             engine.validate_scenario(bad)
 
+    def test_step_count_is_capped(self):
+        sc = quick_scenario(seed=1, n=20, nb=6)
+        dt = 2.0**-7  # exact, so t_end / dt is exactly the step count
+        horizon = engine._MAX_STEPS * dt
+        ok = dataclasses.replace(sc, dt=dt, output_period=16 * dt, t_end=horizon)
+        engine.validate_scenario(ok)
+        with pytest.raises(BadConfig, match="t_end"):
+            engine.validate_scenario(dataclasses.replace(ok, t_end=horizon + 16 * dt))
 
     def test_each_scenario_is_validated_once(self, monkeypatch):
         calls = []

@@ -186,13 +186,14 @@ class TestBuildActual:
 
     @pytest.mark.parametrize(
         "last, mentors",
-        [((3.106559884909243, 3.292116615091471), [1, 2, 4]), ((2.64974373730896, 2.7118366438154355), [2, 3, 4])],
+        [((3.106559884909243, 3.292116615091471), [2, 3, 4]), ((2.64974373730896, 2.7118366438154355), [2, 3, 4])],
     )
     def test_last_free_agent_is_tested_alone(self, last, mentors):
         # The last agent sits 1e-9 outside the second fan cell, where a
-        # one-point and a two-point solve disagree on whether it is inside.
-        # One cell at a time, it is tested alone once the first cell has
-        # adopted the other agent; the batched search must decide the same.
+        # one-point and a two-point LAPACK solve disagree on whether it is
+        # inside. One cell at a time, it is tested alone once the first cell
+        # has adopted the other agent; the batched search, which scores it
+        # with the other agent, must decide the same.
         hull = [(0.1, -0.3), (4.2, 0.15), (3.9, 4.3), (-0.2, 3.8)]
         pts = hull + [(2.05, 1.95), (2.1166666666666667, 0.6), last]
         form = Formation.build(range(1, 8), pts, (2.05, 1.95), core_id=5)

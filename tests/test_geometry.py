@@ -139,21 +139,57 @@ class TestBatchedNumerics:
         assert geometry.degenerate(verts).tolist() == [geometry.degenerate(v) for v in verts]
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_padded_batched_solve_equals_each_cell(self, n):
-        rng = np.random.default_rng(10 + n)
+    def test_batched_inv_equals_each_inv(self, n):
+        verts = self._simplices(np.random.default_rng(40 + n), 500, n)
+        mats = geometry.augmented_matrix(verts)
+        batched = np.linalg.inv(mats)
+        assert [a.tobytes() for a in batched] == [np.linalg.inv(m).tobytes() for m in mats]
+        assert geometry.simplex_inverse(verts).tobytes() == batched.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_coordinates_do_not_depend_on_the_batch(self, n, seed, count, scale):
+        rng = np.random.default_rng(seed)
+        verts = self._simplices(rng, 8, n) * scale
+        verts = verts[~geometry.degenerate(verts)]
+        if not len(verts):
+            return
+        pts = rng.uniform(-12.0, 12.0, (count, n)) * scale
+        of = rng.integers(0, len(verts), count)
+        batched = geometry.inverse_coordinates(geometry.simplex_inverse(verts)[of], pts)
+        shuffle = rng.permutation(count)
+        shuffled = geometry.inverse_coordinates(geometry.simplex_inverse(verts[of[shuffle]]), pts[shuffle])
+        assert shuffled.tobytes() == batched[shuffle].tobytes()
+        for k in range(count):
+            alone = geometry.inverse_coordinates(geometry.simplex_inverse(verts[of[k]]), pts[k])
+            assert alone.tobytes() == batched[k].tobytes()
+            # one point against the whole stack, as a clamped agent is tested
+            row = geometry.inverse_coordinates(geometry.simplex_inverse(verts), pts[k])[of[k]]
+            assert row.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_inverse_coordinates_match_the_solve(self, n):
+        rng = np.random.default_rng(50 + n)
         verts = self._simplices(rng, 300, n)
-        counts = rng.integers(1, 9, len(verts))
-        pts = rng.uniform(-12.0, 12.0, (len(verts), 9, n))
-        for width in (2, 9):
-            rhs = np.zeros((len(verts), width, n))
-            for c, k in enumerate(counts.tolist()):
-                rhs[c, : min(k, width)] = pts[c, : min(k, width)]
-            batched = geometry.barycentric_many(rhs, verts)
-            for c, k in enumerate(counts.tolist()):
-                k = min(k, width)
-                # each cell alone, over at least 2 points (the padded columns are the extra ones)
-                alone = geometry.barycentric_many(pts[c, : max(k, 2)], verts[c])
-                assert batched[c, :k].tobytes() == alone[:k].tobytes()
+        verts = verts[np.linalg.cond(geometry.augmented_matrix(verts)) < 1e3]
+        pts = rng.uniform(-12.0, 12.0, (len(verts), n))
+        got = geometry.inverse_coordinates(geometry.simplex_inverse(verts), pts)
+        assert len(verts) > 100 and np.allclose(got, barycentric(pts, verts), rtol=0.0, atol=1e-11)
+
+    def test_degenerate_simplices_raise_typed(self):
+        # every vertex at the origin has a zero threshold, and LAPACK finds it singular
+        flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        for verts in (flat, np.zeros((3, 2)), np.zeros((4, 3)), np.stack([UNIT_TRIANGLE, flat])):
+            with pytest.raises(DegenerateSimplex):
+                geometry.simplex_inverse(verts)
+            with pytest.raises(DegenerateSimplex):
+                barycentric(np.zeros(verts.shape[-1]), verts)
+        assert geometry.simplex_inverse(np.empty((0, 3, 2))).shape == (0, 3, 3)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_column_solves_match_the_vector_solve(self, n):
@@ -177,6 +213,14 @@ class TestBatchedNumerics:
             cell, idx, _ = geometry.PointIndex.build(pts).inside(unit[None])
             assert cell.tolist() == [0, 0] and idx.tolist() == [0, 2]
 
+    def test_index_inverts_only_simplices_with_candidates(self):
+        flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        for pts in (np.array([[5.0, 0.0]]), np.empty((0, 2))):
+            cell, idx, score = geometry.PointIndex.build(pts).inside(np.stack([UNIT_TRIANGLE + 4.0, flat]))
+            assert len(cell) == len(idx) == len(score) == 0
+        with pytest.raises(DegenerateSimplex):
+            geometry.PointIndex.build(np.array([[5.0, 0.0], [1.0, 1.0]])).inside(flat[None])
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("n_points", [1, 2, 400])
     def test_index_finds_what_testing_every_point_finds(self, n, n_points):
@@ -190,7 +234,7 @@ class TestBatchedNumerics:
         cell, idx, score = geometry.PointIndex.build(pts).inside(verts)
         want_cell, want_idx, want_score = [], [], []
         for c, v in enumerate(verts):
-            lam = geometry.barycentric_many(pts, v).min(axis=1)
+            lam = geometry.inverse_coordinates(geometry.simplex_inverse(v), pts).min(axis=1)
             hit = np.flatnonzero(lam >= -geometry.CONTAINMENT_TOL)
             want_cell += [c] * len(hit)
             want_idx += hit.tolist()

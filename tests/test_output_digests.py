@@ -25,6 +25,8 @@ CASES = {
     "quick-seed1-n40": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2), []),
     # a team of radius 100: trace cells of decimal exponent -3 to 1, most of them 0 or 1
     "quick-seed1-n40-radius100": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2, radius=100.0), []),
+    # the first draw fails to plan, so generation redraws before the plan
+    "quick-seed11-n40": (lambda: quick_scenario(seed=11, n=40, nb=10, uncoop=2), []),
     "cube": (cube_scenario, []),
     "cube-leader-blend": (cube_scenario, ["--leader-blend"]),
 }
