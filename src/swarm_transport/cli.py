@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ def _apply_overrides(sc, args):
         overrides["margin"] = args.margin
     if getattr(args, "leader_blend", False):
         overrides["leader_blend"] = True
-    return scenario_io.with_overrides(sc, **overrides) if overrides else sc
+    return dataclasses.replace(sc, **overrides) if overrides else sc
 
 
 def cmd_generate(args) -> int:
@@ -198,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--boundary", type=int, required=True)
     gen.add_argument("--uncooperative", type=int, default=0)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--radius", type=float, default=10.0)
-    gen.add_argument("--zone-scale", type=float, default=0.45, dest="zone_scale")
+    gen.add_argument("--radius", type=float, default=GenerateParams.radius)
+    gen.add_argument("--zone-scale", type=float, default=GenerateParams.zone_scale, dest="zone_scale")
     gen.add_argument("--sample-spacing", type=float, default=None, dest="sample_spacing")
     gen.set_defaults(func=cmd_generate)
 

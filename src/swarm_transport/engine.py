@@ -30,12 +30,12 @@ at once, and never drive the loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, geometry
-from .dynamics import Gains
+from .dynamics import DEFAULT_GAINS, Gains
 from .errors import BadConfig, DegenerateInput, Diverged
 from .formation import (
     ROLE_BOUNDARY,
@@ -52,24 +52,27 @@ from .weights import WeightSchedule, beta, build_schedule
 
 @dataclass(frozen=True)
 class Scenario:
-    """One self-contained experiment: formation, targets, gains and timing."""
+    """One self-contained experiment: formation, targets, gains and timing.
+    The defaults are those of a scenario file and of generation. A scenario
+    is validated where it is built, by ``dataclasses.replace`` too. Anchors
+    are ``leader_positions`` (by agent id) when given, else generated."""
 
     formation: Formation
     targets: TargetSet
-    gains: Gains
-    t0: float
-    tf: float
-    t_end: float
-    dt: float
+    gains: Gains = DEFAULT_GAINS
+    t0: float = 0.0
+    tf: float = 15.0
+    t_end: float = 25.0
+    dt: float = 0.01
+    output_period: float = 0.1
     margin: float = 0.10
     seed: int = 0
-    output_period: float = 0.1
-    leader_mode: str = "generated"  # or "explicit"
     leader_scale: float = 1.1
     leader_positions: dict[int, np.ndarray] | None = None
     leader_blend: bool = False
-    # set by validate_scenario; dataclasses.replace makes an unchecked copy
-    validated: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        validate_scenario(self)
 
 
 # most RK4 steps a run may take: 1,678 times the default 2,500 (17 s of loop
@@ -78,7 +81,7 @@ _MAX_STEPS = 2**22
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Raise ``BadConfig`` unless the scenario can run; else mark it ``validated``."""
+    """Raise ``BadConfig`` unless the scenario can run."""
     sc = scenario
     for name in ("t0", "tf", "t_end", "dt", "output_period", "margin"):
         if not math.isfinite(getattr(sc, name)):
@@ -106,11 +109,6 @@ def validate_scenario(scenario: Scenario) -> None:
         raise BadConfig(f"gains {sc.gains} do not make the closed loop Hurwitz-stable")
     if np.max(np.abs(np.linalg.eigvals(dynamics.rk4_map(sc.gains, sc.dt)))) >= 1.0:
         raise BadConfig(f"dt {sc.dt:g} is outside the RK4 stability region of gains {sc.gains}")
-    if sc.leader_mode not in ("generated", "explicit"):
-        raise BadConfig(f"unknown leader mode {sc.leader_mode!r}")
-    if sc.leader_mode == "explicit" and sc.leader_positions is None:
-        raise BadConfig("explicit leader mode requires leader positions")
-    object.__setattr__(sc, "validated", True)  # frozen: a check of fixed fields
 
 
 @dataclass(frozen=True)
@@ -150,15 +148,11 @@ class RunResult:
 
 
 def make_plan(scenario: Scenario) -> Plan:
-    """Pipeline prefix: graph synthesis, anchor placement, targets, weights.
-    A scenario the parser or generator has not validated is validated here."""
-    if not scenario.validated:
-        validate_scenario(scenario)
+    """Pipeline prefix: graph synthesis, anchor placement, targets, weights."""
     formation = scenario.formation
     graph = build_actual(formation)
-    explicit = scenario.leader_positions if scenario.leader_mode == "explicit" else None
     leader_p = leader_final_positions(
-        formation, scenario.targets, explicit=explicit, scale=scenario.leader_scale
+        formation, scenario.targets, explicit=scenario.leader_positions, scale=scenario.leader_scale
     )
     desired = compute_desired(graph, formation, scenario.targets, leader_p)
     schedule = build_schedule(graph, formation, desired, scenario.t0, scenario.tf)

@@ -37,9 +37,7 @@ def degenerate(vertices) -> np.ndarray:
     augmented matrix at most DEGENERACY_COEFF * (max |vertex coordinate|)^n."""
     verts = np.asarray(vertices, dtype=float)
     scale = np.abs(verts).max(axis=(-2, -1), initial=0.0)
-    # Python's float power: np.power can differ in the last bit
-    threshold = [DEGENERACY_COEFF * s ** verts.shape[-1] for s in scale.ravel().tolist()]
-    return np.abs(np.linalg.det(augmented_matrix(verts))) <= np.reshape(threshold, scale.shape)
+    return np.abs(np.linalg.det(augmented_matrix(verts))) <= DEGENERACY_COEFF * scale ** verts.shape[-1]
 
 
 def barycentric(point, vertices) -> np.ndarray:

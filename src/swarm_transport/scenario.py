@@ -11,32 +11,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .dynamics import DEFAULT_GAINS, DIVERGENCE_THRESHOLD, Gains
-from .engine import Scenario, validate_scenario
-from .errors import BadConfig, InfeasibleParams, ParseError
+from .dynamics import DIVERGENCE_THRESHOLD, Gains
+from .engine import Scenario, make_plan
+from .errors import BadConfig, BuildFailure, DegenerateSimplex, InfeasibleParams, ParseError
 from .formation import Formation, agent_roles
 from .targets import TargetSet
 
 ROLES = ("boundary", "core", "cooperative", "uncooperative")
 
 _TOP_KEYS = {"dimension", "seed", "margin", "times", "gains", "leader_final", "agents", "targets"}
-_TIME_KEYS = {"t0", "tf", "t_end", "dt", "output_period"}
+_TIME_KEYS = ("t0", "tf", "t_end", "dt", "output_period")  # in file order
 _GAIN_KEYS = {"k1", "k2", "k3", "k4"}
 
-DEFAULT_TIMES = {"t0": 0.0, "tf": 15.0, "t_end": 25.0, "dt": 0.01, "output_period": 0.1}
+_ZONE_SIDES = 12  # a generated target zone is a regular polygon
 
 # most points a sample grid's bounding box may hold, far above the ~38,000
 # samples a generated team of 10,000 agents draws
 _MAX_GRID_POINTS = 2**22
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj: dict, allowed, where: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         raise ParseError(f"unknown key {unknown[0]!r} in {where}", field=unknown[0])
 
@@ -79,19 +79,19 @@ def parse_scenario_text(text: str) -> Scenario:
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParseError("seed must be an integer", field="seed")
-    margin = _number(doc, "margin", "scenario", default=0.10)
+    margin = _number(doc, "margin", "scenario", default=Scenario.margin)
 
     times = doc.get("times", {})
     if not isinstance(times, dict):
         raise ParseError("times must be an object", field="times")
     _reject_unknown(times, _TIME_KEYS, "times")
-    tvals = {k: _number(times, k, "times", default=DEFAULT_TIMES[k]) for k in _TIME_KEYS}
+    tvals = {k: _number(times, k, "times", default=getattr(Scenario, k)) for k in _TIME_KEYS}
 
     gains_doc = doc.get("gains", {})
     if not isinstance(gains_doc, dict):
         raise ParseError("gains must be an object", field="gains")
     _reject_unknown(gains_doc, _GAIN_KEYS, "gains")
-    gains = Gains(**{k: _number(gains_doc, k, "gains", default=getattr(DEFAULT_GAINS, k)) for k in sorted(_GAIN_KEYS)})
+    gains = Gains(**{k: _number(gains_doc, k, "gains", default=getattr(Scenario.gains, k)) for k in sorted(_GAIN_KEYS)})
 
     agents = doc.get("agents")
     if not isinstance(agents, list) or not agents:
@@ -160,13 +160,13 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ParseError("targets need a zone or at least 3 samples", field="targets")
     target_set = TargetSet(samples=samples, zone=zone)
 
-    leader_doc = doc.get("leader_final", {"mode": "generated", "scale": 1.1})
+    leader_doc = doc.get("leader_final", {"mode": "generated"})
     if not isinstance(leader_doc, dict):
         raise ParseError("leader_final must be an object", field="leader_final")
     mode = leader_doc.get("mode")
     if mode == "generated":
         _reject_unknown(leader_doc, {"mode", "scale"}, "leader_final")
-        leader_scale = _number(leader_doc, "scale", "leader_final", default=1.1)
+        leader_scale = _number(leader_doc, "scale", "leader_final", default=Scenario.leader_scale)
         leader_positions = None
     elif mode == "explicit":
         _reject_unknown(leader_doc, {"mode", "positions"}, "leader_final")
@@ -181,10 +181,12 @@ def parse_scenario_text(text: str) -> Scenario:
             _reject_unknown(entry, {"id", *coord_keys}, where)
             if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
                 raise ParseError(f"{where} needs an integer id", field="id")
+            if entry["id"] in leader_positions:
+                raise ParseError(f"{where}: agent {entry['id']} is listed twice", field="positions")
             leader_positions[entry["id"]] = np.array(
                 [_number(entry, c, where) for c in coord_keys]
             )
-        leader_scale = 1.1
+        leader_scale = Scenario.leader_scale
     else:
         raise ParseError(f"unknown leader_final mode {mode!r}", field="mode")
 
@@ -202,19 +204,16 @@ def parse_scenario_text(text: str) -> Scenario:
     if not declared_boundary:
         raise ParseError("scenario declares no boundary agents", field="agents")
 
-    scenario = Scenario(
+    return Scenario(
         formation=formation,
         targets=target_set,
         gains=gains,
         **tvals,
         margin=margin,
         seed=seed,
-        leader_mode=mode if isinstance(mode, str) else "generated",
         leader_scale=leader_scale,
         leader_positions=leader_positions,
     )
-    validate_scenario(scenario)
-    return scenario
 
 
 def _point_rows(rows, dim, where, minimum) -> np.ndarray:
@@ -287,7 +286,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         targets["zone"] = [[float(v) for v in row] for row in scenario.targets.zone]
     targets["samples"] = [[float(v) for v in row] for row in scenario.targets.samples]
 
-    if scenario.leader_mode == "explicit":
+    if scenario.leader_positions is not None:
         leader_final = {
             "mode": "explicit",
             "positions": [
@@ -302,7 +301,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         "dimension": formation.dim,
         "seed": scenario.seed,
         "margin": scenario.margin,
-        "times": {k: getattr(scenario, k) for k in DEFAULT_TIMES},
+        "times": {k: getattr(scenario, k) for k in _TIME_KEYS},
         "gains": {k: getattr(scenario.gains, k) for k in sorted(_GAIN_KEYS)},
         "leader_final": leader_final,
         "agents": agents,
@@ -320,16 +319,7 @@ class GenerateParams:
     n_uncooperative: int = 0
     radius: float = 10.0
     zone_scale: float = 0.45  # zone radius as a fraction of the hull apothem
-    zone_vertices: int = 12
     sample_spacing: float | None = None  # default scales with team size
-    t0: float = 0.0
-    tf: float = 15.0
-    t_end: float = 25.0
-    dt: float = 0.01
-    output_period: float = 0.1
-    margin: float = 0.10
-    gains: Gains = DEFAULT_GAINS
-    leader_scale: float = 1.1
 
 
 def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
@@ -343,6 +333,8 @@ def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
     still maps to exactly one scenario.
     """
     p = params
+    if seed < 0:
+        raise InfeasibleParams(f"seed must be a nonnegative integer, got {seed}")
     if p.n_boundary < 3:
         raise InfeasibleParams("need at least 3 boundary agents")
     interior = p.n_agents - p.n_boundary
@@ -367,9 +359,6 @@ def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
     high = 1e-3 * DIVERGENCE_THRESHOLD
     if not low <= p.radius <= high:
         raise InfeasibleParams(f"radius must lie in [{low:g}, {high:g}], got {p.radius:g}")
-
-    from .engine import make_plan
-    from .errors import BuildFailure, DegenerateSimplex
 
     last: Exception | None = None
     for attempt in range(16):
@@ -399,8 +388,8 @@ def _draw_scenario(p: GenerateParams, seed: int, attempt: int) -> Scenario:
     zone_radius = p.zone_scale * apothem
     # random phase so zone vertices never align exactly with the sample grid
     # or the anchor ring (exact alignments make final simplices collapse)
-    phase = rng.uniform(0.0, 2.0 * np.pi / p.zone_vertices)
-    zone_angles = phase + 2.0 * np.pi * np.arange(p.zone_vertices) / p.zone_vertices
+    phase = rng.uniform(0.0, 2.0 * np.pi / _ZONE_SIDES)
+    zone_angles = phase + 2.0 * np.pi * np.arange(_ZONE_SIDES) / _ZONE_SIDES
     zone = center + zone_radius * np.column_stack([np.cos(zone_angles), np.sin(zone_angles)])
 
     if p.sample_spacing is not None:
@@ -444,22 +433,7 @@ def _draw_scenario(p: GenerateParams, seed: int, attempt: int) -> Scenario:
         uncooperative=uncoop,
         declared_boundary=ids[: p.n_boundary],
     )
-    scenario = Scenario(
-        formation=formation,
-        targets=TargetSet(samples=samples, zone=zone),
-        gains=p.gains,
-        t0=p.t0,
-        tf=p.tf,
-        t_end=p.t_end,
-        dt=p.dt,
-        margin=p.margin,
-        seed=seed,
-        output_period=p.output_period,
-        leader_mode="generated",
-        leader_scale=p.leader_scale,
-    )
-    validate_scenario(scenario)
-    return scenario
+    return Scenario(formation=formation, targets=TargetSet(samples=samples, zone=zone), seed=seed)
 
 
 def _apothem(polygon: np.ndarray, center: np.ndarray) -> float:
@@ -470,10 +444,3 @@ def _apothem(polygon: np.ndarray, center: np.ndarray) -> float:
         e = polygon[(k + 1) % m] - a
         dists.append(abs(e[0] * (center[1] - a[1]) - e[1] * (center[0] - a[0])) / np.linalg.norm(e))
     return float(min(dists))
-
-
-def with_overrides(scenario: Scenario, **kwargs) -> Scenario:
-    """Scenario copy with selected fields replaced (used by CLI flags)."""
-    out = replace(scenario, **kwargs)
-    validate_scenario(out)
-    return out

@@ -83,13 +83,13 @@ def leader_final_positions(
     targets: TargetSet,
     *,
     explicit: dict[int, np.ndarray] | None = None,
-    scale: float = 1.1,
+    scale: float | None = None,
 ) -> np.ndarray:
     """Anchor positions of the hull agents, shaped (B, n) in hull cycle order.
 
     Either passed through verbatim (``explicit``, keyed by agent id) or
     generated at equal arc length along the zone outline scaled by ``scale``
-    about the zone centroid, preserving the hull's cyclic order. The
+    (required then) about the zone centroid, preserving the hull's cyclic order. The
     generated placement is a convention of this artifact, not part of the
     underlying method.
     """

@@ -1,12 +1,12 @@
 """Shared builders for small, fully-specified formations and scenarios."""
 
+import copy
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarm_transport.dynamics import DEFAULT_GAINS
 from swarm_transport.engine import Scenario
 from swarm_transport.formation import Formation
 from swarm_transport.scenario import GenerateParams, generate_scenario
@@ -74,20 +74,9 @@ def quick_scenario(seed=0, n=24, nb=6, uncoop=0, **kwargs):
     return generate_scenario(params, seed)
 
 
-def manual_scenario(
-    formation,
-    samples,
-    zone=None,
-    leader_positions=None,
-    gains=DEFAULT_GAINS,
-    t0=0.0,
-    tf=15.0,
-    t_end=25.0,
-    dt=0.01,
-    output_period=0.1,
-    margin=0.10,
-    **kwargs,
-):
+def manual_scenario(formation, samples, zone=None, leader_positions=None, **kwargs):
+    """A Scenario of the given team and targets; other fields are passed on
+    to ``Scenario`` and keep its defaults when not given."""
     samples = np.asarray(samples, dtype=float).reshape(-1, formation.dim)
     targets = TargetSet(
         samples=samples,
@@ -97,20 +86,16 @@ def manual_scenario(
         leader_positions = {
             int(a): np.asarray(p, dtype=float) for a, p in leader_positions.items()
         }
-    return Scenario(
-        formation=formation,
-        targets=targets,
-        gains=gains,
-        t0=t0,
-        tf=tf,
-        t_end=t_end,
-        dt=dt,
-        margin=margin,
-        output_period=output_period,
-        leader_mode="explicit" if leader_positions is not None else "generated",
-        leader_positions=leader_positions,
-        **kwargs,
-    )
+    return Scenario(formation=formation, targets=targets, leader_positions=leader_positions, **kwargs)
+
+
+def unchecked(scenario, **changes):
+    """A copy of ``scenario`` with ``changes`` made but not validated, for
+    tests that run settings ``validate_scenario`` refuses."""
+    out = copy.copy(scenario)
+    for name, value in changes.items():
+        object.__setattr__(out, name, value)  # Scenario is frozen
+    return out
 
 
 def cube_scenario():

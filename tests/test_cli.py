@@ -60,6 +60,7 @@ class TestGenerate:
             ("--radius", "1e12", "radius must lie in [0.001, 1000], got 1e+12"),
             ("--radius", "1e300", "radius must lie in [0.001, 1000], got 1e+300"),
             ("--radius", "1e-12", "radius must lie in [0.001, 1000], got 1e-12"),
+            ("--seed", "-1", "seed must be"),
         ],
     )
     def test_bad_sizes_are_refused(self, tmp_path, capsys, no_grid_axes, flag, value, named):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ancestors, cube_scenario, manual_scenario, quick_scenario, square_core_formation, written
+from conftest import ancestors, cube_scenario, manual_scenario, quick_scenario, square_core_formation, unchecked, written
 from oracles import (
     GridMismatch,
     setpoint_residual,
@@ -69,9 +69,8 @@ class TestScenarioValidation:
 
     def test_dt_must_divide_output_period(self):
         sc = quick_scenario(seed=1, n=20, nb=6)
-        bad = manual_scenario(sc.formation, sc.targets.samples, dt=0.03, output_period=0.1)
-        with pytest.raises(BadConfig):
-            engine.validate_scenario(bad)
+        with pytest.raises(BadConfig, match="output sampling period"):
+            manual_scenario(sc.formation, sc.targets.samples, dt=0.03, output_period=0.1)
 
     def test_step_count_is_capped(self):
         sc = quick_scenario(seed=1, n=20, nb=6)
@@ -86,18 +85,14 @@ class TestScenarioValidation:
         calls = []
         real = engine.validate_scenario
         monkeypatch.setattr(engine, "validate_scenario", lambda sc: calls.append(sc) or real(sc))
-        generated = quick_scenario(seed=1, n=20, nb=6)  # the generator validates
-        parsed = parse_scenario_text(serialize_scenario(generated))  # so does the parser
-        assert generated.validated and parsed.validated
-        make_plan(generated)
-        make_plan(parsed)
-        assert calls == []
+        generated = quick_scenario(seed=1, n=20, nb=6)  # its one draw, where it is built
+        parsed = parse_scenario_text(serialize_scenario(generated))  # where it is parsed
         changed = dataclasses.replace(parsed, dt=0.02)  # a copy is checked afresh
-        assert not changed.validated
-        make_plan(changed)
-        assert calls == [changed] and changed.validated
+        for sc in (generated, parsed, changed):
+            make_plan(sc)  # and planning checks none of them again
+        assert [id(sc) for sc in calls] == [id(generated), id(parsed), id(changed)]
         with pytest.raises(BadConfig, match="RK4"):
-            make_plan(dataclasses.replace(parsed, gains=Gains(1200.0, 5.4e5, 1.08e8, 8.1e9)))
+            dataclasses.replace(parsed, gains=Gains(1200.0, 5.4e5, 1.08e8, 8.1e9))
 
 
 def _fixed_point_scenario():
@@ -207,11 +202,9 @@ class TestRun:
         )
         for timing, gains in cases:
             ok = manual_scenario(sc.formation, sc.targets.samples, zone=sc.targets.zone, **timing)
-            plan = make_plan(ok)
-            bad = dataclasses.replace(ok, gains=gains)
             with pytest.raises(BadConfig, match="RK4"):
-                make_plan(bad)
-            bad_plan = dataclasses.replace(plan, scenario=bad)
+                dataclasses.replace(ok, gains=gains)
+            bad_plan = dataclasses.replace(make_plan(ok), scenario=unchecked(ok, gains=gains))
             with pytest.raises(Diverged, match="agent .* t =") as got:
                 engine._integrate(bad_plan)
             with pytest.raises(Diverged) as want:
@@ -230,7 +223,7 @@ class TestRun:
             form, sc.targets.samples + off, zone=sc.targets.zone + off, t_end=200.0, tf=10.0, dt=0.4, output_period=0.8
         )
         poles = np.poly([-2 + 7j, -2 - 7j, -1, -1]).real
-        bad_plan = dataclasses.replace(make_plan(ok), scenario=dataclasses.replace(ok, gains=Gains(*poles[1:])))
+        bad_plan = dataclasses.replace(make_plan(ok), scenario=unchecked(ok, gains=Gains(*poles[1:])))
         seen = []
 
         def step(states, r_d, phi):

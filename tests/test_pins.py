@@ -19,20 +19,24 @@ from swarm_transport.scenario import GenerateParams, generate_scenario, parse_sc
 
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
 PARAMS = GenerateParams(n_agents=40, n_boundary=10, n_uncooperative=2)
+LARGE = GenerateParams(n_agents=600, n_boundary=100, n_uncooperative=2)  # transport-large
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _scenario_text(seed: int) -> str:
-    return serialize_scenario(generate_scenario(PARAMS, seed))
+def _scenario_text(seed: int, params: GenerateParams = PARAMS) -> str:
+    return serialize_scenario(generate_scenario(params, seed))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_scenario_and_graph_match_pins(seed):
-    pin = PINS["scenarios"][f"40-10-2:{seed}"]
-    text = _scenario_text(seed)
+@pytest.mark.parametrize(
+    "seed, params",
+    [*(pytest.param(seed, PARAMS, id=str(seed)) for seed in range(4)), pytest.param(1, LARGE, id="600-100-2:1")],
+)
+def test_scenario_and_graph_match_pins(seed, params):
+    pin = PINS["scenarios"][f"{params.n_agents}-{params.n_boundary}-{params.n_uncooperative}:{seed}"]
+    text = _scenario_text(seed, params)
     assert _sha256(text) == pin["scenario_sha256"]
     formation = parse_scenario_text(text).formation
     assert _sha256(graph_records(formation, build_actual(formation))) == pin["graph_sha256"]

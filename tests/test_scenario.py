@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 
@@ -143,7 +144,7 @@ class TestParse:
             ],
         }
         sc = parse_scenario_text(json.dumps(doc))
-        assert sc.leader_mode == "explicit"
+        assert sorted(sc.leader_positions) == [1, 2, 3, 4]
         plan = make_plan(sc)
         assert sc.formation.ids[sc.formation.boundary[0]] == 1
         assert np.allclose(plan.desired.p[sc.formation.boundary], [[1, 1], [3, 1], [3, 3], [1, 3]])
@@ -154,6 +155,14 @@ class TestParse:
         doc["leader_final"] = {"mode": "explicit", "positions": rows}
         with pytest.raises(ParseError, match="integer id"):
             parse_scenario_text(json.dumps(doc))
+
+    def test_explicit_leader_id_listed_twice_is_refused(self):
+        doc = json.loads(MINIMAL)
+        rows = [{"id": b, "x": 1.0, "y": 1.0} for b in (1, 2, 3, 4, 1)]
+        doc["leader_final"] = {"mode": "explicit", "positions": rows}
+        with pytest.raises(ParseError, match=r"positions\[4\]: agent 1 is listed twice") as info:
+            parse_scenario_text(json.dumps(doc))
+        assert info.value.field == "positions"
 
 
 class TestRoundTrip:
@@ -233,11 +242,8 @@ class TestGenerate:
             generate_scenario(GenerateParams(n_agents=24, n_boundary=6, sample_spacing=spacing), seed=0)
 
     def test_short_horizon_smoke(self):
-        sc = generate_scenario(
-            GenerateParams(n_agents=20, n_boundary=6, tf=3.0, t_end=5.0, dt=0.02, output_period=0.1),
-            seed=3,
-        )
-        res = run(sc)
+        sc = generate_scenario(GenerateParams(n_agents=20, n_boundary=6), seed=3)
+        res = run(dataclasses.replace(sc, tf=3.0, t_end=5.0, dt=0.02))
         assert len(res.trace.times) == 51
 
 
