@@ -15,7 +15,6 @@ import numpy as np
 from . import engine, reporting, scenario as scenario_io, svgplot
 from .errors import BadConfig, ParseError, SwarmTransportError
 from .formation import build_actual, graph_records
-from .geometry import ensure_ccw, scale_polygon
 from .scenario import GenerateParams
 
 OUT_DIR_ENV = "SWARM_TRANSPORT_OUT"
@@ -56,18 +55,18 @@ def cmd_generate(args) -> int:
 def cmd_build_graph(args) -> int:
     sc = scenario_io.load_scenario(args.scenario)
     graph = build_actual(sc.formation)
-    out = _out_dir(args)
-    reporting.atomic_write_text(out / "graph.txt", graph_records(sc.formation, graph))
-    reporting.atomic_write_text(out / "formation.svg", svgplot.formation_svg(sc.formation, graph))
+    _write_graph_files(sc.formation, graph, _out_dir(args))
     print(reporting.build_summary(sc.formation, graph))
     return 0
 
 
+def _write_graph_files(formation, graph, out: Path) -> None:
+    reporting.atomic_write_text(out / "graph.txt", graph_records(formation, graph))
+    reporting.atomic_write_text(out / "formation.svg", svgplot.formation_svg(formation, graph))
+
+
 def _write_plan_outputs(plan, out: Path) -> None:
-    reporting.atomic_write_text(out / "graph.txt", graph_records(plan.scenario.formation, plan.graph))
-    reporting.atomic_write_text(
-        out / "formation.svg", svgplot.formation_svg(plan.scenario.formation, plan.graph)
-    )
+    _write_graph_files(plan.scenario.formation, plan.graph, out)
     reporting.atomic_write_text(out / "plan.json", reporting.plan_json(plan))
     reporting.atomic_write_text(out / "weights.txt", reporting.weights_table(plan))
 
@@ -89,7 +88,7 @@ def _write_snapshots(result, out: Path, snapshot_times) -> None:
     zone = plan.scenario.targets.zone_polygon()
     if zone.shape[1] != 2:
         return  # snapshots are drawn for planar scenes only
-    inflated = scale_polygon(ensure_ccw(zone), 1.0 + plan.scenario.margin)
+    inflated = engine.inflated_zone(zone, plan.scenario.margin)
     frames = [int(np.argmin(np.abs(trace.times - t_snap))) for t_snap in snapshot_times]
     for k in dict.fromkeys(frames):  # each output frame once, in first-asked order
         svg = svgplot.snapshot_svg(
@@ -127,12 +126,6 @@ def cmd_simulate(args) -> int:
     sc = _apply_overrides(scenario_io.load_scenario(args.scenario), args)
     snapshot_times = _snapshot_times(args.snapshot_times, sc)
     out = _out_dir(args)
-    if args.dry_run:
-        plan = engine.make_plan(sc)
-        _write_plan_outputs(plan, out)
-        print(reporting.build_summary(sc.formation, plan.graph))
-        print("dry run: no integration")
-        return 0
     started = time.perf_counter()
     result = engine.run(sc)
     elapsed = time.perf_counter() - started
@@ -161,7 +154,7 @@ def cmd_report(args) -> int:
         lines = _report_lines(json.loads(scenario_io.read_text(args.metrics, "metrics file")))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.metrics}: invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.metrics}: not a metrics document ({exc!r})") from exc
     print("\n".join(lines))
     return 0
@@ -218,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--leader-blend", action="store_true", dest="leader_blend")
         if name == "simulate":
             cmd.add_argument("--snapshot-times", default=None, dest="snapshot_times")
-            cmd.add_argument("--dry-run", action="store_true", dest="dry_run")
             cmd.add_argument("--export-setpoints", action="store_true", dest="export_setpoints")
         cmd.set_defaults(func=func)
 

@@ -296,23 +296,31 @@ def _integrate(plan: Plan) -> SimTrace:
     )
 
 
-def convergence_check(positions, zone, margin: float):
-    """Whether positions lie inside the zone inflated by ``margin``.
+def inflated_zone(zone, margin: float) -> np.ndarray:
+    """The zone that scoring uses: its vertices scaled by (1 + margin), a
+    planar zone counter-clockwise about its area centroid, a 3-D zone about
+    its vertex mean."""
+    zone = np.asarray(zone, dtype=float)
+    if zone.shape[1] == 2:
+        return geometry.scale_polygon(geometry.ensure_ccw(zone), 1.0 + margin)
+    center = zone.mean(axis=0)
+    return center + (1.0 + margin) * (zone - center)
 
-    Inflation scales the zone outline by (1 + margin) about its centroid;
-    points on the inflated outline count as inside. A 3-D zone is treated as
+
+def convergence_check(positions, zone, margin: float):
+    """Whether positions lie inside ``inflated_zone(zone, margin)``.
+
+    Points on the inflated outline count as inside. A 3-D zone is treated as
     the convex hull of its vertices. The zone is inflated once per call, so
     a (K, n) array of positions gives a (K,) bool array; one (n,) position
     gives a bool.
     """
     pts = np.asarray(positions, dtype=float)
-    zone = np.asarray(zone, dtype=float)
-    if zone.shape[1] == 2:
-        inflated = geometry.scale_polygon(geometry.ensure_ccw(zone), 1.0 + margin)
+    inflated = inflated_zone(zone, margin)
+    if inflated.shape[1] == 2:
         inside = geometry.point_in_polygon(pts.reshape(-1, 2), inflated)
     else:
-        center = zone.mean(axis=0)
-        hull = geometry.hull_3d(center + (1.0 + margin) * (zone - center))
+        hull = geometry.hull_3d(inflated)
         vals = pts.reshape(-1, 3) @ hull.equations[:, :-1].T + hull.equations[:, -1]
         inside = np.all(vals <= geometry.CONTAINMENT_TOL, axis=1)
     return bool(inside[0]) if pts.ndim == 1 else inside

@@ -63,3 +63,7 @@ class ParseError(SwarmTransportError):
 
 class InfeasibleParams(SwarmTransportError):
     """Scenario generation parameters cannot produce a valid formation."""
+
+
+class OutputError(SwarmTransportError):
+    """An output file or its directory cannot be written."""

@@ -31,22 +31,27 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Plan, RunResult, SimTrace
+from .errors import OutputError
 from .formation import ROLE_COOPERATIVE
 
 
 def _atomic_write(path, pieces) -> None:
     """Write the bytes ``pieces`` to a temp file beside ``path``, then rename
-    it over ``path``; on any error the temp file goes and ``path`` is untouched."""
+    it over ``path``; on any error the temp file goes and ``path`` is untouched.
+    An ``OSError`` becomes ``OutputError`` naming ``path``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 
@@ -167,15 +172,15 @@ def trace_table(trace: SimTrace, path) -> None:
     _atomic_write(path, _frames(",".join(header), trace.times, heads, tails, trace.positions, trace.desired))
 
 
-def _team_counts(plan: Plan) -> dict:
-    """The leading keys of ``metrics.json`` and ``plan.json``: the team and its graph."""
-    formation, graph = plan.scenario.formation, plan.graph
+def _team_counts(formation, graph) -> dict:
+    """The team and its graph: the leading keys of ``metrics.json`` and
+    ``plan.json``, and the counts of the summary line."""
     return {
         "n_agents": formation.n_agents,
         "n_boundary": len(formation.boundary),
         "n_initial_simplices": graph.n_initial_simplices,
         "n_layers": graph.n_layers,
-        "n_cooperative": _n_cooperative(graph),
+        "n_cooperative": int(np.count_nonzero(graph.roles == ROLE_COOPERATIVE)),
         "n_uncooperative": len(formation.clamped),
         "core_id": formation.ids[graph.core],
     }
@@ -187,7 +192,7 @@ def metrics_document(result: RunResult) -> dict:
     ids = plan.scenario.formation.ids
     uncovered = plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
     return {
-        **_team_counts(plan),
+        **_team_counts(plan.scenario.formation, plan.graph),
         "convergence_rate": trace.rate,
         "evaluated_count": int(trace.scored.sum()),
         "converged_count": int(trace.converged.sum()),
@@ -208,7 +213,7 @@ def plan_document(plan: Plan) -> dict:
     ids = formation.ids
     p = plan.desired.p.tolist()
     return {
-        **_team_counts(plan),
+        **_team_counts(plan.scenario.formation, plan.graph),
         "leader_final": {str(ids[b]): p[b] for b in formation.boundary.tolist()},
         "final_positions": {str(a): row for a, row in zip(ids, p)},
         "captured_counts": {str(ids[a]): len(idx) for a, idx in sorted(plan.desired.captured.items())},
@@ -240,14 +245,8 @@ def setpoints_table(ids, times, setpoints: np.ndarray, path) -> None:
     _atomic_write(path, _frames(header, times, ids, [""] * len(ids), setpoints))
 
 
-def _n_cooperative(graph) -> int:
-    return int(np.count_nonzero(graph.roles == ROLE_COOPERATIVE))
-
-
 def build_summary(formation, graph) -> str:
     return (
-        f"N={formation.n_agents} N_B={len(formation.boundary)} "
-        f"N_L={graph.n_initial_simplices} M={graph.n_layers} "
-        f"cooperative={_n_cooperative(graph)} uncooperative={len(formation.clamped)} "
-        f"core={formation.ids[graph.core]}"
-    )
+        "N={n_agents} N_B={n_boundary} N_L={n_initial_simplices} M={n_layers} "
+        "cooperative={n_cooperative} uncooperative={n_uncooperative} core={core_id}"
+    ).format(**_team_counts(formation, graph))

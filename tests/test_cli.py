@@ -144,7 +144,7 @@ class TestSimulate:
     def test_dry_run_skips_integration(self, tmp_path):
         path = _generate(tmp_path, agents=24, boundary=6, seed=3)
         out = tmp_path / "dry"
-        assert main(["simulate", str(path), "--out-dir", str(out), "--dry-run"]) == 0
+        assert main(["plan", str(path), "--out-dir", str(out)]) == 0
         assert (out / "plan.json").exists()
         assert not (out / "trace.csv").exists()
 
@@ -185,7 +185,7 @@ class TestSimulate:
         path = _generate(tmp_path, agents=24, boundary=6, seed=3)
         env_out = tmp_path / "envout"
         monkeypatch.setenv("SWARM_TRANSPORT_OUT", str(env_out))
-        assert main(["simulate", str(path), "--dry-run"]) == 0
+        assert main(["plan", str(path)]) == 0
         assert (env_out / "plan.json").exists()
 
 
@@ -325,7 +325,13 @@ def test_unreadable_scenario_file_is_a_parse_error(tmp_path, capsys, command):
 
 def test_unreadable_metrics_file_is_a_parse_error(tmp_path, capsys):
     scenario = _generate(tmp_path, agents=12, boundary=4, seed=1)  # JSON, but not metrics
-    for path in _bad_input_files(tmp_path) + [scenario]:
+    short_row = tmp_path / "short_row.json"  # a terminal_errors row without its error
+    short_row.write_text(json.dumps({
+        "n_agents": 3, "n_boundary": 3, "n_cooperative": 0, "n_uncooperative": 0, "n_layers": 1,
+        "convergence_rate": 1.0, "converged_count": 0, "evaluated_count": 0, "unconverged_ids": [],
+        "fallback_agents": [], "uncovered_sample_count": 0, "terminal_errors": [[1]],
+    }))
+    for path in _bad_input_files(tmp_path) + [scenario, short_row]:
         capsys.readouterr()
         assert main(["report", str(path)]) == 1, path
         captured = capsys.readouterr()
@@ -333,6 +339,50 @@ def test_unreadable_metrics_file_is_a_parse_error(tmp_path, capsys):
         assert record["error"] == "ParseError"
         assert str(path) in record["message"]
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "{scenario}", "--out-dir", "{file}"], "{file}"),
+        (["generate", "--out", "{folder}", "--agents", "12", "--boundary", "4"], "{folder}"),
+        (["generate", "--out", "{file}/x.json", "--agents", "12", "--boundary", "4"], "{file}"),
+    ],
+    ids=["simulate-out-dir-is-a-file", "generate-out-is-a-directory", "generate-out-under-a-file"],
+)
+def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, named):
+    # a file where a directory must be, or a directory where a file must be
+    paths = {"scenario": _generate(tmp_path, agents=12, boundary=4, seed=1),
+             "file": tmp_path / "a_file", "folder": tmp_path / "a_dir"}
+    paths["file"].write_text("kept\n")
+    paths["folder"].mkdir()
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "OutputError"
+    assert named.format(**paths) in record["message"]
+    assert paths["file"].read_text() == "kept\n"
+    assert list(paths["folder"].iterdir()) == []
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_each_module_imports_on_its_own():
+    # the package root imports nothing, so an import cycle shows only when a module comes first
+    src = Path(swarm_transport.__file__).resolve().parent
+    names = sorted(p.stem for p in src.glob("*.py") if p.stem not in ("__init__", "__main__"))
+    script = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    for key in [k for k in sys.modules if k == 'swarm_transport' or k.startswith('swarm_transport.')]:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module('swarm_transport.' + name)\n"
+        "    print(name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == names
+    assert len(names) == 12
 
 
 def test_snapshot_drawn_once_per_output_frame(tmp_path, monkeypatch):
