@@ -21,9 +21,9 @@ OUT_DIR_ENV = "SWARM_TRANSPORT_OUT"
 
 
 def _out_dir(args) -> Path:
-    if args.out_dir:
-        return Path(args.out_dir)
-    return Path(os.environ.get(OUT_DIR_ENV, "out"))
+    out = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "out"))
+    reporting.probe_dir(out)
+    return out
 
 
 def _apply_overrides(sc, args):
@@ -54,8 +54,9 @@ def cmd_generate(args) -> int:
 
 def cmd_build_graph(args) -> int:
     sc = scenario_io.load_scenario(args.scenario)
+    out = _out_dir(args)
     graph = build_actual(sc.formation)
-    _write_graph_files(sc.formation, graph, _out_dir(args))
+    _write_graph_files(sc.formation, graph, out)
     print(reporting.build_summary(sc.formation, graph))
     return 0
 
@@ -73,8 +74,9 @@ def _write_plan_outputs(plan, out: Path) -> None:
 
 def cmd_plan(args) -> int:
     sc = _apply_overrides(scenario_io.load_scenario(args.scenario), args)
+    out = _out_dir(args)
     plan = engine.make_plan(sc)
-    _write_plan_outputs(plan, _out_dir(args))
+    _write_plan_outputs(plan, out)
     print(reporting.build_summary(sc.formation, plan.graph))
     if plan.desired.fallback_ids:
         fallback = [sc.formation.ids[k] for k in plan.desired.fallback_ids]

@@ -100,11 +100,16 @@ def validate_scenario(scenario: Scenario) -> None:
         raise BadConfig("dt must divide the simulation horizon t_end - t0")
     if sc.margin < 0:
         raise BadConfig("margin must be nonnegative")
-    try:
-        if sc.targets.zone is not None:
+    if sc.targets.zone is not None:
+        try:
             geometry.convex_hull(sc.targets.zone)
-    except DegenerateInput as exc:
-        raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
+        except DegenerateInput as exc:
+            raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):  # scoring squares the inflated edges
+            inflated = inflated_zone(sc.targets.zone, sc.margin)
+            edges = inflated - np.roll(inflated, 1, axis=0)  # not finite where a vertex is not
+            if not np.isfinite(np.sum(edges * edges, axis=1)).all():
+                raise BadConfig(f"margin {sc.margin:g} inflates targets.zone beyond the float range")
     if not dynamics.check_hurwitz(sc.gains):
         raise BadConfig(f"gains {sc.gains} do not make the closed loop Hurwitz-stable")
     if np.max(np.abs(np.linalg.eigvals(dynamics.rk4_map(sc.gains, sc.dt)))) >= 1.0:

@@ -25,7 +25,6 @@ from .errors import (
     BadConfig,
     CoreOnBoundary,
     CycleDetected,
-    DegenerateSimplex,
     NoCandidate,
     UnassignedAgents,
 )
@@ -229,32 +228,28 @@ def build_actual(formation: Formation) -> LayeredGraph:
 
     With no clamped agents this is the nominal, fully cooperative graph.
     The open cells are one (C, n+1) array of vertex rows; each layer adopts
-    and splits all of them at once.
+    and splits all of them at once. Collapsed cells are dropped where they
+    are made, fan cells as ``_split``'s children, so every open cell is
+    full-dimensional; ``n_initial_simplices`` counts the fan before that.
     """
     core = formation.core if formation.core is not None else select_core(formation)
     cells = fan_triangulate(formation, core)
     n_fan, pos = len(cells), formation.positions
-    # Only fan cells can be degenerate (degenerate children are dropped).
-    # Cells are searched in order, and reaching a degenerate one raises.
-    flat = geometry.degenerate(pos[cells])
-    stop = int(np.argmax(flat)) if flat.any() else len(cells)
+    cells = cells[~geometry.degenerate(pos[cells])]
     for u in formation.clamped.tolist():
-        lam = geometry.inverse_coordinates(geometry.simplex_inverse(pos[cells[:stop]]), pos[u])
+        lam = geometry.inverse_coordinates(geometry.simplex_inverse(pos[cells]), pos[u])
         hit = np.flatnonzero(lam.min(axis=1) >= -geometry.CONTAINMENT_TOL)
-        if not len(hit) and stop < len(cells):
-            raise DegenerateSimplex("simplex vertices are affinely dependent")
         if not len(hit):
             raise UnassignedAgents(f"clamped agent {formation.ids[u]} lies outside every open simplex")
         kids = _split(cells[hit[:1]], np.array([u]), pos)
         cells = np.concatenate([cells[: hit[0]], kids, cells[hit[0] + 1 :]])
-        stop += len(kids) - 1
 
     layer = np.zeros(formation.n_agents, dtype=np.intp)
     free = np.ones(formation.n_agents, dtype=bool)
     free[formation.boundary] = free[formation.clamped] = free[core] = False
     mentees, mentors = [np.empty(0, dtype=np.intp)], [np.empty((0, formation.dim + 1), dtype=np.intp)]
     while len(cells) and free.any():
-        pick = _pick_mentee(cells, stop, np.flatnonzero(free), pos)
+        pick = _pick_mentee(cells, np.flatnonzero(free), pos)
         adopt = np.flatnonzero(pick >= 0)
         if not len(adopt):
             break
@@ -263,7 +258,6 @@ def build_actual(formation: Formation) -> LayeredGraph:
         mentees.append(new[by_row])
         mentors.append(cells[adopt[by_row]])
         cells = _split(cells[adopt], new, pos)
-        stop = len(cells)
 
     if free.any():
         raise UnassignedAgents(
@@ -279,16 +273,15 @@ def build_actual(formation: Formation) -> LayeredGraph:
     )
 
 
-def _pick_mentee(cells: np.ndarray, stop: int, free: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _pick_mentee(cells: np.ndarray, free: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Row adopted by each open cell, -1 where none, shaped (C,).
 
     The cells take turns in order, as one at a time would: each adopts the
     best-centered of the ascending ``free`` rows inside it that no earlier
-    cell took, smaller row on ties. Cell ``stop``, when there is one, is
-    degenerate: it ends the turns, and raises if rows are still free.
+    cell took, smaller row on ties.
     """
     pick = np.full(len(cells), -1, dtype=np.intp)
-    cell, k, score = geometry.PointIndex.build(pos[free]).inside(pos[cells[:stop]])
+    cell, k, score = geometry.PointIndex.build(pos[free]).inside(pos[cells])
     # each cell's preference: larger minimum coordinate first, then smaller row
     order = np.lexsort((k, -score, cell))
     cell, k = cell[order], k[order]
@@ -302,15 +295,14 @@ def _pick_mentee(cells: np.ndarray, stop: int, free: np.ndarray, pos: np.ndarray
         lo, hi = np.searchsorted(cell, [c, c + 1])
         pick[c] = next((r for r in k[lo:hi].tolist() if r not in taken), -1)
         taken.add(int(pick[c]))
-    if stop < len(cells) and np.count_nonzero(pick >= 0) < len(free):
-        raise DegenerateSimplex("simplex vertices are affinely dependent")
     return np.where(pick >= 0, free[pick], -1)
 
 
 def _split(cells: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Children of each cell around its adopted row, in cell order: child k
     has vertex k replaced by the row. Children that collapse (the row sat
-    exactly on a face) are dropped; the rest still cover the parent."""
+    exactly on a face) are dropped, as flat fan cells are; the rest still
+    cover the parent."""
     m = cells.shape[1]
     kids = np.repeat(cells, m, axis=0)
     kids.reshape(-1, m, m)[:, np.arange(m), np.arange(m)] = rows[:, None]

@@ -1,8 +1,8 @@
 """Simplex and polygon geometry in R^2 and R^3.
 
 Convex hulls, barycentric coordinates, containment tests and a few polygon
-utilities. Weights come from a LAPACK solve, containment from each simplex's
-inverse applied elementwise, which gives a point the same bits in any batch.
+utilities. Weights, containment and capture all apply each simplex's inverse
+elementwise, which gives a point the same bits in any batch.
 Everything operates on plain numpy arrays in workspace units (meters) and
 is pure, so calls are safe from any thread.
 """
@@ -41,22 +41,16 @@ def degenerate(vertices) -> np.ndarray:
 
 
 def barycentric(point, vertices) -> np.ndarray:
-    """Barycentric coordinates of ``point`` w.r.t. n+1 simplex vertices; a
-    (..., n) stack of points in a (..., n+1, n) stack of simplices gives
-    (..., n+1), one one-column solve each, bit for bit the vector solve."""
+    """Barycentric coordinates of ``point`` w.r.t. n+1 simplex vertices; a (..., n)
+    stack of points in a (..., n+1, n) stack of simplices gives (..., n+1)."""
     return barycentric_many(np.asarray(point, dtype=float)[..., None, :], vertices)[..., 0, :]
 
 
 def barycentric_many(points, vertices) -> np.ndarray:
     """Barycentric coordinates of (K, n) points in one (n+1, n) simplex, as
-    (K, n+1), or of a (C, K, n) stack in a (C, n+1, n) stack, by one solve
-    per simplex with K right-hand sides."""
-    pts = np.asarray(points, dtype=float)
-    verts = np.asarray(vertices, dtype=float)
-    if degenerate(verts).any():
-        raise DegenerateSimplex("simplex vertices are affinely dependent")
-    rhs = augmented_matrix(pts)  # points as columns over a row of ones
-    return np.swapaxes(np.linalg.solve(augmented_matrix(verts), rhs), -1, -2)
+    (K, n+1), or of a (C, K, n) stack in a (C, n+1, n) stack, through each
+    simplex's inverse (``DegenerateSimplex`` if one is degenerate)."""
+    return inverse_coordinates(simplex_inverse(vertices)[..., None, :, :], points)
 
 
 def simplex_inverse(vertices) -> np.ndarray:
@@ -151,8 +145,8 @@ class PointIndex:
         hi = np.maximum(np.where(inner, v[:, :, 1:], -np.inf).max(axis=1), np.where(ok, cross, -np.inf).max(axis=(1, 2)))
         lo, hi = lo - pad[q_cell, None], hi + pad[q_cell, None]
         start = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, lo[:, 0], side="left"))
-        stop = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, hi[:, 0], side="right"))
-        count = np.maximum(stop - start, 0)
+        end = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, hi[:, 0], side="right"))
+        count = np.maximum(end - start, 0)
         q = np.repeat(np.arange(len(q_cell)), count)
         idx = self.order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + start[q]]
         x = pts[idx]

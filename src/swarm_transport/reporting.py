@@ -55,6 +55,15 @@ def _atomic_write(path, pieces) -> None:
         raise
 
 
+def probe_dir(path) -> None:
+    """Create the directory ``path`` and a file in it, or raise ``OutputError``."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=path).close()
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def atomic_write_text(path, text: str) -> None:
     _atomic_write(path, [text.encode()])
 

@@ -120,9 +120,9 @@ def compute_desired(
     ``leader_p`` holds the (B, n) anchors in hull cycle order. Each mentee
     captures the samples inside its mentors' final simplex and averages
     them; a whole mentee layer is searched at once. A mentee whose simplex
-    captures nothing falls back to the simplex centroid (equal weights),
-    which keeps the final weights solvable; such agents are reported in
-    ``fallback_ids``.
+    captures nothing falls back to the simplex centroid (equal weights);
+    such agents are reported in ``fallback_ids``. A collapsed final mentor
+    simplex raises ``DegenerateMentorSimplex``, with samples or without.
     """
     samples = np.asarray(targets.samples, dtype=float)
     leader_p = np.asarray(leader_p, dtype=float)
@@ -140,7 +140,7 @@ def compute_desired(
     index = geometry.PointIndex.build(samples)
     for sl in map(slice, starts[:-1], starts[1:]):
         rows, mentors = graph.mentees[sl], graph.mentors[sl]
-        if len(samples) and len(flat := np.flatnonzero(geometry.degenerate(p[mentors]))):
+        if len(flat := np.flatnonzero(geometry.degenerate(p[mentors]))):
             a, ms = rows[flat[0]], mentors[flat[0]]
             raise DegenerateMentorSimplex(
                 f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in ms)} "

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import BadInterval, DegenerateMentorSimplex, DegenerateSimplex
+from .errors import BadInterval
 from .formation import Formation, LayeredGraph
 from .targets import DesiredPositions
 
-# Solver noise more negative than this is treated as a genuine violation.
+# Rounding noise more negative than this is treated as a genuine violation.
 NEGATIVE_WEIGHT_TOL = 1e-9
 
 
@@ -53,13 +53,12 @@ class WeightSchedule:
     tf: float
 
 
-def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray, error) -> np.ndarray:
-    """Barycentric weights of each mentee's point in its mentors' points, one
-    solve for all of them. Solver-noise negatives are zeroed and each row
-    renormalized to unit sum; the first bad row in mentee order raises."""
-    verts = points[graph.mentors]
-    stop = int(np.argmax(flat)) if (flat := geometry.degenerate(verts)).any() else len(verts)
-    w = geometry.barycentric(points[graph.mentees[:stop]], verts[:stop])
+def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray) -> np.ndarray:
+    """Weights of each mentee's point in its mentors' points, all at once, from
+    each mentor simplex's inverse (``geometry.barycentric``). Rounding-noise
+    negatives are zeroed and each row renormalized to unit sum; the first bad
+    row in mentee order raises."""
+    w = geometry.barycentric(points[graph.mentees], points[graph.mentors])
     low = np.flatnonzero(w.min(axis=1) < -NEGATIVE_WEIGHT_TOL)
     if len(low):
         k = low[0]
@@ -67,8 +66,6 @@ def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray, error) -> np
             f"agent {ids[graph.mentees[k]]}: barycentric weight {w[k].min():.3e} below tolerance; "
             "the point lies outside its mentor simplex"
         )
-    if stop < len(verts):
-        raise error(f"agent {ids[graph.mentees[stop]]}: simplex vertices are affinely dependent")
     w = np.where(w < 0.0, 0.0, w)
     return w / w.sum(axis=1, keepdims=True)
 
@@ -83,8 +80,8 @@ def build_schedule(
     if tf <= t0:
         raise BadInterval(f"blend interval must satisfy t0 < tf, got [{t0}, {tf}]")
     return WeightSchedule(
-        omega=_endpoint_weights(graph, formation.ids, formation.positions, DegenerateSimplex),
-        varpi=_endpoint_weights(graph, formation.ids, desired.p, DegenerateMentorSimplex),
+        omega=_endpoint_weights(graph, formation.ids, formation.positions),
+        varpi=_endpoint_weights(graph, formation.ids, desired.p),
         t0=float(t0),
         tf=float(tf),
     )

@@ -146,11 +146,12 @@ class Simplex:
 
 def cellwise_build_actual(formation) -> LayeredGraph:
     """Mentor graph from a list of open ``Simplex`` cells, visited in order;
-    each adopts its best-centered free row, which leaves the free set at once."""
+    each adopts its best-centered free row, which leaves the free set at once.
+    Collapsed cells, fan cells too, never open."""
     core = formation.core if formation.core is not None else select_core(formation)
     fan = [Simplex(tuple(rows), formation.positions[rows]) for rows in fan_triangulate(formation, core).tolist()]
 
-    open_list = list(fan)
+    open_list = [simplex for simplex in fan if not simplex.is_degenerate()]  # as _expand drops children
     for u in formation.clamped.tolist():
         open_list = _insert_vertex(open_list, u, formation)
 
@@ -240,16 +241,13 @@ def cellwise_compute_desired(graph, formation, targets, leader_p) -> DesiredPosi
     for a, mentors in zip(graph.mentees.tolist(), graph.mentors):
         verts = p[mentors]
         try:
-            if len(samples):
-                weights = geometry.inverse_coordinates(geometry.simplex_inverse(verts), samples)
-                inside = np.where(weights.min(axis=1) >= -geometry.CONTAINMENT_TOL)[0]
-            else:
-                inside = np.empty(0, dtype=int)
+            weights = geometry.inverse_coordinates(geometry.simplex_inverse(verts), samples)
         except DegenerateSimplex as exc:
             raise DegenerateMentorSimplex(
                 f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in mentors)} "
                 "have affinely dependent final positions"
             ) from exc
+        inside = np.flatnonzero(weights.min(axis=1) >= -geometry.CONTAINMENT_TOL)
         captured[a] = tuple(int(i) for i in inside)
         if len(inside):
             p[a] = samples[inside].mean(axis=0)
@@ -259,15 +257,12 @@ def cellwise_compute_desired(graph, formation, targets, leader_p) -> DesiredPosi
     return DesiredPositions(p=p, captured=captured, fallback_ids=tuple(fallback))
 
 
-def cellwise_endpoint_weights(graph, ids, points, error) -> np.ndarray:
+def cellwise_endpoint_weights(graph, ids, points) -> np.ndarray:
     """Barycentric weights of each mentee's point in its mentors' points, one
     mentee at a time, cleaned of solver-noise negatives."""
     out = np.empty(graph.mentors.shape)
     for k, (row, mentors) in enumerate(zip(graph.mentees, graph.mentors)):
-        try:
-            w = geometry.barycentric(points[row], points[mentors])
-        except DegenerateSimplex as exc:
-            raise error(f"agent {ids[row]}: {exc}") from exc
+        w = geometry.barycentric(points[row], points[mentors])
         if float(w.min()) < -NEGATIVE_WEIGHT_TOL:
             raise ValueError(
                 f"agent {ids[row]}: barycentric weight {w.min():.3e} below tolerance; "

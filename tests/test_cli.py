@@ -8,6 +8,7 @@ import pytest
 
 import swarm_transport
 from conftest import cube_scenario
+from swarm_transport import cli, engine
 from swarm_transport.cli import main
 from swarm_transport.scenario import serialize_scenario
 
@@ -218,6 +219,8 @@ class TestPlanAndReport:
         (lambda doc: doc.update(margin=float("nan")), [], "ParseError", "margin"),
         (None, ["--dt", "nan"], "BadConfig", "dt"),
         (None, ["--margin", "nan"], "BadConfig", "margin"),
+        (None, ["--margin", "1e308"], "BadConfig", "margin"),
+        (None, ["--margin", "1e200"], "BadConfig", "margin"),
         (None, ["--dt", "inf"], "BadConfig", "dt"),
         (lambda doc: doc.update(gains={"k1": 1, "k2": 1, "k3": 1, "k4": 1}), [], "BadConfig", "Hurwitz"),
         (
@@ -232,7 +235,7 @@ class TestPlanAndReport:
     ],
     ids=[
         "dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan",
-        "flag-dt-nan", "flag-margin-nan", "flag-dt-inf", "gains-not-hurwitz",
+        "flag-dt-nan", "flag-margin-nan", "flag-margin-1e308", "flag-margin-1e200", "flag-dt-inf", "gains-not-hurwitz",
         "gains-rk4-unstable", "snapshot-times-text", "snapshot-times-nan",
         "snapshot-times-overflow",
     ],
@@ -250,6 +253,13 @@ def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named)
     assert record["error"] == error
     assert named in record["message"]
     assert not (tmp_path / "out").exists()  # refused before any output is written
+
+
+def test_huge_finite_margin_still_scores(tmp_path, capsys):
+    # the inflated zone's squared edges stay finite, so scoring runs without overflow
+    path = _generate(tmp_path, agents=40, boundary=10, uncoop=2, seed=1)
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out"), "--margin", "1e100"]) == 0
+    assert "convergence rate 1.0000 (27/27)" in capsys.readouterr().out
 
 
 def _edited_simulate(tmp_path, capsys, edit, scenario=None):
@@ -304,6 +314,22 @@ def test_empty_sample_list_runs_with_every_mentee_on_its_fallback(tmp_path, caps
     assert len(metrics["fallback_agents"]) == metrics["n_agents"] - metrics["n_boundary"] - 3
 
 
+def test_collapsed_final_simplex_without_samples_is_a_plan_error(tmp_path, capsys):
+    # every anchor at the origin flattens the fan's final simplices; with no
+    # samples to capture, compute_desired still checks them before any weight
+    path = _generate(tmp_path, agents=40, boundary=10, uncoop=2, seed=1)
+    doc = json.loads(path.read_text())
+    doc["targets"]["samples"] = []
+    doc["leader_final"] = {"mode": "explicit", "positions": [{"id": b, "x": 0.0, "y": 0.0} for b in range(1, 11)]}
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["plan", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DegenerateMentorSimplex",
+        "message": "agent 14: mentors (4, 5, 11) have affinely dependent final positions",
+    }
+
+
 def _bad_input_files(tmp_path):
     """A missing path, a directory, and files that are not JSON or not UTF-8."""
     (tmp_path / "folder").mkdir()
@@ -345,19 +371,28 @@ def test_unreadable_metrics_file_is_a_parse_error(tmp_path, capsys):
     "argv, named",
     [
         (["simulate", "{scenario}", "--out-dir", "{file}"], "{file}"),
+        (["plan", "{scenario}", "--out-dir", "{file}/out"], "{file}/out"),
+        (["build-graph", "{scenario}", "--out-dir", "{file}"], "{file}"),
         (["generate", "--out", "{folder}", "--agents", "12", "--boundary", "4"], "{folder}"),
         (["generate", "--out", "{file}/x.json", "--agents", "12", "--boundary", "4"], "{file}"),
     ],
-    ids=["simulate-out-dir-is-a-file", "generate-out-is-a-directory", "generate-out-under-a-file"],
+    ids=[
+        "simulate-out-dir-is-a-file", "plan-out-dir-under-a-file", "build-graph-out-dir-is-a-file",
+        "generate-out-is-a-directory", "generate-out-under-a-file",
+    ],
 )
-def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, named):
+def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, monkeypatch, argv, named):
     # a file where a directory must be, or a directory where a file must be
     paths = {"scenario": _generate(tmp_path, agents=12, boundary=4, seed=1),
              "file": tmp_path / "a_file", "folder": tmp_path / "a_dir"}
     paths["file"].write_text("kept\n")
     paths["folder"].mkdir()
+    calls = []  # the output directory is probed before any planning
+    for owner, name in ((engine, "run"), (engine, "make_plan"), (cli, "build_actual")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) == 1
+    assert calls == []
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "OutputError"
     assert named.format(**paths) in record["message"]

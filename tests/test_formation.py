@@ -12,13 +12,11 @@ from oracles import (
     cellwise_endpoint_weights,
     stepwise_integrate,
 )
-from swarm_transport import engine, formation, geometry
+from swarm_transport import engine, geometry
 from swarm_transport.errors import (
     BadConfig,
     CoreOnBoundary,
     CycleDetected,
-    DegenerateMentorSimplex,
-    DegenerateSimplex,
     NoCandidate,
     SwarmTransportError,
 )
@@ -201,15 +199,20 @@ class TestBuildActual:
         assert graph.mentors.tolist() == [[0, 1, 4], mentors]
         assert cellwise_build_actual(form).mentors.tolist() == graph.mentors.tolist()
 
-    def test_flat_cell_stops_the_turns(self):
-        # cells take turns in order; a degenerate one raises only if a row
-        # is still free when its turn comes
-        pos = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 4.0), (1.0, 1.0), (5.0, 5.0), (6.0, 6.0)])
-        cells = np.array([[0, 1, 2], [0, 4, 5], [0, 1, 2]])  # the second is flat
-        pick = formation._pick_mentee(cells, 1, np.array([3]), pos)
-        assert pick.tolist() == [3, -1, -1]
-        with pytest.raises(DegenerateSimplex, match="affinely dependent"):
-            formation._pick_mentee(cells[1:], 0, np.array([3]), pos)
+    def test_flat_fan_cell_is_dropped(self):
+        # the sliver hull facet of agents 10-12 makes fan cell 17 (from 0)
+        # flat; it is dropped as a collapsed child is, and planning goes on
+        form = Formation.build(range(1, 17), SLIVER_CUBE, (2.0, 2.0, 2.0), core_id=9)
+        cells = fan_triangulate(form, 8)
+        assert len(cells) == 18 and np.flatnonzero(geometry.degenerate(form.positions[cells])).tolist() == [17]
+        graph = build_actual(form)
+        assert graph.n_initial_simplices == 18
+        assert sorted(graph.mentees.tolist()) == [12, 13, 14, 15]  # ids 13-16
+        want = cellwise_build_actual(form)
+        for name in ("layer", "mentees", "mentors"):
+            assert getattr(graph, name).tobytes() == getattr(want, name).tobytes()
+        leaders = {form.ids[b]: 2.0 + 0.5 * (form.positions[b] - 2.0) for b in form.boundary}
+        assert engine.run(manual_scenario(form, SLIVER_SAMPLES, leader_positions=leaders)).trace.rate == 1.0
 
     def test_no_edges_into_clamped_agents(self):
         sc = quick_scenario(seed=9, n=40, nb=8, uncoop=3)
@@ -270,6 +273,16 @@ def planar_team(draw):
     clamped = draw(st.lists(st.sampled_from(ids[nb:]), max_size=2, unique=True))
     return ids, pts, clamped
 
+
+# cube corners 4*{0,1}^3 (ids 1-8), the core (id 9) at the center, hull
+# agents 10-12 on a sliver facet near the cube edge y = 0, z = 4, and four
+# interior agents
+SLIVER_CUBE = np.vstack([
+    4.0 * np.array(list(np.ndindex(2, 2, 2)), dtype=float),
+    [(2.0, 2.0, 2.0), (0.55, -1e-10, 4.0 + 1e-10), (0.34, -1e-10, 4.0 + 1e-10), (2.76, -1e-12, 4.0 + 1e-10)],
+    [(3.325, 2.487, 2.109), (3.242, 1.398, 2.769), (2.88, 2.138, 1.096), (1.491, 2.612, 1.808)],
+])
+SLIVER_SAMPLES = 1.0 + 0.5 * np.array(list(np.ndindex(5, 5, 5)), dtype=float)  # lattice on [1, 3]^3
 
 # 10-agent squares: corners, the core at the center and five more agents,
 # two of them at one point on a fan edge, or three on one line
@@ -350,8 +363,8 @@ def _plan_stages(build, desire, weigh, form, samples, leader_p):
     try:
         graph = build(form)
         desired = desire(graph, form, TargetSet(samples=samples), leader_p)
-        omega = weigh(graph, form.ids, form.positions, DegenerateSimplex)
-        varpi = weigh(graph, form.ids, desired.p, DegenerateMentorSimplex)
+        omega = weigh(graph, form.ids, form.positions)
+        varpi = weigh(graph, form.ids, desired.p)
     except (SwarmTransportError, ValueError) as exc:
         return type(exc), str(exc)
     return graph, desired, omega, varpi
@@ -359,6 +372,7 @@ def _plan_stages(build, desire, weigh, form, samples, leader_p):
 
 @settings(max_examples=80, deadline=None)
 @given(planner_case())
+@example((list(range(1, 17)), SLIVER_CUBE, [], SLIVER_SAMPLES, 0.5))  # a flat fan cell; random draws make none
 def test_planner_matches_cellwise_oracle(case):
     ids, pts, clamped, samples, scale = case
     try:
