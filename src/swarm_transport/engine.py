@@ -105,11 +105,11 @@ def validate_scenario(scenario: Scenario) -> None:
             geometry.convex_hull(sc.targets.zone)
         except DegenerateInput as exc:
             raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
-        with np.errstate(over="ignore", invalid="ignore"):  # scoring squares the inflated edges
-            inflated = inflated_zone(sc.targets.zone, sc.margin)
-            edges = inflated - np.roll(inflated, 1, axis=0)  # not finite where a vertex is not
-            if not np.isfinite(np.sum(edges * edges, axis=1)).all():
-                raise BadConfig(f"margin {sc.margin:g} inflates targets.zone beyond the float range")
+    with np.errstate(over="ignore", invalid="ignore"):  # scoring squares the inflated edges
+        inflated = inflated_zone(sc.targets.zone_polygon(), sc.margin)  # the samples' hull without a zone
+        edges = inflated - np.roll(inflated, 1, axis=0)  # not finite where a vertex is not
+        if not np.isfinite(np.sum(edges * edges, axis=1)).all():
+            raise BadConfig(f"margin {sc.margin:g} inflates the target zone beyond the float range")
     if not dynamics.check_hurwitz(sc.gains):
         raise BadConfig(f"gains {sc.gains} do not make the closed loop Hurwitz-stable")
     if np.max(np.abs(np.linalg.eigvals(dynamics.rk4_map(sc.gains, sc.dt)))) >= 1.0:

@@ -209,14 +209,10 @@ def _strictly_inside(formation: Formation, pts: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(hull_pts))))
     if formation.dim == 2:
         eps = geometry.DEGENERACY_COEFF * scale * scale
-        mask = np.ones(len(pts), dtype=bool)
-        m = len(hull_pts)
-        for k in range(m):
-            a = hull_pts[k]
-            e = hull_pts[(k + 1) % m] - a
-            cross = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
-            mask &= cross > eps
-        return mask
+        (ax, ay), (ex, ey) = hull_pts.T, (np.roll(hull_pts, -1, axis=0) - hull_pts).T
+        step = max(1, (1 << 16) // len(ax))  # points per pass, so no (K, m) array grows with N^2
+        passes = [pts[s : s + step, :, None] for s in range(0, max(len(pts), 1), step)]  # (k, 2, 1) against (m,) edges
+        return np.concatenate([(ex * (p[:, 1] - ay) - ey * (p[:, 0] - ax) > eps).all(axis=1) for p in passes])
     # scipy's facet equations are (normal, offset) with inside <= 0
     hull = geometry.hull_3d(hull_pts)
     vals = pts @ hull.equations[:, :-1].T + hull.equations[:, -1]

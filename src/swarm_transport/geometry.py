@@ -179,21 +179,22 @@ def convex_hull(points) -> list[int]:
 
 def _hull_2d(pts: np.ndarray) -> list[int]:
     # Monotone chain; strict turns only, so collinear edge points are dropped.
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    # Python floats round each operation as numpy's float64 scalars do, faster.
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    xy = pts.tolist()
     scale = float(np.max(np.abs(pts)))
     eps = DEGENERACY_COEFF * scale * scale
-
-    def cross(o, a, b):
-        return (pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1]) - (
-            pts[a, 1] - pts[o, 1]
-        ) * (pts[b, 0] - pts[o, 0])
 
     def chain(indices):
         out: list[int] = []
         for i in indices:
-            while len(out) >= 2 and cross(out[-2], out[-1], i) <= eps:
+            bx, by = xy[i]
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = xy[out[-2]], xy[out[-1]]
+                if not (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= eps:  # NaN keeps the point
+                    break
                 out.pop()
-            out.append(int(i))
+            out.append(i)
         return out
 
     lower = chain(order)

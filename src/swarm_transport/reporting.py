@@ -5,12 +5,12 @@ same directory, then rename), and all float formatting is fixed so repeated
 runs of the same scenario produce byte-identical files.
 
 The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``, are
-streamed to their file a frame at a time and compared and formatted a block
-of about 16,384 cells at a time, so the peak allocation is bounded by a
-block's cells and text, not by the file's. A cell with the same bits in
-every frame goes into the frame template, the other cells fill its ``%s``
-slots, a frame that repeats the one before reuses its text, and the
-time goes in after each newline. Every cell is ``%.9g``. ``_g9`` formats in
+streamed to their file a block of about 256 KB of rows at a time, so the
+peak allocation is bounded by a block, not by the file. A block is one array of
+fixed-width slots: the time, the row's leading fields, each cell and its
+comma, the row's end; every unused byte is NUL and one ``bytes.translate``
+deletes them all, which no field can hold. A frame that repeats the one
+before reuses its cells' text. Every cell is ``%.9g``. ``_g9`` formats in
 numpy each value of decimal exponent -4 to 8 (fixed notation: nearly every
 coordinate of a team of radius 0.01 to 100) whose rounding it certifies:
 scaled to 9 integer digits, the value carries one rounding error below
@@ -134,42 +134,42 @@ def _g9(x: np.ndarray) -> np.ndarray:
 
 
 def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
-    """Yield ``header`` and then one frame of rows per output time as bytes,
-    each line ended by a newline.
+    """Yield ``header`` and its newline, then the rows as bytes, a block of
+    frames at a time.
 
     Row k of a frame is the time, ``heads[k]``, row k of the (T, N, ·)
-    ``blocks`` side by side as ``%.9g`` cells, then ``tails[k]``. Bits are
-    compared as int64, so -0.0 differs from 0.0 and a NaN equals itself.
+    ``blocks`` side by side as ``%.9g`` cells, then ``tails[k]``, joined by
+    commas and ended by a newline. The slots that are the same in every
+    frame are written once. Bits are compared as int64, so -0.0 differs
+    from 0.0 and a NaN equals itself.
     """
-    times = _g9(np.asarray(times, dtype=float)).tolist()
-    if not times:
-        yield header.encode() + b"\n"
-        return
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    step = max(1, (1 << 14) // sum(b[0].size for b in blocks))  # frames per block of ~16,384 cells
-
-    def bits(s):  # frames s .. s+step-1 side by side, as (F, N, cells) int64
-        return np.concatenate([b[s : s + step] for b in blocks], axis=2).view(np.int64)
-    first = np.concatenate([b[0] for b in blocks], axis=1).view(np.int64)
-    const = np.ones(first.shape, dtype=bool)
-    for s in range(0, len(times), step):
-        const &= (bits(s) == first).all(axis=0)
-    cells = np.full(const.shape, "%s", dtype=object)
-    cells[const] = _g9(first.view(float)[const]).astype(str)
-    # a frame without its times: each line starts with its newline, and a newline is followed by the time
-    template = "".join(f"\n{h},{','.join(row)}{t}" for h, row, t in zip(heads, cells.tolist(), tails)).encode()
-    yield header.encode()
+    yield header.encode() + b"\n"
+    times = _g9(np.asarray(times, dtype=float))
+    heads = [b",%s," % str(h).encode() for h in heads]
+    tails = [t.encode() + b"\n" for t in tails]
+    time_w, head_w, tail_w = (max(map(len, x), default=1) for x in (times.tolist(), heads, tails))
+    cells = ("cells", [("text", "S16"), ("comma", "S1")], (sum(b.shape[2] for b in blocks),))
+    row = np.dtype([("time", f"S{time_w}"), ("head", f"S{head_w}"), cells, ("tail", f"S{tail_w}")])
+    step = max(1, (1 << 18) // (len(heads) * row.itemsize))  # frames per block of about 256 KB
+    raw = bytearray(step * len(heads) * row.itemsize)  # translated in place, without a copy
+    buf = np.frombuffer(raw, row).reshape(step, len(heads))
+    buf["head"], buf["tail"] = heads, tails
+    buf["cells"]["comma"][..., :-1] = b","
+    text = buf["cells"]["text"]
     prev = None
     for s in range(0, len(times), step):
-        v = bits(s)[:, ~const]
-        again = [prev is not None and np.array_equal(v[0], prev)] + (v[1:] == v[:-1]).all(axis=1).tolist()
-        prev = v[-1]
-        new = v[~np.array(again)].view(float)
-        texts = (template % tuple(row) for row in _g9(new.ravel()).reshape(new.shape).tolist())
-        for k, repeat in enumerate(again, start=s):
-            untimed = untimed if repeat else next(texts)
-            yield untimed.replace(b"\n", b"\n" + times[k] + b",")
-    yield b"\n"
+        bits = np.concatenate([b[s : s + step] for b in blocks], axis=2, dtype=float).view(np.int64)
+        f = len(bits)
+        first = prev is not None and np.array_equal(bits[0], prev)
+        again = np.array([first, *(bits[1:] == bits[:-1]).all(axis=(1, 2))])
+        prev = bits[-1]
+        if again[0]:
+            text[0] = text[-1]  # the previous block's last frame: only the final block is short
+        text[:f][~again] = _g9(bits[~again].view(float).ravel()).reshape(-1, *text.shape[1:])
+        if again[1:].any():
+            text[:f] = text[np.maximum.accumulate(np.where(again, 0, np.arange(f)))]
+        buf["time"][:f] = times[s : s + f, None]
+        yield (raw if f == step else raw[: buf[:f].nbytes]).translate(None, b"\0")
 
 
 def trace_table(trace: SimTrace, path) -> None:

@@ -9,9 +9,11 @@ byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +31,11 @@ _TIME_KEYS = ("t0", "tf", "t_end", "dt", "output_period")  # in file order
 _GAIN_KEYS = {"k1", "k2", "k3", "k4"}
 
 _ZONE_SIDES = 12  # a generated target zone is a regular polygon
+
+# largest coordinate magnitude a scenario file may give: cubes of a team's
+# scale (``geometry.degenerate``) and squares of its spans (the SVG canvas,
+# scoring) then stay finite
+_MAX_COORDINATE = 1e100
 
 # most points a sample grid's bounding box may hold, far above the ~38,000
 # samples a generated team of 10,000 agents draws
@@ -97,40 +104,12 @@ def parse_scenario_text(text: str) -> Scenario:
     if not isinstance(agents, list) or not agents:
         raise ParseError("agents must be a non-empty list", field="agents")
     coord_keys = ["x", "y", "z"][:dim]
-    ids: list[int] = []
-    positions: list[list[float]] = []
-    declared_boundary: list[int] = []
-    uncooperative: list[int] = []
-    core_id = None
-    for k, entry in enumerate(agents):
-        where = f"agents[{k}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where} must be an object", field="agents")
-        _reject_unknown(entry, {"id", "role", *coord_keys}, where)
-        if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
-            raise ParseError(f"{where} needs an integer id", field="id")
-        agent_id = entry["id"]
-        pos = [_number(entry, c, where) for c in coord_keys]
-        role = entry.get("role")
-        if role not in ROLES:
-            raise ParseError(
-                f"agent {agent_id} has malformed role tag {role!r}", field="role"
-            )
-        if role == "boundary":
-            declared_boundary.append(agent_id)
-        elif role == "uncooperative":
-            uncooperative.append(agent_id)
-        elif role == "core":
-            if core_id is not None:
-                raise ParseError(
-                    f"agent {agent_id}: a scenario may declare at most one core",
-                    field="role",
-                )
-            core_id = agent_id
-        ids.append(agent_id)
-        positions.append(pos)
+    ids, roles, positions = _agent_rows(agents, coord_keys)
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate agent ids", field="agents")
+    declared_boundary = [a for a, role in zip(ids, roles) if role == "boundary"]
+    uncooperative = [a for a, role in zip(ids, roles) if role == "uncooperative"]
+    core_id = ids[roles.index("core")] if "core" in roles else None
 
     targets_doc = doc.get("targets")
     if not isinstance(targets_doc, dict):
@@ -183,9 +162,7 @@ def parse_scenario_text(text: str) -> Scenario:
                 raise ParseError(f"{where} needs an integer id", field="id")
             if entry["id"] in leader_positions:
                 raise ParseError(f"{where}: agent {entry['id']} is listed twice", field="positions")
-            leader_positions[entry["id"]] = np.array(
-                [_number(entry, c, where) for c in coord_keys]
-            )
+            leader_positions[entry["id"]] = np.array([_coordinate(entry, c, where) for c in coord_keys])
         leader_scale = Scenario.leader_scale
     else:
         raise ParseError(f"unknown leader_final mode {mode!r}", field="mode")
@@ -216,22 +193,77 @@ def parse_scenario_text(text: str) -> Scenario:
     )
 
 
+def _number_rows(rows) -> np.ndarray | None:
+    """The equal-length lists of JSON numbers ``rows`` as one float array,
+    or None unless every value is a finite int or float (not a bool) of
+    magnitude at most ``_MAX_COORDINATE``."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        return None
+    try:
+        out = np.array(rows, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return out if (np.abs(out) <= _MAX_COORDINATE).all() else None  # NaN fails too
+
+
+def _coordinate(obj, key, where) -> float:
+    number = _number(obj, key, where)
+    if abs(number) > _MAX_COORDINATE:
+        raise ParseError(f"{where}.{key} must not exceed {_MAX_COORDINATE:g} in magnitude", field=key)
+    return number
+
+
+def _agent_rows(agents: list, coord_keys) -> tuple[list, list, np.ndarray]:
+    """The ids, role tags and (N, dim) positions of the agent entries, each
+    checked as one list; the entries are walked one by one only to name
+    the first bad one."""
+    keys = {"id", "role", *coord_keys}
+    if set(map(type, agents)) == {dict} and set().union(*agents) <= keys:
+        try:
+            ids, roles = list(map(itemgetter("id"), agents)), list(map(itemgetter("role"), agents))
+            positions = _number_rows(list(map(itemgetter(*coord_keys), agents)))
+        except KeyError:
+            positions = None
+        if positions is not None and set(map(type, ids)) == {int} and set(map(type, roles)) == {str}:
+            if set(roles) <= set(ROLES) and roles.count("core") <= 1:
+                return ids, roles, positions
+    core_id = None
+    for k, entry in enumerate(agents):
+        where = f"agents[{k}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where} must be an object", field="agents")
+        _reject_unknown(entry, keys, where)
+        if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
+            raise ParseError(f"{where} needs an integer id", field="id")
+        for c in coord_keys:
+            _coordinate(entry, c, where)
+        if entry.get("role") not in ROLES:
+            raise ParseError(f"agent {entry['id']} has malformed role tag {entry.get('role')!r}", field="role")
+        if entry["role"] == "core":
+            if core_id is not None:
+                raise ParseError(f"agent {entry['id']}: a scenario may declare at most one core", field="role")
+            core_id = entry["id"]
+    raise AssertionError("an agent entry failed the list checks but none is malformed")
+
+
 def _point_rows(rows, dim, where, minimum) -> np.ndarray:
+    """The list of ``dim``-number lists ``rows`` as a (K, dim) array, checked
+    as one list; the rows are walked one by one only to name the first bad one."""
     if not isinstance(rows, list) or len(rows) < minimum:
         raise ParseError(f"{where} must be a list of at least {minimum} points", field=where)
-    out = np.empty((len(rows), dim))
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}:
+        out = _number_rows(rows)
+        if out is not None:
+            return out.reshape(len(rows), dim)
     for k, row in enumerate(rows):
-        if (
-            not isinstance(row, list)
-            or len(row) != dim
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)
-        ):
+        if type(row) is not list or len(row) != dim or not set(map(type, row)) <= {int, float}:
             raise ParseError(f"{where}[{k}] must be a list of {dim} numbers", field=where)
         values = [_finite(v) for v in row]
         if None in values:
             raise ParseError(f"{where}[{k}] must be a list of finite numbers", field=where)
-        out[k] = values
-    return out
+        if max(map(abs, values)) > _MAX_COORDINATE:
+            raise ParseError(f"{where}[{k}] has a coordinate above {_MAX_COORDINATE:g} in magnitude", field=where)
+    raise AssertionError(f"{where} failed the list checks but no row is malformed")
 
 
 def _grid_samples(zone: np.ndarray, spacing: float, error) -> np.ndarray:

@@ -8,6 +8,7 @@ import scipy.sparse
 from swarm_transport import dynamics, geometry, svgplot
 from swarm_transport.engine import SimTrace, convergence_check
 from swarm_transport.errors import (
+    DegenerateInput,
     DegenerateMentorSimplex,
     DegenerateSimplex,
     Diverged,
@@ -44,6 +45,35 @@ def initial_state(position) -> np.ndarray:
 def contains(vertices, point, tol: float = geometry.CONTAINMENT_TOL) -> bool:
     """True iff ``point`` lies in the closed simplex (faces count as inside)."""
     return bool(np.min(geometry.inverse_coordinates(geometry.simplex_inverse(vertices), point)) >= -tol)
+
+
+def scalar_hull_2d(pts: np.ndarray) -> list[int]:
+    """The monotone chain on numpy float64 scalars, as ``geometry._hull_2d``
+    ran before it moved to Python floats."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    scale = float(np.max(np.abs(pts)))
+    eps = geometry.DEGENERACY_COEFF * scale * scale
+
+    def cross(o, a, b):
+        return (pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1]) - (
+            pts[a, 1] - pts[o, 1]
+        ) * (pts[b, 0] - pts[o, 0])
+
+    def chain(indices):
+        out: list[int] = []
+        for i in indices:
+            while len(out) >= 2 and cross(out[-2], out[-1], i) <= eps:
+                out.pop()
+            out.append(int(i))
+        return out
+
+    lower = chain(order)
+    upper = chain(order[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise DegenerateInput("all points are collinear")
+    start = hull.index(min(hull))
+    return hull[start:] + hull[:start]
 
 
 def staged_rk4(state, r_d, gains, dt):

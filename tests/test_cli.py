@@ -221,6 +221,8 @@ class TestPlanAndReport:
         (None, ["--margin", "nan"], "BadConfig", "margin"),
         (None, ["--margin", "1e308"], "BadConfig", "margin"),
         (None, ["--margin", "1e200"], "BadConfig", "margin"),
+        # without a zone the samples' hull is scored, and inflated as far
+        (lambda doc: doc["targets"].pop("zone"), ["--margin", "1e200"], "BadConfig", "margin"),
         (None, ["--dt", "inf"], "BadConfig", "dt"),
         (lambda doc: doc.update(gains={"k1": 1, "k2": 1, "k3": 1, "k4": 1}), [], "BadConfig", "Hurwitz"),
         (
@@ -235,7 +237,7 @@ class TestPlanAndReport:
     ],
     ids=[
         "dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan",
-        "flag-dt-nan", "flag-margin-nan", "flag-margin-1e308", "flag-margin-1e200", "flag-dt-inf", "gains-not-hurwitz",
+        "flag-dt-nan", "flag-margin-nan", "flag-margin-1e308", "flag-margin-1e200", "zoneless-flag-margin-1e200", "flag-dt-inf", "gains-not-hurwitz",
         "gains-rk4-unstable", "snapshot-times-text", "snapshot-times-nan",
         "snapshot-times-overflow",
     ],

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Simplex, contains
+from conftest import quick_scenario
+from oracles import Simplex, contains, scalar_hull_2d
 from swarm_transport import geometry
 from swarm_transport.errors import DegenerateInput, DegenerateSimplex
 from swarm_transport.geometry import (
@@ -71,6 +72,39 @@ class TestConvexHull:
         with pytest.raises(DegenerateInput):
             convex_hull(pts)
 
+
+@st.composite
+def hull_point_sets(draw):
+    """3 to 300 planar points at a scale of 1e-3 to 1e3: normal draws, or
+    draws rounded onto a coarse grid, which makes collinear and duplicate points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(draw(st.integers(3, 300)), 2)) * draw(st.sampled_from([1.0, 3.0]))
+    if draw(st.booleans()):
+        pts = np.round(pts)
+    return pts * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+def assert_hull_matches_scalar_oracle(pts):
+    try:
+        want = scalar_hull_2d(pts)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            convex_hull(pts)
+    else:
+        assert convex_hull(pts) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_point_sets())
+def test_float_hull_matches_scalar_oracle(pts):
+    assert_hull_matches_scalar_oracle(pts)
+
+
+@pytest.mark.parametrize("n, nb", [(40, 10), (600, 100)])  # the benchmark's pinned team shapes
+def test_float_hull_matches_scalar_oracle_on_teams(n, nb):
+    sc = quick_scenario(seed=1, n=n, nb=nb, uncoop=2)
+    assert_hull_matches_scalar_oracle(sc.formation.positions)
+    assert_hull_matches_scalar_oracle(sc.targets.samples)
 
 class TestBarycentric:
     def test_centroid_gives_thirds(self):

@@ -27,6 +27,9 @@ CASES = {
     "quick-seed1-n40-radius100": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2, radius=100.0), []),
     # the first draw fails to plan, so generation redraws before the plan
     "quick-seed11-n40": (lambda: quick_scenario(seed=11, n=40, nb=10, uncoop=2), []),
+    # transport-large's team: 6 frames to a writer block, and set-point frames
+    # that repeat after tf, some of them across a block's start
+    "quick-seed1-n600": (lambda: quick_scenario(seed=1, n=600, nb=100, uncoop=2), []),
     "cube": (cube_scenario, []),
     "cube-leader-blend": (cube_scenario, ["--leader-blend"]),
 }

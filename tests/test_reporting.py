@@ -178,13 +178,15 @@ def synthetic_trace(positions, desired, times):
 
 
 def test_frames_across_blocks():
-    # 1,024 agents in 2-D: 4 frames of 4,096 trace cells and 8 frames of
-    # 2,048 set-point cells to a block, so 130 frames are 33 and 17 blocks
+    # 1,024 agents in 2-D: rows of 95 and 45 bytes give blocks of 2 trace
+    # and 5 set-point frames, so 130 frames are 65 and 26 blocks
     rng = np.random.default_rng(11)
     pos = rng.normal(size=(130, 1024, 2)) * 10.0 ** rng.integers(-5, 6, size=(1, 1024, 1))
-    pos[32] = pos[31]  # repeats across a boundary of both tables' blocks
+    pos[40] = pos[39]  # repeats at the start of a block of both tables
     pos[36] = pos[35]  # and of the trace's blocks only
     pos[64] = pos[63]
+    pos[70] = pos[69]  # and two in a row from a start of both
+    pos[71] = pos[70]
     pos[:, 5, 0] = np.nan  # constant NaN cells
     pos[:, 6, 1] = [0.0, -0.0] * 65  # cells that differ only in the sign of zero
     pos[:, 7, 0] = -0.0  # a constant -0.0 cell
@@ -193,12 +195,51 @@ def test_frames_across_blocks():
     assert_tables_match(synthetic_trace(pos, pos[:, ::-1] * -2.0, times), pos)
 
 
+@pytest.mark.parametrize(
+    "case", ["full-width-cells", "exponent-times", "wide-ids", "one-agent", "one-frame", "frame-per-block"]
+)
+def test_table_slot_widths(case):
+    # each row is laid out in fixed-width slots: cells and times that fill
+    # their 16 bytes, ids of 1 to 13 digits, the smallest tables, and frames
+    # too wide for two to share a block
+    rng = np.random.default_rng(13)
+    pos = rng.normal(size=(7, 5, 2))
+    times = np.arange(7) * 0.1
+    if case == "full-width-cells":
+        pos = np.resize([-1.23456789e-100, 1.23456789e-100, -9.87654321e200, -4.94065646e-324], (7, 5, 2))
+    elif case == "exponent-times":
+        times = np.array([-1.23456789e-100, 0.0, 1e-5, 2.5e-5, 1e16, 1.2345e20, 1e300])
+    elif case == "one-agent":
+        # 7,000 frames: blocks of 2,818 trace and 6,096 set-point frames, each
+        # frame repeated ten times, so most blocks start with a repeat
+        pos = np.repeat(rng.normal(size=(700, 1, 2)), 10, axis=0)
+        times = np.arange(7000) * 0.1
+    elif case == "one-frame":
+        pos, times = pos[:1], times[:1]
+    elif case == "frame-per-block":
+        # 3,000 agents: trace and set-point frames of 282 and 132 KB, one to a block
+        pos = rng.normal(size=(4, 3000, 2))
+        pos[2] = pos[1]
+        times = times[:4]
+    trace = synthetic_trace(pos, pos[:, ::-1] * -3.0, times)
+    if case == "wide-ids":
+        trace = dataclasses.replace(trace, ids=(1, 10, 10**6, 10**9, 10**12))
+    assert_tables_match(trace, pos)
+    text = written(trace_table, trace)
+    if case == "full-width-cells":
+        assert "\n0,1,cooperative,0,-1.23456789e-100,1.23456789e-100," in text
+    if case == "exponent-times":
+        assert "\n-1.23456789e-100,1,cooperative,0," in text and "\n1.2345e+20,5," in text
+    if case == "wide-ids":
+        assert "\n0.6,1000000000000,cooperative,1," in text
+
 def test_table_memory_is_bounded_by_a_block(tmp_path):
     # 1,004 frames of 600 agents, about 40 MB of text: the peak of the
-    # writer's allocations is a block's cells and text, 0.8 MB, not the
-    # file's (84 MB when the whole table was one string, 4.8 MB with the
-    # text of a block of 131,072 cells joined). Ten agents move; the rest
-    # stand still, which keeps the run short under tracemalloc.
+    # writer's allocations is a block's slots and the formatting of its
+    # cells, 2.5 MB, not the file's (84 MB when the whole table was one
+    # string, 4.8 MB with the text of a block of 131,072 cells joined, 0.8 MB
+    # when the cells that never change went into a frame template once).
+    # Ten agents move; the rest stand still.
     rng = np.random.default_rng(2)
     pos = np.repeat(rng.normal(size=(1, 600, 2)) * 100.0, 1004, axis=0)
     pos[:, :10] = rng.normal(size=(1004, 10, 2)) * 100.0

@@ -164,6 +164,38 @@ class TestParse:
             parse_scenario_text(json.dumps(doc))
         assert info.value.field == "positions"
 
+    @pytest.mark.parametrize(
+        "edit, named, field",
+        [
+            (lambda doc: doc["agents"][5].update(x=1e101), "agents[5].x", "x"),
+            (lambda doc: doc["targets"]["samples"].append([1e308, 1e308]), "targets.samples[2]", "targets.samples"),
+            (lambda doc: doc["targets"]["zone"][2].__setitem__(1, -(10**101)), "targets.zone[2]", "targets.zone"),
+            (
+                lambda doc: doc.update(leader_final={"mode": "explicit", "positions": [
+                    {"id": 1, "x": 0.0, "y": 0.0}, {"id": 2, "x": 4.0, "y": 0.0},
+                    {"id": 3, "x": 4.0, "y": 2e100}, {"id": 4, "x": 0.0, "y": 4.0},
+                ]}),
+                "leader_final.positions[2].y",
+                "y",
+            ),
+        ],
+        ids=["agents", "samples", "zone", "explicit-anchors"],
+    )
+    def test_coordinates_beyond_1e100_are_refused(self, edit, named, field):
+        # squares and cubes of such coordinates overflow in scoring, the
+        # degeneracy threshold and the SVG canvas
+        doc = json.loads(MINIMAL)
+        edit(doc)
+        with pytest.raises(ParseError, match=r"1e\+100 in magnitude") as info:
+            parse_scenario_text(json.dumps(doc))
+        assert named in str(info.value)
+        assert info.value.field == field
+
+    def test_coordinates_of_1e100_parse(self):
+        doc = json.loads(MINIMAL)
+        doc["targets"]["samples"].append([1e100, -(10**100)])
+        assert parse_scenario_text(json.dumps(doc)).targets.samples[-1].tolist() == [1e100, -1e100]
+
 
 class TestRoundTrip:
     def test_generate_parse_serialize_idempotent(self):
