@@ -54,8 +54,10 @@ from .weights import WeightSchedule, beta, build_schedule
 class Scenario:
     """One self-contained experiment: formation, targets, gains and timing.
     The defaults are those of a scenario file and of generation. A scenario
-    is validated where it is built, by ``dataclasses.replace`` too. Anchors
-    are ``leader_positions`` (by agent id) when given, else generated."""
+    is validated where it is built, by ``dataclasses.replace`` too. The
+    anchors are ``leader_positions``, a (B, n) array in the hull cycle order
+    of ``formation.boundary``, when given, else generated at
+    ``leader_scale``. ``t0`` and ``tf`` bound the weight blend."""
 
     formation: Formation
     targets: TargetSet
@@ -68,7 +70,7 @@ class Scenario:
     margin: float = 0.10
     seed: int = 0
     leader_scale: float = 1.1
-    leader_positions: dict[int, np.ndarray] | None = None
+    leader_positions: np.ndarray | None = None
     leader_blend: bool = False
 
     def __post_init__(self) -> None:
@@ -100,6 +102,10 @@ def validate_scenario(scenario: Scenario) -> None:
         raise BadConfig("dt must divide the simulation horizon t_end - t0")
     if sc.margin < 0:
         raise BadConfig("margin must be nonnegative")
+    if sc.leader_positions is not None:
+        shape = (len(sc.formation.boundary), sc.formation.dim)
+        if np.shape(sc.leader_positions) != shape or not np.isfinite(sc.leader_positions).all():
+            raise BadConfig(f"leader positions must be a finite {shape} array in hull order")
     if sc.targets.zone is not None:
         try:
             geometry.convex_hull(sc.targets.zone)
@@ -156,11 +162,11 @@ def make_plan(scenario: Scenario) -> Plan:
     """Pipeline prefix: graph synthesis, anchor placement, targets, weights."""
     formation = scenario.formation
     graph = build_actual(formation)
-    leader_p = leader_final_positions(
-        formation, scenario.targets, explicit=scenario.leader_positions, scale=scenario.leader_scale
-    )
+    leader_p = scenario.leader_positions
+    if leader_p is None:
+        leader_p = leader_final_positions(formation, scenario.targets, scenario.leader_scale)
     desired = compute_desired(graph, formation, scenario.targets, leader_p)
-    schedule = build_schedule(graph, formation, desired, scenario.t0, scenario.tf)
+    schedule = build_schedule(graph, formation, desired)
     return Plan(scenario=scenario, graph=graph, desired=desired, schedule=schedule)
 
 
@@ -186,8 +192,8 @@ def _integrate(plan: Plan) -> SimTrace:
     order = np.concatenate([np.flatnonzero(graph.layer == 0), graph.mentees])
     rank = np.empty_like(order)
     rank[order] = np.arange(n_agents)
-    bounds = np.searchsorted(graph.layer[order], np.arange(graph.n_layers + 2)).tolist()
-    n0 = bounds[1]
+    n0 = n_agents - len(graph.mentees)
+    bounds = [0, *(n0 + graph.layer_starts).tolist()]
     mentors = rank[graph.mentors]
     p = plan.desired.p[order]
     a = sc.formation.positions[order]
@@ -334,7 +340,7 @@ def convergence_check(positions, zone, margin: float):
 def setpoint_series(plan: Plan, times) -> np.ndarray:
     """Planned set-point positions on a time grid, shaped (T, N, n): one
     propagation per distinct ramp value (by bit pattern), expanded back."""
-    times = np.asarray(times, dtype=float)
-    b = beta(times, plan.schedule.t0, plan.schedule.tf).view(np.int64)
-    _, first, back = np.unique(b, return_index=True, return_inverse=True)
-    return propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, times[first])[back]
+    sc = plan.scenario
+    b = beta(np.asarray(times, dtype=float), sc.t0, sc.tf)
+    _, first, back = np.unique(b.view(np.int64), return_index=True, return_inverse=True)
+    return propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, b[first])[back]

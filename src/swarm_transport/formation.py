@@ -154,6 +154,12 @@ class LayeredGraph:
         """Number of mentee layers (0 when nobody needed a mentor)."""
         return int(self.layer.max())
 
+    @property
+    def layer_starts(self) -> np.ndarray:
+        """(n_layers + 1,) offsets into ``mentees``: mentee layer k is the
+        slice ``[layer_starts[k - 1], layer_starts[k])``."""
+        return np.searchsorted(self.layer[self.mentees], np.arange(1, self.n_layers + 2))
+
 
 def agent_roles(formation: Formation, core: int | None) -> np.ndarray:
     """Role of every formation row, shaped (N,); ``core`` is a row or None."""

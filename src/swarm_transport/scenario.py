@@ -146,13 +146,13 @@ def parse_scenario_text(text: str) -> Scenario:
     if mode == "generated":
         _reject_unknown(leader_doc, {"mode", "scale"}, "leader_final")
         leader_scale = _number(leader_doc, "scale", "leader_final", default=Scenario.leader_scale)
-        leader_positions = None
+        explicit = None
     elif mode == "explicit":
         _reject_unknown(leader_doc, {"mode", "positions"}, "leader_final")
         rows = leader_doc.get("positions")
         if not isinstance(rows, list) or not rows:
             raise ParseError("explicit leader_final needs positions", field="positions")
-        leader_positions = {}
+        explicit = {}
         for k, entry in enumerate(rows):
             where = f"leader_final.positions[{k}]"
             if not isinstance(entry, dict):
@@ -160,9 +160,9 @@ def parse_scenario_text(text: str) -> Scenario:
             _reject_unknown(entry, {"id", *coord_keys}, where)
             if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
                 raise ParseError(f"{where} needs an integer id", field="id")
-            if entry["id"] in leader_positions:
+            if entry["id"] in explicit:
                 raise ParseError(f"{where}: agent {entry['id']} is listed twice", field="positions")
-            leader_positions[entry["id"]] = np.array([_coordinate(entry, c, where) for c in coord_keys])
+            explicit[entry["id"]] = [_coordinate(entry, c, where) for c in coord_keys]
         leader_scale = Scenario.leader_scale
     else:
         raise ParseError(f"unknown leader_final mode {mode!r}", field="mode")
@@ -180,6 +180,7 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ParseError(str(exc)) from exc
     if not declared_boundary:
         raise ParseError("scenario declares no boundary agents", field="agents")
+    leader_positions = None if explicit is None else _hull_order(explicit, formation)
 
     return Scenario(
         formation=formation,
@@ -191,6 +192,18 @@ def parse_scenario_text(text: str) -> Scenario:
         leader_scale=leader_scale,
         leader_positions=leader_positions,
     )
+
+
+def _hull_order(explicit: dict, formation: Formation) -> np.ndarray:
+    """The anchors keyed by agent id, which must be the boundary agents, in hull cycle order."""
+    boundary = [formation.ids[k] for k in formation.boundary]
+    missing = [b for b in boundary if b not in explicit]
+    if missing:
+        raise ParseError(f"explicit leader positions missing agents {missing}", field="positions")
+    extra = [i for i in explicit if i not in boundary]
+    if extra:
+        raise ParseError(f"explicit leader positions name non-boundary agents {extra}", field="positions")
+    return np.array([explicit[b] for b in boundary], dtype=float)
 
 
 def _number_rows(rows) -> np.ndarray | None:
@@ -322,8 +335,8 @@ def serialize_scenario(scenario: Scenario) -> str:
         leader_final = {
             "mode": "explicit",
             "positions": [
-                {"id": b, **{c: float(v) for c, v in zip(coord_keys, scenario.leader_positions[b])}}
-                for b in (formation.ids[k] for k in formation.boundary)
+                {"id": formation.ids[k], **{c: float(v) for c, v in zip(coord_keys, row)}}
+                for k, row in zip(formation.boundary, scenario.leader_positions)
             ],
         }
     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .formation import LayeredGraph
-from .weights import WeightSchedule, beta
+from .weights import WeightSchedule
 
 
 def blend(w: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
@@ -33,17 +33,18 @@ def propagate_setpoints(
     graph: LayeredGraph,
     schedule: WeightSchedule,
     anchors: np.ndarray,
-    times,
+    ramp,
 ) -> np.ndarray:
-    """Set-points on a time grid by forward substitution, shaped (T, N, n).
+    """Set-points at T ramp values (``weights.beta`` of the output times) by
+    forward substitution, shaped (T, N, n).
 
     ``anchors`` is (N, n) in formation row order; its anchor rows are the
     boundary data and its follower rows are ignored.
     """
     anchors = np.asarray(anchors, dtype=float)
-    b = beta(times, schedule.t0, schedule.tf)
+    b = np.asarray(ramp, dtype=float)
     s = np.repeat(anchors[:, :, None], len(b), axis=2)  # (N, n, T)
-    starts = np.searchsorted(graph.layer[graph.mentees], np.arange(1, graph.n_layers + 2))
+    starts = graph.layer_starts
     for sl in map(slice, starts[:-1], starts[1:]):
         w = (1.0 - b) * schedule.omega[sl, :, None] + b * schedule.varpi[sl, :, None]
         s[graph.mentees[sl]] = blend(w, s[graph.mentors[sl]])

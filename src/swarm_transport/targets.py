@@ -1,10 +1,10 @@
 """Target abstraction: map sampled target points to per-agent final positions.
 
 Final positions are assigned layer by layer, as one (N, n) array in
-formation row order. Hull agents take explicit or ring-generated anchor
-positions, the core and clamped agents hold their initial positions, and
-every mentee averages the target samples that fall inside the simplex
-spanned by its mentors' final positions.
+formation row order. Hull agents take the scenario's anchor positions, the
+core and clamped agents hold their initial positions, and every mentee
+averages the target samples that fall inside the simplex spanned by its
+mentors' final positions.
 """
 
 from __future__ import annotations
@@ -78,35 +78,18 @@ def equal_arclength_points(polygon, count: int) -> np.ndarray:
     return out
 
 
-def leader_final_positions(
-    formation: Formation,
-    targets: TargetSet,
-    *,
-    explicit: dict[int, np.ndarray] | None = None,
-    scale: float | None = None,
-) -> np.ndarray:
-    """Anchor positions of the hull agents, shaped (B, n) in hull cycle order.
-
-    Either passed through verbatim (``explicit``, keyed by agent id) or
-    generated at equal arc length along the zone outline scaled by ``scale``
-    (required then) about the zone centroid, preserving the hull's cyclic order. The
-    generated placement is a convention of this artifact, not part of the
-    underlying method.
+def leader_final_positions(formation: Formation, targets: TargetSet, scale: float) -> np.ndarray:
+    """Generated anchor positions of the hull agents, shaped (B, n) in hull
+    cycle order: equal arc length along the zone outline scaled by ``scale``
+    about the zone centroid, preserving the hull's cyclic order. The
+    placement is a convention of this artifact, not part of the underlying
+    method.
     """
-    boundary = [formation.ids[k] for k in formation.boundary]
-    if explicit is not None:
-        missing = [b for b in boundary if b not in explicit]
-        if missing:
-            raise BadConfig(f"explicit leader positions missing agents {missing}")
-        extra = [i for i in explicit if i not in set(boundary)]
-        if extra:
-            raise BadConfig(f"explicit leader positions name non-boundary agents {extra}")
-        return np.array([np.asarray(explicit[b], dtype=float) for b in boundary])
     if formation.dim != 2:
         raise BadConfig("generated leader placement is only available in 2-D")
     zone = targets.zone_polygon()
     ring = geometry.scale_polygon(zone, scale, about=geometry.polygon_centroid(zone))
-    return equal_arclength_points(ring, len(boundary))
+    return equal_arclength_points(ring, len(formation.boundary))
 
 
 def compute_desired(
@@ -125,18 +108,12 @@ def compute_desired(
     simplex raises ``DegenerateMentorSimplex``, with samples or without.
     """
     samples = np.asarray(targets.samples, dtype=float)
-    leader_p = np.asarray(leader_p, dtype=float)
-    if leader_p.shape != (len(formation.boundary), formation.dim):
-        raise BadConfig(
-            f"leader positions must be shaped {(len(formation.boundary), formation.dim)}, "
-            f"got {leader_p.shape}"
-        )
     p = formation.positions.copy()  # the core and clamped rows keep these
     p[formation.boundary] = leader_p
 
     captured: dict[int, tuple[int, ...]] = {}
     fallback: list[int] = []
-    starts = np.searchsorted(graph.layer[graph.mentees], np.arange(1, graph.n_layers + 2))
+    starts = graph.layer_starts
     index = geometry.PointIndex.build(samples)
     for sl in map(slice, starts[:-1], starts[1:]):
         rows, mentors = graph.mentees[sl], graph.mentors[sl]

@@ -41,7 +41,7 @@ def beta(t, t0: float, tf: float) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Endpoint weights of every mentee plus the blend horizon.
+    """Endpoint weights of every mentee; the scenario owns the blend horizon.
 
     Row k holds the weights of mentee ``graph.mentees[k]`` over the mentor
     rows ``graph.mentors[k]``.
@@ -49,8 +49,6 @@ class WeightSchedule:
 
     omega: np.ndarray  # (M, n+1) initial weights
     varpi: np.ndarray  # (M, n+1) final weights
-    t0: float
-    tf: float
 
 
 def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray) -> np.ndarray:
@@ -70,18 +68,8 @@ def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray) -> np.ndarra
     return w / w.sum(axis=1, keepdims=True)
 
 
-def build_schedule(
-    graph: LayeredGraph,
-    formation: Formation,
-    desired: DesiredPositions,
-    t0: float,
-    tf: float,
-) -> WeightSchedule:
-    if tf <= t0:
-        raise BadInterval(f"blend interval must satisfy t0 < tf, got [{t0}, {tf}]")
+def build_schedule(graph: LayeredGraph, formation: Formation, desired: DesiredPositions) -> WeightSchedule:
     return WeightSchedule(
         omega=_endpoint_weights(graph, formation.ids, formation.positions),
         varpi=_endpoint_weights(graph, formation.ids, desired.p),
-        t0=float(t0),
-        tf=float(tf),
     )

@@ -74,18 +74,23 @@ def quick_scenario(seed=0, n=24, nb=6, uncoop=0, **kwargs):
     return generate_scenario(params, seed)
 
 
+def hull_anchors(formation, leader_positions):
+    """Anchors keyed by agent id as the (B, n) array in hull cycle order
+    that ``Scenario.leader_positions`` holds."""
+    return np.array([leader_positions[formation.ids[k]] for k in formation.boundary], dtype=float)
+
+
 def manual_scenario(formation, samples, zone=None, leader_positions=None, **kwargs):
-    """A Scenario of the given team and targets; other fields are passed on
-    to ``Scenario`` and keep its defaults when not given."""
+    """A Scenario of the given team and targets, its anchors keyed by agent
+    id when given; other fields are passed on to ``Scenario`` and keep its
+    defaults when not given."""
     samples = np.asarray(samples, dtype=float).reshape(-1, formation.dim)
     targets = TargetSet(
         samples=samples,
         zone=None if zone is None else np.asarray(zone, dtype=float),
     )
     if leader_positions is not None:
-        leader_positions = {
-            int(a): np.asarray(p, dtype=float) for a, p in leader_positions.items()
-        }
+        leader_positions = hull_anchors(formation, leader_positions)
     return Scenario(formation=formation, targets=targets, leader_positions=leader_positions, **kwargs)
 
 

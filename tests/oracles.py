@@ -28,9 +28,13 @@ from swarm_transport.targets import DesiredPositions
 from swarm_transport.weights import NEGATIVE_WEIGHT_TOL, beta
 
 
-def weights_at(schedule, t: float) -> np.ndarray:
-    """Convex blend of the endpoint weights at time t, shaped (M, n+1)."""
-    b = beta(t, schedule.t0, schedule.tf)
+def ramp(plan, t):
+    """The blend ramp ``weights.beta`` of the plan's scenario at time(s) t."""
+    return beta(t, plan.scenario.t0, plan.scenario.tf)
+
+
+def weights_at(schedule, b: float) -> np.ndarray:
+    """Convex blend of the endpoint weights at ramp value b, shaped (M, n+1)."""
     return (1.0 - b) * schedule.omega + b * schedule.varpi
 
 
@@ -115,10 +119,10 @@ def stepwise_integrate(plan, step=dynamics.step) -> SimTrace:
         t = sc.t0 + k * sc.dt
         r = states[:, 0, :]
         r_d = p_arr.copy()
+        b = beta(t, sc.t0, sc.tf)
         if sc.leader_blend:
-            b = beta(t, sc.t0, sc.tf)
             r_d[anchor] = (1.0 - b) * a_arr[anchor] + b * p_arr[anchor]
-        r_d[graph.mentees] = np.einsum("mk,mkd->md", weights_at(plan.schedule, t), r[graph.mentors])
+        r_d[graph.mentees] = np.einsum("mk,mkd->md", weights_at(plan.schedule, b), r[graph.mentors])
         if k % log_every == 0 or k == steps:
             times.append(t)
             pos_log.append(r.copy())
@@ -322,11 +326,11 @@ def loop_blend(w, x) -> np.ndarray:
     return (w[:, :, None] * x).sum(axis=1)
 
 
-def time_major_setpoints(graph, schedule, anchors, times) -> np.ndarray:
+def time_major_setpoints(graph, schedule, anchors, b) -> np.ndarray:
     """``setpoints.propagate_setpoints`` on a (T, N, n) array, time the
     outermost axis of every blend."""
     anchors = np.asarray(anchors, dtype=float)
-    b = beta(times, schedule.t0, schedule.tf)[:, None, None]
+    b = np.asarray(b, dtype=float)[:, None, None]
     s = np.repeat(anchors[None], len(b), axis=0)
     starts = np.searchsorted(graph.layer[graph.mentees], np.arange(1, graph.n_layers + 2))
     for sl in map(slice, starts[:-1], starts[1:]):
@@ -335,22 +339,22 @@ def time_major_setpoints(graph, schedule, anchors, times) -> np.ndarray:
     return s
 
 
-def build_comm_matrix(graph, schedule, t) -> scipy.sparse.csr_matrix:
-    """The (N, N) communication matrix at time t, in formation row order:
+def build_comm_matrix(graph, schedule, b) -> scipy.sparse.csr_matrix:
+    """The (N, N) communication matrix at ramp value b, in formation row order:
     -1 on the diagonal, the mentor weights on follower rows."""
     n_agents = len(graph.layer)
     diag = np.arange(n_agents)
     rows = np.concatenate([diag, np.repeat(graph.mentees, graph.mentors.shape[1])])
     cols = np.concatenate([diag, graph.mentors.ravel()])
-    vals = np.concatenate([-np.ones(n_agents), weights_at(schedule, t).ravel()])
+    vals = np.concatenate([-np.ones(n_agents), weights_at(schedule, b).ravel()])
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_agents, n_agents))
 
 
-def solve_setpoints_dense(graph, schedule, anchors, t) -> np.ndarray:
-    """Partitioned dense solve at time t: anchors clamped, follower block
-    inverted. Returns (N, n) in formation row order."""
+def solve_setpoints_dense(graph, schedule, anchors, b) -> np.ndarray:
+    """Partitioned dense solve at ramp value b: anchors clamped, follower
+    block inverted. Returns (N, n) in formation row order."""
     anchors = np.asarray(anchors, dtype=float)
-    dense = build_comm_matrix(graph, schedule, t).toarray()
+    dense = build_comm_matrix(graph, schedule, b).toarray()
     fixed = np.flatnonzero(graph.layer == 0)
     follow = graph.mentees
     s = anchors.copy()
@@ -363,13 +367,13 @@ def solve_setpoints_dense(graph, schedule, anchors, t) -> np.ndarray:
     return s
 
 
-def setpoint_residual(graph, schedule, anchors, s, t) -> float:
-    """Max-norm residual of the stacked linear relation for set-points s at time t."""
+def setpoint_residual(graph, schedule, anchors, s, b) -> float:
+    """Max-norm residual of the stacked linear relation for set-points s at ramp value b."""
     anchors = np.asarray(anchors, dtype=float)
     offset = np.zeros_like(anchors)
     fixed = graph.layer == 0
     offset[fixed] = anchors[fixed]
-    comm = build_comm_matrix(graph, schedule, t)
+    comm = build_comm_matrix(graph, schedule, b)
     return float(np.max(np.abs(comm @ np.asarray(s, dtype=float) + offset)))
 
 

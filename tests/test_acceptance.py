@@ -111,13 +111,13 @@ def test_criterion_3_dense_solve_oracle_equivalence():
         )
         plan = engine.make_plan(sc)
         anchors = plan.desired.p
-        times = rng.uniform(sc.t0 - 1.0, sc.tf + 5.0, 20)
-        fast = propagate_setpoints(plan.graph, plan.schedule, anchors, times)
-        for s, t in zip(fast, times):
-            dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, float(t))
+        ramp = beta(rng.uniform(sc.t0 - 1.0, sc.tf + 5.0, 20), sc.t0, sc.tf)
+        fast = propagate_setpoints(plan.graph, plan.schedule, anchors, ramp)
+        for s, b in zip(fast, ramp):
+            dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, b)
             worst_gap = max(worst_gap, float(np.max(np.abs(s - dense))))
             worst_residual = max(
-                worst_residual, setpoint_residual(plan.graph, plan.schedule, anchors, s, float(t))
+                worst_residual, setpoint_residual(plan.graph, plan.schedule, anchors, s, b)
             )
     ok = worst_gap < 1e-9 and worst_residual < 1e-9
     assert _verdict(
@@ -137,10 +137,10 @@ def test_criterion_4_boundary_condition_exactness():
         )
         plan = engine.make_plan(sc)
         form = sc.formation
-        start = propagate_setpoints(plan.graph, plan.schedule, form.positions, [sc.t0])
+        start = propagate_setpoints(plan.graph, plan.schedule, form.positions, beta([sc.t0], sc.t0, sc.tf))
         worst_start = max(worst_start, float(np.max(np.abs(start - form.positions))))
         final = plan.desired.p
-        end = propagate_setpoints(plan.graph, plan.schedule, final, [sc.tf, sc.tf + 3.0])
+        end = propagate_setpoints(plan.graph, plan.schedule, final, beta([sc.tf, sc.tf + 3.0], sc.t0, sc.tf))
         worst_end = max(worst_end, float(np.max(np.abs(end - final))))
     ok = worst_start < 1e-9 and worst_end < 1e-9
     assert _verdict(
@@ -163,7 +163,7 @@ def test_criterion_5_weight_law_properties():
     for _ in range(1000):
         t = float(rng.uniform(sc.t0 - 2.0, sc.tf + 4.0))
         k = int(rng.integers(len(plan.graph.mentees)))
-        w = weights_at(plan.schedule, t)[k]
+        w = weights_at(plan.schedule, beta(t, sc.t0, sc.tf))[k]
         if abs(float(w.sum()) - 1.0) >= 1e-12:
             sums_ok = False
         if float(w.min()) < 0.0:

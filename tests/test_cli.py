@@ -332,6 +332,27 @@ def test_collapsed_final_simplex_without_samples_is_a_plan_error(tmp_path, capsy
     }
 
 
+@pytest.mark.parametrize("command", ["simulate", "plan", "build-graph"])
+@pytest.mark.parametrize(
+    "listed, message",
+    [
+        (range(1, 6), "explicit leader positions missing agents [6]"),
+        (range(1, 8), "explicit leader positions name non-boundary agents [7]"),
+    ],
+    ids=["missing", "non-boundary"],
+)
+def test_explicit_anchors_off_the_boundary_are_a_parse_error(tmp_path, capsys, command, listed, message):
+    # the hull agents are ids 1-6; every command refuses the file at load
+    path = _generate(tmp_path, agents=24, boundary=6, seed=3)
+    doc = json.loads(path.read_text())
+    doc["leader_final"] = {"mode": "explicit", "positions": [{"id": b, "x": 0.0, "y": 0.0} for b in listed]}
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ParseError", "message": f"{path}: {message}"}
+    assert not (tmp_path / "out").exists()
+
+
 def _bad_input_files(tmp_path):
     """A missing path, a directory, and files that are not JSON or not UTF-8."""
     (tmp_path / "folder").mkdir()

@@ -72,6 +72,16 @@ class TestScenarioValidation:
         with pytest.raises(BadConfig, match="output sampling period"):
             manual_scenario(sc.formation, sc.targets.samples, dt=0.03, output_period=0.1)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda a: a[:-1], lambda a: a[:, :2], lambda a: np.where(a == a.max(), np.nan, a)],
+        ids=["one-row-short", "planar", "nan"],
+    )
+    def test_explicit_anchors_are_a_finite_hull_order_array(self, edit):
+        sc = cube_scenario()  # 8 hull agents in 3-D
+        with pytest.raises(BadConfig, match=r"finite \(8, 3\) array"):
+            dataclasses.replace(sc, leader_positions=edit(sc.leader_positions))
+
     def test_step_count_is_capped(self):
         sc = quick_scenario(seed=1, n=20, nb=6)
         dt = 2.0**-7  # exact, so t_end / dt is exactly the step count
@@ -412,7 +422,7 @@ class TestTrackingReport:
             series = setpoint_series(plan, times)
             assert series.shape == (9, sc.formation.n_agents, sc.formation.dim)
             anchors = plan.desired.p
-            for s, t in zip(series, times):
-                dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, float(t))
+            for s, b in zip(series, beta(times, sc.t0, sc.tf)):
+                dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, b)
                 assert np.max(np.abs(s - dense)) <= 1e-12
-                assert setpoint_residual(plan.graph, plan.schedule, anchors, s, float(t)) <= 1e-12
+                assert setpoint_residual(plan.graph, plan.schedule, anchors, s, b) <= 1e-12

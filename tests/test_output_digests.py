@@ -17,9 +17,26 @@ import pytest
 
 from conftest import cube_scenario, quick_scenario
 from swarm_transport.cli import main
-from swarm_transport.scenario import serialize_scenario
+from swarm_transport.engine import make_plan
+from swarm_transport.scenario import parse_scenario_text, serialize_scenario
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
+
+
+def explicit_planar_scenario():
+    """A generated planar team whose document gives its anchors explicitly:
+    the generated ones rounded to three decimals, listed in descending id
+    order, so the parser puts them in hull order itself."""
+    sc = quick_scenario(seed=2, n=12, nb=4, uncoop=1)
+    form = sc.formation
+    anchors = make_plan(sc).desired.p[form.boundary]
+    rows = [
+        {"id": form.ids[k], "x": round(x, 3), "y": round(y, 3)}
+        for k, (x, y) in zip(form.boundary, anchors.tolist())
+    ]
+    doc = json.loads(serialize_scenario(sc))
+    doc["leader_final"] = {"mode": "explicit", "positions": sorted(rows, key=lambda r: -r["id"])}
+    return parse_scenario_text(json.dumps(doc))
 
 CASES = {
     "quick-seed1-n40": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2), []),
@@ -30,6 +47,8 @@ CASES = {
     # transport-large's team: 6 frames to a writer block, and set-point frames
     # that repeat after tf, some of them across a block's start
     "quick-seed1-n600": (lambda: quick_scenario(seed=1, n=600, nb=100, uncoop=2), []),
+    # planar anchors given explicitly, out of hull order
+    "explicit-planar": (explicit_planar_scenario, []),
     "cube": (cube_scenario, []),
     "cube-leader-blend": (cube_scenario, ["--leader-blend"]),
 }

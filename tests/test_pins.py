@@ -30,9 +30,13 @@ def _scenario_text(seed: int, params: GenerateParams = PARAMS) -> str:
     return serialize_scenario(generate_scenario(params, seed))
 
 
+# seed 11 is the one of 0-15 whose first draw fails to plan, so it pins the redraw
 @pytest.mark.parametrize(
     "seed, params",
-    [*(pytest.param(seed, PARAMS, id=str(seed)) for seed in range(4)), pytest.param(1, LARGE, id="600-100-2:1")],
+    [
+        *(pytest.param(seed, PARAMS, id=str(seed)) for seed in (0, 1, 2, 3, 11)),
+        pytest.param(1, LARGE, id="600-100-2:1"),
+    ],
 )
 def test_scenario_and_graph_match_pins(seed, params):
     pin = PINS["scenarios"][f"{params.n_agents}-{params.n_boundary}-{params.n_uncooperative}:{seed}"]

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GridAxisAllocated, cube_scenario
@@ -144,10 +144,33 @@ class TestParse:
             ],
         }
         sc = parse_scenario_text(json.dumps(doc))
-        assert sorted(sc.leader_positions) == [1, 2, 3, 4]
+        assert np.array_equal(sc.leader_positions, [[1, 1], [3, 1], [3, 3], [1, 3]])  # hull order
         plan = make_plan(sc)
         assert sc.formation.ids[sc.formation.boundary[0]] == 1
         assert np.allclose(plan.desired.p[sc.formation.boundary], [[1, 1], [3, 1], [3, 3], [1, 3]])
+
+    def test_explicit_leader_positions_take_hull_order(self):
+        doc = json.loads(MINIMAL)
+        rows = [{"id": b, "x": float(b), "y": -float(b)} for b in (3, 1, 4, 2)]
+        doc["leader_final"] = {"mode": "explicit", "positions": rows}
+        sc = parse_scenario_text(json.dumps(doc))
+        hull_ids = [sc.formation.ids[k] for k in sc.formation.boundary]
+        assert np.array_equal(sc.leader_positions, [[b, -b] for b in hull_ids])
+
+    @pytest.mark.parametrize(
+        "listed, message",
+        [
+            ((1, 2, 4), r"explicit leader positions missing agents \[3\]"),
+            ((1, 2, 3, 4, 6, 5), r"explicit leader positions name non-boundary agents \[6, 5\]"),
+        ],
+        ids=["missing", "non-boundary"],
+    )
+    def test_explicit_leader_positions_name_exactly_the_boundary(self, listed, message):
+        doc = json.loads(MINIMAL)
+        doc["leader_final"] = {"mode": "explicit", "positions": [{"id": b, "x": 1.0, "y": 1.0} for b in listed]}
+        with pytest.raises(ParseError, match=message) as info:
+            parse_scenario_text(json.dumps(doc))
+        assert info.value.field == "positions"
 
     def test_explicit_leader_id_true_is_not_agent_1(self):
         doc = json.loads(MINIMAL)
@@ -325,12 +348,24 @@ def mutated_documents(draw):
     return doc
 
 
+def _cube_anchors_edited(edit):
+    """The 3-D team's document with ``edit`` applied to its explicit anchor list."""
+    doc = copy.deepcopy(_base_documents()[1])
+    edit(doc["leader_final"]["positions"])
+    return doc
+
+
 @settings(max_examples=60, deadline=None)
 @given(mutated_documents())
+@example(_cube_anchors_edited(lambda rows: rows.pop(3)))  # a hull agent left out
+@example(_cube_anchors_edited(lambda rows: rows.append({"id": 9, "x": 2.0, "y": 2.0, "z": 2.0})))  # the core
 def test_mutated_documents_parse_or_raise_typed_errors(doc):
     # a dropped key, a value of the wrong type, a zero or negative count or
-    # length, a duplicated agent id: parsed, or refused with a typed error
+    # length, a duplicated agent id: parsed, or refused with a typed error;
+    # what parses serializes, and the text parses back to itself
     try:
-        parse_scenario_text(json.dumps(doc))
+        sc = parse_scenario_text(json.dumps(doc))
     except SwarmTransportError:
-        pass
+        return
+    text = serialize_scenario(sc)
+    assert serialize_scenario(parse_scenario_text(text)) == text

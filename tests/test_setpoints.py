@@ -11,6 +11,7 @@ from oracles import (
     SingularFollowerBlock,
     build_comm_matrix,
     loop_blend,
+    ramp,
     setpoint_residual,
     solve_setpoints_dense,
     time_major_setpoints,
@@ -30,7 +31,7 @@ def _plan(seed=0, n=26, nb=7, uncoop=0):
 def _static_schedule(graph, form):
     """Schedule whose final weights equal the initial ones."""
     held = DesiredPositions(p=form.positions.copy(), captured={}, fallback_ids=())
-    return build_schedule(graph, form, held, 0.0, 1.0)
+    return build_schedule(graph, form, held)
 
 
 class TestCommMatrix:
@@ -56,7 +57,7 @@ class TestCommMatrix:
 
     def test_anchor_rows_zero_off_diagonal(self):
         plan = _plan(seed=2, uncoop=2)
-        dense = build_comm_matrix(plan.graph, plan.schedule, 3.0).toarray()
+        dense = build_comm_matrix(plan.graph, plan.schedule, ramp(plan, 3.0)).toarray()
         assert dense.shape == (plan.scenario.formation.n_agents,) * 2
         for k in np.flatnonzero(plan.graph.layer == 0):
             row = dense[k].copy()
@@ -67,11 +68,12 @@ class TestCommMatrix:
         plan = _plan(seed=13, n=30, nb=8)
         graph = plan.graph
         for t in (0.0, 4.2, 11.0, 20.0):
-            dense = build_comm_matrix(graph, plan.schedule, t).toarray()
+            b = ramp(plan, t)
+            dense = build_comm_matrix(graph, plan.schedule, b).toarray()
             sums = dense.sum(axis=1)
             assert np.max(np.abs(sums[graph.mentees])) < 1e-12
             # off-diagonals match the blended weights directly
-            w = weights_at(plan.schedule, t)
+            w = weights_at(plan.schedule, b)
             for k, (r, mentors) in enumerate(zip(graph.mentees, graph.mentors)):
                 for m, wm in zip(mentors, w[k]):
                     assert dense[r, m] == wm
@@ -100,23 +102,23 @@ class TestPropagate:
     def test_initial_time_reconstructs_initial_positions(self):
         plan = _plan(seed=7, n=32, nb=8, uncoop=1)
         form = plan.scenario.formation
-        s = propagate_setpoints(plan.graph, plan.schedule, form.positions, [plan.schedule.t0])
+        s = propagate_setpoints(plan.graph, plan.schedule, form.positions, ramp(plan, [plan.scenario.t0]))
         assert np.max(np.linalg.norm(s[0] - form.positions, axis=1)) < 1e-9
 
     def test_final_time_reconstructs_desired_positions(self):
         plan = _plan(seed=7, n=32, nb=8, uncoop=1)
         final = plan.desired.p
-        times = [plan.schedule.tf, plan.schedule.tf + 7.0]
-        s = propagate_setpoints(plan.graph, plan.schedule, final, times)
+        times = [plan.scenario.tf, plan.scenario.tf + 7.0]
+        s = propagate_setpoints(plan.graph, plan.schedule, final, ramp(plan, times))
         assert np.max(np.linalg.norm(s - final, axis=2)) < 1e-9
 
     def test_blend_is_convex_combination_of_mentor_setpoints(self):
         plan = _plan(seed=19, n=28, nb=7)
         rng = np.random.default_rng(1)
-        times = rng.uniform(plan.schedule.t0, plan.schedule.tf, 5)
-        s = propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, times)
-        for ti, t in enumerate(times):
-            w = weights_at(plan.schedule, float(t))
+        b = ramp(plan, rng.uniform(plan.scenario.t0, plan.scenario.tf, 5))
+        s = propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, b)
+        for ti in range(len(b)):
+            w = weights_at(plan.schedule, b[ti])
             for k, (a, mentors) in enumerate(zip(plan.graph.mentees, plan.graph.mentors)):
                 blend = w[k] @ s[ti, mentors]
                 assert np.linalg.norm(s[ti, a] - blend) < 1e-9
@@ -125,9 +127,9 @@ class TestPropagate:
         # setpoint_series propagates once per distinct ramp value; the output
         # grid plus times before t0, after tf, repeated and out of order
         plan = _plan(seed=7, n=32, nb=8, uncoop=1)
-        sch = plan.schedule
-        times = np.concatenate([np.arange(251) * 0.1, [-2.0, sch.t0, sch.tf, 40.0, 3.3, 3.3, 0.05]])
-        want = propagate_setpoints(plan.graph, sch, plan.desired.p, times)
+        sc = plan.scenario
+        times = np.concatenate([np.arange(251) * 0.1, [-2.0, sc.t0, sc.tf, 40.0, 3.3, 3.3, 0.05]])
+        want = propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, ramp(plan, times))
         got = setpoint_series(plan, times)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -139,12 +141,12 @@ class TestDenseOracle:
         for seed in range(4):
             plan = _plan(seed=40 + seed, n=24 + 6 * seed, nb=7, uncoop=seed % 2)
             anchors = plan.desired.p
-            times = rng.uniform(plan.schedule.t0 - 1, plan.schedule.tf + 3, 6)
-            fast = propagate_setpoints(plan.graph, plan.schedule, anchors, times)
-            for ti, t in enumerate(times):
-                dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, float(t))
+            b = ramp(plan, rng.uniform(plan.scenario.t0 - 1, plan.scenario.tf + 3, 6))
+            fast = propagate_setpoints(plan.graph, plan.schedule, anchors, b)
+            for ti in range(len(b)):
+                dense = solve_setpoints_dense(plan.graph, plan.schedule, anchors, b[ti])
                 assert np.max(np.abs(fast[ti] - dense)) < 1e-9
-                residual = setpoint_residual(plan.graph, plan.schedule, anchors, fast[ti], float(t))
+                residual = setpoint_residual(plan.graph, plan.schedule, anchors, fast[ti], b[ti])
                 assert residual < 1e-9
 
     def test_anchor_perturbation_moves_only_descendants(self):
@@ -153,9 +155,9 @@ class TestDenseOracle:
         b = int(plan.scenario.formation.boundary[0])
         moved = anchors.copy()
         moved[b] += np.array([0.37, -0.21])
-        t = [6.5]
-        base = propagate_setpoints(plan.graph, plan.schedule, anchors, t)[0]
-        bump = propagate_setpoints(plan.graph, plan.schedule, moved, t)[0]
+        at = ramp(plan, [6.5])
+        base = propagate_setpoints(plan.graph, plan.schedule, anchors, at)[0]
+        bump = propagate_setpoints(plan.graph, plan.schedule, moved, at)[0]
 
         # reachability oracle over the forward edges
         reach = {b}
@@ -185,7 +187,7 @@ class TestDenseOracle:
         )
         graph.mentors[:] = [[0, 4, 4], [1, 3, 3]]
         w = np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
-        sched = WeightSchedule(omega=w, varpi=w, t0=0.0, tf=1.0)
+        sched = WeightSchedule(omega=w, varpi=w)
         anchors = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularFollowerBlock):
             solve_setpoints_dense(graph, sched, anchors, 0.0)
@@ -236,5 +238,6 @@ def test_propagation_equals_time_major_oracle_bitwise(data, team, n_times):
     )
     anchors = data.draw(hnp.arrays(float, (n_agents, dim), elements=COORDS))
     times = np.array(data.draw(st.lists(st.floats(-5.0, 30.0), min_size=n_times, max_size=n_times)))
-    got = propagate_setpoints(plan.graph, schedule, anchors, times)
-    assert same_bits(got, time_major_setpoints(plan.graph, schedule, anchors, times))
+    b = ramp(plan, times)
+    got = propagate_setpoints(plan.graph, schedule, anchors, b)
+    assert same_bits(got, time_major_setpoints(plan.graph, schedule, anchors, b))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import quick_scenario, square_core_formation
+from conftest import hull_anchors, quick_scenario, square_core_formation
 from swarm_transport import geometry
 from swarm_transport.errors import BadConfig, DegenerateMentorSimplex
 from swarm_transport.formation import Formation, build_actual
@@ -37,22 +37,6 @@ class TestZone:
 
 
 class TestLeaderPlacement:
-    def test_explicit_passthrough(self):
-        form = square_core_formation()
-        explicit = {1: (9.0, 9.0), 2: (10.0, 9.0), 3: (10.0, 10.0), 4: (9.0, 10.0)}
-        out = leader_final_positions(form, TargetSet(samples=np.empty((0, 2)), zone=_square_zone()), explicit=explicit)
-        # rows follow the hull cycle, agents 1-4
-        assert np.array_equal(out, np.array([explicit[b] for b in (1, 2, 3, 4)]))
-
-    def test_explicit_missing_boundary_agent(self):
-        form = square_core_formation()
-        with pytest.raises(BadConfig):
-            leader_final_positions(
-                form,
-                TargetSet(samples=np.empty((0, 2)), zone=_square_zone()),
-                explicit={1: (0.0, 0.0)},
-            )
-
     def test_square_zone_four_leaders_factor_one(self):
         form = square_core_formation()
         zone = _square_zone(half=1.0, center=(2.0, 2.0))
@@ -96,11 +80,7 @@ class TestComputeDesired:
         form = square_core_formation(extra=extra)
         graph = build_actual(form)
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
-        leader_p = leader_final_positions(
-            form,
-            TargetSet(samples=np.asarray(samples, dtype=float)),
-            explicit=ring,
-        )
+        leader_p = hull_anchors(form, ring)
         targets = TargetSet(samples=np.asarray(samples, dtype=float), zone=_square_zone(3.0, (2.0, 2.0)))
         return form, graph, targets, leader_p
 
@@ -145,7 +125,7 @@ class TestComputeDesired:
         graph = build_actual(form)
         targets = TargetSet(samples=np.array([[2.0, 2.0]]), zone=_square_zone(3.0, (2.0, 2.0)))
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
-        desired = compute_desired(graph, form, targets, leader_final_positions(form, targets, explicit=ring))
+        desired = compute_desired(graph, form, targets, hull_anchors(form, ring))
         assert form.clamped.tolist() == [6]
         assert np.array_equal(desired.p[4], form.positions[4])  # the core
         assert np.array_equal(desired.p[6], form.positions[6])  # clamped agent 7
@@ -189,9 +169,7 @@ class TestComputeDesired:
         ring = {1: (0.0, 0.0), 2: (1.0, 1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         targets = TargetSet(samples=np.array([[2.0, 2.0]]), zone=_square_zone(3.0, (2.0, 2.0)))
         with pytest.raises(DegenerateMentorSimplex, match="agent 6"):
-            compute_desired(
-                graph, form, targets, leader_final_positions(form, targets, explicit=ring)
-            )
+            compute_desired(graph, form, targets, hull_anchors(form, ring))
 
     def test_tetrahedron_capture_in_3d(self):
         corners = [
@@ -204,7 +182,7 @@ class TestComputeDesired:
         explicit = {b: form.positions[b - 1] for b in range(1, 9)}
         samples = np.array([[1.5, 1.2, 1.0]])
         targets = TargetSet(samples=samples, zone=np.array(corners))
-        desired = compute_desired(graph, form, targets, leader_final_positions(form, targets, explicit=explicit))
+        desired = compute_desired(graph, form, targets, hull_anchors(form, explicit))
         assert graph.mentees.tolist() == [9]  # agent 10
         w = geometry.barycentric(desired.p[9], desired.p[graph.mentors[0]])
         assert float(w.min()) >= -1e-9

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import quick_scenario, square_core_formation
-from oracles import weights_at
+from conftest import hull_anchors, quick_scenario, square_core_formation
+from oracles import ramp, weights_at
 from swarm_transport.engine import make_plan
 from swarm_transport.errors import BadInterval
 from swarm_transport.formation import build_actual
-from swarm_transport.targets import TargetSet, compute_desired, leader_final_positions
+from swarm_transport.targets import TargetSet, compute_desired
 from swarm_transport.weights import WeightSchedule, beta, build_schedule
 
 
@@ -68,10 +68,8 @@ def _one_mentee_schedule(targets, ring, spot=(2.0, 1.0)):
     """Schedule of the square formation with one follower, agent 6 at ``spot``."""
     form = square_core_formation(extra=[spot])
     graph = build_actual(form)
-    desired = compute_desired(
-        graph, form, targets, leader_final_positions(form, targets, explicit=ring)
-    )
-    return build_schedule(graph, form, desired, 0.0, 1.0), graph, desired
+    desired = compute_desired(graph, form, targets, hull_anchors(form, ring))
+    return build_schedule(graph, form, desired), graph, desired
 
 
 class TestInitialWeights:
@@ -130,22 +128,20 @@ class TestFinalWeights:
 class TestWeightsAt:
     def test_returns_omega_at_start(self):
         plan = _planned()
-        w = weights_at(plan.schedule, plan.schedule.t0)
+        w = weights_at(plan.schedule, ramp(plan, plan.scenario.t0))
         assert np.array_equal(w, plan.schedule.omega)
 
     def test_returns_varpi_past_tf(self):
         plan = _planned()
-        for t in (plan.schedule.tf, plan.schedule.tf + 4.0):
-            assert np.array_equal(weights_at(plan.schedule, t), plan.schedule.varpi)
+        for t in (plan.scenario.tf, plan.scenario.tf + 4.0):
+            assert np.array_equal(weights_at(plan.schedule, ramp(plan, t)), plan.schedule.varpi)
 
     def test_halfway_blend(self):
         sched = WeightSchedule(
             omega=np.array([[1.0, 0.0, 0.0]]),
             varpi=np.array([[0.0, 1.0, 0.0]]),
-            t0=0.0,
-            tf=2.0,
         )
-        w = weights_at(sched, 1.0)[0]
+        w = weights_at(sched, beta(1.0, 0.0, 2.0))[0]
         assert np.allclose(w, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_row_stochastic_and_bounded_below(self):
@@ -153,17 +149,11 @@ class TestWeightsAt:
         rng = np.random.default_rng(0)
         sched = plan.schedule
         for _ in range(300):
-            t = rng.uniform(sched.t0 - 1.0, sched.tf + 2.0)
-            w = weights_at(sched, t)
+            t = rng.uniform(plan.scenario.t0 - 1.0, plan.scenario.tf + 2.0)
+            w = weights_at(sched, ramp(plan, t))
             k = int(rng.integers(len(sched.omega)))
             assert abs(w[k].sum() - 1.0) < 1e-12
             assert np.all(w[k] >= 0.0)
             floor = np.minimum(sched.omega[k], sched.varpi[k])
             assert np.all(w[k] >= floor - 1e-15)
 
-    def test_build_schedule_rejects_bad_interval(self):
-        plan = _planned()
-        with pytest.raises(BadInterval):
-            build_schedule(
-                plan.graph, plan.scenario.formation, plan.desired, 5.0, 5.0
-            )
