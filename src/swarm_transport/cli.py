@@ -84,27 +84,12 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _write_snapshots(result, out: Path, snapshot_times) -> None:
-    plan = result.plan
-    trace = result.trace
-    zone = plan.scenario.targets.zone_polygon()
-    if zone.shape[1] != 2:
+def _write_snapshots(run, out: Path, snapshot_times) -> None:
+    if run.plan.scenario.formation.dim != 2:
         return  # snapshots are drawn for planar scenes only
-    inflated = engine.inflated_zone(zone, plan.scenario.margin)
-    frames = [int(np.argmin(np.abs(trace.times - t_snap))) for t_snap in snapshot_times]
+    frames = [int(np.argmin(np.abs(run.times - t_snap))) for t_snap in snapshot_times]
     for k in dict.fromkeys(frames):  # each output frame once, in first-asked order
-        svg = svgplot.snapshot_svg(
-            trace.positions[k],
-            trace.roles,
-            float(trace.times[k]),
-            zone=zone,
-            inflated_zone=inflated,
-            samples=plan.scenario.targets.samples,
-            graph=plan.graph,
-            ids=trace.ids,
-        )
-        name = f"snapshot_t{trace.times[k]:g}.svg"
-        reporting.atomic_write_text(out / name, svg)
+        reporting.atomic_write_text(out / f"snapshot_t{run.times[k]:g}.svg", svgplot.snapshot_svg(run, k))
 
 
 def _snapshot_times(text: str | None, sc) -> list[float]:
@@ -129,21 +114,20 @@ def cmd_simulate(args) -> int:
     snapshot_times = _snapshot_times(args.snapshot_times, sc)
     out = _out_dir(args)
     started = time.perf_counter()
-    result = engine.run(sc)
+    run = engine.run(sc)
     elapsed = time.perf_counter() - started
-    _write_plan_outputs(result.plan, out)
-    reporting.trace_table(result.trace, out / "trace.csv")
-    reporting.atomic_write_text(out / "metrics.json", reporting.metrics_json(result))
-    _write_snapshots(result, out, snapshot_times)
+    _write_plan_outputs(run.plan, out)
+    reporting.trace_table(run, out / "trace.csv")
+    reporting.atomic_write_text(out / "metrics.json", reporting.metrics_json(run))
+    _write_snapshots(run, out, snapshot_times)
     if args.export_setpoints:
-        series = engine.setpoint_series(result.plan, result.trace.times)
-        reporting.setpoints_table(result.trace.ids, result.trace.times, series, out / "setpoints.csv")
-    print(reporting.build_summary(sc.formation, result.plan.graph))
-    trace = result.trace
-    unconverged = [trace.ids[k] for k in np.flatnonzero(trace.scored & ~trace.converged)]
+        series = engine.setpoint_series(run.plan, run.times)
+        reporting.setpoints_table(sc.formation.ids, run.times, series, out / "setpoints.csv")
+    print(reporting.build_summary(sc.formation, run.plan.graph))
+    unconverged = [sc.formation.ids[k] for k in np.flatnonzero(run.scored & ~run.converged)]
     print(
-        f"convergence rate {trace.rate:.4f} "
-        f"({trace.converged.sum()}/{trace.scored.sum()}), "
+        f"convergence rate {run.rate:.4f} "
+        f"({run.converged.sum()}/{run.scored.sum()}), "
         f"runtime {elapsed:.2f} s"
     )
     if unconverged:

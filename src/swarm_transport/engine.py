@@ -81,6 +81,11 @@ class Scenario:
 # at N = 40); more means a t_end or dt off by orders of magnitude
 _MAX_STEPS = 2**22
 
+# largest coordinate magnitude of a scenario's points and generated anchors:
+# cubes of a team's scale (``geometry.degenerate``) and squares of its spans
+# (the SVG canvas, scoring) then stay finite
+MAX_COORDINATE = 1e100
+
 
 def validate_scenario(scenario: Scenario) -> None:
     """Raise ``BadConfig`` unless the scenario can run."""
@@ -96,6 +101,8 @@ def validate_scenario(scenario: Scenario) -> None:
     if not nsteps <= _MAX_STEPS:
         raise BadConfig(f"times t0 {sc.t0:g}, t_end {sc.t_end:g}, dt {sc.dt:g}: {nsteps:.3g} steps, over {_MAX_STEPS}")
     ratio = sc.output_period / sc.dt
+    if not ratio <= _MAX_STEPS:
+        raise BadConfig(f"output_period {sc.output_period:g} is {ratio:.3g} steps of dt {sc.dt:g}, over {_MAX_STEPS}")
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise BadConfig("dt must divide the output sampling period")
     if abs(nsteps - round(nsteps)) > 1e-6:
@@ -111,14 +118,19 @@ def validate_scenario(scenario: Scenario) -> None:
             geometry.convex_hull(sc.targets.zone)
         except DegenerateInput as exc:
             raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
+    zone = sc.targets.zone_polygon()  # the samples' hull without a zone
     with np.errstate(over="ignore", invalid="ignore"):  # scoring squares the inflated edges
-        inflated = inflated_zone(sc.targets.zone_polygon(), sc.margin)  # the samples' hull without a zone
+        inflated = inflated_zone(zone, sc.margin)
         edges = inflated - np.roll(inflated, 1, axis=0)  # not finite where a vertex is not
         if not np.isfinite(np.sum(edges * edges, axis=1)).all():
             raise BadConfig(f"margin {sc.margin:g} inflates the target zone beyond the float range")
+        if sc.leader_positions is None and zone.shape[1] == 2:  # the ring that make_plan spaces anchors on
+            if not np.abs(geometry.scale_polygon(zone, sc.leader_scale)).max() <= MAX_COORDINATE:
+                raise BadConfig(f"leader_final.scale {sc.leader_scale:g} puts the anchors beyond {MAX_COORDINATE:g}")
+        phi = dynamics.rk4_map(sc.gains, sc.dt)
     if not dynamics.check_hurwitz(sc.gains):
         raise BadConfig(f"gains {sc.gains} do not make the closed loop Hurwitz-stable")
-    if np.max(np.abs(np.linalg.eigvals(dynamics.rk4_map(sc.gains, sc.dt)))) >= 1.0:
+    if not (np.isfinite(phi).all() and np.max(np.abs(np.linalg.eigvals(phi))) < 1.0):
         raise BadConfig(f"dt {sc.dt:g} is outside the RK4 stability region of gains {sc.gains}")
 
 
@@ -133,29 +145,28 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class SimTrace:
-    """Logged agent histories plus the convergence verdicts."""
+class Run:
+    """One transport run: its plan, the agents' histories on the output
+    grid and the convergence verdicts. Ids, roles and layers are the
+    plan's."""
 
-    ids: tuple[int, ...]
-    roles: np.ndarray  # (N,) role of each row
-    layer: np.ndarray  # (N,) mentor layer of each row
+    plan: Plan
     times: np.ndarray  # (T,)
     positions: np.ndarray  # (T, N, n)
     desired: np.ndarray  # (T, N, n) logged reference positions
     converged: np.ndarray  # (N,) verdict of each row; False where not ``scored``
-    rate: float
     terminal_error: np.ndarray  # (N,) ||r(t_end) - p_i|| of each row
 
     @property
     def scored(self) -> np.ndarray:
         """(N,) mask of the rows that get a verdict: the cooperative followers."""
-        return self.roles == ROLE_COOPERATIVE
+        return self.plan.graph.roles == ROLE_COOPERATIVE
 
-
-@dataclass(frozen=True)
-class RunResult:
-    plan: Plan
-    trace: SimTrace
+    @property
+    def rate(self) -> float:
+        """The share of scored rows that converged; 1 when none is scored."""
+        evaluated = int(self.scored.sum())
+        return int(self.converged.sum()) / evaluated if evaluated else 1.0
 
 
 def make_plan(scenario: Scenario) -> Plan:
@@ -170,22 +181,32 @@ def make_plan(scenario: Scenario) -> Plan:
     return Plan(scenario=scenario, graph=graph, desired=desired, schedule=schedule)
 
 
-def run(scenario: Scenario) -> RunResult:
+def run(scenario: Scenario) -> Run:
     """Plan and integrate a full scenario."""
-    plan = make_plan(scenario)
-    trace = _integrate(plan)
-    return RunResult(plan=plan, trace=trace)
+    return _integrate(make_plan(scenario))
+
+
+def judge_run(plan: Plan, times, positions, desired) -> Run:
+    """The run of ``plan`` with these logs: each cooperative follower is
+    judged by its last logged position (``convergence_check``) and every
+    row's terminal error is its distance there from its final position."""
+    sc = plan.scenario
+    final = positions[-1]
+    coop = plan.graph.roles == ROLE_COOPERATIVE
+    converged = np.zeros(len(final), dtype=bool)
+    converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
+    terminal_error = np.linalg.norm(final - plan.desired.p, axis=1)
+    return Run(plan, times, positions, desired, converged, terminal_error)
 
 
 _BLOCK = 50  # steps advanced per matrix product
 
 
-def _integrate(plan: Plan) -> SimTrace:
+def _integrate(plan: Plan) -> Run:
     sc = plan.scenario
     graph = plan.graph
     ids = sc.formation.ids
     n_agents, dim = sc.formation.positions.shape
-    coop = graph.roles == ROLE_COOPERATIVE
 
     # Rows in layer order: layer 0 (hull, core, clamped), then the mentees,
     # already in (layer, row) order, so every layer is a slice [s, e).
@@ -289,22 +310,7 @@ def _integrate(plan: Plan) -> SimTrace:
                 z[:, :4] = out[:, adv - 1 : adv + 3]  # the state after the block's last step
                 x[:, :, 0] = x[:, :, adv]
 
-    final = pos_log[-1]
-    converged = np.zeros(len(ids), dtype=bool)
-    converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
-    evaluated = int(coop.sum())
-    rate = int(converged.sum()) / evaluated if evaluated else 1.0
-    return SimTrace(
-        ids=ids,
-        roles=graph.roles,
-        layer=graph.layer,
-        times=t[logged],
-        positions=pos_log,
-        desired=des_log,
-        converged=converged,
-        rate=float(rate),
-        terminal_error=np.linalg.norm(final - plan.desired.p, axis=1),
-    )
+    return judge_run(plan, t[logged], pos_log, des_log)
 
 
 def inflated_zone(zone, margin: float) -> np.ndarray:

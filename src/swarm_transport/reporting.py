@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Plan, RunResult, SimTrace
+from .engine import Plan, Run
 from .errors import OutputError
 from .formation import ROLE_COOPERATIVE
 
@@ -172,13 +172,14 @@ def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
         yield (raw if f == step else raw[: buf[:f].nbytes]).translate(None, b"\0")
 
 
-def trace_table(trace: SimTrace, path) -> None:
+def trace_table(run: Run, path) -> None:
     """Write ``path``: one delimited row per (time, agent) on the output grid."""
-    coords = ["x", "y", "z"][: trace.positions.shape[2]]
+    ids, graph = run.plan.scenario.formation.ids, run.plan.graph
+    coords = ["x", "y", "z"][: run.positions.shape[2]]
     header = ["time", "agent_id", "role", "layer", *coords, *(c + "d" for c in coords), "converged"]
-    heads = [f"{a},{role},{layer}" for a, role, layer in zip(trace.ids, trace.roles, trace.layer)]
-    tails = [f",{int(c)}" if s else ",-" for c, s in zip(trace.converged, trace.scored)]
-    _atomic_write(path, _frames(",".join(header), trace.times, heads, tails, trace.positions, trace.desired))
+    heads = [f"{a},{role},{layer}" for a, role, layer in zip(ids, graph.roles, graph.layer)]
+    tails = [f",{int(c)}" if s else ",-" for c, s in zip(run.converged, run.scored)]
+    _atomic_write(path, _frames(",".join(header), run.times, heads, tails, run.positions, run.desired))
 
 
 def _team_counts(formation, graph) -> dict:
@@ -195,26 +196,25 @@ def _team_counts(formation, graph) -> dict:
     }
 
 
-def metrics_document(result: RunResult) -> dict:
-    plan = result.plan
-    trace = result.trace
+def metrics_document(run: Run) -> dict:
+    plan = run.plan
     ids = plan.scenario.formation.ids
     uncovered = plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
     return {
         **_team_counts(plan.scenario.formation, plan.graph),
-        "convergence_rate": trace.rate,
-        "evaluated_count": int(trace.scored.sum()),
-        "converged_count": int(trace.converged.sum()),
-        "unconverged_ids": [ids[k] for k in np.flatnonzero(trace.scored & ~trace.converged)],
+        "convergence_rate": run.rate,
+        "evaluated_count": int(run.scored.sum()),
+        "converged_count": int(run.converged.sum()),
+        "unconverged_ids": [ids[k] for k in np.flatnonzero(run.scored & ~run.converged)],
         "fallback_agents": [ids[k] for k in sorted(plan.desired.fallback_ids)],
         "uncovered_sample_count": len(uncovered),
         "uncovered_sample_indices": list(uncovered),
-        "terminal_errors": [[a, e] for a, e in zip(ids, trace.terminal_error.tolist())],
+        "terminal_errors": [[a, e] for a, e in zip(ids, run.terminal_error.tolist())],
     }
 
 
-def metrics_json(result: RunResult) -> str:
-    return json.dumps(metrics_document(result), indent=2) + "\n"
+def metrics_json(run: Run) -> str:
+    return json.dumps(metrics_document(run), indent=2) + "\n"
 
 
 def plan_document(plan: Plan) -> dict:

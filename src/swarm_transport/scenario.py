@@ -19,23 +19,18 @@ import numpy as np
 
 from . import geometry
 from .dynamics import DIVERGENCE_THRESHOLD, Gains
-from .engine import Scenario, make_plan
+from .engine import MAX_COORDINATE, Scenario, make_plan
 from .errors import BadConfig, BuildFailure, DegenerateSimplex, InfeasibleParams, ParseError
-from .formation import Formation, agent_roles
+from .formation import ROLE_BOUNDARY, ROLE_COOPERATIVE, ROLE_CORE, ROLE_UNCOOPERATIVE, Formation, agent_roles
 from .targets import TargetSet
 
-ROLES = ("boundary", "core", "cooperative", "uncooperative")
+ROLES = (ROLE_BOUNDARY, ROLE_CORE, ROLE_COOPERATIVE, ROLE_UNCOOPERATIVE)
 
 _TOP_KEYS = {"dimension", "seed", "margin", "times", "gains", "leader_final", "agents", "targets"}
 _TIME_KEYS = ("t0", "tf", "t_end", "dt", "output_period")  # in file order
 _GAIN_KEYS = {"k1", "k2", "k3", "k4"}
 
 _ZONE_SIDES = 12  # a generated target zone is a regular polygon
-
-# largest coordinate magnitude a scenario file may give: cubes of a team's
-# scale (``geometry.degenerate``) and squares of its spans (the SVG canvas,
-# scoring) then stay finite
-_MAX_COORDINATE = 1e100
 
 # most points a sample grid's bounding box may hold, far above the ~38,000
 # samples a generated team of 10,000 agents draws
@@ -107,9 +102,9 @@ def parse_scenario_text(text: str) -> Scenario:
     ids, roles, positions = _agent_rows(agents, coord_keys)
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate agent ids", field="agents")
-    declared_boundary = [a for a, role in zip(ids, roles) if role == "boundary"]
-    uncooperative = [a for a, role in zip(ids, roles) if role == "uncooperative"]
-    core_id = ids[roles.index("core")] if "core" in roles else None
+    declared_boundary = [a for a, role in zip(ids, roles) if role == ROLE_BOUNDARY]
+    uncooperative = [a for a, role in zip(ids, roles) if role == ROLE_UNCOOPERATIVE]
+    core_id = ids[roles.index(ROLE_CORE)] if ROLE_CORE in roles else None
 
     targets_doc = doc.get("targets")
     if not isinstance(targets_doc, dict):
@@ -209,20 +204,20 @@ def _hull_order(explicit: dict, formation: Formation) -> np.ndarray:
 def _number_rows(rows) -> np.ndarray | None:
     """The equal-length lists of JSON numbers ``rows`` as one float array,
     or None unless every value is a finite int or float (not a bool) of
-    magnitude at most ``_MAX_COORDINATE``."""
+    magnitude at most ``MAX_COORDINATE``."""
     if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
         return None
     try:
         out = np.array(rows, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
         return None
-    return out if (np.abs(out) <= _MAX_COORDINATE).all() else None  # NaN fails too
+    return out if (np.abs(out) <= MAX_COORDINATE).all() else None  # NaN fails too
 
 
 def _coordinate(obj, key, where) -> float:
     number = _number(obj, key, where)
-    if abs(number) > _MAX_COORDINATE:
-        raise ParseError(f"{where}.{key} must not exceed {_MAX_COORDINATE:g} in magnitude", field=key)
+    if abs(number) > MAX_COORDINATE:
+        raise ParseError(f"{where}.{key} must not exceed {MAX_COORDINATE:g} in magnitude", field=key)
     return number
 
 
@@ -238,7 +233,7 @@ def _agent_rows(agents: list, coord_keys) -> tuple[list, list, np.ndarray]:
         except KeyError:
             positions = None
         if positions is not None and set(map(type, ids)) == {int} and set(map(type, roles)) == {str}:
-            if set(roles) <= set(ROLES) and roles.count("core") <= 1:
+            if set(roles) <= set(ROLES) and roles.count(ROLE_CORE) <= 1:
                 return ids, roles, positions
     core_id = None
     for k, entry in enumerate(agents):
@@ -252,7 +247,7 @@ def _agent_rows(agents: list, coord_keys) -> tuple[list, list, np.ndarray]:
             _coordinate(entry, c, where)
         if entry.get("role") not in ROLES:
             raise ParseError(f"agent {entry['id']} has malformed role tag {entry.get('role')!r}", field="role")
-        if entry["role"] == "core":
+        if entry["role"] == ROLE_CORE:
             if core_id is not None:
                 raise ParseError(f"agent {entry['id']}: a scenario may declare at most one core", field="role")
             core_id = entry["id"]
@@ -274,8 +269,8 @@ def _point_rows(rows, dim, where, minimum) -> np.ndarray:
         values = [_finite(v) for v in row]
         if None in values:
             raise ParseError(f"{where}[{k}] must be a list of finite numbers", field=where)
-        if max(map(abs, values)) > _MAX_COORDINATE:
-            raise ParseError(f"{where}[{k}] has a coordinate above {_MAX_COORDINATE:g} in magnitude", field=where)
+        if max(map(abs, values)) > MAX_COORDINATE:
+            raise ParseError(f"{where}[{k}] has a coordinate above {MAX_COORDINATE:g} in magnitude", field=where)
     raise AssertionError(f"{where} failed the list checks but no row is malformed")
 
 

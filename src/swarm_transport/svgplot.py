@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import Run, inflated_zone
+from .formation import ROLE_BOUNDARY, ROLE_COOPERATIVE, ROLE_CORE, ROLE_UNCOOPERATIVE
+
 ROLE_COLORS = {
-    "boundary": "#1f77b4",
-    "core": "#ff7f0e",
-    "cooperative": "#2ca02c",
-    "uncooperative": "#d62728",
+    ROLE_BOUNDARY: "#1f77b4",
+    ROLE_CORE: "#ff7f0e",
+    ROLE_COOPERATIVE: "#2ca02c",
+    ROLE_UNCOOPERATIVE: "#d62728",
 }
 EDGE_COLOR = "#999999"
 SAMPLE_COLOR = "#bbbbbb"
@@ -105,23 +108,20 @@ def formation_svg(formation, graph) -> str:
     return canvas.render()
 
 
-def snapshot_svg(
-    positions, roles, t: float, zone=None, inflated_zone=None, samples=None, graph=None, ids=None
-) -> str:
-    """Team snapshot at time t with zone outlines, target samples and, given
-    the mentor ``graph``, its edges between the agents' current positions."""
-    pts = np.asarray(positions, dtype=float)
-    outlines = [np.asarray(z, dtype=float) for z in (zone, inflated_zone) if z is not None]
-    canvas = _Canvas(np.vstack([pts, *outlines]))
-    if samples is not None and len(samples):
-        canvas.circles(samples, 1.5, SAMPLE_COLOR)
-    if zone is not None:
-        canvas.polygon(zone)
-    if inflated_zone is not None:
-        canvas.polygon(inflated_zone, dashed=True)
-    if graph is not None:
-        mentor, mentee = _edges(graph)
-        canvas.lines(pts[mentor], pts[mentee], opacity=0.35)
-    canvas.circles(pts, 3.5, [ROLE_COLORS[r] for r in roles], titles=ids)
-    canvas.text(f"t = {t:g} s")
+def snapshot_svg(run: Run, k: int) -> str:
+    """Output frame k of ``run``: the target samples, the zone, its scoring
+    outline dashed, the mentor edges between the agents' positions at that
+    time and the agents colored by role."""
+    plan, sc = run.plan, run.plan.scenario
+    pts = run.positions[k]
+    zone = sc.targets.zone_polygon()
+    inflated = inflated_zone(zone, sc.margin)
+    canvas = _Canvas(np.vstack([pts, zone, inflated]))
+    canvas.circles(sc.targets.samples, 1.5, SAMPLE_COLOR)
+    canvas.polygon(zone)
+    canvas.polygon(inflated, dashed=True)
+    mentor, mentee = _edges(plan.graph)
+    canvas.lines(pts[mentor], pts[mentee], opacity=0.35)
+    canvas.circles(pts, 3.5, [ROLE_COLORS[r] for r in plan.graph.roles], titles=sc.formation.ids)
+    canvas.text(f"t = {run.times[k]:g} s")
     return canvas.render()

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse
 
 from swarm_transport import dynamics, geometry, svgplot
-from swarm_transport.engine import SimTrace, convergence_check
+from swarm_transport.engine import Run, inflated_zone, judge_run
 from swarm_transport.errors import (
     DegenerateInput,
     DegenerateMentorSimplex,
@@ -17,7 +17,6 @@ from swarm_transport.errors import (
 )
 from swarm_transport.formation import (
     ROLE_BOUNDARY,
-    ROLE_COOPERATIVE,
     ROLE_CORE,
     LayeredGraph,
     agent_roles,
@@ -96,15 +95,14 @@ def staged_rk4(state, r_d, gains, dt):
     return state + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
 
-def stepwise_integrate(plan, step=dynamics.step) -> SimTrace:
+def stepwise_integrate(plan, step=dynamics.step) -> Run:
     """The closed loop one step for the whole team at a time: every
     follower's r_d is the blend of its mentors' positions at that step, and
-    ``step(states, r_d, phi)`` advances all agents. Same trace and errors as
+    ``step(states, r_d, phi)`` advances all agents. Same run and errors as
     ``engine._integrate``."""
     sc = plan.scenario
     graph = plan.graph
     ids = sc.formation.ids
-    coop = graph.roles == ROLE_COOPERATIVE
     anchor = (graph.roles == ROLE_BOUNDARY) | (graph.roles == ROLE_CORE)
     p_arr = plan.desired.p
     a_arr = sc.formation.positions
@@ -135,21 +133,7 @@ def stepwise_integrate(plan, step=dynamics.step) -> SimTrace:
             worst = ids[int(np.argmax(np.abs(states).max(axis=(1, 2))))]
             raise Diverged(f"agent {worst} diverged near t = {t:.3f} s") from exc
 
-    final = pos_log[-1]
-    converged = np.zeros(len(ids), dtype=bool)
-    converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
-    evaluated = int(coop.sum())
-    return SimTrace(
-        ids=ids,
-        roles=graph.roles,
-        layer=graph.layer,
-        times=np.array(times),
-        positions=np.array(pos_log),
-        desired=np.array(des_log),
-        converged=converged,
-        rate=float(converged.sum() / evaluated if evaluated else 1.0),
-        terminal_error=np.linalg.norm(final - p_arr, axis=1),
-    )
+    return judge_run(plan, np.array(times), np.array(pos_log), np.array(des_log))
 
 
 # The planner one cell, one mentee and one weight vector at a time: the
@@ -385,22 +369,22 @@ class TrackingReport:
     terminal: np.ndarray  # (N,) ||r_i(t_end) - p_i||
 
 
-def tracking_error_report(trace, setpoint_times, setpoints) -> TrackingReport:
+def tracking_error_report(run, setpoint_times, setpoints) -> TrackingReport:
     """Distance between logged positions and planned set-points over time."""
     st = np.asarray(setpoint_times, dtype=float)
     sp = np.asarray(setpoints, dtype=float)
-    if st.shape != trace.times.shape or not np.allclose(st, trace.times, atol=1e-12):
-        raise GridMismatch("set-point series is not on the trace's time grid")
-    if sp.shape != trace.positions.shape:
+    if st.shape != run.times.shape or not np.allclose(st, run.times, atol=1e-12):
+        raise GridMismatch("set-point series is not on the run's time grid")
+    if sp.shape != run.positions.shape:
         raise GridMismatch(
-            f"set-point series shape {sp.shape} does not match trace {trace.positions.shape}"
+            f"set-point series shape {sp.shape} does not match the run's {run.positions.shape}"
         )
-    errors = np.linalg.norm(trace.positions - sp, axis=2)
+    errors = np.linalg.norm(run.positions - sp, axis=2)
     return TrackingReport(
-        ids=trace.ids,
-        times=trace.times.copy(),
+        ids=run.plan.scenario.formation.ids,
+        times=run.times.copy(),
         errors=errors,
-        terminal=trace.terminal_error.copy(),
+        terminal=run.terminal_error.copy(),
     )
 
 
@@ -454,28 +438,19 @@ def elementwise_formation_svg(formation, graph) -> str:
     return canvas.render()
 
 
-def elementwise_snapshot_svg(
-    positions, roles, t, zone=None, inflated_zone=None, samples=None, graph=None, ids=None
-) -> str:
-    pts = np.asarray(positions, dtype=float)
-    frame = [pts]
-    if zone is not None:
-        frame.append(np.asarray(zone, dtype=float))
-    if inflated_zone is not None:
-        frame.append(np.asarray(inflated_zone, dtype=float))
-    canvas = ElementCanvas(np.vstack(frame))
-    if samples is not None and len(samples):
-        for s in np.asarray(samples, dtype=float):
-            canvas.circle(s, radius=1.5, color=svgplot.SAMPLE_COLOR)
-    if zone is not None:
-        canvas.polygon(zone)
-    if inflated_zone is not None:
-        canvas.polygon(inflated_zone, dashed=True)
-    if graph is not None:
-        for mentor, mentee in _sorted_edges(graph):
-            canvas.line(pts[mentor], pts[mentee], opacity=0.35)
-    for k in range(len(pts)):
-        title = str(ids[k]) if ids is not None else None
-        canvas.circle(pts[k], radius=3.5, color=svgplot.ROLE_COLORS[roles[k]], title=title)
-    canvas.text(f"t = {t:g} s")
+def elementwise_snapshot_svg(run, k) -> str:
+    plan, sc = run.plan, run.plan.scenario
+    pts = run.positions[k]
+    zone = sc.targets.zone_polygon()
+    inflated = inflated_zone(zone, sc.margin)
+    canvas = ElementCanvas(np.vstack([pts, zone, inflated]))
+    for s in sc.targets.samples:
+        canvas.circle(s, radius=1.5, color=svgplot.SAMPLE_COLOR)
+    canvas.polygon(zone)
+    canvas.polygon(inflated, dashed=True)
+    for mentor, mentee in _sorted_edges(plan.graph):
+        canvas.line(pts[mentor], pts[mentee], opacity=0.35)
+    for a, p, role in zip(sc.formation.ids, pts, plan.graph.roles):
+        canvas.circle(p, radius=3.5, color=svgplot.ROLE_COLORS[role], title=str(a))
+    canvas.text(f"t = {float(run.times[k]):g} s")
     return canvas.render()

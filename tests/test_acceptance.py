@@ -53,7 +53,7 @@ def test_criterion_1_full_cooperation_converges():
         started = time.perf_counter()
         res = engine.run(sc)
         runtimes.append(time.perf_counter() - started)
-        rates.append(res.trace.rate)
+        rates.append(res.rate)
 
     # structural constants on a 95-agent look-alike with 16 hull agents
     look = generate_scenario(GenerateParams(n_agents=95, n_boundary=16), seed=1)
@@ -82,12 +82,12 @@ def test_criterion_2_resilience_to_clamped_agents():
         params, seed = _clamped_params(k)
         sc = generate_scenario(params, seed)
         res = engine.run(sc)
-        rates.append(res.trace.rate)
+        rates.append(res.rate)
         graph = res.plan.graph
         clamped = set(sc.formation.clamped.tolist())
-        for a in np.flatnonzero(res.trace.scored):
+        for a in np.flatnonzero(res.scored):
             clean = not (ancestors(graph, a) & clamped)
-            if clean and not res.trace.converged[a]:
+            if clean and not res.converged[a]:
                 clean_all = False
     mean_rate = float(np.mean(rates))
     ok = mean_rate >= 0.85 and clean_all
@@ -251,7 +251,7 @@ def test_criterion_8_bitwise_determinism():
     )
     res1 = engine.run(sc)
     res2 = engine.run(sc)
-    same_trace = written(trace_table, res1.trace) == written(trace_table, res2.trace)
+    same_trace = written(trace_table, res1) == written(trace_table, res2)
     same_metrics = metrics_json(res1) == metrics_json(res2)
     ok = same_trace and same_metrics
     assert _verdict(

@@ -449,7 +449,7 @@ def test_snapshot_drawn_once_per_output_frame(tmp_path, monkeypatch):
 
     drawn = []
     snapshot_svg = svgplot.snapshot_svg
-    monkeypatch.setattr(svgplot, "snapshot_svg", lambda *a, **k: drawn.append(a[2]) or snapshot_svg(*a, **k))
+    monkeypatch.setattr(svgplot, "snapshot_svg", lambda run, k: drawn.append(float(run.times[k])) or snapshot_svg(run, k))
     path = _generate(tmp_path, agents=12, boundary=4, seed=1)
     out = tmp_path / "run"
     assert main(["simulate", str(path), "--out-dir", str(out), "--snapshot-times", "10,25,10.04"]) == 0

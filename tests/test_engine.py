@@ -127,65 +127,65 @@ def _fixed_point_scenario():
 class TestRun:
     def test_fixed_point_trace_is_constant(self):
         res = run(_fixed_point_scenario())
-        first = res.trace.positions[0]
-        for frame in res.trace.positions:
+        first = res.positions[0]
+        for frame in res.positions:
             assert np.array_equal(frame, first)
-        assert res.trace.rate == 1.0
+        assert res.rate == 1.0
 
     def test_small_cooperative_scenario_converges(self):
         sc = quick_scenario(seed=3, n=40, nb=10)
         res = run(sc)
-        assert res.trace.rate == 1.0
+        assert res.rate == 1.0
         zone_diameter = 2.0 * np.max(
             np.linalg.norm(sc.targets.zone_polygon() - sc.targets.center(), axis=1)
         )
-        scored = res.trace.scored
+        scored = res.scored
         assert scored.sum() == 29  # 40 agents less 10 hull agents and the core
-        assert res.trace.converged[scored].all()
-        assert np.all(res.trace.terminal_error[scored] < 0.05 * zone_diameter)
+        assert res.converged[scored].all()
+        assert np.all(res.terminal_error[scored] < 0.05 * zone_diameter)
 
     def test_clamped_agents_never_move(self):
         sc = quick_scenario(seed=9, n=36, nb=8, uncoop=3)
         res = run(sc)
         assert len(sc.formation.clamped) == 3
         for u in sc.formation.clamped:
-            assert res.trace.roles[u] == "uncooperative"
-            drift = np.abs(res.trace.positions[:, u, :] - sc.formation.positions[u])
+            assert res.plan.graph.roles[u] == "uncooperative"
+            drift = np.abs(res.positions[:, u, :] - sc.formation.positions[u])
             assert np.max(drift) == 0.0
-            assert np.all(res.trace.desired[:, u, :] == sc.formation.positions[u])
+            assert np.all(res.desired[:, u, :] == sc.formation.positions[u])
 
     def test_rate_bounded_by_clean_ancestry_fraction(self):
         sc = quick_scenario(seed=9, n=36, nb=8, uncoop=3)
         res = run(sc)
         graph = res.plan.graph
         clamped = set(sc.formation.clamped.tolist())
-        scored = np.flatnonzero(res.trace.scored).tolist()
+        scored = np.flatnonzero(res.scored).tolist()
         clean = [a for a in scored if not (ancestors(graph, a) & clamped)]
         for a in clean:
-            assert res.trace.converged[a]
-        assert res.trace.rate >= len(clean) / len(scored)
+            assert res.converged[a]
+        assert res.rate >= len(clean) / len(scored)
 
     def test_desired_positions_follow_blend_of_actual_positions(self):
         # a planar team and a 3-D team with a clamped mentor
         for sc in (quick_scenario(seed=5, n=24, nb=6), cube_scenario()):
             res = run(sc)
             plan = res.plan
-            for ti in (0, 37, len(res.trace.times) - 1):
-                t = float(res.trace.times[ti])
+            for ti in (0, 37, len(res.times) - 1):
+                t = float(res.times[ti])
                 b = beta(t, sc.t0, sc.tf)
                 for a, mentors, w0, w1 in zip(
                     plan.graph.mentees, plan.graph.mentors, plan.schedule.omega, plan.schedule.varpi
                 ):
                     w = (1.0 - b) * w0 + b * w1
-                    blend = w @ res.trace.positions[ti, mentors]
-                    assert np.max(np.abs(res.trace.desired[ti, a] - blend)) <= 1e-12
-            assert res.trace.rate == 1.0
+                    blend = w @ res.positions[ti, mentors]
+                    assert np.max(np.abs(res.desired[ti, a] - blend)) <= 1e-12
+            assert res.rate == 1.0
 
     def test_anchor_desired_is_constant_final_position(self):
         sc = quick_scenario(seed=5, n=24, nb=6)
         res = run(sc)
         for b in sc.formation.boundary:
-            ref = res.trace.desired[:, b, :]
+            ref = res.desired[:, b, :]
             assert np.all(ref == ref[0])
             assert np.array_equal(ref[0], res.plan.desired.p[b])
 
@@ -193,9 +193,9 @@ class TestRun:
         sc = quick_scenario(seed=42, n=30, nb=8, uncoop=1)
         res1 = run(sc)
         res2 = run(sc)
-        assert np.array_equal(res1.trace.positions, res2.trace.positions)
-        assert np.array_equal(res1.trace.desired, res2.trace.desired)
-        assert written(trace_table, res1.trace) == written(trace_table, res2.trace)
+        assert np.array_equal(res1.positions, res2.positions)
+        assert np.array_equal(res1.desired, res2.desired)
+        assert written(trace_table, res1) == written(trace_table, res2)
         assert metrics_json(res1) == metrics_json(res2)
 
     def test_divergence_reports_agent_and_time(self):
@@ -271,9 +271,9 @@ class TestRun:
         b0 = sc.formation.boundary[0]
         # at t0 the blended anchor reference equals the initial position
         assert np.allclose(
-            res.trace.desired[0, b0], sc.formation.positions[b0], atol=1e-12
+            res.desired[0, b0], sc.formation.positions[b0], atol=1e-12
         )
-        assert res.trace.rate == 1.0
+        assert res.rate == 1.0
 
 
 SQUARE_ZONE = [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]
@@ -387,32 +387,32 @@ def test_certified_blocks_skip_the_full_state_product(monkeypatch):
 class TestTrackingReport:
     def test_fixed_point_error_is_zero(self):
         res = run(_fixed_point_scenario())
-        series = setpoint_series(res.plan, res.trace.times)
-        report = tracking_error_report(res.trace, res.trace.times, series)
+        series = setpoint_series(res.plan, res.times)
+        report = tracking_error_report(res, res.times, series)
         assert np.max(report.errors) < 1e-12
 
     def test_anchor_terminal_error_small(self):
         sc = quick_scenario(seed=3, n=30, nb=8)
         res = run(sc)
         for b in sc.formation.boundary:
-            assert res.trace.terminal_error[b] < 1e-3
+            assert res.terminal_error[b] < 1e-3
 
     def test_error_tail_monotone_for_converged_agents(self):
         sc = quick_scenario(seed=3, n=30, nb=8)
         res = run(sc)
-        series = setpoint_series(res.plan, res.trace.times)
-        report = tracking_error_report(res.trace, res.trace.times, series)
-        tail = res.trace.times >= res.trace.times[-1] - 5.0
+        series = setpoint_series(res.plan, res.times)
+        report = tracking_error_report(res, res.times, series)
+        tail = res.times >= res.times[-1] - 5.0
         errs = report.errors[tail]
-        for a in np.flatnonzero(res.trace.converged):
+        for a in np.flatnonzero(res.converged):
             e = errs[:, a]
             assert np.all(np.diff(e) <= 1e-12)
 
     def test_grid_mismatch(self):
         res = run(_fixed_point_scenario())
-        series = setpoint_series(res.plan, res.trace.times)
+        series = setpoint_series(res.plan, res.times)
         with pytest.raises(GridMismatch):
-            tracking_error_report(res.trace, res.trace.times[:-1], series[:-1])
+            tracking_error_report(res, res.times[:-1], series[:-1])
 
     def test_setpoint_residual_over_logged_grid(self):
         # the all-times series equals the dense solve at every time, in 2-D and 3-D

@@ -212,7 +212,7 @@ class TestBuildActual:
         for name in ("layer", "mentees", "mentors"):
             assert getattr(graph, name).tobytes() == getattr(want, name).tobytes()
         leaders = {form.ids[b]: 2.0 + 0.5 * (form.positions[b] - 2.0) for b in form.boundary}
-        assert engine.run(manual_scenario(form, SLIVER_SAMPLES, leader_positions=leaders)).trace.rate == 1.0
+        assert engine.run(manual_scenario(form, SLIVER_SAMPLES, leader_positions=leaders)).rate == 1.0
 
     def test_no_edges_into_clamped_agents(self):
         sc = quick_scenario(seed=9, n=40, nb=8, uncoop=3)

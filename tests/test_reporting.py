@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import cube_scenario, quick_scenario, written
 from swarm_transport import reporting
-from swarm_transport.engine import SimTrace, run, setpoint_series
+from swarm_transport.engine import Run, run, setpoint_series
 from swarm_transport.reporting import setpoints_table, trace_table
 
 
@@ -18,20 +19,21 @@ def fmt(value):
     return f"{value:.9g}"
 
 
-def trace_table_oracle(trace):
+def trace_table_oracle(res):
     """The per-cell writer the frame form replaced."""
-    n = trace.positions.shape[2]
+    ids, graph = res.plan.scenario.formation.ids, res.plan.graph
+    n = res.positions.shape[2]
     coords = ["x", "y", "z"][:n]
     header = ["time", "agent_id", "role", "layer"] + coords + [c + "d" for c in coords] + ["converged"]
     lines = [",".join(header)]
-    scored = trace.scored
-    positions, desired = trace.positions.tolist(), trace.desired.tolist()
-    for ti, t in enumerate(trace.times):
-        for k, a in enumerate(trace.ids):
-            row = [fmt(float(t)), str(a), trace.roles[k], str(trace.layer[k])]
+    scored = res.scored
+    positions, desired = res.positions.tolist(), res.desired.tolist()
+    for ti, t in enumerate(res.times):
+        for k, a in enumerate(ids):
+            row = [fmt(float(t)), str(a), graph.roles[k], str(graph.layer[k])]
             row += [fmt(v) for v in positions[ti][k]]
             row += [fmt(v) for v in desired[ti][k]]
-            row.append(str(int(trace.converged[k])) if scored[k] else "-")
+            row.append(str(int(res.converged[k])) if scored[k] else "-")
             lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -55,13 +57,14 @@ def assert_same_text(got, want):
         pytest.fail(f"line {k}: {a!r} != {b!r}")
 
 
-def assert_tables_match(trace, series):
-    text = written(trace_table, trace)
-    assert_same_text(text, trace_table_oracle(trace))
+def assert_tables_match(res, series):
+    text = written(trace_table, res)
+    assert_same_text(text, trace_table_oracle(res))
     assert text.endswith("\n") and not text.endswith("\n\n")
-    assert text.count("\n") == 1 + trace.positions.shape[0] * trace.positions.shape[1]
-    sp = written(setpoints_table, trace.ids, trace.times, series)
-    assert_same_text(sp, setpoints_table_oracle(trace.ids, trace.times, series))
+    assert text.count("\n") == 1 + res.positions.shape[0] * res.positions.shape[1]
+    ids = res.plan.scenario.formation.ids
+    sp = written(setpoints_table, ids, res.times, series)
+    assert_same_text(sp, setpoints_table_oracle(ids, res.times, series))
     assert sp.endswith("\n") and not sp.endswith("\n\n")
 
 
@@ -69,29 +72,29 @@ def assert_tables_match(trace, series):
 def clamped_run():
     # seed 1 at N=40 with two clamped agents leaves agent 34 unconverged
     res = run(quick_scenario(seed=1, n=40, nb=10, uncoop=2))
-    return res, setpoint_series(res.plan, res.trace.times)
+    return res, setpoint_series(res.plan, res.times)
 
 
 def test_2d_trace_with_clamped_agent(clamped_run):
     res, series = clamped_run
-    verdicts = {row.split(",")[-1] for row in written(trace_table, res.trace).splitlines()[1:]}
+    verdicts = {row.split(",")[-1] for row in written(trace_table, res).splitlines()[1:]}
     assert verdicts == {"-", "0", "1"}
-    assert "uncooperative" in res.trace.roles
-    assert_tables_match(res.trace, series)
+    assert "uncooperative" in res.plan.graph.roles
+    assert_tables_match(res, series)
 
 
 def test_headers(clamped_run):
     res, series = clamped_run
-    assert written(trace_table, res.trace).startswith("time,agent_id,role,layer,x,y,xd,yd,converged\n0,1,")
-    assert written(setpoints_table, res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy\n0,1,")
+    assert written(trace_table, res).startswith("time,agent_id,role,layer,x,y,xd,yd,converged\n0,1,")
+    assert written(setpoints_table, res.plan.scenario.formation.ids, res.times, series).startswith("time,agent_id,sx,sy\n0,1,")
 
 
 def test_3d_cube_run():
     res = run(cube_scenario())
-    series = setpoint_series(res.plan, res.trace.times)
-    assert written(trace_table, res.trace).startswith("time,agent_id,role,layer,x,y,z,xd,yd,zd,converged\n")
-    assert written(setpoints_table, res.trace.ids, res.trace.times, series).startswith("time,agent_id,sx,sy,sz\n")
-    assert_tables_match(res.trace, series)
+    series = setpoint_series(res.plan, res.times)
+    assert written(trace_table, res).startswith("time,agent_id,role,layer,x,y,z,xd,yd,zd,converged\n")
+    assert written(setpoints_table, res.plan.scenario.formation.ids, res.times, series).startswith("time,agent_id,sx,sy,sz\n")
+    assert_tables_match(res, series)
 
 
 def test_synthetic_values():
@@ -99,19 +102,16 @@ def test_synthetic_values():
     values = np.array(special + [np.nan, np.inf, -np.inf, np.finfo(float).max])
     positions = np.resize(values, (3, 4, 2))
     desired = -np.resize(values[::-1], (3, 4, 2))
-    trace = SimTrace(
-        ids=(3, 7, 11, 20),
-        roles=np.array(["boundary", "cooperative", "uncooperative", "cooperative"], dtype=object),
-        layer=np.array([0, 1, 0, 2]),
+    res = Run(
+        plan=stand_in_plan((3, 7, 11, 20), ["boundary", "cooperative", "uncooperative", "cooperative"], [0, 1, 0, 2]),
         times=np.array([0.0, 0.1, 123456789.5]),
         positions=positions,
         desired=desired,
         converged=np.array([False, True, False, False]),
-        rate=0.5,
         terminal_error=np.zeros(4),
     )
-    assert_tables_match(trace, positions)
-    rows = written(trace_table, trace).splitlines()
+    assert_tables_match(res, positions)
+    rows = written(trace_table, res).splitlines()
     assert rows[1] == "0,3,boundary,0,-0,0,-1.79769313e+308,inf,-"
     assert rows[2] == "0,7,cooperative,1,1e-05,1e+16,-inf,nan,1"
     assert rows[3] == "0,11,uncooperative,0,123456790,3,-1e+22,-0.666666667,-"
@@ -131,11 +131,11 @@ def test_synthetic_values():
     cases["mixed"][3, 2, 1] = 7.5
     for pos in cases.values():
         times = np.arange(len(pos)) * 0.1
-        synthetic = dataclasses.replace(trace, times=times, positions=pos, desired=pos[:, ::-1] * 3.0)
+        synthetic = dataclasses.replace(res, times=times, positions=pos, desired=pos[:, ::-1] * 3.0)
         assert_tables_match(synthetic, pos)
     mixed = cases["mixed"]
-    mixed_trace = dataclasses.replace(trace, times=np.arange(6) * 0.1, positions=mixed, desired=mixed)
-    rows = written(trace_table, mixed_trace)
+    mixed_run = dataclasses.replace(res, times=np.arange(6) * 0.1, positions=mixed, desired=mixed)
+    rows = written(trace_table, mixed_run)
     cells = [row.split(",") for row in rows.splitlines()[1:]]
     assert [r[4] for r in cells[0::4]] == ["0", "-0"] * 3
     assert {r[5] for r in cells[1::4]} == {"nan"}
@@ -146,33 +146,37 @@ def test_leader_blend_run():
     # with the blend, anchors' reference positions move, so their cells vary
     sc = dataclasses.replace(quick_scenario(seed=1, n=40, nb=10, uncoop=2), leader_blend=True)
     res = run(sc)
-    anchors = np.isin(res.trace.roles, ["boundary", "core"])
-    assert not np.array_equal(res.trace.desired[0, anchors], res.trace.desired[-1, anchors])
-    assert_tables_match(res.trace, setpoint_series(res.plan, res.trace.times))
+    anchors = np.isin(res.plan.graph.roles, ["boundary", "core"])
+    assert not np.array_equal(res.desired[0, anchors], res.desired[-1, anchors])
+    assert_tables_match(res, setpoint_series(res.plan, res.times))
 
 
 def test_no_output_times(clamped_run):
     res, series = clamped_run
-    empty = dataclasses.replace(
-        res.trace, times=res.trace.times[:0], positions=res.trace.positions[:0], desired=res.trace.desired[:0]
-    )
-    header = written(trace_table, res.trace).split("\n")[0] + "\n"
+    empty = dataclasses.replace(res, times=res.times[:0], positions=res.positions[:0], desired=res.desired[:0])
+    header = written(trace_table, res).split("\n")[0] + "\n"
     assert written(trace_table, empty) == trace_table_oracle(empty) == header
-    assert written(setpoints_table, empty.ids, empty.times, series[:0]) == "time,agent_id,sx,sy\n"
+    ids = res.plan.scenario.formation.ids
+    assert written(setpoints_table, ids, empty.times, series[:0]) == "time,agent_id,sx,sy\n"
 
 
-def synthetic_trace(positions, desired, times):
-    """A trace of any shape around given arrays; every other agent is scored."""
+def stand_in_plan(ids, roles, layer):
+    """The plan fields that the table writers read: ids, roles and layers."""
+    formation = SimpleNamespace(ids=tuple(ids))
+    graph = SimpleNamespace(roles=np.array(roles, dtype=object), layer=np.asarray(layer))
+    return SimpleNamespace(scenario=SimpleNamespace(formation=formation), graph=graph)
+
+
+def synthetic_run(positions, desired, times, ids=None):
+    """A run of any shape around given arrays; every other agent is scored."""
     n_agents = positions.shape[1]
-    return SimTrace(
-        ids=tuple(range(1, n_agents + 1)),
-        roles=np.resize(np.array(["cooperative", "boundary"], dtype=object), n_agents),
-        layer=np.arange(n_agents) % 3,
+    roles = np.resize(np.array(["cooperative", "boundary"], dtype=object), n_agents)
+    return Run(
+        plan=stand_in_plan(ids or range(1, n_agents + 1), roles, np.arange(n_agents) % 3),
         times=times,
         positions=positions,
         desired=desired,
         converged=np.arange(n_agents) % 4 == 0,
-        rate=0.5,
         terminal_error=np.zeros(n_agents),
     )
 
@@ -192,7 +196,7 @@ def test_frames_across_blocks():
     pos[:, 7, 0] = -0.0  # a constant -0.0 cell
     pos[:, 8] = -np.abs(pos[:, 8])  # negative coordinates
     times = np.arange(130) * 0.1
-    assert_tables_match(synthetic_trace(pos, pos[:, ::-1] * -2.0, times), pos)
+    assert_tables_match(synthetic_run(pos, pos[:, ::-1] * -2.0, times), pos)
 
 
 @pytest.mark.parametrize(
@@ -221,11 +225,10 @@ def test_table_slot_widths(case):
         pos = rng.normal(size=(4, 3000, 2))
         pos[2] = pos[1]
         times = times[:4]
-    trace = synthetic_trace(pos, pos[:, ::-1] * -3.0, times)
-    if case == "wide-ids":
-        trace = dataclasses.replace(trace, ids=(1, 10, 10**6, 10**9, 10**12))
-    assert_tables_match(trace, pos)
-    text = written(trace_table, trace)
+    ids = (1, 10, 10**6, 10**9, 10**12) if case == "wide-ids" else None
+    res = synthetic_run(pos, pos[:, ::-1] * -3.0, times, ids=ids)
+    assert_tables_match(res, pos)
+    text = written(trace_table, res)
     if case == "full-width-cells":
         assert "\n0,1,cooperative,0,-1.23456789e-100,1.23456789e-100," in text
     if case == "exponent-times":
@@ -243,10 +246,10 @@ def test_table_memory_is_bounded_by_a_block(tmp_path):
     rng = np.random.default_rng(2)
     pos = np.repeat(rng.normal(size=(1, 600, 2)) * 100.0, 1004, axis=0)
     pos[:, :10] = rng.normal(size=(1004, 10, 2)) * 100.0
-    trace = synthetic_trace(pos, pos + 1.0, np.arange(1004) * 0.1)
+    res = synthetic_run(pos, pos + 1.0, np.arange(1004) * 0.1)
     tracemalloc.start()
     try:
-        trace_table(trace, tmp_path / "trace.csv")
+        trace_table(res, tmp_path / "trace.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,7 +269,7 @@ def test_failed_write_leaves_no_temp_file_and_keeps_the_target(tmp_path):
         reporting._atomic_write(target, pieces())
     assert target.read_bytes() == b"previous run\n"
     assert [f.name for f in tmp_path.iterdir()] == ["trace.csv"]
-    bad = synthetic_trace(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)), np.arange(3) * 0.1)  # desired too short
+    bad = synthetic_run(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)), np.arange(3) * 0.1)  # desired too short
     with pytest.raises(ValueError):
         trace_table(bad, target)
     assert target.read_bytes() == b"previous run\n"
@@ -313,7 +316,7 @@ def test_tables_of_teams_far_from_radius_ten(radius):
     # cells of decimal exponent -7 to -3 at radius 0.01, 1,437 of them in
     # exponent form, and -3 to 1 at radius 100
     res = run(quick_scenario(seed=1, n=40, nb=10, uncoop=2, radius=radius))
-    assert_tables_match(res.trace, setpoint_series(res.plan, res.trace.times))
+    assert_tables_match(res, setpoint_series(res.plan, res.times))
 
 
 def test_fixed_notation_cells_never_fall_back(monkeypatch):
@@ -328,8 +331,8 @@ def test_fixed_notation_cells_never_fall_back(monkeypatch):
     rng = np.random.default_rng(3)
     pos = rng.uniform(1.0, 4.5, size=(40, 200, 2)) * 10.0 ** rng.integers(-4, 9, size=(1, 200, 2))
     pos[:, ::3] *= -1.0
-    trace = synthetic_trace(pos, pos[:, ::-1] * 2.0, np.arange(1, 41) * 0.1)
-    assert_tables_match(trace, pos)
+    res = synthetic_run(pos, pos[:, ::-1] * 2.0, np.arange(1, 41) * 0.1)
+    assert_tables_match(res, pos)
     assert sent == []
     reporting._g9(np.array([1e-5, 1.0, 0.0]))
     assert sent == [1e-5, 0.0]

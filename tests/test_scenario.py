@@ -299,7 +299,7 @@ class TestGenerate:
     def test_short_horizon_smoke(self):
         sc = generate_scenario(GenerateParams(n_agents=20, n_boundary=6), seed=3)
         res = run(dataclasses.replace(sc, tf=3.0, t_end=5.0, dt=0.02))
-        assert len(res.trace.times) == 51
+        assert len(res.times) == 51
 
 
 @functools.cache
@@ -344,7 +344,14 @@ def mutated_documents(draw):
         elif isinstance(value, list):
             parent[key] = value[: draw(st.integers(0, 2))]
         else:
-            parent[key] = draw(st.sampled_from([0, -1, 0.0, -0.5, -(10**400)]))
+            parent[key] = draw(st.sampled_from([0, -1, 0.0, -0.5, -(10**400), 1e17, 1e300, -1e300]))
+    return doc
+
+
+def _planar_edited(section, key, value):
+    """The planar document with ``doc[section][key]`` set to ``value``."""
+    doc = copy.deepcopy(_base_documents()[0])
+    doc[section][key] = value
     return doc
 
 
@@ -359,13 +366,21 @@ def _cube_anchors_edited(edit):
 @given(mutated_documents())
 @example(_cube_anchors_edited(lambda rows: rows.pop(3)))  # a hull agent left out
 @example(_cube_anchors_edited(lambda rows: rows.append({"id": 9, "x": 2.0, "y": 2.0, "z": 2.0})))  # the core
+@example(_planar_edited("gains", "k2", 1e300))  # an RK4 map that overflows
+@example(_planar_edited("times", "output_period", 1e17))  # an output stride beyond int64
+@example(_planar_edited("leader_final", "scale", 1e300))  # anchors beyond the coordinate bound
 def test_mutated_documents_parse_or_raise_typed_errors(doc):
-    # a dropped key, a value of the wrong type, a zero or negative count or
-    # length, a duplicated agent id: parsed, or refused with a typed error;
-    # what parses serializes, and the text parses back to itself
+    # a dropped key, a value of the wrong type, a zero, negative or huge
+    # count, length or value, a duplicated agent id: parsed, or refused with
+    # a typed error; what parses serializes, the text parses back to itself,
+    # and it runs or ends in a typed error
     try:
         sc = parse_scenario_text(json.dumps(doc))
     except SwarmTransportError:
         return
     text = serialize_scenario(sc)
     assert serialize_scenario(parse_scenario_text(text)) == text
+    try:
+        run(sc)
+    except SwarmTransportError:
+        pass

@@ -1,5 +1,7 @@
 """The array-form SVG writers against the per-element oracle, byte for byte."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from conftest import cube_scenario, quick_scenario, square_core_formation
 from oracles import elementwise_formation_svg, elementwise_snapshot_svg
 from swarm_transport.engine import run
 from swarm_transport.formation import build_actual
-from swarm_transport.geometry import ensure_ccw, scale_polygon
 from swarm_transport.svgplot import formation_svg, snapshot_svg
 
 
@@ -16,22 +17,6 @@ def assert_same_svg(got, want):
         pairs = zip(got.split("\n"), want.split("\n"))
         k, (a, b) = next((k, ab) for k, ab in enumerate(pairs) if ab[0] != ab[1])
         pytest.fail(f"line {k}: {a!r} != {b!r}")
-
-
-def snapshot_inputs(res, k, inflated=True):
-    trace, sc = res.trace, res.plan.scenario
-    zone = sc.targets.zone_polygon()
-    center = zone.mean(axis=0)
-    return dict(
-        positions=trace.positions[k],
-        roles=trace.roles,
-        t=float(trace.times[k]),
-        zone=zone,
-        inflated_zone=scale_polygon(ensure_ccw(zone), 1.1) if inflated else center + 1.1 * (zone - center),
-        samples=sc.targets.samples,
-        graph=res.plan.graph,
-        ids=trace.ids,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -45,38 +30,29 @@ def test_2d_team_with_clamped_agents(clamped_run):
     svg = formation_svg(form, res.plan.graph)
     assert_same_svg(svg, elementwise_formation_svg(form, res.plan.graph))
     assert "#d62728" in svg and svg.count("<title>") == form.n_agents
-    for k in (0, 100, len(res.trace.times) - 1):
-        args = snapshot_inputs(res, k)
-        svg = snapshot_svg(**args)
-        assert_same_svg(svg, elementwise_snapshot_svg(**args))
-        assert svg.count("<circle") == form.n_agents + len(args["samples"])
+    for k in (0, 100, len(res.times) - 1):
+        svg = snapshot_svg(res, k)
+        assert_same_svg(svg, elementwise_snapshot_svg(res, k))
+        assert svg.count("<circle") == form.n_agents + len(res.plan.scenario.targets.samples)
 
 
 def test_3d_cube_drawn_as_xy_projection():
     res = run(cube_scenario())
     form = res.plan.scenario.formation
     assert_same_svg(formation_svg(form, res.plan.graph), elementwise_formation_svg(form, res.plan.graph))
-    for k in (0, len(res.trace.times) - 1):
-        args = snapshot_inputs(res, k, inflated=False)
-        assert_same_svg(snapshot_svg(**args), elementwise_snapshot_svg(**args))
+    for k in (0, len(res.times) - 1):
+        assert_same_svg(snapshot_svg(res, k), elementwise_snapshot_svg(res, k))
 
 
-@pytest.mark.parametrize(
-    "changes",
-    [
-        dict(samples=None),
-        dict(samples=np.empty((0, 2))),
-        dict(ids=None),
-        dict(graph=None),
-        dict(samples=None, graph=None, ids=None, zone=None, inflated_zone=None),
-    ],
-    ids=["no-samples", "empty-samples", "no-ids", "no-graph", "team-only"],
-)
-def test_optional_inputs(clamped_run, changes):
-    args = {**snapshot_inputs(clamped_run, 50), **changes}
-    svg = snapshot_svg(**args)
-    assert_same_svg(svg, elementwise_snapshot_svg(**args))
-    assert "\n\n" not in svg
+@pytest.mark.parametrize("samples", [np.empty((0, 2))], ids=["empty-samples"])
+def test_optional_inputs(clamped_run, samples):
+    # the one input a run may lack is target samples: a zone without them draws no sample dots
+    sc = clamped_run.plan.scenario
+    scenario = dataclasses.replace(sc, targets=dataclasses.replace(sc.targets, samples=samples))
+    res = dataclasses.replace(clamped_run, plan=dataclasses.replace(clamped_run.plan, scenario=scenario))
+    svg = snapshot_svg(res, 50)
+    assert_same_svg(svg, elementwise_snapshot_svg(res, 50))
+    assert svg.count("<circle") == sc.formation.n_agents and "\n\n" not in svg
 
 
 def test_formation_without_mentees():
