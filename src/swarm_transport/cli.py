@@ -57,7 +57,7 @@ def cmd_build_graph(args) -> int:
     out = _out_dir(args)
     graph = build_actual(sc.formation)
     _write_graph_files(sc.formation, graph, out)
-    print(reporting.build_summary(sc.formation, graph))
+    print("\n".join(reporting.summary_lines(reporting.team_counts(sc.formation, graph))))
     return 0
 
 
@@ -77,10 +77,7 @@ def cmd_plan(args) -> int:
     out = _out_dir(args)
     plan = engine.make_plan(sc)
     _write_plan_outputs(plan, out)
-    print(reporting.build_summary(sc.formation, plan.graph))
-    if plan.desired.fallback_ids:
-        fallback = [sc.formation.ids[k] for k in plan.desired.fallback_ids]
-        print(f"coverage warning: fallback mentees {fallback}")
+    print("\n".join(reporting.summary_lines(reporting.plan_document(plan))))
     return 0
 
 
@@ -123,46 +120,23 @@ def cmd_simulate(args) -> int:
     if args.export_setpoints:
         series = engine.setpoint_series(run.plan, run.times)
         reporting.setpoints_table(sc.formation.ids, run.times, series, out / "setpoints.csv")
-    print(reporting.build_summary(sc.formation, run.plan.graph))
-    unconverged = [sc.formation.ids[k] for k in np.flatnonzero(run.scored & ~run.converged)]
-    print(
-        f"convergence rate {run.rate:.4f} "
-        f"({run.converged.sum()}/{run.scored.sum()}), "
-        f"runtime {elapsed:.2f} s"
-    )
-    if unconverged:
-        print(f"unconverged agents: {unconverged}")
+    print("\n".join(reporting.summary_lines(reporting.metrics_document(run))))
+    print(f"runtime {elapsed:.2f} s")
     return 0
 
 
 def cmd_report(args) -> int:
     try:
-        lines = _report_lines(json.loads(scenario_io.read_text(args.metrics, "metrics file")))
+        doc = json.loads(scenario_io.read_text(args.metrics, "metrics file"))
+        if "convergence_rate" not in doc:  # a plan's document, or no summary at all
+            raise KeyError("convergence_rate")
+        lines = reporting.summary_lines(doc)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.metrics}: invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except (LookupError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.metrics}: not a metrics document ({exc!r})") from exc
     print("\n".join(lines))
     return 0
-
-
-def _report_lines(doc) -> list[str]:
-    lines = [
-        f"N={doc['n_agents']} boundary={doc['n_boundary']} "
-        f"cooperative={doc['n_cooperative']} uncooperative={doc['n_uncooperative']} "
-        f"layers={doc['n_layers']}",
-        f"convergence rate {doc['convergence_rate']:.4f} "
-        f"({doc['converged_count']}/{doc['evaluated_count']})",
-    ]
-    if doc["unconverged_ids"]:
-        lines.append(f"unconverged agents: {doc['unconverged_ids']}")
-    if doc["fallback_agents"]:
-        lines.append(f"fallback mentees (empty capture): {doc['fallback_agents']}")
-    if doc["uncovered_sample_count"]:
-        lines.append(f"uncovered target samples: {doc['uncovered_sample_count']}")
-    worst = sorted(doc["terminal_errors"], key=lambda row: -row[1])[:5]
-    lines.append("largest terminal errors: " + ", ".join(f"{a}:{e:.3g}" for a, e in worst))
-    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:

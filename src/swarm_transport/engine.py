@@ -105,8 +105,8 @@ def validate_scenario(scenario: Scenario) -> None:
         raise BadConfig(f"output_period {sc.output_period:g} is {ratio:.3g} steps of dt {sc.dt:g}, over {_MAX_STEPS}")
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise BadConfig("dt must divide the output sampling period")
-    if abs(nsteps - round(nsteps)) > 1e-6:
-        raise BadConfig("dt must divide the simulation horizon t_end - t0")
+    if abs(nsteps - round(nsteps)) > 1e-6 or round(nsteps) < 1:
+        raise BadConfig(f"dt must divide the simulation horizon t_end - t0, got {nsteps:.3g} steps")
     if sc.margin < 0:
         raise BadConfig("margin must be nonnegative")
     if sc.leader_positions is not None:
@@ -118,7 +118,7 @@ def validate_scenario(scenario: Scenario) -> None:
             geometry.convex_hull(sc.targets.zone)
         except DegenerateInput as exc:
             raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
-    zone = sc.targets.zone_polygon()  # the samples' hull without a zone
+    zone = sc.targets.zone_polygon  # the samples' hull without a zone
     with np.errstate(over="ignore", invalid="ignore"):  # scoring squares the inflated edges
         inflated = inflated_zone(zone, sc.margin)
         edges = inflated - np.roll(inflated, 1, axis=0)  # not finite where a vertex is not
@@ -194,7 +194,7 @@ def judge_run(plan: Plan, times, positions, desired) -> Run:
     final = positions[-1]
     coop = plan.graph.roles == ROLE_COOPERATIVE
     converged = np.zeros(len(final), dtype=bool)
-    converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon(), sc.margin)
+    converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon, sc.margin)
     terminal_error = np.linalg.norm(final - plan.desired.p, axis=1)
     return Run(plan, times, positions, desired, converged, terminal_error)
 
@@ -273,9 +273,7 @@ def _integrate(plan: Plan) -> Run:
             m = min(_BLOCK, steps + 1 - k0)  # steps whose r_d is formed and maybe logged
             adv = min(m, steps - k0)  # steps taken: none from t_end
             bk = b[k0 : k0 + m]
-            if not bk.any():
-                w = omega
-            elif (bk == 1.0).all():
+            if (bk == 1.0).all():
                 w = varpi
             else:
                 w = (1.0 - bk) * omega + bk * varpi  # (M, n+1, m)

@@ -9,13 +9,12 @@ streamed to their file a block of about 256 KB of rows at a time, so the
 peak allocation is bounded by a block, not by the file. A block is one array of
 fixed-width slots: the time, the row's leading fields, each cell and its
 comma, the row's end; every unused byte is NUL and one ``bytes.translate``
-deletes them all, which no field can hold. A frame that repeats the one
-before reuses its cells' text. Every cell is ``%.9g``. ``_g9`` formats in
-numpy each value of decimal exponent -4 to 8 (fixed notation: nearly every
-coordinate of a team of radius 0.01 to 100) whose rounding it certifies:
-scaled to 9 integer digits, the value carries one rounding error below
-6e-8, so if it lies more than 1e-6 from a half it rounds to the digits of
-CPython's correctly rounded conversion. Exponent form, -0, 0, nan, inf and
+deletes them all, which no field can hold. Every cell is ``%.9g``.
+``_g9`` formats in numpy each value of decimal exponent -4 to 8 (fixed
+notation: nearly every coordinate of a team of radius 0.01 to 100) whose
+rounding it certifies: scaled to 9 integer digits, the value carries one
+rounding error below 6e-8, so if it lies more than 1e-6 from a half it
+rounds to the digits of CPython's correctly rounded conversion. Exponent form, -0, 0, nan, inf and
 near ties go through ``b"%.9g" % v`` itself. So the bytes equal those of
 formatting each cell on its own (``tests/test_reporting.py`` checks the
 tables against that per-cell writer and ``_g9`` against ``b"%.9g"``).
@@ -140,8 +139,7 @@ def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
     Row k of a frame is the time, ``heads[k]``, row k of the (T, N, ·)
     ``blocks`` side by side as ``%.9g`` cells, then ``tails[k]``, joined by
     commas and ended by a newline. The slots that are the same in every
-    frame are written once. Bits are compared as int64, so -0.0 differs
-    from 0.0 and a NaN equals itself.
+    frame are written once.
     """
     yield header.encode() + b"\n"
     times = _g9(np.asarray(times, dtype=float))
@@ -156,18 +154,10 @@ def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
     buf["head"], buf["tail"] = heads, tails
     buf["cells"]["comma"][..., :-1] = b","
     text = buf["cells"]["text"]
-    prev = None
     for s in range(0, len(times), step):
-        bits = np.concatenate([b[s : s + step] for b in blocks], axis=2, dtype=float).view(np.int64)
-        f = len(bits)
-        first = prev is not None and np.array_equal(bits[0], prev)
-        again = np.array([first, *(bits[1:] == bits[:-1]).all(axis=(1, 2))])
-        prev = bits[-1]
-        if again[0]:
-            text[0] = text[-1]  # the previous block's last frame: only the final block is short
-        text[:f][~again] = _g9(bits[~again].view(float).ravel()).reshape(-1, *text.shape[1:])
-        if again[1:].any():
-            text[:f] = text[np.maximum.accumulate(np.where(again, 0, np.arange(f)))]
+        values = np.concatenate([b[s : s + step] for b in blocks], axis=2, dtype=float)
+        f = len(values)
+        text[:f] = _g9(values.ravel()).reshape(text[:f].shape)
         buf["time"][:f] = times[s : s + f, None]
         yield (raw if f == step else raw[: buf[:f].nbytes]).translate(None, b"\0")
 
@@ -182,9 +172,9 @@ def trace_table(run: Run, path) -> None:
     _atomic_write(path, _frames(",".join(header), run.times, heads, tails, run.positions, run.desired))
 
 
-def _team_counts(formation, graph) -> dict:
+def team_counts(formation, graph) -> dict:
     """The team and its graph: the leading keys of ``metrics.json`` and
-    ``plan.json``, and the counts of the summary line."""
+    ``plan.json``, and the counts of the summary's team line."""
     return {
         "n_agents": formation.n_agents,
         "n_boundary": len(formation.boundary),
@@ -201,7 +191,7 @@ def metrics_document(run: Run) -> dict:
     ids = plan.scenario.formation.ids
     uncovered = plan.desired.uncovered_samples(len(plan.scenario.targets.samples))
     return {
-        **_team_counts(plan.scenario.formation, plan.graph),
+        **team_counts(plan.scenario.formation, plan.graph),
         "convergence_rate": run.rate,
         "evaluated_count": int(run.scored.sum()),
         "converged_count": int(run.converged.sum()),
@@ -222,7 +212,7 @@ def plan_document(plan: Plan) -> dict:
     ids = formation.ids
     p = plan.desired.p.tolist()
     return {
-        **_team_counts(plan.scenario.formation, plan.graph),
+        **team_counts(plan.scenario.formation, plan.graph),
         "leader_final": {str(ids[b]): p[b] for b in formation.boundary.tolist()},
         "final_positions": {str(a): row for a, row in zip(ids, p)},
         "captured_counts": {str(ids[a]): len(idx) for a, idx in sorted(plan.desired.captured.items())},
@@ -254,8 +244,24 @@ def setpoints_table(ids, times, setpoints: np.ndarray, path) -> None:
     _atomic_write(path, _frames(header, times, ids, [""] * len(ids), setpoints))
 
 
-def build_summary(formation, graph) -> str:
-    return (
+def summary_lines(doc: dict) -> list[str]:
+    """The summary every command prints of its document: ``team_counts``,
+    ``plan_document``, ``metrics_document`` or a ``metrics.json`` read back.
+    The team line comes first, then a line for each verdict or coverage
+    entry the document holds and that is not empty."""
+    lines = [
         "N={n_agents} N_B={n_boundary} N_L={n_initial_simplices} M={n_layers} "
-        "cooperative={n_cooperative} uncooperative={n_uncooperative} core={core_id}"
-    ).format(**_team_counts(formation, graph))
+        "cooperative={n_cooperative} uncooperative={n_uncooperative} core={core_id}".format(**doc)
+    ]
+    if "convergence_rate" in doc:
+        lines.append(f"convergence rate {doc['convergence_rate']:.4f} ({doc['converged_count']}/{doc['evaluated_count']})")
+    if doc.get("unconverged_ids"):
+        lines.append(f"unconverged agents: {doc['unconverged_ids']}")
+    if doc.get("fallback_agents"):
+        lines.append(f"fallback mentees (empty capture): {doc['fallback_agents']}")
+    if doc.get("uncovered_sample_count"):
+        lines.append(f"uncovered target samples: {doc['uncovered_sample_count']}")
+    if "terminal_errors" in doc:
+        worst = sorted(doc["terminal_errors"], key=lambda row: -row[1])[:5]
+        lines.append("largest terminal errors: " + ", ".join(f"{a}:{e:.3g}" for a, e in worst))
+    return lines

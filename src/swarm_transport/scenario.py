@@ -36,6 +36,10 @@ _ZONE_SIDES = 12  # a generated target zone is a regular polygon
 # samples a generated team of 10,000 agents draws
 _MAX_GRID_POINTS = 2**22
 
+# most agents a generated team may have: twice the 30,000 agents that the
+# output-memory work aims at; the interior draw takes about 165 us an agent
+_MAX_AGENTS = 2**16
+
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj).difference(allowed))
@@ -375,6 +379,8 @@ def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
     p = params
     if seed < 0:
         raise InfeasibleParams(f"seed must be a nonnegative integer, got {seed}")
+    if p.n_agents > _MAX_AGENTS:
+        raise InfeasibleParams(f"agents must be at most {_MAX_AGENTS}, got {p.n_agents}")
     if p.n_boundary < 3:
         raise InfeasibleParams("need at least 3 boundary agents")
     interior = p.n_agents - p.n_boundary

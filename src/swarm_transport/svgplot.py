@@ -114,7 +114,7 @@ def snapshot_svg(run: Run, k: int) -> str:
     time and the agents colored by role."""
     plan, sc = run.plan, run.plan.scenario
     pts = run.positions[k]
-    zone = sc.targets.zone_polygon()
+    zone = sc.targets.zone_polygon
     inflated = inflated_zone(zone, sc.margin)
     canvas = _Canvas(np.vstack([pts, zone, inflated]))
     canvas.circles(sc.targets.samples, 1.5, SAMPLE_COLOR)

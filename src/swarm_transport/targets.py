@@ -10,6 +10,7 @@ mentors' final positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,17 +26,21 @@ class TargetSet:
     samples: np.ndarray  # (S, n)
     zone: np.ndarray | None = None  # polygon outline; hull of samples when absent
 
+    @cached_property
     def zone_polygon(self) -> np.ndarray:
+        """The scoring outline, read-only and computed once per target set."""
         if self.zone is not None:
             zone = np.asarray(self.zone, dtype=float)
-            return geometry.ensure_ccw(zone) if zone.shape[1] == 2 else zone.copy()
-        if len(self.samples) >= 3:
-            hull = geometry.convex_hull(self.samples)
-            return self.samples[hull]
-        raise BadConfig("target set has no zone polygon and too few samples for a hull")
+            zone = geometry.ensure_ccw(zone) if zone.shape[1] == 2 else zone.copy()
+        elif len(self.samples) >= 3:
+            zone = self.samples[geometry.convex_hull(self.samples)]
+        else:
+            raise BadConfig("target set has no zone polygon and too few samples for a hull")
+        zone.flags.writeable = False
+        return zone
 
     def center(self) -> np.ndarray:
-        zone = self.zone_polygon()
+        zone = self.zone_polygon
         if zone.shape[1] == 2:
             return geometry.polygon_centroid(zone)
         return zone.mean(axis=0)
@@ -87,7 +92,7 @@ def leader_final_positions(formation: Formation, targets: TargetSet, scale: floa
     """
     if formation.dim != 2:
         raise BadConfig("generated leader placement is only available in 2-D")
-    zone = targets.zone_polygon()
+    zone = targets.zone_polygon
     ring = geometry.scale_polygon(zone, scale, about=geometry.polygon_centroid(zone))
     return equal_arclength_points(ring, len(formation.boundary))
 

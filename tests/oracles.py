@@ -441,7 +441,7 @@ def elementwise_formation_svg(formation, graph) -> str:
 def elementwise_snapshot_svg(run, k) -> str:
     plan, sc = run.plan, run.plan.scenario
     pts = run.positions[k]
-    zone = sc.targets.zone_polygon()
+    zone = sc.targets.zone_polygon
     inflated = inflated_zone(zone, sc.margin)
     canvas = ElementCanvas(np.vstack([pts, zone, inflated]))
     for s in sc.targets.samples:

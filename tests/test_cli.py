@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swarm_transport
 from conftest import cube_scenario
-from swarm_transport import cli, engine
+from swarm_transport import cli, engine, geometry
 from swarm_transport.cli import main
 from swarm_transport.scenario import serialize_scenario
 
@@ -209,6 +210,25 @@ class TestPlanAndReport:
         assert "convergence rate" in printed
         assert "N=24" in printed
 
+    def test_every_command_prints_one_summary(self, tmp_path, capsys):
+        # a team with empty-capture fallbacks, which do not converge, and uncovered samples
+        path = _generate(tmp_path, agents=40, boundary=10, uncoop=2, seed=11)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 0
+        simulated = capsys.readouterr().out.splitlines()
+        assert main(["report", str(out / "metrics.json")]) == 0
+        reported = capsys.readouterr().out.splitlines()
+        assert main(["plan", str(path), "--out-dir", str(tmp_path / "plan")]) == 0
+        planned = capsys.readouterr().out.splitlines()
+        assert main(["build-graph", str(path), "--out-dir", str(tmp_path / "graph")]) == 0
+        built = capsys.readouterr().out.splitlines()
+        assert simulated[-1].startswith("runtime ") and simulated[:-1] == reported
+        assert reported[0] == planned[0] == built[0] == "N=40 N_B=10 N_L=10 M=4 cooperative=27 uncooperative=2 core=11"
+        coverage = ["fallback mentees (empty capture): [20, 21, 22]", "uncovered target samples: 30"]
+        assert planned[1:] == coverage and built[1:] == []
+        assert [line for line in reported if line in coverage] == coverage
+
 
 @pytest.mark.parametrize(
     "edit, flags, error, named",
@@ -308,6 +328,19 @@ def test_zone_without_area_or_volume_is_refused(tmp_path, capsys, scenario, zone
     assert not (tmp_path / "out").exists()
 
 
+def test_zoneless_simulate_takes_the_sample_hull_once(tmp_path, capsys, monkeypatch):
+    # scoring, anchor placement and the snapshots all read the one outline
+    path = _generate(tmp_path, agents=40, boundary=10, uncoop=2, seed=1)
+    doc = json.loads(path.read_text())
+    del doc["targets"]["zone"]
+    path.write_text(json.dumps(doc))
+    samples = np.array(doc["targets"]["samples"])
+    hull, calls = geometry.convex_hull, []
+    monkeypatch.setattr(geometry, "convex_hull", lambda pts: calls.append(np.array_equal(pts, samples)) or hull(pts))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls.count(True) == 1
+
+
 def test_empty_sample_list_runs_with_every_mentee_on_its_fallback(tmp_path, capsys):
     # no layer has a candidate pair, so no simplex is inverted
     code, err = _edited_simulate(tmp_path, capsys, lambda doc: doc["targets"].update(samples=[]))
@@ -376,7 +409,8 @@ def test_unreadable_metrics_file_is_a_parse_error(tmp_path, capsys):
     scenario = _generate(tmp_path, agents=12, boundary=4, seed=1)  # JSON, but not metrics
     short_row = tmp_path / "short_row.json"  # a terminal_errors row without its error
     short_row.write_text(json.dumps({
-        "n_agents": 3, "n_boundary": 3, "n_cooperative": 0, "n_uncooperative": 0, "n_layers": 1,
+        "n_agents": 3, "n_boundary": 3, "n_initial_simplices": 1, "n_cooperative": 0, "n_uncooperative": 0,
+        "n_layers": 1, "core_id": 1,
         "convergence_rate": 1.0, "converged_count": 0, "evaluated_count": 0, "unconverged_ids": [],
         "fallback_agents": [], "uncovered_sample_count": 0, "terminal_errors": [[1]],
     }))

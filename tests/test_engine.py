@@ -72,6 +72,11 @@ class TestScenarioValidation:
         with pytest.raises(BadConfig, match="output sampling period"):
             manual_scenario(sc.formation, sc.targets.samples, dt=0.03, output_period=0.1)
 
+    def test_horizon_of_less_than_one_step_is_refused(self):
+        sc = quick_scenario(seed=1, n=20, nb=6)
+        with pytest.raises(BadConfig, match="horizon t_end - t0, got 1e-07 steps"):
+            manual_scenario(sc.formation, sc.targets.samples, tf=1e-9, t_end=1e-9, dt=0.01, output_period=0.01)
+
     @pytest.mark.parametrize(
         "edit",
         [lambda a: a[:-1], lambda a: a[:, :2], lambda a: np.where(a == a.max(), np.nan, a)],
@@ -137,7 +142,7 @@ class TestRun:
         res = run(sc)
         assert res.rate == 1.0
         zone_diameter = 2.0 * np.max(
-            np.linalg.norm(sc.targets.zone_polygon() - sc.targets.center(), axis=1)
+            np.linalg.norm(sc.targets.zone_polygon - sc.targets.center(), axis=1)
         )
         scored = res.scored
         assert scored.sum() == 29  # 40 agents less 10 hull agents and the core

@@ -38,17 +38,28 @@ def explicit_planar_scenario():
     doc["leader_final"] = {"mode": "explicit", "positions": sorted(rows, key=lambda r: -r["id"])}
     return parse_scenario_text(json.dumps(doc))
 
+
+def zoneless_scenario():
+    """The quick-seed1-n40 team with its target zone deleted: scoring,
+    anchor placement and the snapshots read the hull of the samples."""
+    doc = json.loads(serialize_scenario(quick_scenario(seed=1, n=40, nb=10, uncoop=2)))
+    del doc["targets"]["zone"]
+    return parse_scenario_text(json.dumps(doc))
+
+
 CASES = {
     "quick-seed1-n40": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2), []),
     # a team of radius 100: trace cells of decimal exponent -3 to 1, most of them 0 or 1
     "quick-seed1-n40-radius100": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2, radius=100.0), []),
     # the first draw fails to plan, so generation redraws before the plan
     "quick-seed11-n40": (lambda: quick_scenario(seed=11, n=40, nb=10, uncoop=2), []),
-    # transport-large's team: 6 frames to a writer block, and set-point frames
-    # that repeat after tf, some of them across a block's start
+    # transport-large's team: 6 frames to a writer block; its set-point frames
+    # repeat after tf, some of them across a block's start
     "quick-seed1-n600": (lambda: quick_scenario(seed=1, n=600, nb=100, uncoop=2), []),
     # planar anchors given explicitly, out of hull order
     "explicit-planar": (explicit_planar_scenario, []),
+    # no zone in the document: the zone is the samples' hull
+    "zoneless-seed1-n40": (zoneless_scenario, []),
     "cube": (cube_scenario, []),
     "cube-leader-blend": (cube_scenario, ["--leader-blend"]),
 }

@@ -186,7 +186,8 @@ def test_frames_across_blocks():
     # and 5 set-point frames, so 130 frames are 65 and 26 blocks
     rng = np.random.default_rng(11)
     pos = rng.normal(size=(130, 1024, 2)) * 10.0 ** rng.integers(-5, 6, size=(1, 1024, 1))
-    pos[40] = pos[39]  # repeats at the start of a block of both tables
+    # repeated frames, which the writer formats like any other frame
+    pos[40] = pos[39]  # at the start of a block of both tables
     pos[36] = pos[35]  # and of the trace's blocks only
     pos[64] = pos[63]
     pos[70] = pos[69]  # and two in a row from a start of both

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import GridAxisAllocated, cube_scenario
 
+from swarm_transport import scenario as scenario_module
 from swarm_transport.engine import make_plan, run
 from swarm_transport.errors import InfeasibleParams, ParseError, SwarmTransportError
 from swarm_transport.formation import build_actual
@@ -295,6 +296,14 @@ class TestGenerate:
     def test_sample_grid_is_counted_before_it_is_built(self, no_grid_axes, spacing):
         with pytest.raises(InfeasibleParams, match="grid of"):
             generate_scenario(GenerateParams(n_agents=24, n_boundary=6, sample_spacing=spacing), seed=0)
+
+    def test_team_size_is_capped_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(scenario_module, "_draw_scenario", lambda *args: draws.append(args))
+        params = GenerateParams(n_agents=10**9, n_boundary=10, sample_spacing=1.0)
+        with pytest.raises(InfeasibleParams, match="agents must be at most 65536"):
+            generate_scenario(params, seed=0)
+        assert draws == []
 
     def test_short_horizon_smoke(self):
         sc = generate_scenario(GenerateParams(n_agents=20, n_boundary=6), seed=3)

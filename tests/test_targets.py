@@ -23,17 +23,17 @@ def _square_zone(half=1.0, center=(0.0, 0.0)):
 class TestZone:
     def test_zone_polygon_normalized_ccw(self):
         ts = TargetSet(samples=np.empty((0, 2)), zone=_square_zone()[::-1])
-        assert geometry.polygon_area(ts.zone_polygon()) > 0
+        assert geometry.polygon_area(ts.zone_polygon) > 0
 
     def test_zone_from_sample_hull(self):
         samples = np.array([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)], dtype=float)
         ts = TargetSet(samples=samples)
-        assert len(ts.zone_polygon()) == 4
+        assert len(ts.zone_polygon) == 4
 
     def test_no_zone_no_samples_raises(self):
         ts = TargetSet(samples=np.empty((0, 2)))
         with pytest.raises(BadConfig):
-            ts.zone_polygon()
+            ts.zone_polygon
 
 
 class TestLeaderPlacement:
