@@ -100,6 +100,13 @@ def validate_scenario(scenario: Scenario) -> None:
     nsteps = (sc.t_end - sc.t0) / sc.dt
     if not nsteps <= _MAX_STEPS:
         raise BadConfig(f"times t0 {sc.t0:g}, t_end {sc.t_end:g}, dt {sc.dt:g}: {nsteps:.3g} steps, over {_MAX_STEPS}")
+    # the floats near t0 and t_end must resolve a step to the slack that the
+    # divisibility check below allows, or the grid's times collapse
+    ulp = math.ulp(max(abs(sc.t0), abs(sc.t_end)))
+    if not ulp < 1e-6 * sc.dt:
+        raise BadConfig(
+            f"times t0 {sc.t0}, t_end {sc.t_end}: floats there are {ulp:.3g} apart, not finer than 1e-6 of dt {sc.dt:g}"
+        )
     ratio = sc.output_period / sc.dt
     if not ratio <= _MAX_STEPS:
         raise BadConfig(f"output_period {sc.output_period:g} is {ratio:.3g} steps of dt {sc.dt:g}, over {_MAX_STEPS}")
@@ -121,7 +128,7 @@ def validate_scenario(scenario: Scenario) -> None:
     zone = sc.targets.zone_polygon  # the samples' hull without a zone
     with np.errstate(over="ignore", invalid="ignore"):  # scoring squares the inflated edges
         inflated = inflated_zone(zone, sc.margin)
-        edges = inflated - np.roll(inflated, 1, axis=0)  # not finite where a vertex is not
+        edges = inflated - np.concatenate((inflated[-1:], inflated[:-1]))  # not finite where a vertex is not
         if not np.isfinite(np.sum(edges * edges, axis=1)).all():
             raise BadConfig(f"margin {sc.margin:g} inflates the target zone beyond the float range")
         if sc.leader_positions is None and zone.shape[1] == 2:  # the ring that make_plan spaces anchors on

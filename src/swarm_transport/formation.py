@@ -180,14 +180,13 @@ def select_core(formation: Formation) -> int:
     eligible = np.ones(formation.n_agents, dtype=bool)
     eligible[formation.boundary] = False
     eligible[formation.clamped] = False
-    best: tuple[float, int] | None = None
-    for k in np.flatnonzero(eligible).tolist():
-        d = float(np.linalg.norm(formation.positions[k] - formation.target_center))
-        if best is None or (d, k) < best:
-            best = (d, k)
-    if best is None:
+    rows = np.flatnonzero(eligible)
+    if not len(rows):
         raise NoCandidate("every non-boundary agent is uncooperative")
-    return best[1]
+    v = (formation.positions[rows] - formation.target_center)[:, None, :]
+    # each row's dot product, as ``np.linalg.norm`` of one vector takes it
+    d = np.sqrt(np.matmul(v, v.swapaxes(1, 2))[:, 0, 0])
+    return int(rows[np.argmin(d)])  # the first of equal minima
 
 
 def fan_triangulate(formation: Formation, core: int) -> np.ndarray:
@@ -215,7 +214,7 @@ def _strictly_inside(formation: Formation, pts: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(hull_pts))))
     if formation.dim == 2:
         eps = geometry.DEGENERACY_COEFF * scale * scale
-        (ax, ay), (ex, ey) = hull_pts.T, (np.roll(hull_pts, -1, axis=0) - hull_pts).T
+        (ax, ay), (ex, ey) = hull_pts.T, (np.concatenate((hull_pts[1:], hull_pts[:1])) - hull_pts).T
         step = max(1, (1 << 16) // len(ax))  # points per pass, so no (K, m) array grows with N^2
         passes = [pts[s : s + step, :, None] for s in range(0, max(len(pts), 1), step)]  # (k, 2, 1) against (m,) edges
         return np.concatenate([(ex * (p[:, 1] - ay) - ey * (p[:, 0] - ax) > eps).all(axis=1) for p in passes])

@@ -80,6 +80,13 @@ def inverse_coordinates(inverse, points) -> np.ndarray:
 # that region holds every point the test can find inside.
 _SLACK = 1e-3
 _EDGES = {m: np.triu_indices(m, 1) for m in (3, 4)}  # vertex pairs of a simplex
+# At most this many (simplex, point) pairs, ``PointIndex.inside`` tests every
+# pair against the simplices' boxes: the column search pays about 60 small
+# numpy calls before it scores a point, the direct test about 0.12 us a pair.
+# On a 2-core Xeon the two tie between 4,000 and 8,000 pairs; the direct test
+# won 537 of the 540 generated-team calls of up to 3,111 pairs and the
+# columns all 16 of 18,426 pairs or more.
+_DIRECT_PAIRS = 2**12
 
 
 @dataclass(frozen=True)
@@ -111,23 +118,41 @@ class PointIndex:
         """Every (simplex, point) pair with the point in the closed simplex,
         for a (C, n+1, n) stack of simplices: the simplex and point indices,
         sorted by simplex then point, and the points' minimum barycentric
-        coordinates. A simplex takes as candidates the points of each column
-        it spans that lie in the box around its part of that column's
-        x-slab, so no (C, P) array is formed. Every candidate pair is scored
-        in one pass by ``inverse_coordinates``, inverting only the simplices
-        that have candidates (``DegenerateSimplex`` if one is degenerate).
+        coordinates. Each simplex is grown by ``_SLACK`` and the candidates
+        are the points near it: for at most ``_DIRECT_PAIRS`` (simplex,
+        point) pairs, every point in its grown bounding box; above that, the
+        points of each column it spans that lie in the box around its part of
+        that column's x-slab, so no (C, P) array is formed. Every candidate
+        pair is scored in one pass by ``inverse_coordinates``, inverting only
+        the simplices that have candidates (``DegenerateSimplex`` if one is
+        degenerate).
         """
         verts = np.asarray(vertices, dtype=float)
-        pts, xs, per, n_pts = self.points, self.xs, self.per, len(self.points)
         center = verts.mean(axis=1, keepdims=True)
         grown = center + (1.0 + verts.shape[1] * _SLACK) * (verts - center)
         pad = 1e-12 * np.abs(grown).max(axis=(1, 2), initial=0.0)
+        if len(verts) * len(self.points) <= _DIRECT_PAIRS:
+            lo, hi = grown.min(axis=1) - pad[:, None], grown.max(axis=1) + pad[:, None]
+            x = self.points[None]
+            cell, idx = np.nonzero(((x >= lo[:, None]) & (x <= hi[:, None])).all(axis=2))
+        else:
+            cell, idx = self._column_candidates(grown, pad)
+        used = np.bincount(cell, minlength=len(verts)) > 0
+        inv = simplex_inverse(verts[used])[np.cumsum(used)[cell] - 1]
+        score = inverse_coordinates(inv, self.points[idx]).min(axis=1)
+        inside = np.flatnonzero(score >= -CONTAINMENT_TOL)
+        return cell[inside], idx[inside], score[inside]
+
+    def _column_candidates(self, grown, pad):
+        """(simplex, point) candidate pairs of ``inside``'s column search,
+        sorted by simplex then point."""
+        pts, xs, per, n_pts = self.points, self.xs, self.per, len(self.points)
         # one query per (simplex, column) pair, over the column's points in
         # the simplex's x-range: xa..xb
         first = np.searchsorted(xs, grown[:, :, 0].min(axis=1) - pad, side="left")
         last = np.searchsorted(xs, grown[:, :, 0].max(axis=1) + pad, side="right")
         spans = np.where(last > first, (last - 1) // per - first // per + 1, 0)
-        q_cell = np.repeat(np.arange(len(verts)), spans)
+        q_cell = np.repeat(np.arange(len(grown)), spans)
         q_col = np.arange(len(q_cell)) - np.repeat(np.cumsum(spans) - spans, spans) + first[q_cell] // per
         xa = xs[np.maximum(first[q_cell], q_col * per)]
         xb = xs[np.minimum(last[q_cell], (q_col + 1) * per) - 1]
@@ -152,12 +177,8 @@ class PointIndex:
         x = pts[idx]
         keep = (x[:, 0] >= xa[q]) & (x[:, 0] <= xb[q]) & np.all((x[:, 1:] >= lo[q]) & (x[:, 1:] <= hi[q]), axis=1)
         cell, idx = q_cell[q[keep]], idx[keep]
-        used = np.bincount(cell, minlength=len(verts)) > 0
-        inv = simplex_inverse(verts[used])[np.cumsum(used)[cell] - 1]
-        score = inverse_coordinates(inv, pts[idx]).min(axis=1)
-        inside = np.flatnonzero(score >= -CONTAINMENT_TOL)
-        inside = inside[np.argsort(cell[inside] * n_pts + idx[inside])]
-        return cell[inside], idx[inside], score[inside]
+        order = np.argsort(cell * n_pts + idx)
+        return cell[order], idx[order]
 
 
 def convex_hull(points) -> list[int]:
@@ -225,21 +246,21 @@ def hull_facets(points) -> list[tuple[int, ...]]:
 def polygon_area(polygon) -> float:
     """Signed shoelace area; positive for counterclockwise orientation."""
     poly = np.asarray(polygon, dtype=float)
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    (x, y), (x1, y1) = poly.T, np.concatenate((poly[1:], poly[:1])).T
+    return 0.5 * float(np.sum(x * y1 - x1 * y))
 
 
 def polygon_centroid(polygon) -> np.ndarray:
     """Area centroid of a simple polygon; vertex mean if the area vanishes."""
     poly = np.asarray(polygon, dtype=float)
-    x, y = poly[:, 0], poly[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    (x, y), (x1, y1) = poly.T, np.concatenate((poly[1:], poly[:1])).T
+    cross = x * y1 - x1 * y
     area2 = float(np.sum(cross))
     scale = max(1.0, float(np.max(np.abs(poly))))
     if abs(area2) < 1e-12 * scale * scale:
         return poly.mean(axis=0)
-    cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (3.0 * area2)
-    cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (3.0 * area2)
+    cx = float(np.sum((x + x1) * cross)) / (3.0 * area2)
+    cy = float(np.sum((y + y1) * cross)) / (3.0 * area2)
     return np.array([cx, cy])
 
 

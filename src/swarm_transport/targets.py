@@ -67,7 +67,7 @@ def equal_arclength_points(polygon, count: int) -> np.ndarray:
     Walks the boundary counterclockwise starting at vertex 0.
     """
     poly = geometry.ensure_ccw(polygon)
-    seg = np.roll(poly, -1, axis=0) - poly
+    seg = np.concatenate((poly[1:], poly[:1])) - poly
     lengths = np.linalg.norm(seg, axis=1)
     total = float(lengths.sum())
     if total <= 0:
@@ -129,12 +129,14 @@ def compute_desired(
                 "have affinely dependent final positions"
             )
         cell, idx, _ = index.inside(p[mentors])
-        bounds = np.searchsorted(cell, np.arange(1, len(rows)))
-        for a, ms, inside in zip(rows.tolist(), mentors, np.split(idx, bounds)):
-            captured[a] = tuple(inside.tolist())
-            if len(inside):
-                p[a] = samples[inside].mean(axis=0)
-            else:
-                p[a] = p[ms].mean(axis=0)
-                fallback.append(a)
+        count = np.bincount(cell, minlength=len(rows))
+        # one sum per axis in capture order, as ``mean`` adds them
+        sums = np.stack([np.bincount(cell, weights=samples[idx, d], minlength=len(rows)) for d in range(p.shape[1])], 1)
+        hit = count > 0
+        p[rows[hit]] = sums[hit] / count[hit, None]
+        p[rows[~hit]] = p[mentors[~hit]].mean(axis=1)
+        fallback += rows[~hit].tolist()
+        found, ends = idx.tolist(), np.cumsum(count).tolist()
+        for a, start, end in zip(rows.tolist(), [0, *ends], ends):
+            captured[a] = tuple(found[start:end])
     return DesiredPositions(p=p, captured=captured, fallback_ids=tuple(fallback))

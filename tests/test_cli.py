@@ -310,6 +310,39 @@ def test_step_count_beyond_the_cap_is_refused(tmp_path, capsys, times):
     assert not (tmp_path / "out").exists()
 
 
+def _shifted(offset, **times):
+    def edit(doc):
+        doc["times"].update({k: doc["times"][k] + offset for k in ("t0", "tf", "t_end")}, **times)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _shifted(1e15),
+        _shifted(1e17),
+        # a horizon wide enough to survive the shift: its times all round to
+        # 1e20 or 1e20 + 16384
+        _shifted(1e20, tf=1e20 + 16384, t_end=1e20 + 16384, dt=0.1, output_period=0.1),
+    ],
+    ids=["t0-1e15", "t0-1e17", "t0-1e20"],
+)
+def test_time_grid_the_floats_cannot_resolve_is_refused(tmp_path, capsys, edit):
+    code, err = _edited_simulate(tmp_path, capsys, edit)
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "BadConfig" and record["message"].startswith("times t0 ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_time_grid_far_from_zero_still_runs(tmp_path, capsys):
+    code, err = _edited_simulate(tmp_path, capsys, _shifted(1e6))
+    assert code == 0, err
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert trace[1].startswith("1000000,") and trace[-1].startswith("1000025,")
+
+
 @pytest.mark.parametrize(
     "scenario, zone",
     [

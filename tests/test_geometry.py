@@ -247,7 +247,7 @@ class TestBatchedNumerics:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("n_points", [1, 2, 400])
-    def test_index_finds_what_testing_every_point_finds(self, n, n_points):
+    def test_index_finds_what_testing_every_point_finds(self, n, n_points, monkeypatch):
         rng = np.random.default_rng(30 + n + n_points)
         # small and large cells, and points on a lattice that puts many of
         # them on faces and vertices; some coincide
@@ -255,7 +255,6 @@ class TestBatchedNumerics:
         verts[::3] = verts[::3] * 0.1 + 3.0
         verts = verts[~geometry.degenerate(verts)]
         pts = np.round(rng.uniform(0.0, 8.0, (n_points, n)) * 4.0) / 4.0
-        cell, idx, score = geometry.PointIndex.build(pts).inside(verts)
         want_cell, want_idx, want_score = [], [], []
         for c, v in enumerate(verts):
             lam = geometry.inverse_coordinates(geometry.simplex_inverse(v), pts).min(axis=1)
@@ -263,8 +262,14 @@ class TestBatchedNumerics:
             want_cell += [c] * len(hit)
             want_idx += hit.tolist()
             want_score += lam[hit].tolist()
-        assert cell.tolist() == want_cell and idx.tolist() == want_idx
-        assert score.tobytes() == np.array(want_score).tobytes()
+        # the sizes pick the direct test for 1 and 2 points and the columns
+        # for 400; then each search runs on every size
+        assert (len(verts) * n_points <= geometry._DIRECT_PAIRS) == (n_points < 400)
+        for direct_pairs in (geometry._DIRECT_PAIRS, -1, 2**62):
+            monkeypatch.setattr(geometry, "_DIRECT_PAIRS", direct_pairs)
+            cell, idx, score = geometry.PointIndex.build(pts).inside(verts)
+            assert cell.tolist() == want_cell and idx.tolist() == want_idx
+            assert score.tobytes() == np.array(want_score).tobytes()
         if n_points == 400:
             assert len(cell) > 100 and (score == 0.0).any()  # face-sitting points were tested
 
