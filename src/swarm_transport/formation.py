@@ -232,25 +232,34 @@ def build_actual(formation: Formation) -> LayeredGraph:
     and splits all of them at once. Collapsed cells are dropped where they
     are made, fan cells as ``_split``'s children, so every open cell is
     full-dimensional; ``n_initial_simplices`` counts the fan before that.
+    Each cell is tested for collapse and inverted once, where it is made.
+    One ``PointIndex`` search locates the free agents near the open cells
+    of layer 1; after that, each child takes the agents near its parent
+    that are still free, since a child lies inside its parent.
     """
     core = formation.core if formation.core is not None else select_core(formation)
     cells = fan_triangulate(formation, core)
     n_fan, pos = len(cells), formation.positions
-    cells = cells[~geometry.degenerate(pos[cells])]
+    full, inv = geometry.full_inverse(pos[cells])
+    cells = cells[full]
     for u in formation.clamped.tolist():
-        lam = geometry.inverse_coordinates(geometry.simplex_inverse(pos[cells]), pos[u])
-        hit = np.flatnonzero(lam.min(axis=1) >= -geometry.CONTAINMENT_TOL)
+        hit = np.flatnonzero(geometry.inverse_coordinates(inv, pos[u]).min(axis=1) >= -geometry.CONTAINMENT_TOL)
         if not len(hit):
             raise UnassignedAgents(f"clamped agent {formation.ids[u]} lies outside every open simplex")
-        kids = _split(cells[hit[:1]], np.array([u]), pos)
-        cells = np.concatenate([cells[: hit[0]], kids, cells[hit[0] + 1 :]])
+        h = hit[0]
+        kids, _, kid_inv = _split(cells[h : h + 1], np.array([u]), pos)
+        cells, inv = np.concatenate([cells[:h], kids, cells[h + 1 :]]), np.concatenate([inv[:h], kid_inv, inv[h + 1 :]])
 
     layer = np.zeros(formation.n_agents, dtype=np.intp)
     free = np.ones(formation.n_agents, dtype=bool)
     free[formation.boundary] = free[formation.clamped] = free[core] = False
     mentees, mentors = [np.empty(0, dtype=np.intp)], [np.empty((0, formation.dim + 1), dtype=np.intp)]
+    rows = np.flatnonzero(free)
+    cell, at = geometry.PointIndex.build(pos[rows]).candidates(pos[cells])
+    row = rows[at]
     while len(cells) and free.any():
-        pick = _pick_mentee(cells, np.flatnonzero(free), pos)
+        cell, row, score = geometry.near_pairs(inv, cell, row, pos)
+        pick = _pick_mentee(len(cells), cell, row, score)
         adopt = np.flatnonzero(pick >= 0)
         if not len(adopt):
             break
@@ -258,7 +267,9 @@ def build_actual(formation: Formation) -> LayeredGraph:
         free[new], layer[new] = False, len(mentees)
         mentees.append(new[by_row])
         mentors.append(cells[adopt[by_row]])
-        cells = _split(cells[adopt], new, pos)
+        cells, parent, inv = _split(cells[adopt], new, pos)
+        live = free[row]
+        cell, row = geometry.inherit(cell[live], row[live], adopt[parent])
 
     if free.any():
         raise UnassignedAgents(
@@ -274,40 +285,45 @@ def build_actual(formation: Formation) -> LayeredGraph:
     )
 
 
-def _pick_mentee(cells: np.ndarray, free: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Row adopted by each open cell, -1 where none, shaped (C,).
+def _pick_mentee(n_cells: int, cell: np.ndarray, row: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Row adopted by each of the ``n_cells`` open cells, -1 where none,
+    shaped (C,), from the (cell, free row, minimum barycentric coordinate)
+    triples of the free rows near the cells.
 
     The cells take turns in order, as one at a time would: each adopts the
-    best-centered of the ascending ``free`` rows inside it that no earlier
-    cell took, smaller row on ties.
+    best-centered of the free rows inside it that no earlier cell took,
+    smaller row on ties.
     """
-    pick = np.full(len(cells), -1, dtype=np.intp)
-    cell, k, score = geometry.PointIndex.build(pos[free]).inside(pos[cells])
+    pick = np.full(n_cells, -1, dtype=np.intp)
+    hit = score >= -geometry.CONTAINMENT_TOL
+    cell, row, score = cell[hit], row[hit], score[hit]
     # each cell's preference: larger minimum coordinate first, then smaller row
-    order = np.lexsort((k, -score, cell))
-    cell, k = cell[order], k[order]
+    order = np.lexsort((row, -score, cell))
+    cell, row = cell[order], row[order]
     best = np.diff(cell, prepend=-1) != 0
-    pick[cell[best]] = k[best]
+    pick[cell[best]] = row[best]
     # a row inside several cells (on a shared face) goes to the earliest one
     # that still wants it: replay those cells in order
-    shared = np.bincount(k, minlength=len(free)) > 1
+    shared = np.bincount(row) > 1
     taken: set[int] = set()
-    for c in np.unique(cell[shared[k]]).tolist():
+    for c in np.unique(cell[shared[row]]).tolist():
         lo, hi = np.searchsorted(cell, [c, c + 1])
-        pick[c] = next((r for r in k[lo:hi].tolist() if r not in taken), -1)
+        pick[c] = next((r for r in row[lo:hi].tolist() if r not in taken), -1)
         taken.add(int(pick[c]))
-    return np.where(pick >= 0, free[pick], -1)
+    return pick
 
 
-def _split(cells: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Children of each cell around its adopted row, in cell order: child k
-    has vertex k replaced by the row. Children that collapse (the row sat
-    exactly on a face) are dropped, as flat fan cells are; the rest still
-    cover the parent."""
+def _split(cells: np.ndarray, rows: np.ndarray, pos: np.ndarray):
+    """Children of each cell around its adopted row, in cell order, with the
+    index of each child's parent in ``cells`` and the children's inverses:
+    child k has vertex k replaced by the row. Children that collapse (the
+    row sat exactly on a face) are dropped, as flat fan cells are; the rest
+    still cover the parent."""
     m = cells.shape[1]
     kids = np.repeat(cells, m, axis=0)
     kids.reshape(-1, m, m)[:, np.arange(m), np.arange(m)] = rows[:, None]
-    return kids[~geometry.degenerate(pos[kids])]
+    full, inv = geometry.full_inverse(pos[kids])
+    return kids[full], np.flatnonzero(full) // m, inv
 
 
 def graph_records(formation: Formation, graph: LayeredGraph) -> str:

@@ -53,6 +53,16 @@ def barycentric_many(points, vertices) -> np.ndarray:
     return inverse_coordinates(simplex_inverse(vertices)[..., None, :, :], points)
 
 
+def full_inverse(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Which simplices of a (C, n+1, n) stack are full-dimensional (not
+    ``degenerate``), shaped (C,), and the inverses of those simplices'
+    augmented matrices in stack order, for ``inverse_coordinates``: one
+    degeneracy test per simplex, where ``simplex_inverse`` would raise."""
+    verts = np.asarray(vertices, dtype=float)
+    full = ~degenerate(verts)
+    return full, np.linalg.inv(augmented_matrix(verts[full]))
+
+
 def simplex_inverse(vertices) -> np.ndarray:
     """Inverses of the augmented matrices of a (..., n+1, n) stack of simplices,
     for ``inverse_coordinates``; ``DegenerateSimplex`` if any is degenerate."""
@@ -77,22 +87,25 @@ def inverse_coordinates(inverse, points) -> np.ndarray:
 # A simplex looks for points only where every barycentric coordinate is
 # >= -_SLACK: the simplex scaled by 1 + (n+1)*_SLACK about its centroid.
 # The slack lies far above CONTAINMENT_TOL and the coordinates' rounding, so
-# that region holds every point the test can find inside.
+# that region holds every point the test can find inside, and every point
+# inside a child cell (one vertex moved into the simplex), whose coordinates
+# in the simplex are at least about -2*CONTAINMENT_TOL.
 _SLACK = 1e-3
 _EDGES = {m: np.triu_indices(m, 1) for m in (3, 4)}  # vertex pairs of a simplex
-# At most this many (simplex, point) pairs, ``PointIndex.inside`` tests every
-# pair against the simplices' boxes: the column search pays about 60 small
-# numpy calls before it scores a point, the direct test about 0.12 us a pair.
-# On a 2-core Xeon the two tie between 4,000 and 8,000 pairs; the direct test
-# won 537 of the 540 generated-team calls of up to 3,111 pairs and the
-# columns all 16 of 18,426 pairs or more.
-_DIRECT_PAIRS = 2**12
+# At most this many (simplex, point) pairs, ``PointIndex.candidates`` tests
+# every pair against the simplices' boxes: the column search pays about 60
+# small numpy calls, the direct test about 0.08 us a pair. Only the first
+# mentee layer of each planning phase searches the index. On a 2-core Xeon
+# the two tie between 8,000 and 12,000 pairs; the direct test won all 32
+# such calls of the 16 sweep-small plans (378 to 2,244 pairs), the columns
+# all 4 of transport-large seeds 1-2 (51,688 pairs or more).
+_DIRECT_PAIRS = 2**13
 
 
 @dataclass(frozen=True)
 class PointIndex:
     """A (P, n) point set in about sqrt(P) equal-count columns by x, each
-    sorted by y, for finding the points inside many simplices at once."""
+    sorted by y, for finding the points near many simplices at once."""
 
     points: np.ndarray
     xs: np.ndarray  # x ascending
@@ -114,18 +127,14 @@ class PointIndex:
         order = np.argsort(key, kind="stable")
         return cls(pts, pts[by_x, 0], per, ys, order, key[order])
 
-    def inside(self, vertices):
-        """Every (simplex, point) pair with the point in the closed simplex,
-        for a (C, n+1, n) stack of simplices: the simplex and point indices,
-        sorted by simplex then point, and the points' minimum barycentric
-        coordinates. Each simplex is grown by ``_SLACK`` and the candidates
-        are the points near it: for at most ``_DIRECT_PAIRS`` (simplex,
-        point) pairs, every point in its grown bounding box; above that, the
+    def candidates(self, vertices):
+        """(simplex, point) pairs for a (C, n+1, n) stack of simplices, sorted
+        by simplex then point, among them every point of each simplex grown
+        by ``_SLACK``: for at most ``_DIRECT_PAIRS`` (simplex, point) pairs,
+        every point in the grown simplex's bounding box; above that, the
         points of each column it spans that lie in the box around its part of
-        that column's x-slab, so no (C, P) array is formed. Every candidate
-        pair is scored in one pass by ``inverse_coordinates``, inverting only
-        the simplices that have candidates (``DegenerateSimplex`` if one is
-        degenerate).
+        that column's x-slab, so no (C, P) array is formed. ``near_pairs``
+        scores them.
         """
         verts = np.asarray(vertices, dtype=float)
         center = verts.mean(axis=1, keepdims=True)
@@ -134,9 +143,19 @@ class PointIndex:
         if len(verts) * len(self.points) <= _DIRECT_PAIRS:
             lo, hi = grown.min(axis=1) - pad[:, None], grown.max(axis=1) + pad[:, None]
             x = self.points[None]
-            cell, idx = np.nonzero(((x >= lo[:, None]) & (x <= hi[:, None])).all(axis=2))
-        else:
-            cell, idx = self._column_candidates(grown, pad)
+            return np.nonzero(((x >= lo[:, None]) & (x <= hi[:, None])).all(axis=2))
+        return self._column_candidates(grown, pad)
+
+    def inside(self, vertices):
+        """Every (simplex, point) pair with the point in the closed simplex,
+        for a (C, n+1, n) stack of simplices: the simplex and point indices,
+        sorted by simplex then point, and the points' minimum barycentric
+        coordinates. The ``candidates`` are scored in one pass, inverting
+        only the simplices that have one (``DegenerateSimplex`` if one is
+        degenerate).
+        """
+        verts = np.asarray(vertices, dtype=float)
+        cell, idx = self.candidates(verts)
         used = np.bincount(cell, minlength=len(verts)) > 0
         inv = simplex_inverse(verts[used])[np.cumsum(used)[cell] - 1]
         score = inverse_coordinates(inv, self.points[idx]).min(axis=1)
@@ -144,7 +163,7 @@ class PointIndex:
         return cell[inside], idx[inside], score[inside]
 
     def _column_candidates(self, grown, pad):
-        """(simplex, point) candidate pairs of ``inside``'s column search,
+        """(simplex, point) pairs of the column search of ``candidates``,
         sorted by simplex then point."""
         pts, xs, per, n_pts = self.points, self.xs, self.per, len(self.points)
         # one query per (simplex, column) pair, over the column's points in
@@ -152,8 +171,7 @@ class PointIndex:
         first = np.searchsorted(xs, grown[:, :, 0].min(axis=1) - pad, side="left")
         last = np.searchsorted(xs, grown[:, :, 0].max(axis=1) + pad, side="right")
         spans = np.where(last > first, (last - 1) // per - first // per + 1, 0)
-        q_cell = np.repeat(np.arange(len(grown)), spans)
-        q_col = np.arange(len(q_cell)) - np.repeat(np.cumsum(spans) - spans, spans) + first[q_cell] // per
+        q_cell, q_col = _ranges(first // per, spans)
         xa = xs[np.maximum(first[q_cell], q_col * per)]
         xb = xs[np.minimum(last[q_cell], (q_col + 1) * per) - 1]
         # bounds on the other axes of each simplex's part in its slab: its
@@ -171,14 +189,39 @@ class PointIndex:
         lo, hi = lo - pad[q_cell, None], hi + pad[q_cell, None]
         start = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, lo[:, 0], side="left"))
         end = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, hi[:, 0], side="right"))
-        count = np.maximum(end - start, 0)
-        q = np.repeat(np.arange(len(q_cell)), count)
-        idx = self.order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + start[q]]
+        q, at = _ranges(start, np.maximum(end - start, 0))
+        idx = self.order[at]
         x = pts[idx]
         keep = (x[:, 0] >= xa[q]) & (x[:, 0] <= xb[q]) & np.all((x[:, 1:] >= lo[q]) & (x[:, 1:] <= hi[q]), axis=1)
         cell, idx = q_cell[q[keep]], idx[keep]
         order = np.argsort(cell * n_pts + idx)
         return cell[order], idx[order]
+
+
+def near_pairs(inverse, cell, idx, points):
+    """The (cell, point) pairs of ``cell`` and ``idx`` whose point lies in the
+    cell grown by ``_SLACK`` (every barycentric coordinate at least
+    -``_SLACK``), in their order, with each point's minimum coordinate in its
+    cell; ``inverse`` holds each cell's ``simplex_inverse``."""
+    score = inverse_coordinates(inverse[cell], points[idx]).min(axis=1)
+    keep = np.flatnonzero(score >= -_SLACK)
+    return cell[keep], idx[keep], score[keep]
+
+
+def inherit(cell, idx, parent):
+    """Each child cell's copy of its parent's (cell, point) pairs: for pairs
+    sorted by cell and the parent cell of each child, the (child, point)
+    pairs sorted by child, each child's points in its parent's order."""
+    lo, hi = np.searchsorted(cell, parent), np.searchsorted(cell, parent, side="right")
+    child, at = _ranges(lo, hi - lo)
+    return child, idx[at]
+
+
+def _ranges(start, count):
+    """Owner and value of every slot when block k holds ``count[k]``
+    consecutive integers from ``start[k]``."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count) + start[owner]
 
 
 def convex_hull(points) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -55,10 +56,10 @@ class DesiredPositions:
     fallback_ids: tuple[int, ...]  # mentee rows whose simplex captured nothing
 
     def uncovered_samples(self, n_samples: int) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for idx in self.captured.values():
-            seen.update(idx)
-        return tuple(i for i in range(n_samples) if i not in seen)
+        """Ascending indices of the samples that no mentee captured."""
+        seen = np.zeros(n_samples, dtype=bool)
+        seen[list(chain.from_iterable(self.captured.values()))] = True
+        return tuple(np.flatnonzero(~seen).tolist())
 
 
 def equal_arclength_points(polygon, count: int) -> np.ndarray:
@@ -73,14 +74,10 @@ def equal_arclength_points(polygon, count: int) -> np.ndarray:
     if total <= 0:
         raise BadConfig("zone polygon has zero perimeter")
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    out = np.empty((count, poly.shape[1]))
-    for k in range(count):
-        s = total * k / count
-        j = int(np.searchsorted(cum, s, side="right") - 1)
-        j = min(j, len(poly) - 1)
-        frac = (s - cum[j]) / lengths[j] if lengths[j] > 0 else 0.0
-        out[k] = poly[j] + frac * seg[j]
-    return out
+    s = total * np.arange(count) / count
+    j = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(poly) - 1)
+    frac = np.divide(s - cum[j], lengths[j], out=np.zeros(count), where=lengths[j] > 0)
+    return poly[j] + frac[:, None] * seg[j]
 
 
 def leader_final_positions(formation: Formation, targets: TargetSet, scale: float) -> np.ndarray:
@@ -107,10 +104,15 @@ def compute_desired(
 
     ``leader_p`` holds the (B, n) anchors in hull cycle order. Each mentee
     captures the samples inside its mentors' final simplex and averages
-    them; a whole mentee layer is searched at once. A mentee whose simplex
-    captures nothing falls back to the simplex centroid (equal weights);
-    such agents are reported in ``fallback_ids``. A collapsed final mentor
-    simplex raises ``DegenerateMentorSimplex``, with samples or without.
+    them. A mentee whose simplex captures nothing falls back to the simplex
+    centroid (equal weights); such agents are reported in ``fallback_ids``.
+    A collapsed final mentor simplex raises ``DegenerateMentorSimplex``,
+    with samples or without; each simplex is tested and inverted once. One
+    ``PointIndex`` search finds the samples near the first mentee layer.
+    After that, a mentee's candidates are the samples near the final simplex
+    of its latest mentor: in a graph from ``build_actual`` that mentor is of
+    the previous layer and was adopted by the parent of the mentee's cell,
+    so its final simplex holds the mentee's.
     """
     samples = np.asarray(targets.samples, dtype=float)
     p = formation.positions.copy()  # the core and clamped rows keep these
@@ -119,16 +121,24 @@ def compute_desired(
     captured: dict[int, tuple[int, ...]] = {}
     fallback: list[int] = []
     starts = graph.layer_starts
-    index = geometry.PointIndex.build(samples)
     for sl in map(slice, starts[:-1], starts[1:]):
         rows, mentors = graph.mentees[sl], graph.mentors[sl]
-        if len(flat := np.flatnonzero(geometry.degenerate(p[mentors]))):
+        full, inv = geometry.full_inverse(p[mentors])
+        if len(flat := np.flatnonzero(~full)):
             a, ms = rows[flat[0]], mentors[flat[0]]
             raise DegenerateMentorSimplex(
                 f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in ms)} "
                 "have affinely dependent final positions"
             )
-        cell, idx, _ = index.inside(p[mentors])
+        if sl.start == 0:
+            near_cell, near_idx = geometry.PointIndex.build(samples).candidates(p[mentors])
+        else:
+            latest = np.take_along_axis(mentors, graph.layer[mentors].argmax(axis=1)[:, None], axis=1)[:, 0]
+            near_cell, near_idx = geometry.inherit(near_cell, near_idx, np.searchsorted(parents, latest))
+        near_cell, near_idx, score = geometry.near_pairs(inv, near_cell, near_idx, samples)
+        parents = rows
+        inside = score >= -geometry.CONTAINMENT_TOL
+        cell, idx = near_cell[inside], near_idx[inside]
         count = np.bincount(cell, minlength=len(rows))
         # one sum per axis in capture order, as ``mean`` adds them
         sums = np.stack([np.bincount(cell, weights=samples[idx, d], minlength=len(rows)) for d in range(p.shape[1])], 1)

@@ -284,6 +284,29 @@ SLIVER_CUBE = np.vstack([
 ])
 SLIVER_SAMPLES = 1.0 + 0.5 * np.array(list(np.ndindex(5, 5, 5)), dtype=float)  # lattice on [1, 3]^3
 
+
+def _lattice_team(dim, halves):
+    """Corners 4*{0,1}^dim, the core at the center and agents at the given
+    half-unit lattice points, with the half-unit lattice on [0, 4]^dim as
+    samples: many sit on faces that final simplices share."""
+    corners = 4.0 * np.array(list(np.ndindex(*(2,) * dim)), dtype=float)
+    pts = np.vstack([corners, [np.full(dim, 2.0)], 0.5 * np.array(halves, dtype=float)])
+    return pts, 0.5 * np.array(list(np.ndindex(*(9,) * dim)), dtype=float)
+
+
+# four mentee layers, so the planner's candidates pass through three
+# generations of cells; in some layer an agent on the face of two cells is
+# adopted by one and leaves the other with nothing. The cube's id 10 is clamped.
+DEEP_SQUARE, DEEP_SQUARE_SAMPLES = _lattice_team(2, [
+    (4, 5), (4, 2), (6, 1), (7, 4), (7, 6), (2, 1), (5, 6), (3, 2), (5, 1), (7, 2), (6, 7), (1, 6), (6, 4), (4, 6),
+    (6, 6), (6, 2), (7, 5), (3, 7), (7, 7), (6, 5), (1, 5), (3, 5), (1, 2), (2, 6), (3, 6), (3, 3), (7, 1), (2, 4),
+    (1, 1), (7, 3),
+])
+DEEP_CUBE, DEEP_CUBE_SAMPLES = _lattice_team(3, [
+    (6, 3, 7), (2, 3, 1), (4, 6, 7), (7, 1, 3), (5, 4, 3), (4, 5, 2), (2, 1, 5), (3, 5, 2), (3, 3, 1), (4, 1, 3),
+    (5, 6, 6), (2, 6, 3), (1, 7, 1), (3, 4, 2), (2, 7, 3), (1, 5, 6), (3, 3, 3), (2, 3, 2), (7, 7, 4), (7, 7, 1),
+])
+
 # 10-agent squares: corners, the core at the center and five more agents,
 # two of them at one point on a fan edge, or three on one line
 SQUARE_CORNERS = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (2.0, 2.0)]
@@ -373,6 +396,8 @@ def _plan_stages(build, desire, weigh, form, samples, leader_p):
 @settings(max_examples=80, deadline=None)
 @given(planner_case())
 @example((list(range(1, 17)), SLIVER_CUBE, [], SLIVER_SAMPLES, 0.5))  # a flat fan cell; random draws make none
+@example((list(range(1, 36)), DEEP_SQUARE, [], DEEP_SQUARE_SAMPLES, 1.0))
+@example((list(range(1, 30)), DEEP_CUBE, [10], DEEP_CUBE_SAMPLES, 1.0))
 def test_planner_matches_cellwise_oracle(case):
     ids, pts, clamped, samples, scale = case
     try:
