@@ -232,33 +232,33 @@ def build_actual(formation: Formation) -> LayeredGraph:
     and splits all of them at once. Collapsed cells are dropped where they
     are made, fan cells as ``_split``'s children, so every open cell is
     full-dimensional; ``n_initial_simplices`` counts the fan before that.
-    Each cell is tested for collapse and inverted once, where it is made.
-    One ``PointIndex`` search locates the free agents near the open cells
-    of layer 1; after that, each child takes the agents near its parent
-    that are still free, since a child lies inside its parent.
+    Each clamped agent splits the first open cell that contains it. One
+    ``geometry.candidates`` search locates the free agents near the open
+    cells of layer 1; after that, each child takes the agents near its
+    parent that are still free, since a child lies inside its parent.
     """
     core = formation.core if formation.core is not None else select_core(formation)
     cells = fan_triangulate(formation, core)
     n_fan, pos = len(cells), formation.positions
-    full, inv = geometry.full_inverse(pos[cells])
-    cells = cells[full]
+    cells = cells[~geometry.degenerate(pos[cells])]
     for u in formation.clamped.tolist():
-        hit = np.flatnonzero(geometry.inverse_coordinates(inv, pos[u]).min(axis=1) >= -geometry.CONTAINMENT_TOL)
+        verts, point = pos[cells], pos[[u]]
+        cell, _, score = geometry.near_pairs(verts, *geometry.candidates(point, verts), point)
+        hit = cell[score >= -geometry.CONTAINMENT_TOL]
         if not len(hit):
             raise UnassignedAgents(f"clamped agent {formation.ids[u]} lies outside every open simplex")
         h = hit[0]
-        kids, _, kid_inv = _split(cells[h : h + 1], np.array([u]), pos)
-        cells, inv = np.concatenate([cells[:h], kids, cells[h + 1 :]]), np.concatenate([inv[:h], kid_inv, inv[h + 1 :]])
+        cells = np.concatenate([cells[:h], _split(cells[h : h + 1], np.array([u]), pos)[0], cells[h + 1 :]])
 
     layer = np.zeros(formation.n_agents, dtype=np.intp)
     free = np.ones(formation.n_agents, dtype=bool)
     free[formation.boundary] = free[formation.clamped] = free[core] = False
     mentees, mentors = [np.empty(0, dtype=np.intp)], [np.empty((0, formation.dim + 1), dtype=np.intp)]
     rows = np.flatnonzero(free)
-    cell, at = geometry.PointIndex.build(pos[rows]).candidates(pos[cells])
+    cell, at = geometry.candidates(pos[rows], pos[cells])
     row = rows[at]
     while len(cells) and free.any():
-        cell, row, score = geometry.near_pairs(inv, cell, row, pos)
+        cell, row, score = geometry.near_pairs(pos[cells], cell, row, pos)
         pick = _pick_mentee(len(cells), cell, row, score)
         adopt = np.flatnonzero(pick >= 0)
         if not len(adopt):
@@ -267,7 +267,7 @@ def build_actual(formation: Formation) -> LayeredGraph:
         free[new], layer[new] = False, len(mentees)
         mentees.append(new[by_row])
         mentors.append(cells[adopt[by_row]])
-        cells, parent, inv = _split(cells[adopt], new, pos)
+        cells, parent = _split(cells[adopt], new, pos)
         live = free[row]
         cell, row = geometry.inherit(cell[live], row[live], adopt[parent])
 
@@ -315,15 +315,14 @@ def _pick_mentee(n_cells: int, cell: np.ndarray, row: np.ndarray, score: np.ndar
 
 def _split(cells: np.ndarray, rows: np.ndarray, pos: np.ndarray):
     """Children of each cell around its adopted row, in cell order, with the
-    index of each child's parent in ``cells`` and the children's inverses:
-    child k has vertex k replaced by the row. Children that collapse (the
-    row sat exactly on a face) are dropped, as flat fan cells are; the rest
-    still cover the parent."""
+    index of each child's parent in ``cells``: child k has vertex k replaced
+    by the row. Children that collapse (the row sat exactly on a face) are
+    dropped, as flat fan cells are; the rest still cover the parent."""
     m = cells.shape[1]
     kids = np.repeat(cells, m, axis=0)
     kids.reshape(-1, m, m)[:, np.arange(m), np.arange(m)] = rows[:, None]
-    full, inv = geometry.full_inverse(pos[kids])
-    return kids[full], np.flatnonzero(full) // m, inv
+    full = ~geometry.degenerate(pos[kids])
+    return kids[full], np.flatnonzero(full) // m
 
 
 def graph_records(formation: Formation, graph: LayeredGraph) -> str:

@@ -10,8 +10,6 @@ is pure, so calls are safe from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSimplex
@@ -53,16 +51,6 @@ def barycentric_many(points, vertices) -> np.ndarray:
     return inverse_coordinates(simplex_inverse(vertices)[..., None, :, :], points)
 
 
-def full_inverse(vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Which simplices of a (C, n+1, n) stack are full-dimensional (not
-    ``degenerate``), shaped (C,), and the inverses of those simplices'
-    augmented matrices in stack order, for ``inverse_coordinates``: one
-    degeneracy test per simplex, where ``simplex_inverse`` would raise."""
-    verts = np.asarray(vertices, dtype=float)
-    full = ~degenerate(verts)
-    return full, np.linalg.inv(augmented_matrix(verts[full]))
-
-
 def simplex_inverse(vertices) -> np.ndarray:
     """Inverses of the augmented matrices of a (..., n+1, n) stack of simplices,
     for ``inverse_coordinates``; ``DegenerateSimplex`` if any is degenerate."""
@@ -92,118 +80,87 @@ def inverse_coordinates(inverse, points) -> np.ndarray:
 # in the simplex are at least about -2*CONTAINMENT_TOL.
 _SLACK = 1e-3
 _EDGES = {m: np.triu_indices(m, 1) for m in (3, 4)}  # vertex pairs of a simplex
-# At most this many (simplex, point) pairs, ``PointIndex.candidates`` tests
-# every pair against the simplices' boxes: the column search pays about 60
-# small numpy calls, the direct test about 0.08 us a pair. Only the first
-# mentee layer of each planning phase searches the index. On a 2-core Xeon
-# the two tie between 8,000 and 12,000 pairs; the direct test won all 32
-# such calls of the 16 sweep-small plans (378 to 2,244 pairs), the columns
-# all 4 of transport-large seeds 1-2 (51,688 pairs or more).
+# At most this many (simplex, point) pairs, ``candidates`` tests every pair
+# against the simplices' boxes: the column search pays about 60 small numpy
+# calls, the direct test about 0.08 us a pair. Only the first mentee layer of
+# each planning phase and each clamped agent search for candidates. On a
+# 2-core Xeon the two tie between 8,000 and 12,000 pairs; the direct test won
+# all 32 such calls of the 16 sweep-small plans (378 to 2,244 pairs), the
+# columns all 4 of transport-large seeds 1-2 (51,688 pairs or more).
 _DIRECT_PAIRS = 2**13
 
 
-@dataclass(frozen=True)
-class PointIndex:
-    """A (P, n) point set in about sqrt(P) equal-count columns by x, each
-    sorted by y, for finding the points near many simplices at once."""
-
-    points: np.ndarray
-    xs: np.ndarray  # x ascending
-    per: int  # points per column; column c holds x ranks [c*per, (c+1)*per)
-    ys: np.ndarray  # y ascending
-    order: np.ndarray  # point indices by column, then y
-    key: np.ndarray  # column * P + rank of y, ascending, along ``order``
-
-    @classmethod
-    def build(cls, points) -> "PointIndex":
-        pts = np.asarray(points, dtype=float)
-        n_pts = len(pts)
-        by_x = np.argsort(pts[:, 0], kind="stable")
-        per = max(1, -(-n_pts // max(1, math.isqrt(n_pts))))
-        ys = np.sort(pts[:, 1])
-        key = np.empty(n_pts, dtype=np.intp)
-        key[by_x] = np.arange(n_pts) // per * n_pts
-        key += np.searchsorted(ys, pts[:, 1])
-        order = np.argsort(key, kind="stable")
-        return cls(pts, pts[by_x, 0], per, ys, order, key[order])
-
-    def candidates(self, vertices):
-        """(simplex, point) pairs for a (C, n+1, n) stack of simplices, sorted
-        by simplex then point, among them every point of each simplex grown
-        by ``_SLACK``: for at most ``_DIRECT_PAIRS`` (simplex, point) pairs,
-        every point in the grown simplex's bounding box; above that, the
-        points of each column it spans that lie in the box around its part of
-        that column's x-slab, so no (C, P) array is formed. ``near_pairs``
-        scores them.
-        """
-        verts = np.asarray(vertices, dtype=float)
-        center = verts.mean(axis=1, keepdims=True)
-        grown = center + (1.0 + verts.shape[1] * _SLACK) * (verts - center)
-        pad = 1e-12 * np.abs(grown).max(axis=(1, 2), initial=0.0)
-        if len(verts) * len(self.points) <= _DIRECT_PAIRS:
-            lo, hi = grown.min(axis=1) - pad[:, None], grown.max(axis=1) + pad[:, None]
-            x = self.points[None]
-            return np.nonzero(((x >= lo[:, None]) & (x <= hi[:, None])).all(axis=2))
-        return self._column_candidates(grown, pad)
-
-    def inside(self, vertices):
-        """Every (simplex, point) pair with the point in the closed simplex,
-        for a (C, n+1, n) stack of simplices: the simplex and point indices,
-        sorted by simplex then point, and the points' minimum barycentric
-        coordinates. The ``candidates`` are scored in one pass, inverting
-        only the simplices that have one (``DegenerateSimplex`` if one is
-        degenerate).
-        """
-        verts = np.asarray(vertices, dtype=float)
-        cell, idx = self.candidates(verts)
-        used = np.bincount(cell, minlength=len(verts)) > 0
-        inv = simplex_inverse(verts[used])[np.cumsum(used)[cell] - 1]
-        score = inverse_coordinates(inv, self.points[idx]).min(axis=1)
-        inside = np.flatnonzero(score >= -CONTAINMENT_TOL)
-        return cell[inside], idx[inside], score[inside]
-
-    def _column_candidates(self, grown, pad):
-        """(simplex, point) pairs of the column search of ``candidates``,
-        sorted by simplex then point."""
-        pts, xs, per, n_pts = self.points, self.xs, self.per, len(self.points)
-        # one query per (simplex, column) pair, over the column's points in
-        # the simplex's x-range: xa..xb
-        first = np.searchsorted(xs, grown[:, :, 0].min(axis=1) - pad, side="left")
-        last = np.searchsorted(xs, grown[:, :, 0].max(axis=1) + pad, side="right")
-        spans = np.where(last > first, (last - 1) // per - first // per + 1, 0)
-        q_cell, q_col = _ranges(first // per, spans)
-        xa = xs[np.maximum(first[q_cell], q_col * per)]
-        xb = xs[np.minimum(last[q_cell], (q_col + 1) * per) - 1]
-        # bounds on the other axes of each simplex's part in its slab: its
-        # vertices in the slab and its edges' crossings of the two planes
-        v = grown[q_cell]
-        inner = ((v[:, :, 0] >= xa[:, None]) & (v[:, :, 0] <= xb[:, None]))[:, :, None]
-        i, j = _EDGES[v.shape[1]]
-        edge = v[:, j] - v[:, i]  # (Q, E, n)
-        planes = np.stack([xa, xb], axis=1)[:, None, :] - v[:, i, :1]  # (Q, E, 2)
-        t = np.divide(planes, edge[:, :, :1], out=np.full_like(planes, -1.0), where=edge[:, :, :1] != 0.0)
-        cross = v[:, i, None, 1:] + t[..., None] * edge[:, :, None, 1:]  # (Q, E, 2, n-1)
-        ok = ((t >= 0.0) & (t <= 1.0))[..., None]
-        lo = np.minimum(np.where(inner, v[:, :, 1:], np.inf).min(axis=1), np.where(ok, cross, np.inf).min(axis=(1, 2)))
-        hi = np.maximum(np.where(inner, v[:, :, 1:], -np.inf).max(axis=1), np.where(ok, cross, -np.inf).max(axis=(1, 2)))
-        lo, hi = lo - pad[q_cell, None], hi + pad[q_cell, None]
-        start = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, lo[:, 0], side="left"))
-        end = np.searchsorted(self.key, q_col * n_pts + np.searchsorted(self.ys, hi[:, 0], side="right"))
-        q, at = _ranges(start, np.maximum(end - start, 0))
-        idx = self.order[at]
-        x = pts[idx]
-        keep = (x[:, 0] >= xa[q]) & (x[:, 0] <= xb[q]) & np.all((x[:, 1:] >= lo[q]) & (x[:, 1:] <= hi[q]), axis=1)
-        cell, idx = q_cell[q[keep]], idx[keep]
-        order = np.argsort(cell * n_pts + idx)
-        return cell[order], idx[order]
+def candidates(points, vertices):
+    """(simplex, point) pairs for (P, n) points and a (C, n+1, n) stack of
+    simplices, sorted by simplex then point, among them every point of each
+    simplex grown by ``_SLACK``: for at most ``_DIRECT_PAIRS`` (simplex,
+    point) pairs, every point in the grown simplex's bounding box; above
+    that, ``_column_candidates``, which forms no (C, P) array."""
+    pts, verts = np.asarray(points, dtype=float), np.asarray(vertices, dtype=float)
+    center = verts.mean(axis=1, keepdims=True)
+    grown = center + (1.0 + verts.shape[1] * _SLACK) * (verts - center)
+    pad = 1e-12 * np.abs(grown).max(axis=(1, 2), initial=0.0)
+    if len(verts) * len(pts) <= _DIRECT_PAIRS:
+        lo, hi = grown.min(axis=1) - pad[:, None], grown.max(axis=1) + pad[:, None]
+        return np.nonzero(((pts >= lo[:, None]) & (pts <= hi[:, None])).all(axis=2))
+    return _column_candidates(pts, grown, pad)
 
 
-def near_pairs(inverse, cell, idx, points):
+def _column_candidates(pts, grown, pad):
+    """``candidates`` over about sqrt(P) equal-count columns of points by x,
+    each sorted by y: each simplex takes, in every column it spans, the
+    points in the box around its part of that column's x-slab."""
+    n_pts = len(pts)
+    by_x = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[by_x, 0]
+    per = max(1, -(-n_pts // max(1, math.isqrt(n_pts))))  # column c holds x ranks [c*per, (c+1)*per)
+    ys = np.sort(pts[:, 1])
+    key = np.empty(n_pts, dtype=np.intp)  # column * P + rank of y
+    key[by_x] = np.arange(n_pts) // per * n_pts
+    key += np.searchsorted(ys, pts[:, 1])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # one query per (simplex, column) pair, over the column's points in
+    # the simplex's x-range: xa..xb
+    first = np.searchsorted(xs, grown[:, :, 0].min(axis=1) - pad, side="left")
+    last = np.searchsorted(xs, grown[:, :, 0].max(axis=1) + pad, side="right")
+    spans = np.where(last > first, (last - 1) // per - first // per + 1, 0)
+    q_cell, q_col = _ranges(first // per, spans)
+    xa = xs[np.maximum(first[q_cell], q_col * per)]
+    xb = xs[np.minimum(last[q_cell], (q_col + 1) * per) - 1]
+    # bounds on the other axes of each simplex's part in its slab: its
+    # vertices in the slab and its edges' crossings of the two planes
+    v = grown[q_cell]
+    inner = ((v[:, :, 0] >= xa[:, None]) & (v[:, :, 0] <= xb[:, None]))[:, :, None]
+    i, j = _EDGES[v.shape[1]]
+    edge = v[:, j] - v[:, i]  # (Q, E, n)
+    planes = np.stack([xa, xb], axis=1)[:, None, :] - v[:, i, :1]  # (Q, E, 2)
+    t = np.divide(planes, edge[:, :, :1], out=np.full_like(planes, -1.0), where=edge[:, :, :1] != 0.0)
+    cross = v[:, i, None, 1:] + t[..., None] * edge[:, :, None, 1:]  # (Q, E, 2, n-1)
+    ok = ((t >= 0.0) & (t <= 1.0))[..., None]
+    lo = np.minimum(np.where(inner, v[:, :, 1:], np.inf).min(axis=1), np.where(ok, cross, np.inf).min(axis=(1, 2)))
+    hi = np.maximum(np.where(inner, v[:, :, 1:], -np.inf).max(axis=1), np.where(ok, cross, -np.inf).max(axis=(1, 2)))
+    lo, hi = lo - pad[q_cell, None], hi + pad[q_cell, None]
+    start = np.searchsorted(key, q_col * n_pts + np.searchsorted(ys, lo[:, 0], side="left"))
+    end = np.searchsorted(key, q_col * n_pts + np.searchsorted(ys, hi[:, 0], side="right"))
+    q, at = _ranges(start, np.maximum(end - start, 0))
+    idx = order[at]
+    x = pts[idx]
+    keep = (x[:, 0] >= xa[q]) & (x[:, 0] <= xb[q]) & np.all((x[:, 1:] >= lo[q]) & (x[:, 1:] <= hi[q]), axis=1)
+    cell, idx = q_cell[q[keep]], idx[keep]
+    pair = np.argsort(cell * n_pts + idx)
+    return cell[pair], idx[pair]
+
+
+def near_pairs(vertices, cell, idx, points):
     """The (cell, point) pairs of ``cell`` and ``idx`` whose point lies in the
     cell grown by ``_SLACK`` (every barycentric coordinate at least
     -``_SLACK``), in their order, with each point's minimum coordinate in its
-    cell; ``inverse`` holds each cell's ``simplex_inverse``."""
-    score = inverse_coordinates(inverse[cell], points[idx]).min(axis=1)
+    cell. Only the cells of the (C, n+1, n) ``vertices`` stack that have a
+    pair are inverted; the caller keeps degenerate cells out of the pairs."""
+    used = np.bincount(cell, minlength=len(vertices)) > 0
+    inv = np.linalg.inv(augmented_matrix(vertices[used]))[np.cumsum(used)[cell] - 1]
+    score = inverse_coordinates(inv, points[idx]).min(axis=1)
     keep = np.flatnonzero(score >= -_SLACK)
     return cell[keep], idx[keep], score[keep]
 

@@ -107,12 +107,12 @@ def compute_desired(
     them. A mentee whose simplex captures nothing falls back to the simplex
     centroid (equal weights); such agents are reported in ``fallback_ids``.
     A collapsed final mentor simplex raises ``DegenerateMentorSimplex``,
-    with samples or without; each simplex is tested and inverted once. One
-    ``PointIndex`` search finds the samples near the first mentee layer.
-    After that, a mentee's candidates are the samples near the final simplex
-    of its latest mentor: in a graph from ``build_actual`` that mentor is of
-    the previous layer and was adopted by the parent of the mentee's cell,
-    so its final simplex holds the mentee's.
+    with samples or without. One ``geometry.candidates`` search finds the
+    samples near the first mentee layer. After that, a mentee's candidates
+    are the samples near the final simplex of its latest mentor: in a graph
+    from ``build_actual`` that mentor is of the previous layer and was
+    adopted by the parent of the mentee's cell, so its final simplex holds
+    the mentee's.
     """
     samples = np.asarray(targets.samples, dtype=float)
     p = formation.positions.copy()  # the core and clamped rows keep these
@@ -123,19 +123,19 @@ def compute_desired(
     starts = graph.layer_starts
     for sl in map(slice, starts[:-1], starts[1:]):
         rows, mentors = graph.mentees[sl], graph.mentors[sl]
-        full, inv = geometry.full_inverse(p[mentors])
-        if len(flat := np.flatnonzero(~full)):
+        verts = p[mentors]
+        if len(flat := np.flatnonzero(geometry.degenerate(verts))):
             a, ms = rows[flat[0]], mentors[flat[0]]
             raise DegenerateMentorSimplex(
                 f"agent {formation.ids[a]}: mentors {tuple(formation.ids[m] for m in ms)} "
                 "have affinely dependent final positions"
             )
         if sl.start == 0:
-            near_cell, near_idx = geometry.PointIndex.build(samples).candidates(p[mentors])
+            near_cell, near_idx = geometry.candidates(samples, verts)
         else:
             latest = np.take_along_axis(mentors, graph.layer[mentors].argmax(axis=1)[:, None], axis=1)[:, 0]
             near_cell, near_idx = geometry.inherit(near_cell, near_idx, np.searchsorted(parents, latest))
-        near_cell, near_idx, score = geometry.near_pairs(inv, near_cell, near_idx, samples)
+        near_cell, near_idx, score = geometry.near_pairs(verts, near_cell, near_idx, samples)
         parents = rows
         inside = score >= -geometry.CONTAINMENT_TOL
         cell, idx = near_cell[inside], near_idx[inside]

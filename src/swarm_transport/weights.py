@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import BadInterval
+from .errors import BadInterval, DegenerateMentorSimplex
 from .formation import Formation, LayeredGraph
 from .targets import DesiredPositions
 
@@ -55,14 +55,14 @@ def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray) -> np.ndarra
     """Weights of each mentee's point in its mentors' points, all at once, from
     each mentor simplex's inverse (``geometry.barycentric``). Rounding-noise
     negatives are zeroed and each row renormalized to unit sum; the first bad
-    row in mentee order raises."""
+    row in mentee order (a sliver mentor simplex) raises ``DegenerateMentorSimplex``."""
     w = geometry.barycentric(points[graph.mentees], points[graph.mentors])
     low = np.flatnonzero(w.min(axis=1) < -NEGATIVE_WEIGHT_TOL)
     if len(low):
         k = low[0]
-        raise ValueError(
+        raise DegenerateMentorSimplex(
             f"agent {ids[graph.mentees[k]]}: barycentric weight {w[k].min():.3e} below tolerance; "
-            "the point lies outside its mentor simplex"
+            f"the point lies outside the simplex of its mentors {tuple(ids[m] for m in graph.mentors[k])}"
         )
     w = np.where(w < 0.0, 0.0, w)
     return w / w.sum(axis=1, keepdims=True)

@@ -50,6 +50,22 @@ def contains(vertices, point, tol: float = geometry.CONTAINMENT_TOL) -> bool:
     return bool(np.min(geometry.inverse_coordinates(geometry.simplex_inverse(vertices), point)) >= -tol)
 
 
+def inside(points, vertices):
+    """Every (simplex, point) pair with the point in the closed simplex, for
+    (P, n) points and a (C, n+1, n) stack of simplices: the simplex and point
+    indices, sorted by simplex then point, and the points' minimum
+    barycentric coordinates. The ``geometry.candidates`` are scored through
+    ``simplex_inverse`` of the simplices that have one (``DegenerateSimplex``
+    if one of those is degenerate)."""
+    pts, verts = np.asarray(points, dtype=float), np.asarray(vertices, dtype=float)
+    cell, idx = geometry.candidates(pts, verts)
+    used = np.bincount(cell, minlength=len(verts)) > 0
+    inverse = geometry.simplex_inverse(verts[used])[np.cumsum(used)[cell] - 1]
+    score = geometry.inverse_coordinates(inverse, pts[idx]).min(axis=1)
+    keep = np.flatnonzero(score >= -geometry.CONTAINMENT_TOL)
+    return cell[keep], idx[keep], score[keep]
+
+
 def scalar_hull_2d(pts: np.ndarray) -> list[int]:
     """The monotone chain on numpy float64 scalars, as ``geometry._hull_2d``
     ran before it moved to Python floats."""
@@ -282,9 +298,9 @@ def cellwise_endpoint_weights(graph, ids, points) -> np.ndarray:
     for k, (row, mentors) in enumerate(zip(graph.mentees, graph.mentors)):
         w = geometry.barycentric(points[row], points[mentors])
         if float(w.min()) < -NEGATIVE_WEIGHT_TOL:
-            raise ValueError(
+            raise DegenerateMentorSimplex(
                 f"agent {ids[row]}: barycentric weight {w.min():.3e} below tolerance; "
-                "the point lies outside its mentor simplex"
+                f"the point lies outside the simplex of its mentors {tuple(ids[m] for m in mentors)}"
             )
         w = np.where(w < 0.0, 0.0, w)
         out[k] = w / w.sum()

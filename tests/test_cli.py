@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import swarm_transport
-from conftest import cube_scenario
+from conftest import cube_scenario, manual_scenario
 from swarm_transport import cli, engine, geometry
 from swarm_transport.cli import main
+from swarm_transport.formation import Formation
 from swarm_transport.scenario import serialize_scenario
 
 
@@ -395,6 +396,29 @@ def test_collapsed_final_simplex_without_samples_is_a_plan_error(tmp_path, capsy
     assert json.loads(capsys.readouterr().err) == {
         "error": "DegenerateMentorSimplex",
         "message": "agent 14: mentors (4, 5, 11) have affinely dependent final positions",
+    }
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_mentee_off_its_sliver_mentor_simplex_is_a_plan_error(tmp_path, capsys, command):
+    # the core and agent 6 sit 1e-7 inside the bottom edge of a square turned
+    # by 5 degrees; agent 6's mentor triangle (1, 2, 5) is a sliver whose
+    # inverse puts it -1.863e-09 outside, past the weights' tolerance
+    turn = np.deg2rad(5.0)
+    rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    square = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    pos = np.array(square + [(0.0, -1.0 + 1e-7), (0.3, -1.0 + 1e-7 / 3)]) @ rotation.T
+    form = Formation.build(range(1, 7), pos, (0.0, 0.0), core_id=5)
+    samples = [pos[0] + f * (pos[1] - pos[0]) for f in (0.6, 0.75, 0.9)]
+    anchors = {k + 1: pos[k] for k in range(4)}
+    path = tmp_path / "sliver.json"
+    path.write_text(serialize_scenario(manual_scenario(form, samples, zone=pos[:4], leader_positions=anchors)))
+    capsys.readouterr()
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DegenerateMentorSimplex",
+        "message": "agent 6: barycentric weight -1.863e-09 below tolerance; "
+        "the point lies outside the simplex of its mentors (1, 2, 5)",
     }
 
 

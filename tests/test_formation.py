@@ -307,6 +307,13 @@ DEEP_CUBE, DEEP_CUBE_SAMPLES = _lattice_team(3, [
     (5, 6, 6), (2, 6, 3), (1, 7, 1), (3, 4, 2), (2, 7, 3), (1, 5, 6), (3, 3, 3), (2, 3, 2), (7, 7, 4), (7, 7, 1),
 ])
 
+# clamped agents on a face that two open cells share (the square's ids 6 and
+# 7 on the diagonal through the core, the cube's ids 10 and 11 on the plane
+# y = z through the edge y = z = 0 and the core): each goes to the first of
+# them in cell order
+SHARED_SQUARE, SHARED_SQUARE_SAMPLES = _lattice_team(2, [(2, 2), (3, 3), (6, 3), (3, 6), (1, 4), (5, 5), (2, 1)])
+SHARED_CUBE, SHARED_CUBE_SAMPLES = _lattice_team(3, [(4, 1, 1), (4, 2, 2), (6, 2, 4), (2, 6, 3), (5, 5, 6), (3, 1, 2)])
+
 # 10-agent squares: corners, the core at the center and five more agents,
 # two of them at one point on a fan edge, or three on one line
 SQUARE_CORNERS = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (2.0, 2.0)]
@@ -388,7 +395,7 @@ def _plan_stages(build, desire, weigh, form, samples, leader_p):
         desired = desire(graph, form, TargetSet(samples=samples), leader_p)
         omega = weigh(graph, form.ids, form.positions)
         varpi = weigh(graph, form.ids, desired.p)
-    except (SwarmTransportError, ValueError) as exc:
+    except SwarmTransportError as exc:
         return type(exc), str(exc)
     return graph, desired, omega, varpi
 
@@ -398,6 +405,8 @@ def _plan_stages(build, desire, weigh, form, samples, leader_p):
 @example((list(range(1, 17)), SLIVER_CUBE, [], SLIVER_SAMPLES, 0.5))  # a flat fan cell; random draws make none
 @example((list(range(1, 36)), DEEP_SQUARE, [], DEEP_SQUARE_SAMPLES, 1.0))
 @example((list(range(1, 30)), DEEP_CUBE, [10], DEEP_CUBE_SAMPLES, 1.0))
+@example((list(range(1, 13)), SHARED_SQUARE, [6, 7], SHARED_SQUARE_SAMPLES, 1.0))
+@example((list(range(1, 16)), SHARED_CUBE, [10, 11], SHARED_CUBE_SAMPLES, 0.5))
 def test_planner_matches_cellwise_oracle(case):
     ids, pts, clamped, samples, scale = case
     try:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quick_scenario
-from oracles import Simplex, contains, scalar_hull_2d
+from oracles import Simplex, contains, inside, scalar_hull_2d
 from swarm_transport import geometry
 from swarm_transport.errors import DegenerateInput, DegenerateSimplex
 from swarm_transport.geometry import (
@@ -234,16 +234,27 @@ class TestBatchedNumerics:
             unit = np.vstack([np.zeros(n), np.eye(n)])
             near = np.append(np.full(n - 1, 0.2), 0.0)  # on the face x_n = 0
             pts = np.array([near - 5e-10 * np.eye(n)[-1], near - 2e-9 * np.eye(n)[-1], near])
-            cell, idx, _ = geometry.PointIndex.build(pts).inside(unit[None])
+            cell, idx, _ = inside(pts, unit[None])
             assert cell.tolist() == [0, 0] and idx.tolist() == [0, 2]
 
     def test_index_inverts_only_simplices_with_candidates(self):
         flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         for pts in (np.array([[5.0, 0.0]]), np.empty((0, 2))):
-            cell, idx, score = geometry.PointIndex.build(pts).inside(np.stack([UNIT_TRIANGLE + 4.0, flat]))
+            cell, idx, score = inside(pts, np.stack([UNIT_TRIANGLE + 4.0, flat]))
             assert len(cell) == len(idx) == len(score) == 0
         with pytest.raises(DegenerateSimplex):
-            geometry.PointIndex.build(np.array([[5.0, 0.0], [1.0, 1.0]])).inside(flat[None])
+            inside(np.array([[5.0, 0.0], [1.0, 1.0]]), flat[None])
+
+    def test_near_pairs_inverts_only_cells_with_a_pair(self):
+        # a flat cell without a pair is never inverted: no LinAlgError, and
+        # no RuntimeWarning (an error under the suite's filter)
+        flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        verts = np.stack([flat, UNIT_TRIANGLE + 4.0, np.zeros((3, 2))])
+        pts = np.array([[4.25, 4.25], [9.0, 9.0], [4.0, 4.0]])
+        cell, idx, score = geometry.near_pairs(verts, np.array([1, 1, 1]), np.array([0, 1, 2]), pts)
+        assert cell.tolist() == [1, 1] and idx.tolist() == [0, 2]
+        want = geometry.inverse_coordinates(geometry.simplex_inverse(verts[1]), pts[[0, 2]]).min(axis=1)
+        assert score.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("n_points", [1, 2, 400])
@@ -267,7 +278,7 @@ class TestBatchedNumerics:
         assert (len(verts) * n_points <= geometry._DIRECT_PAIRS) == (n_points < 400)
         for direct_pairs in (geometry._DIRECT_PAIRS, -1, 2**62):
             monkeypatch.setattr(geometry, "_DIRECT_PAIRS", direct_pairs)
-            cell, idx, score = geometry.PointIndex.build(pts).inside(verts)
+            cell, idx, score = inside(pts, verts)
             assert cell.tolist() == want_cell and idx.tolist() == want_idx
             assert score.tobytes() == np.array(want_score).tobytes()
         if n_points == 400:
