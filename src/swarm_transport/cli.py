@@ -43,7 +43,6 @@ def cmd_generate(args) -> int:
         n_boundary=args.boundary,
         n_uncooperative=args.uncooperative,
         radius=args.radius,
-        zone_scale=args.zone_scale,
         sample_spacing=args.sample_spacing,
     )
     sc = scenario_io.generate_scenario(params, args.seed)
@@ -153,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--uncooperative", type=int, default=0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--radius", type=float, default=GenerateParams.radius)
-    gen.add_argument("--zone-scale", type=float, default=GenerateParams.zone_scale, dest="zone_scale")
     gen.add_argument("--sample-spacing", type=float, default=None, dest="sample_spacing")
     gen.set_defaults(func=cmd_generate)
 

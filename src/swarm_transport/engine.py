@@ -18,11 +18,14 @@ through the block. The product takes the leading columns of
 ``dynamics.block_maps``: the positions at each step and the full state at
 the block's end. Once every layer has run, one certificate from the block's
 largest start state and input (``dynamics.certified``) stands in for the
-per-step divergence test. A block it cannot clear is rerun from its start
-state by the same loop body with all of the map's columns, every state of
-every step, which ``dynamics.held_steps`` tests, so a divergence is
-reported at the same step and agent. The Python loop runs once per layer
-per block, and memory beyond the logs is O(block N n).
+per-step divergence test. For a block it cannot clear, one product of the
+same start states and inputs with all of the map's columns gives every
+state of every step, which ``dynamics.held_steps`` tests, so a divergence
+is reported at the same step and agent; the trajectory always comes from
+the positions-only products. Every block takes at least one step and forms
+r_d at the m + 1 frames from its start to its end, so the last block ends
+at t_end. The Python loop runs once per layer per block, and memory beyond
+the logs is O(block N n).
 Planned set-points are computed separately for reporting, all output times
 at once, and never drive the loop.
 """
@@ -238,7 +241,7 @@ def _integrate(plan: Plan) -> Run:
 
     # Agent-major block buffers, one row per (agent, axis) chain: error state
     # x - p e0 then held inputs r_d - p; positions and r_d at the block's
-    # steps; the block product's error positions after each step and the last
+    # frames; the block product's error positions after each step and the last
     # step's rates. Layer 0 rests at r_d = p, inputs zero, unless the leader
     # blend moves it.
     z = np.zeros((n_agents * dim, 4 + _BLOCK))
@@ -246,27 +249,11 @@ def _integrate(plan: Plan) -> Run:
     z3[:, :, 0] = a - p
     x = np.empty((n_agents, dim, _BLOCK + 1))
     x[:, :, 0] = a
-    r_d = np.empty((n_agents, dim, _BLOCK))
+    r_d = np.empty((n_agents, dim, _BLOCK + 1))
     r_d[:n0] = p[:n0, :, None]
     fast = np.empty((n_agents * dim, _BLOCK + 3))
-    full = None  # every error state, (N n, 4 _BLOCK), for blocks not certified
+    fast3 = fast.reshape(n_agents, dim, -1)
     omega, varpi = plan.schedule.omega[:, :, None], plan.schedule.varpi[:, :, None]
-
-    def layers(cols: np.ndarray, out: np.ndarray, m: int, adv: int, w: np.ndarray) -> None:
-        """Form each mentee layer's r_d over the block's m steps, a blend of
-        mentor positions already moved, and move every layer through adv
-        steps by one product with the ``block_maps`` columns ``cols`` into
-        ``out``, whose leading adv columns are the error positions."""
-        pos = out.reshape(n_agents, dim, -1)[:, :, :adv]  # a view, read after each product
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if s:
-                ms = slice(s - n0, e - n0)
-                blend(w[ms], x[mentors[ms], :, :m], out=r_d[s:e, :, :m])
-                np.subtract(r_d[s:e, :, :adv], p[s:e, :, None], out=z3[s:e, :, 4 : 4 + adv])
-            if adv:
-                c = slice(s * dim, e * dim)
-                np.matmul(z[c, : 4 + adv], cols, out=out[c])
-                np.add(pos[s:e], p[s:e, :, None], out=x[s:e, :, 1 : adv + 1])
 
     # Steps after a divergence, and the map powers of gains outside the RK4
     # region, may overflow or turn NaN; the certificate fails on every such
@@ -276,44 +263,47 @@ def _integrate(plan: Plan) -> Run:
         maps = dynamics.block_maps(phi, _BLOCK)
         factors, p_max = dynamics.bound_factors(maps), np.abs(p).max()
         i0 = 0
-        for k0 in range(0, steps + 1, _BLOCK):
-            m = min(_BLOCK, steps + 1 - k0)  # steps whose r_d is formed and maybe logged
-            adv = min(m, steps - k0)  # steps taken: none from t_end
-            bk = b[k0 : k0 + m]
+        for k0 in range(0, steps, _BLOCK):
+            m = min(_BLOCK, steps - k0)  # steps taken; r_d is formed at the m + 1 frames k0 ... k0 + m
+            bk = b[k0 : k0 + m + 1]
             if (bk == 1.0).all():
                 w = varpi
             else:
-                w = (1.0 - bk) * omega + bk * varpi  # (M, n+1, m)
+                w = (1.0 - bk) * omega + bk * varpi  # (M, n+1, m+1)
             if sc.leader_blend:
-                r_d[anchor, :, :m] = (1.0 - bk) * a[anchor, :, None] + bk * p[anchor, :, None]
-                np.subtract(r_d[:n0, :, :adv], p[:n0, :, None], out=z3[:n0, :, 4 : 4 + adv])
-            if 0 < adv < _BLOCK:
-                maps = dynamics.block_maps(phi, adv)  # the final, shorter block
+                r_d[anchor, :, : m + 1] = (1.0 - bk) * a[anchor, :, None] + bk * p[anchor, :, None]
+                np.subtract(r_d[:n0, :, :m], p[:n0, :, None], out=z3[:n0, :, 4 : 4 + m])
+            if m < _BLOCK:
+                maps = dynamics.block_maps(phi, m)  # the final, shorter block
+            # one layer at a time: a mentee layer's r_d blends mentor positions
+            # already moved, and one product moves the layer through the block
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                if s:
+                    ms = slice(s - n0, e - n0)
+                    blend(w[ms], x[mentors[ms], :, : m + 1], out=r_d[s:e, :, : m + 1])
+                    np.subtract(r_d[s:e, :, :m], p[s:e, :, None], out=z3[s:e, :, 4 : 4 + m])
+                c = slice(s * dim, e * dim)
+                np.matmul(z[c, : 4 + m], maps[:, : m + 3], out=fast[c, : m + 3])
+                np.add(fast3[s:e, :, :m], p[s:e, :, None], out=x[s:e, :, 1 : m + 1])
             e_max = np.abs(z[:, :4]).max()
-            out = fast[:, : adv + 3]
-            layers(maps[:, : adv + 3], out, m, adv, w)
-            if adv and not dynamics.certified(factors, e_max, np.abs(z[:, 4 : 4 + adv]).max(), p_max):
-                # rerun the block from its start state with every state, testing every step
-                if full is None:
-                    full = np.empty((n_agents * dim, 4 * _BLOCK))
-                out = full[:, : 4 * adv]
-                layers(maps, out, m, adv, w)
-                held = dynamics.held_steps(out, p.ravel())
-                if held < adv:
+            if not dynamics.certified(factors, e_max, np.abs(z[:, 4 : 4 + m]).max(), p_max):
+                # every state of every step, from the same start states and inputs, tested step by step
+                full = z[:, : 4 + m] @ maps
+                held = dynamics.held_steps(full, p.ravel())
+                if held < m:
                     # the first step that left the bound, judged from the state before it
-                    rates = z[:, 1:4] if held == 0 else out[:, adv + 3 * held : adv + 3 + 3 * held]
+                    rates = z[:, 1:4] if held == 0 else full[:, m + 3 * held : m + 3 + 3 * held]
                     rates = np.abs(rates).reshape(n_agents, -1).max(axis=1)
                     peak = np.maximum(np.abs(x[:, :, held]).max(axis=1), rates)
                     worst = ids[int(np.argmax(peak[rank]))]
                     raise Diverged(f"agent {worst} diverged near t = {t[k0 + held]:.3f} s")
-            i1 = int(np.searchsorted(logged, k0 + m))
+            i1 = int(np.searchsorted(logged, k0 + m, side="right"))
             js = logged[i0:i1] - k0
             pos_log[i0:i1, order] = x[:, :, js].transpose(2, 0, 1)
             des_log[i0:i1, order] = r_d[:, :, js].transpose(2, 0, 1)
             i0 = i1
-            if adv == m:  # another block follows
-                z[:, :4] = out[:, adv - 1 : adv + 3]  # the state after the block's last step
-                x[:, :, 0] = x[:, :, adv]
+            z[:, :4] = fast[:, m - 1 : m + 3]  # the state after the block's last step
+            x[:, :, 0] = x[:, :, m]
 
     return judge_run(plan, t[logged], pos_log, des_log)
 

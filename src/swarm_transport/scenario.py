@@ -31,6 +31,7 @@ _TIME_KEYS = ("t0", "tf", "t_end", "dt", "output_period")  # in file order
 _GAIN_KEYS = {"k1", "k2", "k3", "k4"}
 
 _ZONE_SIDES = 12  # a generated target zone is a regular polygon
+_ZONE_SCALE = 0.45  # its radius as a fraction of the hull apothem
 
 # most points a sample grid's bounding box may hold, far above the ~38,000
 # samples a generated team of 10,000 agents draws
@@ -362,7 +363,6 @@ class GenerateParams:
     n_boundary: int
     n_uncooperative: int = 0
     radius: float = 10.0
-    zone_scale: float = 0.45  # zone radius as a fraction of the hull apothem
     sample_spacing: float | None = None  # default scales with team size
 
 
@@ -390,8 +390,6 @@ def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
         raise InfeasibleParams(
             "uncooperative count must leave at least one interior core candidate"
         )
-    if not (0 < p.zone_scale < 0.9):
-        raise InfeasibleParams("zone_scale must lie in (0, 0.9)")
     for name in ("radius", "sample_spacing"):
         value = getattr(p, name)
         if value is not None and not 0 < value < math.inf:  # NaN fails too
@@ -431,7 +429,7 @@ def _draw_scenario(p: GenerateParams, seed: int, attempt: int) -> Scenario:
 
     center = geometry.polygon_centroid(hull_pts)
     apothem = _apothem(hull_pts, center)
-    zone_radius = p.zone_scale * apothem
+    zone_radius = _ZONE_SCALE * apothem
     # random phase so zone vertices never align exactly with the sample grid
     # or the anchor ring (exact alignments make final simplices collapse)
     phase = rng.uniform(0.0, 2.0 * np.pi / _ZONE_SIDES)

@@ -22,9 +22,6 @@ from .errors import BadInterval, DegenerateMentorSimplex
 from .formation import Formation, LayeredGraph
 from .targets import DesiredPositions
 
-# Rounding noise more negative than this is treated as a genuine violation.
-NEGATIVE_WEIGHT_TOL = 1e-9
-
 
 def beta(t, t0: float, tf: float) -> float | np.ndarray:
     """Minimum-jerk quintic ramp: 0 at t0, 1 at tf, clamped outside.
@@ -53,11 +50,13 @@ class WeightSchedule:
 
 def _endpoint_weights(graph: LayeredGraph, ids, points: np.ndarray) -> np.ndarray:
     """Weights of each mentee's point in its mentors' points, all at once, from
-    each mentor simplex's inverse (``geometry.barycentric``). Rounding-noise
-    negatives are zeroed and each row renormalized to unit sum; the first bad
-    row in mentee order (a sliver mentor simplex) raises ``DegenerateMentorSimplex``."""
+    each mentor simplex's inverse (``geometry.barycentric``). Negatives within
+    ``geometry.CONTAINMENT_TOL``, the slack at which the planner takes a point
+    as inside its mentors' simplex, are zeroed and each row renormalized to
+    unit sum; the first row below it in mentee order (a sliver mentor simplex)
+    raises ``DegenerateMentorSimplex``."""
     w = geometry.barycentric(points[graph.mentees], points[graph.mentors])
-    low = np.flatnonzero(w.min(axis=1) < -NEGATIVE_WEIGHT_TOL)
+    low = np.flatnonzero(w.min(axis=1) < -geometry.CONTAINMENT_TOL)
     if len(low):
         k = low[0]
         raise DegenerateMentorSimplex(

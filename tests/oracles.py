@@ -24,7 +24,7 @@ from swarm_transport.formation import (
     select_core,
 )
 from swarm_transport.targets import DesiredPositions
-from swarm_transport.weights import NEGATIVE_WEIGHT_TOL, beta
+from swarm_transport.weights import beta
 
 
 def ramp(plan, t):
@@ -297,7 +297,7 @@ def cellwise_endpoint_weights(graph, ids, points) -> np.ndarray:
     out = np.empty(graph.mentors.shape)
     for k, (row, mentors) in enumerate(zip(graph.mentees, graph.mentors)):
         w = geometry.barycentric(points[row], points[mentors])
-        if float(w.min()) < -NEGATIVE_WEIGHT_TOL:
+        if float(w.min()) < -geometry.CONTAINMENT_TOL:
             raise DegenerateMentorSimplex(
                 f"agent {ids[row]}: barycentric weight {w.min():.3e} below tolerance; "
                 f"the point lies outside the simplex of its mentors {tuple(ids[m] for m in mentors)}"

@@ -327,6 +327,15 @@ TEAMS = st.one_of(
 )
 @example(team=cube_scenario, leader_blend=False, dt=0.01, steps=137, log_every=7, tf_share=0.6)
 @example(
+    team=functools.partial(quick_scenario, seed=3, n=16, nb=5, uncoop=1),
+    leader_blend=True,
+    dt=0.01,
+    steps=100,
+    log_every=10,
+    tf_share=0.5,
+)
+@example(team=cube_scenario, leader_blend=True, dt=0.04, steps=1, log_every=1, tf_share=1.0)
+@example(
     team=functools.partial(_square_team, [(1.0, 1.0), (1.0, 1.0), (1.5, 1.5), (2.5, 2.5), (3.0, 3.0)], 1),
     leader_blend=True,
     dt=0.04,
@@ -336,7 +345,8 @@ TEAMS = st.one_of(
 )
 def test_integrate_matches_stepwise_oracle(team, leader_blend, dt, steps, log_every, tf_share):
     # clamped agents, coincident and collinear interior agents, the leader
-    # blend, 2-D and 3-D teams, and runs that end inside a block
+    # blend, 2-D and 3-D teams, and runs that end inside a block, on a block
+    # edge or after one step
     try:
         sc = dataclasses.replace(
             team(),
@@ -371,7 +381,7 @@ def test_certified_blocks_skip_the_full_state_product(monkeypatch):
     for plan in plans:
         engine._integrate(plan)
     # The same team scaled to about 2e5 m: blocks fail the certificate and
-    # are rerun through the full-state product, which stays within the bound.
+    # are tested through the full-state product, which stays within the bound.
     sc, k = quick_scenario(), 2e4
     f = sc.formation
     far = manual_scenario(
@@ -387,6 +397,33 @@ def test_certified_blocks_skip_the_full_state_product(monkeypatch):
     assert np.abs(want.positions).max() > 1e5
     assert np.max(np.abs(got.positions - want.positions)) <= 1e-12 * np.abs(want.positions).max()
     assert np.array_equal(got.converged, want.converged)
+
+
+def test_uncertified_blocks_keep_the_trajectory(monkeypatch):
+    # A block that fails the certificate is tested through the full-state
+    # product, which never writes the trajectory: with every block failing
+    # it, the logs and verdicts are those of the certified run, bit for bit.
+    # Runs that end on a block edge (100 steps) and inside a block (137).
+    base = quick_scenario()
+    cases = (
+        base,
+        dataclasses.replace(cube_scenario(), leader_blend=True),
+        dataclasses.replace(base, t_end=1.0, tf=0.5),
+        dataclasses.replace(base, t_end=1.37, tf=0.5),
+    )
+    plans = [make_plan(sc) for sc in cases]
+    certified = [engine._integrate(plan) for plan in plans]
+    held_steps, calls = dynamics.held_steps, []
+    monkeypatch.setattr(dynamics, "certified", lambda *args: False)
+    monkeypatch.setattr(dynamics, "held_steps", lambda *args: calls.append(1) or held_steps(*args))
+    for plan, want in zip(plans, certified):
+        calls.clear()
+        got = engine._integrate(plan)
+        sc = plan.scenario
+        steps = round((sc.t_end - sc.t0) / sc.dt)
+        assert len(calls) == -(-steps // engine._BLOCK)  # once per block
+        for name in ("times", "positions", "desired", "converged", "terminal_error"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestTrackingReport:
