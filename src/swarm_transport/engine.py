@@ -340,8 +340,16 @@ def convergence_check(positions, zone, margin: float):
 
 def setpoint_series(plan: Plan, times) -> np.ndarray:
     """Planned set-point positions on a time grid, shaped (T, N, n): one
-    propagation per distinct ramp value (by bit pattern), expanded back."""
+    propagation per distinct ramp value (by bit pattern), expanded back.
+    Under ``leader_blend`` the hull and core anchors ramp from their initial
+    to their final positions, as the closed loop's references do."""
     sc = plan.scenario
     b = beta(np.asarray(times, dtype=float), sc.t0, sc.tf)
     _, first, back = np.unique(b.view(np.int64), return_index=True, return_inverse=True)
-    return propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, b[first])[back]
+    b = b[first]
+    p = anchors = plan.desired.p
+    if sc.leader_blend:
+        hull = (plan.graph.roles == ROLE_BOUNDARY) | (plan.graph.roles == ROLE_CORE)
+        anchors = np.repeat(p[:, :, None], len(b), axis=2)
+        anchors[hull] = (1.0 - b) * sc.formation.positions[hull, :, None] + b * p[hull, :, None]
+    return propagate_setpoints(plan.graph, plan.schedule, anchors, b)[back]

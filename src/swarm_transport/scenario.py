@@ -48,7 +48,17 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
         raise ParseError(f"unknown key {unknown[0]!r} in {where}", field=unknown[0])
 
 
-def _number(obj, key, where, default=None):
+def _section(value, name: str, keys) -> dict:
+    """The section ``value`` of the document, checked to be an object whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be an object", field=name)
+    _reject_unknown(value, keys, name)
+    return value
+
+
+def _number(obj, key, where, default=None, bound=math.inf) -> float:
+    """``obj[key]`` as a float: a finite JSON number of magnitude at most
+    ``bound``; ``default`` when absent, or an error when that is None."""
     if key not in obj:
         if default is None:
             raise ParseError(f"missing {key!r} in {where}", field=key)
@@ -59,6 +69,8 @@ def _number(obj, key, where, default=None):
     number = _finite(value)
     if number is None:
         raise ParseError(f"{where}.{key} must be a finite number", field=key)
+    if abs(number) > bound:
+        raise ParseError(f"{where}.{key} must not exceed {bound:g} in magnitude", field=key)
     return number
 
 
@@ -88,33 +100,27 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ParseError("seed must be an integer", field="seed")
     margin = _number(doc, "margin", "scenario", default=Scenario.margin)
 
-    times = doc.get("times", {})
-    if not isinstance(times, dict):
-        raise ParseError("times must be an object", field="times")
-    _reject_unknown(times, _TIME_KEYS, "times")
+    times = _section(doc.get("times", {}), "times", _TIME_KEYS)
     tvals = {k: _number(times, k, "times", default=getattr(Scenario, k)) for k in _TIME_KEYS}
-
-    gains_doc = doc.get("gains", {})
-    if not isinstance(gains_doc, dict):
-        raise ParseError("gains must be an object", field="gains")
-    _reject_unknown(gains_doc, _GAIN_KEYS, "gains")
+    gains_doc = _section(doc.get("gains", {}), "gains", _GAIN_KEYS)
     gains = Gains(**{k: _number(gains_doc, k, "gains", default=getattr(Scenario.gains, k)) for k in sorted(_GAIN_KEYS)})
 
     agents = doc.get("agents")
     if not isinstance(agents, list) or not agents:
         raise ParseError("agents must be a non-empty list", field="agents")
     coord_keys = ["x", "y", "z"][:dim]
-    ids, roles, positions = _agent_rows(agents, coord_keys)
-    if len(set(ids)) != len(ids):
-        raise ParseError("duplicate agent ids", field="agents")
+    ids, positions = _entries(agents, coord_keys, "agents", optional=("role",))
+    roles = [entry.get("role") for entry in agents]
+    for agent, role in zip(ids, roles):
+        if role not in ROLES:
+            raise ParseError(f"agent {agent} has malformed role tag {role!r}", field="role")
+    cores = [a for a, role in zip(ids, roles) if role == ROLE_CORE]
+    if len(cores) > 1:
+        raise ParseError(f"agent {cores[1]}: a scenario may declare at most one core", field="role")
     declared_boundary = [a for a, role in zip(ids, roles) if role == ROLE_BOUNDARY]
     uncooperative = [a for a, role in zip(ids, roles) if role == ROLE_UNCOOPERATIVE]
-    core_id = ids[roles.index(ROLE_CORE)] if ROLE_CORE in roles else None
 
-    targets_doc = doc.get("targets")
-    if not isinstance(targets_doc, dict):
-        raise ParseError("targets must be an object", field="targets")
-    _reject_unknown(targets_doc, {"samples", "zone", "sample_spacing"}, "targets")
+    targets_doc = _section(doc.get("targets"), "targets", {"samples", "zone", "sample_spacing"})
     zone = None
     if "zone" in targets_doc:
         zone = _point_rows(targets_doc["zone"], dim, "targets.zone", minimum=3)
@@ -140,32 +146,23 @@ def parse_scenario_text(text: str) -> Scenario:
     target_set = TargetSet(samples=samples, zone=zone)
 
     leader_doc = doc.get("leader_final", {"mode": "generated"})
-    if not isinstance(leader_doc, dict):
-        raise ParseError("leader_final must be an object", field="leader_final")
-    mode = leader_doc.get("mode")
-    if mode == "generated":
-        _reject_unknown(leader_doc, {"mode", "scale"}, "leader_final")
-        leader_scale = _number(leader_doc, "scale", "leader_final", default=Scenario.leader_scale)
-        explicit = None
-    elif mode == "explicit":
-        _reject_unknown(leader_doc, {"mode", "positions"}, "leader_final")
+    # the mode decides the section's keys, so it is read first; a section
+    # that is not an object is refused by _section
+    mode = leader_doc.get("mode") if isinstance(leader_doc, dict) else "generated"
+    if mode not in ("generated", "explicit"):
+        raise ParseError(f"unknown leader_final mode {mode!r}", field="mode")
+    _section(leader_doc, "leader_final", {"mode", "scale" if mode == "generated" else "positions"})
+    leader_scale = _number(leader_doc, "scale", "leader_final", default=Scenario.leader_scale)
+    explicit = None
+    if mode == "explicit":
         rows = leader_doc.get("positions")
         if not isinstance(rows, list) or not rows:
             raise ParseError("explicit leader_final needs positions", field="positions")
-        explicit = {}
-        for k, entry in enumerate(rows):
-            where = f"leader_final.positions[{k}]"
-            if not isinstance(entry, dict):
-                raise ParseError(f"{where} must be an object", field="positions")
-            _reject_unknown(entry, {"id", *coord_keys}, where)
-            if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
-                raise ParseError(f"{where} needs an integer id", field="id")
-            if entry["id"] in explicit:
-                raise ParseError(f"{where}: agent {entry['id']} is listed twice", field="positions")
-            explicit[entry["id"]] = [_coordinate(entry, c, where) for c in coord_keys]
-        leader_scale = Scenario.leader_scale
-    else:
-        raise ParseError(f"unknown leader_final mode {mode!r}", field="mode")
+        anchor_ids, anchors = _entries(rows, coord_keys, "leader_final.positions")
+        if len(set(anchor_ids)) < len(anchor_ids):
+            k = next(k for k, b in enumerate(anchor_ids) if b in anchor_ids[:k])
+            raise ParseError(f"leader_final.positions[{k}]: agent {anchor_ids[k]} is listed twice", field="positions")
+        explicit = dict(zip(anchor_ids, anchors))
 
     try:
         formation = Formation.build(
@@ -173,7 +170,7 @@ def parse_scenario_text(text: str) -> Scenario:
             positions,
             target_set.center(),
             uncooperative=uncooperative,
-            core_id=core_id,
+            core_id=cores[0] if cores else None,
             declared_boundary=declared_boundary if declared_boundary else None,
         )
     except BadConfig as exc:
@@ -219,44 +216,30 @@ def _number_rows(rows) -> np.ndarray | None:
     return out if (np.abs(out) <= MAX_COORDINATE).all() else None  # NaN fails too
 
 
-def _coordinate(obj, key, where) -> float:
-    number = _number(obj, key, where)
-    if abs(number) > MAX_COORDINATE:
-        raise ParseError(f"{where}.{key} must not exceed {MAX_COORDINATE:g} in magnitude", field=key)
-    return number
-
-
-def _agent_rows(agents: list, coord_keys) -> tuple[list, list, np.ndarray]:
-    """The ids, role tags and (N, dim) positions of the agent entries, each
-    checked as one list; the entries are walked one by one only to name
-    the first bad one."""
-    keys = {"id", "role", *coord_keys}
-    if set(map(type, agents)) == {dict} and set().union(*agents) <= keys:
+def _entries(rows: list, coord_keys, where: str, optional=()) -> tuple[list, np.ndarray]:
+    """The ids and (K, dim) coordinates of the non-empty list ``rows`` of
+    objects, each with an integer ``id``, the coordinates ``coord_keys`` and
+    perhaps the keys ``optional``; checked as one list, the entries are
+    walked one by one only to name the first bad one."""
+    keys = {"id", *coord_keys, *optional}
+    if set(map(type, rows)) == {dict} and set().union(*rows) <= keys:
         try:
-            ids, roles = list(map(itemgetter("id"), agents)), list(map(itemgetter("role"), agents))
-            positions = _number_rows(list(map(itemgetter(*coord_keys), agents)))
+            ids = list(map(itemgetter("id"), rows))
+            coords = _number_rows(list(map(itemgetter(*coord_keys), rows)))
         except KeyError:
-            positions = None
-        if positions is not None and set(map(type, ids)) == {int} and set(map(type, roles)) == {str}:
-            if set(roles) <= set(ROLES) and roles.count(ROLE_CORE) <= 1:
-                return ids, roles, positions
-    core_id = None
-    for k, entry in enumerate(agents):
-        where = f"agents[{k}]"
+            coords = None
+        if coords is not None and set(map(type, ids)) == {int}:
+            return ids, coords
+    for k, entry in enumerate(rows):
+        at = f"{where}[{k}]"
         if not isinstance(entry, dict):
-            raise ParseError(f"{where} must be an object", field="agents")
-        _reject_unknown(entry, keys, where)
+            raise ParseError(f"{at} must be an object", field=where.rpartition(".")[2])
+        _reject_unknown(entry, keys, at)
         if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
-            raise ParseError(f"{where} needs an integer id", field="id")
+            raise ParseError(f"{at} needs an integer id", field="id")
         for c in coord_keys:
-            _coordinate(entry, c, where)
-        if entry.get("role") not in ROLES:
-            raise ParseError(f"agent {entry['id']} has malformed role tag {entry.get('role')!r}", field="role")
-        if entry["role"] == ROLE_CORE:
-            if core_id is not None:
-                raise ParseError(f"agent {entry['id']}: a scenario may declare at most one core", field="role")
-            core_id = entry["id"]
-    raise AssertionError("an agent entry failed the list checks but none is malformed")
+            _number(entry, c, at, bound=MAX_COORDINATE)
+    raise AssertionError(f"{where} failed the list checks but no entry is malformed")
 
 
 def _point_rows(rows, dim, where, minimum) -> np.ndarray:

@@ -6,6 +6,8 @@ anchor rows (hull agents, core, clamped agents) and the mentor weights on
 follower rows, so follower rows sum to zero. Because mentors always sit in
 strictly earlier layers, the relation is solved exactly by propagating the
 anchors forward one mentor layer at a time, for all output times at once.
+The anchors are fixed, or given per time when they move with the ramp (the
+leader blend).
 The propagation reads the mentor graph's (M,) mentee rows and (M, n+1)
 mentor rows beside the schedule's weights of the same shape. Rows are
 formation rows throughout, the order the trace and the writers use, and
@@ -38,12 +40,14 @@ def propagate_setpoints(
     """Set-points at T ramp values (``weights.beta`` of the output times) by
     forward substitution, shaped (T, N, n).
 
-    ``anchors`` is (N, n) in formation row order; its anchor rows are the
-    boundary data and its follower rows are ignored.
+    ``anchors`` is (N, n), or (N, n, T) for anchors that move with the
+    ramp, in formation row order; its anchor rows are the boundary data and
+    its follower rows are ignored.
     """
     anchors = np.asarray(anchors, dtype=float)
     b = np.asarray(ramp, dtype=float)
-    s = np.repeat(anchors[:, :, None], len(b), axis=2)  # (N, n, T)
+    s = np.empty((*anchors.shape[:2], len(b)))  # (N, n, T)
+    s[...] = anchors if anchors.ndim == 3 else anchors[:, :, None]
     starts = graph.layer_starts
     for sl in map(slice, starts[:-1], starts[1:]):
         w = (1.0 - b) * schedule.omega[sl, :, None] + b * schedule.varpi[sl, :, None]

@@ -144,7 +144,7 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert "convergence rate" in printed
 
-    def test_dry_run_skips_integration(self, tmp_path):
+    def test_plan_stops_before_integration(self, tmp_path):
         path = _generate(tmp_path, agents=24, boundary=6, seed=3)
         out = tmp_path / "dry"
         assert main(["plan", str(path), "--out-dir", str(out)]) == 0

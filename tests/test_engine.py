@@ -19,9 +19,10 @@ from swarm_transport import dynamics, engine
 from swarm_transport.dynamics import Gains
 from swarm_transport.engine import convergence_check, make_plan, run, setpoint_series
 from swarm_transport.errors import BadConfig, Diverged, SwarmTransportError
-from swarm_transport.formation import Formation
+from swarm_transport.formation import ROLE_BOUNDARY, ROLE_CORE, Formation
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.scenario import parse_scenario_text, serialize_scenario
+from swarm_transport.setpoints import propagate_setpoints
 from swarm_transport.weights import beta
 
 UNIT_SQUARE = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -279,6 +280,25 @@ class TestRun:
             res.desired[0, b0], sc.formation.positions[b0], atol=1e-12
         )
         assert res.rate == 1.0
+
+
+@pytest.mark.parametrize("team", [quick_scenario, cube_scenario], ids=["planar", "cube"])
+def test_setpoints_follow_the_leader_blend(team):
+    sc = team()
+    blended = run(dataclasses.replace(sc, leader_blend=True))
+    series = setpoint_series(blended.plan, blended.times)
+    roles = blended.plan.graph.roles
+    anchor = (roles == ROLE_BOUNDARY) | (roles == ROLE_CORE)
+    # the set-points' anchors are the closed loop's references at every frame,
+    # so at t0 the propagation rebuilds the initial formation
+    assert np.array_equal(series[:, anchor], blended.desired[:, anchor])
+    scale = np.ptp(sc.formation.positions, axis=0).max()
+    assert np.abs(series[0] - sc.formation.positions).max() <= 1e-12 * scale
+    # without the blend the anchors rest at their final positions
+    plan = make_plan(sc)
+    ramp = beta(blended.times, sc.t0, sc.tf)
+    want = propagate_setpoints(plan.graph, plan.schedule, plan.desired.p, ramp)
+    assert np.array_equal(setpoint_series(plan, blended.times), want)
 
 
 SQUARE_ZONE = [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]

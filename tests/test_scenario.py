@@ -220,6 +220,34 @@ class TestParse:
         doc["targets"]["samples"].append([1e100, -(10**100)])
         assert parse_scenario_text(json.dumps(doc)).targets.samples[-1].tolist() == [1e100, -1e100]
 
+    @pytest.mark.parametrize(
+        "edit, message, field",
+        [
+            (lambda entry: 7, "{where}[2] must be an object", None),  # None: the list's own name
+            (lambda entry: {**entry, "w": 0.0}, "unknown key 'w' in {where}[2]", "w"),
+            (lambda entry: {**entry, "id": True}, "{where}[2] needs an integer id", "id"),
+            (lambda entry: {k: v for k, v in entry.items() if k != "y"}, "missing 'y' in {where}[2]", "y"),
+            (lambda entry: {**entry, "x": "1.0"}, "{where}[2].x must be a number", "x"),
+            (lambda entry: {**entry, "x": 1e101}, "{where}[2].x must not exceed 1e+100 in magnitude", "x"),
+        ],
+        ids=["not-an-object", "unknown-key", "true-id", "missing-coordinate", "string-coordinate", "1e101"],
+    )
+    @pytest.mark.parametrize("where", ["agents", "leader_final.positions"])
+    def test_entry_faults_name_the_entry(self, where, edit, message, field):
+        # agents and explicit anchors are lists of the same kind of entry,
+        # and a bad entry is named by its list and index alike
+        doc = json.loads(MINIMAL)
+        doc["leader_final"] = {
+            "mode": "explicit",
+            "positions": [{"id": b, "x": 1.0 + b % 2, "y": 1.0 + b // 3} for b in (1, 2, 3, 4)],
+        }
+        entries = doc["agents"] if where == "agents" else doc["leader_final"]["positions"]
+        entries[2] = edit(entries[2])
+        with pytest.raises(ParseError) as info:
+            parse_scenario_text(json.dumps(doc))
+        assert str(info.value) == message.format(where=where)
+        assert info.value.field == (field or where.split(".")[-1])
+
 
 class TestRoundTrip:
     def test_generate_parse_serialize_idempotent(self):
