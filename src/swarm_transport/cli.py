@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -24,17 +23,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "out"))
     reporting.probe_dir(out)
     return out
-
-
-def _apply_overrides(sc, args):
-    overrides = {}
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "margin", None) is not None:
-        overrides["margin"] = args.margin
-    if getattr(args, "leader_blend", False):
-        overrides["leader_blend"] = True
-    return dataclasses.replace(sc, **overrides) if overrides else sc
 
 
 def cmd_generate(args) -> int:
@@ -72,7 +60,7 @@ def _write_plan_outputs(plan, out: Path) -> None:
 
 
 def cmd_plan(args) -> int:
-    sc = _apply_overrides(scenario_io.load_scenario(args.scenario), args)
+    sc = scenario_io.load_scenario(args.scenario)
     out = _out_dir(args)
     plan = engine.make_plan(sc)
     _write_plan_outputs(plan, out)
@@ -106,7 +94,7 @@ def _snapshot_times(text: str | None, sc) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    sc = _apply_overrides(scenario_io.load_scenario(args.scenario), args)
+    sc = scenario_io.load_scenario(args.scenario)
     snapshot_times = _snapshot_times(args.snapshot_times, sc)
     out = _out_dir(args)
     started = time.perf_counter()
@@ -155,18 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--sample-spacing", type=float, default=None, dest="sample_spacing")
     gen.set_defaults(func=cmd_generate)
 
-    for name, func, with_sim_flags in (
-        ("build-graph", cmd_build_graph, False),
-        ("plan", cmd_plan, True),
-        ("simulate", cmd_simulate, True),
-    ):
+    for name, func in (("build-graph", cmd_build_graph), ("plan", cmd_plan), ("simulate", cmd_simulate)):
         cmd = sub.add_parser(name)
         cmd.add_argument("scenario", help="scenario JSON file")
         cmd.add_argument("--out-dir", default=None, help=f"output directory (${OUT_DIR_ENV} or ./out)")
-        if with_sim_flags:
-            cmd.add_argument("--dt", type=float, default=None)
-            cmd.add_argument("--margin", type=float, default=None)
-            cmd.add_argument("--leader-blend", action="store_true", dest="leader_blend")
         if name == "simulate":
             cmd.add_argument("--snapshot-times", default=None, dest="snapshot_times")
             cmd.add_argument("--export-setpoints", action="store_true", dest="export_setpoints")

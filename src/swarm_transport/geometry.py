@@ -228,13 +228,16 @@ def _hull_2d(pts: np.ndarray) -> list[int]:
 
 
 def hull_3d(points):
-    """scipy's ``ConvexHull`` of 3-D points; ``DegenerateInput`` where Qhull fails."""
+    """scipy's ``ConvexHull`` of 3-D points; ``DegenerateInput`` where Qhull
+    fails, with a message of its own, since Qhull's names a per-process run id."""
     from scipy.spatial import ConvexHull, QhullError
 
+    pts = np.asarray(points, dtype=float)
     try:
-        return ConvexHull(np.asarray(points, dtype=float))
+        return ConvexHull(pts)
     except QhullError as exc:
-        raise DegenerateInput(f"degenerate 3-d point set: {exc}") from exc
+        rank = np.linalg.matrix_rank(pts - pts.mean(axis=0))
+        raise DegenerateInput(f"degenerate 3-d point set: no hull of {len(pts)} points, whose centred rank is {rank}") from exc
 
 
 def hull_facets(points) -> list[tuple[int, ...]]:

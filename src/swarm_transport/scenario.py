@@ -1,10 +1,11 @@
 """Scenario files: parsing, canonical serialization and seeded generation.
 
-A scenario is one self-describing JSON document: dimension, agents with role
-tags, target samples (or a zone with a sampling spacing), anchor placement
-config, gains, times, margin and seed. Serialization is canonical (fixed key
-order, shortest round-trip floats), so generate -> parse -> serialize is
-byte-identical.
+A scenario is one self-describing JSON document, and it holds every setting
+of a run: dimension, agents with role tags, target samples (or a zone with a
+sampling spacing), anchor placement and whether the anchors blend to it,
+gains, times, margin and seed. Serialization is canonical (fixed key order,
+shortest round-trip floats, ``leader_final.blend`` only when true), so
+generate -> parse -> serialize is byte-identical.
 """
 
 from __future__ import annotations
@@ -151,8 +152,11 @@ def parse_scenario_text(text: str) -> Scenario:
     mode = leader_doc.get("mode") if isinstance(leader_doc, dict) else "generated"
     if mode not in ("generated", "explicit"):
         raise ParseError(f"unknown leader_final mode {mode!r}", field="mode")
-    _section(leader_doc, "leader_final", {"mode", "scale" if mode == "generated" else "positions"})
+    _section(leader_doc, "leader_final", {"mode", "blend", "scale" if mode == "generated" else "positions"})
     leader_scale = _number(leader_doc, "scale", "leader_final", default=Scenario.leader_scale)
+    leader_blend = leader_doc.get("blend", Scenario.leader_blend)
+    if type(leader_blend) is not bool:
+        raise ParseError("leader_final.blend must be true or false", field="blend")
     explicit = None
     if mode == "explicit":
         rows = leader_doc.get("positions")
@@ -188,6 +192,7 @@ def parse_scenario_text(text: str) -> Scenario:
         seed=seed,
         leader_scale=leader_scale,
         leader_positions=leader_positions,
+        leader_blend=leader_blend,
     )
 
 
@@ -324,6 +329,8 @@ def serialize_scenario(scenario: Scenario) -> str:
         }
     else:
         leader_final = {"mode": "generated", "scale": scenario.leader_scale}
+    if scenario.leader_blend:  # written only when set, so unblended documents keep their bytes
+        leader_final["blend"] = True
 
     doc = {
         "dimension": formation.dim,

@@ -177,12 +177,20 @@ class TestSimulate:
         assert proc.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "trace.csv").exists()
 
-    def test_margin_override_changes_outcome(self, tmp_path):
+    def test_document_margin_changes_converged_count(self, tmp_path):
+        # a ramp cut short at 4 s leaves some followers outside the zone,
+        # and the margin decides how many of them still count
         path = _generate(tmp_path, agents=24, boundary=6, seed=3)
-        out = tmp_path / "strict"
-        assert main(["simulate", str(path), "--out-dir", str(out), "--margin", "0.0"]) == 0
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert 0.0 <= metrics["convergence_rate"] <= 1.0
+        doc = json.loads(path.read_text())
+        doc["times"].update(tf=4.0, t_end=4.0)
+        counts = []
+        for margin in (doc["margin"], 0.0):
+            doc["margin"] = margin
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"margin{margin}"
+            assert main(["simulate", str(path), "--out-dir", str(out)]) == 0
+            counts.append(json.loads((out / "metrics.json").read_text())["converged_count"])
+        assert counts[1] < counts[0]
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         path = _generate(tmp_path, agents=24, boundary=6, seed=3)
@@ -238,17 +246,14 @@ class TestPlanAndReport:
         (lambda doc: doc["times"].update(t_end=float("inf")), [], "ParseError", "t_end"),
         (lambda doc: doc["times"].update(t_end=10**400), [], "ParseError", "t_end"),
         (lambda doc: doc.update(margin=float("nan")), [], "ParseError", "margin"),
-        (None, ["--dt", "nan"], "BadConfig", "dt"),
-        (None, ["--margin", "nan"], "BadConfig", "margin"),
-        (None, ["--margin", "1e308"], "BadConfig", "margin"),
-        (None, ["--margin", "1e200"], "BadConfig", "margin"),
+        (lambda doc: doc.update(margin=1e308), [], "BadConfig", "margin"),
+        (lambda doc: doc.update(margin=1e200), [], "BadConfig", "margin"),
         # without a zone the samples' hull is scored, and inflated as far
-        (lambda doc: doc["targets"].pop("zone"), ["--margin", "1e200"], "BadConfig", "margin"),
-        (None, ["--dt", "inf"], "BadConfig", "dt"),
+        (lambda doc: (doc["targets"].pop("zone"), doc.update(margin=1e200)), [], "BadConfig", "margin"),
         (lambda doc: doc.update(gains={"k1": 1, "k2": 1, "k3": 1, "k4": 1}), [], "BadConfig", "Hurwitz"),
         (
             lambda doc: doc.update(gains={"k1": 1200, "k2": 5.4e5, "k3": 1.08e8, "k4": 8.1e9}),
-            ["--dt", "0.01"],
+            [],
             "BadConfig",
             "RK4",
         ),
@@ -258,7 +263,8 @@ class TestPlanAndReport:
     ],
     ids=[
         "dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan",
-        "flag-dt-nan", "flag-margin-nan", "flag-margin-1e308", "flag-margin-1e200", "zoneless-flag-margin-1e200", "flag-dt-inf", "gains-not-hurwitz",
+        # the margin cases keep the ids they had when the margin was also a flag
+        "flag-margin-1e308", "flag-margin-1e200", "zoneless-flag-margin-1e200", "gains-not-hurwitz",
         "gains-rk4-unstable", "snapshot-times-text", "snapshot-times-nan",
         "snapshot-times-overflow",
     ],
@@ -281,7 +287,10 @@ def test_non_finite_inputs_rejected(tmp_path, capsys, edit, flags, error, named)
 def test_huge_finite_margin_still_scores(tmp_path, capsys):
     # the inflated zone's squared edges stay finite, so scoring runs without overflow
     path = _generate(tmp_path, agents=40, boundary=10, uncoop=2, seed=1)
-    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out"), "--margin", "1e100"]) == 0
+    doc = json.loads(path.read_text())
+    doc["margin"] = 1e100
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     assert "convergence rate 1.0000 (27/27)" in capsys.readouterr().out
 
 
@@ -532,6 +541,24 @@ def test_each_module_imports_on_its_own():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == names
     assert len(names) == 12
+
+
+def test_degenerate_3d_team_error_is_the_same_in_every_process(tmp_path):
+    # agent 1 pushed far out along x flattens the hull; Qhull's own
+    # diagnostic names a per-process run id, so it is not passed on
+    doc = json.loads(serialize_scenario(cube_scenario()))
+    doc["agents"][0]["x"] = 1e17
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(swarm_transport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "swarm_transport", "simulate", str(path), "--out-dir", str(tmp_path / "out")]
+    records = [subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120) for _ in range(2)]
+    assert [proc.returncode for proc in records] == [1, 1]
+    assert records[0].stderr == records[1].stderr
+    record = json.loads(records[0].stderr)
+    assert record["error"] == "DegenerateInput"
+    assert "run-id" not in record["message"] and "QH" not in record["message"]
 
 
 def test_snapshot_drawn_once_per_output_frame(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,12 @@ class TestScenarioValidation:
         sc = cube_scenario()  # 8 hull agents in 3-D
         with pytest.raises(BadConfig, match=r"finite \(8, 3\) array"):
             dataclasses.replace(sc, leader_positions=edit(sc.leader_positions))
+
+    @pytest.mark.parametrize("field, value", [("dt", math.nan), ("dt", math.inf), ("margin", math.nan)])
+    def test_times_and_margin_must_be_finite(self, field, value):
+        sc = quick_scenario(seed=1, n=20, nb=6)
+        with pytest.raises(BadConfig, match=f"^{field} must be finite, got {value}$"):
+            dataclasses.replace(sc, **{field: value})
 
     def test_step_count_is_capped(self):
         sc = quick_scenario(seed=1, n=20, nb=6)

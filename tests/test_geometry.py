@@ -69,8 +69,10 @@ class TestConvexHull:
 
     def test_coplanar_3d_raises(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.2, 0]])
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput) as info:
             convex_hull(pts)
+        assert str(info.value) == "degenerate 3-d point set: no hull of 5 points, whose centred rank is 2"
+        assert type(info.value.__cause__).__name__ == "QhullError"
 
 
 @st.composite

@@ -8,6 +8,7 @@ move a trajectory digit; re-record then, on a commit whose outputs are
 trusted, with ``PYTHONPATH=src python tests/test_output_digests.py``.
 """
 
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -48,29 +49,28 @@ def zoneless_scenario():
 
 
 CASES = {
-    "quick-seed1-n40": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2), []),
+    "quick-seed1-n40": lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2),
     # a team of radius 100: trace cells of decimal exponent -3 to 1, most of them 0 or 1
-    "quick-seed1-n40-radius100": (lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2, radius=100.0), []),
+    "quick-seed1-n40-radius100": lambda: quick_scenario(seed=1, n=40, nb=10, uncoop=2, radius=100.0),
     # the first draw fails to plan, so generation redraws before the plan
-    "quick-seed11-n40": (lambda: quick_scenario(seed=11, n=40, nb=10, uncoop=2), []),
+    "quick-seed11-n40": lambda: quick_scenario(seed=11, n=40, nb=10, uncoop=2),
     # transport-large's team: 6 frames to a writer block; its set-point frames
     # repeat after tf, some of them across a block's start
-    "quick-seed1-n600": (lambda: quick_scenario(seed=1, n=600, nb=100, uncoop=2), []),
+    "quick-seed1-n600": lambda: quick_scenario(seed=1, n=600, nb=100, uncoop=2),
     # planar anchors given explicitly, out of hull order
-    "explicit-planar": (explicit_planar_scenario, []),
+    "explicit-planar": explicit_planar_scenario,
     # no zone in the document: the zone is the samples' hull
-    "zoneless-seed1-n40": (zoneless_scenario, []),
-    "cube": (cube_scenario, []),
-    "cube-leader-blend": (cube_scenario, ["--leader-blend"]),
+    "zoneless-seed1-n40": zoneless_scenario,
+    "cube": cube_scenario,
+    "cube-leader-blend": lambda: dataclasses.replace(cube_scenario(), leader_blend=True),
 }
 
 
 def output_digests(case: str, tmp_path: Path) -> dict[str, str]:
-    build, flags = CASES[case]
     path = tmp_path / "scenario.json"
-    path.write_text(serialize_scenario(build()))
+    path.write_text(serialize_scenario(CASES[case]()))
     out = tmp_path / "out"
-    assert main(["simulate", str(path), "--out-dir", str(out), "--export-setpoints", *flags]) == 0
+    assert main(["simulate", str(path), "--out-dir", str(out), "--export-setpoints"]) == 0
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GridAxisAllocated, cube_scenario
+from test_output_digests import explicit_planar_scenario
 
 from swarm_transport import scenario as scenario_module
 from swarm_transport.engine import make_plan, run
@@ -248,6 +249,100 @@ class TestParse:
         assert str(info.value) == message.format(where=where)
         assert info.value.field == (field or where.split(".")[-1])
 
+    @pytest.mark.parametrize(
+        "cube, edit, message, field",
+        [
+            (False, lambda doc: [doc], "scenario document must be a JSON object", None),
+            (False, lambda doc: {**doc, "targets": {"sample_spacing": 0.5}}, "sample_spacing requires a zone", "sample_spacing"),
+            (
+                True,
+                lambda doc: {**doc, "targets": {"zone": doc["targets"]["zone"], "sample_spacing": 0.5}},
+                "sample_spacing generation is 2-D only",
+                "sample_spacing",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "targets": {"zone": doc["targets"]["zone"], "sample_spacing": 0.0}},
+                "sample_spacing must be positive",
+                "sample_spacing",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "targets": {"zone": doc["targets"]["zone"]}},
+                "targets need samples or a zone with sample_spacing",
+                "targets",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "targets": {"samples": doc["targets"]["samples"]}},
+                "targets need a zone or at least 3 samples",
+                "targets",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "leader_final": {"mode": "explicit"}},
+                "explicit leader_final needs positions",
+                "positions",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "agents": [{**a, "role": "cooperative"} for a in doc["agents"]]},
+                "scenario declares no boundary agents",
+                "agents",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "targets": {**doc["targets"], "samples": {"x": 1.0}}},
+                "targets.samples must be a list of at least 0 points",
+                "targets.samples",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "targets": {**doc["targets"], "samples": [[2.0, 1.9], [2.1, 2.2, 0.0]]}},
+                "targets.samples[1] must be a list of 2 numbers",
+                "targets.samples",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "targets": {**doc["targets"], "zone": [[1.5, 1.5], [float("nan"), 1.5], [2.5, 2.5]]}},
+                "targets.zone[1] must be a list of finite numbers",
+                "targets.zone",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "leader_final": {"mode": "generated", "blend": 1}},
+                "leader_final.blend must be true or false",
+                "blend",
+            ),
+        ],
+        ids=[
+            "not-an-object", "spacing-without-zone", "spacing-in-3d", "spacing-zero",
+            "neither-samples-nor-spacing", "two-samples-no-zone", "explicit-without-positions",
+            "no-boundary-agents", "rows-not-a-list", "row-of-wrong-length", "row-non-finite", "blend-not-a-bool",
+        ],
+    )
+    def test_document_faults_are_named(self, cube, edit, message, field):
+        doc = edit(json.loads(serialize_scenario(cube_scenario()) if cube else MINIMAL))
+        with pytest.raises(ParseError) as info:
+            parse_scenario_text(json.dumps(doc))  # writes NaN as given
+        assert type(info.value) is ParseError
+        assert str(info.value) == message
+        assert info.value.field == field
+
+
+def _assert_same_fields(got, want, skip=frozenset(), path="scenario"):
+    """Field by field, into nested dataclasses: arrays equal, all else ``==``."""
+    for field in dataclasses.fields(want):
+        if field.name in skip:
+            continue
+        a, b, at = getattr(got, field.name), getattr(want, field.name), f"{path}.{field.name}"
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and np.array_equal(a, b), at
+        elif dataclasses.is_dataclass(b):
+            _assert_same_fields(a, b, path=at)
+        else:
+            assert a == b, at
+
 
 class TestRoundTrip:
     def test_generate_parse_serialize_idempotent(self):
@@ -267,6 +362,23 @@ class TestRoundTrip:
         a = serialize_scenario(generate_scenario(params, seed=1))
         b = serialize_scenario(generate_scenario(params, seed=2))
         assert a != b
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: generate_scenario(GenerateParams(n_agents=28, n_boundary=7, n_uncooperative=2), seed=5),
+            explicit_planar_scenario,
+            cube_scenario,
+            lambda: dataclasses.replace(cube_scenario(), leader_blend=True),
+        ],
+        ids=["generated", "explicit-planar", "cube", "cube-leader-blend"],
+    )
+    def test_document_keeps_every_field(self, build):
+        # an explicit document has no scale key, so only leader_scale may fall back to its default
+        sc = build()
+        again = parse_scenario_text(serialize_scenario(sc))
+        skip = {"leader_scale"} if sc.leader_positions is not None else set()
+        _assert_same_fields(again, sc, skip)
 
     def test_parsed_equals_generated_structurally(self):
         sc = generate_scenario(GenerateParams(n_agents=26, n_boundary=7), seed=9)
@@ -341,9 +453,10 @@ class TestGenerate:
 
 @functools.cache
 def _base_documents():
-    """A generated planar document and the 3-D team with explicit anchors."""
+    """A generated planar document and the 3-D team with explicit anchors and the leader blend."""
     planar = generate_scenario(GenerateParams(n_agents=12, n_boundary=4, n_uncooperative=1), seed=2)
-    return tuple(json.loads(serialize_scenario(sc)) for sc in (planar, cube_scenario()))
+    cube = dataclasses.replace(cube_scenario(), leader_blend=True)
+    return tuple(json.loads(serialize_scenario(sc)) for sc in (planar, cube))
 
 
 def _node_path(draw, doc):
