@@ -11,15 +11,13 @@ Over many steps that map is a linear recurrence in the error state
 e = x - p e0 about a fixed point p, driven by the held inputs u = r_d - p:
 e' = Phi e + (I - Phi) e0 u. ``block_maps`` stacks its powers and the lower
 block-Toeplitz input map, positions first, so one matrix product moves any
-set of chains through a block of steps: its leading columns give the
-positions at every step and the full state at the block's end, a quarter of
-the product, and all of its columns give every state. ``step`` is the
-one-step form. States are never bound-tested one by one: ``bound_factors``
-and ``certified`` bound every entry of the full product, rounding included,
-from the largest start state and input of the block (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, section 3.1), and only a block
-they cannot clear is multiplied out in full and tested step by step by
-``held_steps``.
+set of chains through a block of steps: the positions at every step and the
+full state at the block's end. ``step`` is the one-step form and the one
+divergence test. A block is not tested step by step when ``certified``
+clears it: ``block_maps``'s factors bound every state of the block,
+rounding included, from its largest start state and input (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1); only
+a block they cannot clear is replayed through ``step``.
 """
 
 from __future__ import annotations
@@ -85,9 +83,11 @@ def step(state: np.ndarray, r_d, phi: np.ndarray) -> np.ndarray:
     the error state: an agent at rest on its ``r_d`` stays bitwise fixed. The
     product is summed elementwise in a fixed order, not by BLAS, whose one- and
     many-column kernels round differently, so no agent's result depends on the
-    batch or the axes it is stepped with. The closed loop moves blocks of
-    steps instead; this form is the tests' oracle, and the traced benchmark
-    run (``perfbench/layers.py``) wraps it by name."""
+    batch or the axes it is stepped with. It is the one divergence test: the
+    closed loop moves blocks of steps by ``block_maps`` and replays through
+    ``step`` a block that ``certified`` cannot clear; the tests' oracle
+    steps with it, and the traced benchmark run (``perfbench/layers.py``)
+    wraps it by name."""
     state = np.asarray(state, dtype=float)
     nd = state.ndim
     e = state.transpose(nd - 2, *range(nd - 2), nd - 1).copy()  # (4, ..., n)
@@ -100,16 +100,19 @@ def step(state: np.ndarray, r_d, phi: np.ndarray) -> np.ndarray:
     return out.transpose(*range(1, nd - 1), 0, nd - 1)
 
 
-def block_maps(phi: np.ndarray, size: int) -> np.ndarray:
-    """The (4 + size, 4 size) map taking a chain's row [e | u_0..u_{size-1}]
-    of error state and held inputs to its error states after 1..size steps:
-    first the positions after steps 1..size, then the velocity, acceleration
-    and jerk after step size, then those after steps 1..size-1, step by step.
-    So the leading size + 3 columns give the positions at every step and,
-    from column size - 1 on, the full state at the block's end. The state
-    after step k is the transpose of [Phi^k | Phi^(k-1) g, ..., Phi g, g, 0,
-    ..., 0] with g = (I - Phi) e0; a chain with zero error and zero inputs
-    stays exactly zero."""
+def block_maps(phi: np.ndarray, size: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """(maps, factors) for a block of ``size`` steps. ``maps`` is the
+    (4 + size, size + 3) map taking a chain's row [e | u_0..u_{size-1}] of
+    error state and held inputs to its positions after steps 1..size, then
+    its velocity, acceleration and jerk after step size, so from column
+    size - 1 on it gives the full state at the block's end. The state after
+    step k is the transpose of [Phi^k | Phi^(k-1) g, ..., Phi g, g, 0, ...,
+    0] with g = (I - Phi) e0; a chain with zero error and zero inputs stays
+    exactly zero. ``factors`` is (S, I), the largest sums of the absolute
+    coefficients on the 4 state entries and on the inputs over every state
+    row of every step: every error state in the block is then at most
+    S max|e| + I max|u| times 1 + gamma_(4+size), in any summation order,
+    and so is every state of a shorter block."""
     g = np.eye(4)[:, 0] - phi[:, 0]
     powers = [np.eye(4)]
     for _ in range(size):
@@ -118,39 +121,17 @@ def block_maps(phi: np.ndarray, size: int) -> np.ndarray:
     inputs = np.stack([q @ g for q in powers[:size]])[np.maximum(lag, 0)]  # (k, j, 4)
     inputs[lag < 0] = 0.0
     by_step = np.concatenate([np.stack(powers[1:]), inputs.transpose(0, 2, 1)], axis=2)  # (k, 4, 4+size)
-    cols = [by_step[:, 0], by_step[-1, 1:], by_step[:-1, 1:].reshape(-1, 4 + size)]
-    return np.ascontiguousarray(np.concatenate(cols).T)
-
-
-def held_steps(out: np.ndarray, p: np.ndarray) -> int:
-    """How many leading steps of a block keep every state row, positions
-    included, within the divergence bound, for the C chains whose error
-    states ``out = z @ block_maps(phi, m)`` (C, 4 m) holds, in error
-    coordinates about their fixed points ``p`` (C,): m unless some chain
-    diverges, in which case the later states in ``out`` may be huge or not
-    finite. The same test as ``step``'s, made for every step at once."""
-    m = out.shape[1] // 4
-    positions = np.abs(out[:, :m] + p[:, None]).max(axis=0)
-    rates = np.abs(out[:, m:]).max(axis=0).reshape(m, 3).max(axis=1)  # step m first
-    ok = np.maximum(positions, np.roll(rates, -1)) <= DIVERGENCE_THRESHOLD  # also false for NaN and inf
-    return m if ok.all() else int(np.argmin(ok))
-
-
-def bound_factors(maps: np.ndarray) -> tuple[float, float]:
-    """(S, I): the largest column sums of |maps| over its 4 state rows and over
-    its input rows. Every entry of ``z @ maps`` is then at most
-    S max|e| + I max|u| times 1 + gamma_(4+size), in any summation order. The
-    factors of a map bound the maps of fewer steps too: their columns are
-    some of its columns, cut to leading rows after which it holds zeros."""
-    a = np.abs(maps)
-    return float(a[:4].sum(axis=0).max()), float(a[4:].sum(axis=0).max())
+    a = np.abs(by_step)
+    factors = float(a[:, :, :4].sum(axis=2).max()), float(a[:, :, 4:].sum(axis=2).max())
+    return np.ascontiguousarray(np.concatenate([by_step[:, 0], by_step[-1, 1:]]).T), factors
 
 
 def certified(factors: tuple[float, float], e_max: float, u_max: float, p_max: float) -> bool:
     """Whether chains whose error states start within ``e_max``, whose held
     inputs stay within ``u_max`` and whose fixed points lie within ``p_max``
     keep every state row, positions included, within the divergence bound
-    through a block of ``block_maps`` steps: the test ``held_steps`` makes
-    at every step, passed by all of them at once. False for NaN and inf."""
+    through a block of ``block_maps`` steps, from that block's ``factors``:
+    the test ``step`` makes at every step, passed by all of them at once.
+    False for NaN and inf."""
     s, i = factors
     return bool((s * e_max + i * u_max) * (1.0 + 1e-9) + p_max <= DIVERGENCE_THRESHOLD)

@@ -14,15 +14,14 @@ Mentors sit in strictly earlier layers, so the loop runs over blocks of
 steps and, inside a block, one mentor layer at a time: a layer's desired
 positions over the whole block are blends of mentor positions already
 computed for that block, and one matrix product then moves the layer
-through the block. The product takes the leading columns of
-``dynamics.block_maps``: the positions at each step and the full state at
-the block's end. Once every layer has run, one certificate from the block's
-largest start state and input (``dynamics.certified``) stands in for the
-per-step divergence test. For a block it cannot clear, one product of the
-same start states and inputs with all of the map's columns gives every
-state of every step, which ``dynamics.held_steps`` tests, so a divergence
-is reported at the same step and agent; the trajectory always comes from
-the positions-only products. Every block takes at least one step and forms
+through the block. The product takes ``dynamics.block_maps``: the
+positions at each step and the full state at the block's end. Once every
+layer has run, one certificate from the block's largest start state and
+input (``dynamics.certified``) stands in for the per-step divergence test.
+A block it cannot clear is replayed from its start state with
+``dynamics.step``, the one per-step test, so a divergence is reported at
+the same step and agent as stepping the whole run; the trajectory always
+comes from the products. Every block takes at least one step and forms
 r_d at the m + 1 frames from its start to its end, so the last block ends
 at t_end. The Python loop runs once per layer per block, and memory beyond
 the logs is O(block N n).
@@ -257,11 +256,11 @@ def _integrate(plan: Plan) -> Run:
 
     # Steps after a divergence, and the map powers of gains outside the RK4
     # region, may overflow or turn NaN; the certificate fails on every such
-    # value, and the full product's step-by-step test then stops the run.
+    # value, and the block's replay through ``step`` then stops the run.
     with np.errstate(over="ignore", invalid="ignore"):
         phi = dynamics.rk4_map(sc.gains, sc.dt)
-        maps = dynamics.block_maps(phi, _BLOCK)
-        factors, p_max = dynamics.bound_factors(maps), np.abs(p).max()
+        maps, factors = dynamics.block_maps(phi, _BLOCK)
+        p_max = np.abs(p).max()
         i0 = 0
         for k0 in range(0, steps, _BLOCK):
             m = min(_BLOCK, steps - k0)  # steps taken; r_d is formed at the m + 1 frames k0 ... k0 + m
@@ -274,7 +273,7 @@ def _integrate(plan: Plan) -> Run:
                 r_d[anchor, :, : m + 1] = (1.0 - bk) * a[anchor, :, None] + bk * p[anchor, :, None]
                 np.subtract(r_d[:n0, :, :m], p[:n0, :, None], out=z3[:n0, :, 4 : 4 + m])
             if m < _BLOCK:
-                maps = dynamics.block_maps(phi, m)  # the final, shorter block
+                maps, factors = dynamics.block_maps(phi, m)  # the final, shorter block
             # one layer at a time: a mentee layer's r_d blends mentor positions
             # already moved, and one product moves the layer through the block
             for s, e in zip(bounds[:-1], bounds[1:]):
@@ -283,20 +282,19 @@ def _integrate(plan: Plan) -> Run:
                     blend(w[ms], x[mentors[ms], :, : m + 1], out=r_d[s:e, :, : m + 1])
                     np.subtract(r_d[s:e, :, :m], p[s:e, :, None], out=z3[s:e, :, 4 : 4 + m])
                 c = slice(s * dim, e * dim)
-                np.matmul(z[c, : 4 + m], maps[:, : m + 3], out=fast[c, : m + 3])
+                np.matmul(z[c, : 4 + m], maps, out=fast[c, : m + 3])
                 np.add(fast3[s:e, :, :m], p[s:e, :, None], out=x[s:e, :, 1 : m + 1])
-            e_max = np.abs(z[:, :4]).max()
-            if not dynamics.certified(factors, e_max, np.abs(z[:, 4 : 4 + m]).max(), p_max):
-                # every state of every step, from the same start states and inputs, tested step by step
-                full = z[:, : 4 + m] @ maps
-                held = dynamics.held_steps(full, p.ravel())
-                if held < m:
-                    # the first step that left the bound, judged from the state before it
-                    rates = z[:, 1:4] if held == 0 else full[:, m + 3 * held : m + 3 + 3 * held]
-                    rates = np.abs(rates).reshape(n_agents, -1).max(axis=1)
-                    peak = np.maximum(np.abs(x[:, :, held]).max(axis=1), rates)
-                    worst = ids[int(np.argmax(peak[rank]))]
-                    raise Diverged(f"agent {worst} diverged near t = {t[k0 + held]:.3f} s")
+            if not dynamics.certified(factors, np.abs(z[:, :4]).max(), np.abs(z[:, 4 : 4 + m]).max(), p_max):
+                # replay the block from its start state, one step for the whole team at a time
+                state = z3[:, :, :4].transpose(0, 2, 1).copy()  # (N, 4, n)
+                state[:, 0] = x[:, :, 0]
+                for j in range(m):
+                    try:
+                        state = dynamics.step(state, r_d[:, :, j], phi)
+                    except Diverged as exc:
+                        # the agent with the largest state before the step that left the bound
+                        worst = ids[int(np.argmax(np.abs(state).max(axis=(1, 2))[rank]))]
+                        raise Diverged(f"agent {worst} diverged near t = {t[k0 + j]:.3f} s") from exc
             i1 = int(np.searchsorted(logged, k0 + m, side="right"))
             js = logged[i0:i1] - k0
             pos_log[i0:i1, order] = x[:, :, js].transpose(2, 0, 1)

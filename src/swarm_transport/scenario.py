@@ -250,7 +250,9 @@ def _entries(rows: list, coord_keys, where: str, optional=()) -> tuple[list, np.
 def _point_rows(rows, dim, where, minimum) -> np.ndarray:
     """The list of ``dim``-number lists ``rows`` as a (K, dim) array, checked
     as one list; the rows are walked one by one only to name the first bad one."""
-    if not isinstance(rows, list) or len(rows) < minimum:
+    if not isinstance(rows, list):
+        raise ParseError(f"{where} must be a list of points", field=where)
+    if len(rows) < minimum:
         raise ParseError(f"{where} must be a list of at least {minimum} points", field=where)
     if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}:
         out = _number_rows(rows)

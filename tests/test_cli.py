@@ -263,8 +263,7 @@ class TestPlanAndReport:
     ],
     ids=[
         "dt-nan", "t_end-inf", "t_end-huge-int", "margin-nan",
-        # the margin cases keep the ids they had when the margin was also a flag
-        "flag-margin-1e308", "flag-margin-1e200", "zoneless-flag-margin-1e200", "gains-not-hurwitz",
+        "margin-1e308", "margin-1e200", "zoneless-margin-1e200", "gains-not-hurwitz",
         "gains-rk4-unstable", "snapshot-times-text", "snapshot-times-nan",
         "snapshot-times-overflow",
     ],

@@ -223,16 +223,24 @@ class TestRun:
             (dict(t_end=20.0, tf=10.0), Gains(4e4, 6e8, 4e12, 1e16)),
             (dict(t_end=400.0, tf=10.0, dt=0.5, output_period=1.0), Gains(8.65, 19.95, 17.95, 5.65)),
         )
+        plans = []
         for timing, gains in cases:
             ok = manual_scenario(sc.formation, sc.targets.samples, zone=sc.targets.zone, **timing)
             with pytest.raises(BadConfig, match="RK4"):
                 dataclasses.replace(ok, gains=gains)
-            bad_plan = dataclasses.replace(make_plan(ok), scenario=unchecked(ok, gains=gains))
+            plans.append(dataclasses.replace(make_plan(ok), scenario=unchecked(ok, gains=gains)))
+        # a valid team whose hull lies beyond the bound fails at once, at
+        # rest, and is named by id when the ids run against the layer order
+        plans += [make_plan(_scaled(quick_scenario(), 2e5, relabel)) for relabel in (int, lambda i: 100 - i)]
+        messages = []
+        for bad_plan in plans:
             with pytest.raises(Diverged, match="agent .* t =") as got:
                 engine._integrate(bad_plan)
             with pytest.raises(Diverged) as want:
                 stepwise_integrate(bad_plan)
             assert str(got.value) == str(want.value)
+            messages.append(str(got.value))
+        assert messages[-2:] == ["agent 1 diverged near t = 0.000 s", "agent 99 diverged near t = 0.000 s"]
 
     def test_divergence_names_the_worst_agent_before_the_failing_step(self, monkeypatch):
         # seed 2 moved 8e5 along both axes, under poles (-2 +- 7i, -1, -1) at
@@ -277,7 +285,7 @@ class TestRun:
             assert np.max(np.abs(fixed.positions - staged.positions)) <= 1e-12
             assert np.array_equal(fixed.converged, staged.converged)
 
-    def test_leader_blend_flag_softens_start(self):
+    def test_leader_blend_softens_start(self):
         sc = quick_scenario(seed=14, n=22, nb=6)
         soft = dataclasses.replace(sc, leader_blend=True)
         res = run(soft)
@@ -394,31 +402,36 @@ def test_integrate_matches_stepwise_oracle(team, leader_blend, dt, steps, log_ev
     assert got.rate == want.rate
 
 
-def test_certified_blocks_skip_the_full_state_product(monkeypatch):
-    # Default 2-D and 3-D runs never need the full-state product: every block
-    # is advanced by positions only and cleared by its certificate. A bound
-    # that always failed would pass every other test and only run slower.
-    plans = [make_plan(quick_scenario()), make_plan(cube_scenario())]
-    held_steps = dynamics.held_steps
-
-    def refuse(*args):
-        raise AssertionError("full-state product on a certified run")
-
-    monkeypatch.setattr(dynamics, "held_steps", refuse)
-    for plan in plans:
-        engine._integrate(plan)
-    # The same team scaled to about 2e5 m: blocks fail the certificate and
-    # are tested through the full-state product, which stays within the bound.
-    sc, k = quick_scenario(), 2e4
+def _scaled(sc, k, relabel=int):
+    """``sc`` with its agents, targets and zone scaled by ``k`` about the
+    origin, and agent id i renamed ``relabel(i)``."""
     f = sc.formation
-    far = manual_scenario(
-        Formation.build(f.ids, k * f.positions, k * sc.targets.center(), declared_boundary=[f.ids[b] for b in f.boundary]),
+    ids = [relabel(i) for i in f.ids]
+    return manual_scenario(
+        Formation.build(ids, k * f.positions, k * sc.targets.center(), declared_boundary=[ids[b] for b in f.boundary]),
         k * sc.targets.samples,
         zone=k * sc.targets.zone,
     )
-    plan = make_plan(far)
+
+
+def test_certified_blocks_skip_the_full_state_product(monkeypatch):
+    # Default 2-D and 3-D runs never step one step at a time: every block is
+    # advanced by positions only and cleared by its certificate. A bound
+    # that always failed would pass every other test and only run slower.
+    plans = [make_plan(quick_scenario()), make_plan(cube_scenario())]
+    step = dynamics.step
+
+    def refuse(*args):
+        raise AssertionError("stepwise replay on a certified run")
+
+    monkeypatch.setattr(dynamics, "step", refuse)
+    for plan in plans:
+        engine._integrate(plan)
+    # The same team scaled to about 2e5 m: blocks fail the certificate and
+    # are replayed through ``step``, which stays within the bound.
+    plan = make_plan(_scaled(quick_scenario(), 2e4))
     calls = []
-    monkeypatch.setattr(dynamics, "held_steps", lambda *args: calls.append(1) or held_steps(*args))
+    monkeypatch.setattr(dynamics, "step", lambda *args: calls.append(1) or step(*args))
     got, want = engine._integrate(plan), stepwise_integrate(plan)
     assert calls
     assert np.abs(want.positions).max() > 1e5
@@ -427,9 +440,9 @@ def test_certified_blocks_skip_the_full_state_product(monkeypatch):
 
 
 def test_uncertified_blocks_keep_the_trajectory(monkeypatch):
-    # A block that fails the certificate is tested through the full-state
-    # product, which never writes the trajectory: with every block failing
-    # it, the logs and verdicts are those of the certified run, bit for bit.
+    # A block that fails the certificate is replayed through ``step``, which
+    # never writes the trajectory: with every block failing it, the logs and
+    # verdicts are those of the certified run, bit for bit.
     # Runs that end on a block edge (100 steps) and inside a block (137).
     base = quick_scenario()
     cases = (
@@ -440,15 +453,14 @@ def test_uncertified_blocks_keep_the_trajectory(monkeypatch):
     )
     plans = [make_plan(sc) for sc in cases]
     certified = [engine._integrate(plan) for plan in plans]
-    held_steps, calls = dynamics.held_steps, []
+    step, calls = dynamics.step, []
     monkeypatch.setattr(dynamics, "certified", lambda *args: False)
-    monkeypatch.setattr(dynamics, "held_steps", lambda *args: calls.append(1) or held_steps(*args))
+    monkeypatch.setattr(dynamics, "step", lambda *args: calls.append(1) or step(*args))
     for plan, want in zip(plans, certified):
         calls.clear()
         got = engine._integrate(plan)
         sc = plan.scenario
-        steps = round((sc.t_end - sc.t0) / sc.dt)
-        assert len(calls) == -(-steps // engine._BLOCK)  # once per block
+        assert len(calls) == round((sc.t_end - sc.t0) / sc.dt)  # m calls per block of m steps
         for name in ("times", "positions", "desired", "converged", "terminal_error"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 

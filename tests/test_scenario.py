@@ -293,8 +293,14 @@ class TestParse:
             (
                 False,
                 lambda doc: {**doc, "targets": {**doc["targets"], "samples": {"x": 1.0}}},
-                "targets.samples must be a list of at least 0 points",
+                "targets.samples must be a list of points",
                 "targets.samples",
+            ),
+            (
+                False,
+                lambda doc: {**doc, "targets": {**doc["targets"], "zone": doc["targets"]["zone"][:2]}},
+                "targets.zone must be a list of at least 3 points",
+                "targets.zone",
             ),
             (
                 False,
@@ -318,7 +324,8 @@ class TestParse:
         ids=[
             "not-an-object", "spacing-without-zone", "spacing-in-3d", "spacing-zero",
             "neither-samples-nor-spacing", "two-samples-no-zone", "explicit-without-positions",
-            "no-boundary-agents", "rows-not-a-list", "row-of-wrong-length", "row-non-finite", "blend-not-a-bool",
+            "no-boundary-agents", "rows-not-a-list", "zone-too-short", "row-of-wrong-length", "row-non-finite",
+            "blend-not-a-bool",
         ],
     )
     def test_document_faults_are_named(self, cube, edit, message, field):
