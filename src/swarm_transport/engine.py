@@ -123,12 +123,16 @@ def validate_scenario(scenario: Scenario) -> None:
         if np.shape(sc.leader_positions) != shape or not np.isfinite(sc.leader_positions).all():
             raise BadConfig(f"leader positions must be a finite {shape} array in hull order")
     if sc.targets.zone is not None:
-        try:
-            geometry.convex_hull(sc.targets.zone)
+        zone = np.asarray(sc.targets.zone, dtype=float)
+        try:  # centred, since the hull's tolerance grows with |x|^2
+            hull = geometry.convex_hull(zone - zone.mean(axis=0))
         except DegenerateInput as exc:
             raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
+        # a planar hull cycle starts at corner 0; it must visit all, either way round
+        if zone.shape[1] == 2 and hull not in (list(range(len(zone))), [0, *range(len(zone) - 1, 0, -1)]):
+            raise BadConfig("targets.zone must list the corners of a convex polygon in order")
     zone = sc.targets.zone_polygon  # the samples' hull without a zone
-    with np.errstate(over="ignore", invalid="ignore"):  # scoring squares the inflated edges
+    with np.errstate(over="ignore", invalid="ignore"):  # the inflated zone's squared edges must stay finite
         inflated = inflated_zone(zone, sc.margin)
         edges = inflated - np.concatenate((inflated[-1:], inflated[:-1]))  # not finite where a vertex is not
         if not np.isfinite(np.sum(edges * edges, axis=1)).all():
@@ -318,22 +322,13 @@ def inflated_zone(zone, margin: float) -> np.ndarray:
 
 
 def convergence_check(positions, zone, margin: float):
-    """Whether positions lie inside ``inflated_zone(zone, margin)``.
-
-    Points on the inflated outline count as inside. A 3-D zone is treated as
-    the convex hull of its vertices. The zone is inflated once per call, so
-    a (K, n) array of positions gives a (K,) bool array; one (n,) position
-    gives a bool.
+    """Whether positions lie inside ``inflated_zone(zone, margin)``, by
+    ``geometry.point_in_polygon``: points on the inflated outline count as
+    inside, and a 3-D zone is the convex hull of its vertices. The zone is
+    inflated once per call, so a (K, n) array of positions gives a (K,) bool
+    array; one (n,) position gives a bool.
     """
-    pts = np.asarray(positions, dtype=float)
-    inflated = inflated_zone(zone, margin)
-    if inflated.shape[1] == 2:
-        inside = geometry.point_in_polygon(pts.reshape(-1, 2), inflated)
-    else:
-        hull = geometry.hull_3d(inflated)
-        vals = pts.reshape(-1, 3) @ hull.equations[:, :-1].T + hull.equations[:, -1]
-        inside = np.all(vals <= geometry.CONTAINMENT_TOL, axis=1)
-    return bool(inside[0]) if pts.ndim == 1 else inside
+    return geometry.point_in_polygon(positions, inflated_zone(zone, margin))
 
 
 def setpoint_series(plan: Plan, times) -> np.ndarray:

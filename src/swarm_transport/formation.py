@@ -209,19 +209,11 @@ def fan_triangulate(formation: Formation, core: int) -> np.ndarray:
 
 
 def _strictly_inside(formation: Formation, pts: np.ndarray) -> np.ndarray:
-    """Boolean mask over the (K, dim) points: strictly inside the hull."""
+    """Boolean mask over the (K, dim) points: strictly inside the hull, more than
+    ``DEGENERACY_COEFF`` times its largest coordinate (at least 1) from every facet."""
     hull_pts = formation.positions[formation.boundary]
     scale = max(1.0, float(np.max(np.abs(hull_pts))))
-    if formation.dim == 2:
-        eps = geometry.DEGENERACY_COEFF * scale * scale
-        (ax, ay), (ex, ey) = hull_pts.T, (np.concatenate((hull_pts[1:], hull_pts[:1])) - hull_pts).T
-        step = max(1, (1 << 16) // len(ax))  # points per pass, so no (K, m) array grows with N^2
-        passes = [pts[s : s + step, :, None] for s in range(0, max(len(pts), 1), step)]  # (k, 2, 1) against (m,) edges
-        return np.concatenate([(ex * (p[:, 1] - ay) - ey * (p[:, 0] - ax) > eps).all(axis=1) for p in passes])
-    # scipy's facet equations are (normal, offset) with inside <= 0
-    hull = geometry.hull_3d(hull_pts)
-    vals = pts @ hull.equations[:, :-1].T + hull.equations[:, -1]
-    return np.all(vals < -geometry.DEGENERACY_COEFF * scale, axis=1)
+    return geometry.point_in_polygon(pts, hull_pts, tol=-geometry.DEGENERACY_COEFF * scale)
 
 
 def build_actual(formation: Formation) -> LayeredGraph:

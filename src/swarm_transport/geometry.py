@@ -1,8 +1,9 @@
 """Simplex and polygon geometry in R^2 and R^3.
 
-Convex hulls, barycentric coordinates, containment tests and a few polygon
-utilities. Weights, containment and capture all apply each simplex's inverse
-elementwise, which gives a point the same bits in any batch.
+Convex hulls, barycentric coordinates, one convex-region containment test
+and a few polygon utilities. Weights, simplex containment and capture all
+apply each simplex's inverse elementwise, which gives a point the same bits
+in any batch.
 Everything operates on plain numpy arrays in workspace units (meters) and
 is pure, so calls are safe from any thread.
 """
@@ -281,26 +282,28 @@ def scale_polygon(polygon, factor: float, about=None) -> np.ndarray:
     return center + factor * (poly - center)
 
 
-def point_in_polygon(point, polygon, tol: float = CONTAINMENT_TOL):
-    """Even-odd containment test for a simple polygon; boundary counts as inside.
-
-    Both tests run over all edges at once: a point within ``tol`` of the
-    clamped projection onto any edge segment is inside, otherwise the parity
-    of edge crossings to its right decides. A (K, 2) array of points gives a
-    (K,) bool array; one (2,) point gives a bool.
+def point_in_polygon(points, vertices, tol: float = CONTAINMENT_TOL):
+    """Whether points lie in the convex region of ``vertices`` (in 2-D its
+    corner cycle, either way round; in 3-D their hull): a point's signed
+    distance from every facet's plane, along unit outward normals, is at
+    most ``tol``, so the outline is inside and a negative ``tol`` asks for
+    the strict interior. (K, n) points give a (K,) bool array, tested in
+    passes of at most 2^16 (point, facet) pairs; one (n,) point gives a bool.
     """
-    pts = np.asarray(point, dtype=float)
-    x, y = pts.reshape(-1, 2).T[:, :, None]  # (K, 1) each, against (m,) edges
-    poly = np.asarray(polygon, dtype=float)
-    x1, y1 = poly.T
-    x2, y2 = np.concatenate([poly[1:], poly[:1]]).T
-    dx, dy = x2 - x1, y2 - y1
-    denom = dx * dx + dy * dy
-    dot = (x - x1) * dx + (y - y1) * dy
-    s = np.clip(np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0.0), 0.0, 1.0)
-    ex, ey = x1 + s * dx - x, y1 + s * dy - y
-    on_edge = (np.sqrt(ex * ex + ey * ey) <= tol).any(axis=1)
-    cross = (y1 > y) != (y2 > y)
-    xc = x1 + np.divide((y - y1) * dx, dy, out=np.zeros_like(dot), where=cross)
-    inside = on_edge | (np.count_nonzero(cross & (x < xc), axis=1) % 2 == 1)
+    verts = np.asarray(vertices, dtype=float)
+    if verts.shape[1] == 3:
+        eq = hull_3d(verts).equations  # rows (unit outward normal, offset)
+        normal, offset = eq[:, :-1], eq[:, -1]
+    else:  # one facet per edge of nonzero length, outward by the sign of the area
+        edge = np.concatenate((verts[1:], verts[:1])) - verts
+        length = np.hypot(edge[:, 0], edge[:, 1])
+        keep = length > 0
+        (ex, ey), unit = edge[keep].T, np.copysign(1.0, polygon_area(verts)) / length[keep]
+        normal = np.column_stack((ey * unit, -ex * unit))
+        offset = -np.sum(normal * verts[keep], axis=1)
+    pts = np.asarray(points, dtype=float)
+    x = pts.reshape(-1, verts.shape[1])
+    step = max(1, 2**16 // max(1, len(offset)))  # points per pass, so memory is bounded by a pass
+    passes = range(0, max(len(x), 1), step)
+    inside = np.concatenate([(x[s : s + step] @ normal.T + offset <= tol).all(axis=1) for s in passes])
     return bool(inside[0]) if pts.ndim == 1 else inside

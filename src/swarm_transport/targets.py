@@ -25,7 +25,9 @@ class TargetSet:
     """Finite target sample set plus the zone outline used for scoring."""
 
     samples: np.ndarray  # (S, n)
-    zone: np.ndarray | None = None  # polygon outline; hull of samples when absent
+    # the corners of a convex polygon in order, either way round (3-D: points
+    # whose hull is the zone); the samples' hull when absent
+    zone: np.ndarray | None = None
 
     @cached_property
     def zone_polygon(self) -> np.ndarray:

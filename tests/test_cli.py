@@ -370,6 +370,20 @@ def test_zone_without_area_or_volume_is_refused(tmp_path, capsys, scenario, zone
     assert not (tmp_path / "out").exists()
 
 
+def test_zone_repeating_a_corner_ends_in_one_error_record(tmp_path, capsys):
+    # its grid is filtered before the zone is checked, and the repeated
+    # corner's zero-length edge must add no facet and raise no warning
+    def edit(doc):
+        zone = doc["targets"]["zone"]
+        doc["targets"] = {"zone": zone[:3] + zone[2:], "sample_spacing": 0.3}
+
+    code, err = _edited_simulate(tmp_path, capsys, edit)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadConfig", "message": "targets.zone must list the corners of a convex polygon in order"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_zoneless_simulate_takes_the_sample_hull_once(tmp_path, capsys, monkeypatch):
     # scoring, anchor placement and the snapshots all read the one outline
     path = _generate(tmp_path, agents=40, boundary=10, uncoop=2, seed=1)

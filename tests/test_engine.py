@@ -16,7 +16,7 @@ from oracles import (
     stepwise_integrate,
     tracking_error_report,
 )
-from swarm_transport import dynamics, engine
+from swarm_transport import dynamics, engine, geometry
 from swarm_transport.dynamics import Gains
 from swarm_transport.engine import convergence_check, make_plan, run, setpoint_series
 from swarm_transport.errors import BadConfig, Diverged, SwarmTransportError
@@ -24,6 +24,7 @@ from swarm_transport.formation import ROLE_BOUNDARY, ROLE_CORE, Formation
 from swarm_transport.reporting import metrics_json, trace_table
 from swarm_transport.scenario import parse_scenario_text, serialize_scenario
 from swarm_transport.setpoints import propagate_setpoints
+from swarm_transport.targets import TargetSet
 from swarm_transport.weights import beta
 
 UNIT_SQUARE = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -59,6 +60,45 @@ class TestConvergenceCheck:
             assert got.tolist() == [convergence_check(p, zone, 0.10) for p in pts]
             assert 0 < got.sum() < 50
             assert convergence_check(pts[:0], zone, 0.10).shape == (0,)
+
+
+class TestZoneRule:
+    """A planar zone is the corner cycle of a convex polygon, in either
+    direction; scoring tests points against its edges' halfplanes."""
+
+    MESSAGE = "targets.zone must list the corners of a convex polygon in order"
+
+    @pytest.mark.parametrize(
+        "zone",
+        [
+            [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+            [(0, 0), (1, 0), (0, 1), (1, 1)],  # the unit square's corners as a bow tie
+        ],
+        ids=["l-shape", "bow-tie"],
+    )
+    def test_zone_that_is_not_a_convex_cycle_is_refused(self, zone):
+        sc = quick_scenario(seed=1, n=20, nb=6)
+        with pytest.raises(BadConfig) as err:
+            manual_scenario(sc.formation, sc.targets.samples, zone=zone)
+        assert str(err.value) == self.MESSAGE
+
+    def test_clockwise_zone_gives_the_counter_clockwise_verdicts(self):
+        sc = quick_scenario(seed=1, n=20, nb=6)
+        zone = sc.targets.zone
+        assert geometry.polygon_area(zone) > 0
+        cw = manual_scenario(sc.formation, sc.targets.samples, zone=zone[::-1])
+        assert run(cw).converged.tolist() == run(sc).converged.tolist()
+        pts = np.random.default_rng(2).uniform(zone.min(axis=0) - 0.5, zone.max(axis=0) + 0.5, (200, 2))
+        inside = geometry.point_in_polygon(pts, zone)
+        assert geometry.point_in_polygon(pts, zone[::-1]).tolist() == inside.tolist()
+        assert 0 < inside.sum() < 200
+
+    def test_convex_zone_far_from_the_origin_is_accepted(self):
+        # the hull that the rule takes is of the centred zone: on the raw
+        # corners its tolerance, which grows with |x|^2, drops all of them
+        sc = quick_scenario(seed=1, n=20, nb=6)
+        shifted = TargetSet(samples=sc.targets.samples + 2e6, zone=sc.targets.zone + 2e6)
+        assert dataclasses.replace(sc, targets=shifted).targets is shifted
 
 
 class TestScenarioValidation:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import quick_scenario
+from conftest import cube_scenario, quick_scenario
 from oracles import Simplex, contains, inside, scalar_hull_2d
 from swarm_transport import geometry
 from swarm_transport.errors import DegenerateInput, DegenerateSimplex
@@ -364,14 +364,10 @@ class TestPolygonUtils:
         assert point_in_polygon([1.0, 0.5], square)
         assert not point_in_polygon([1.001, 0.5], square)
 
-    def test_point_in_nonconvex_polygon(self):
-        lshape = np.array([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], dtype=float)
-        assert point_in_polygon([0.5, 1.5], lshape)
-        assert not point_in_polygon([1.5, 1.5], lshape)
-
 
 def point_in_polygon_oracle(point, polygon, tol=geometry.CONTAINMENT_TOL):
-    """The edge-by-edge loop that the vectorized test replaced."""
+    """The edge-by-edge even-odd loop, with an edge-distance test: on a convex
+    polygon it gives the facet test's verdicts."""
     p = np.asarray(point, dtype=float)
     poly = np.asarray(polygon, dtype=float)
     m = len(poly)
@@ -396,19 +392,21 @@ def point_in_polygon_oracle(point, polygon, tol=geometry.CONTAINMENT_TOL):
 
 @st.composite
 def polygon_and_point(draw):
-    """A star-shaped simple polygon (convex when all radii are equal) and a
-    point that is free, on an edge or on a vertex."""
+    """A convex polygon (equal radii at distinct angles), counter-clockwise
+    and one that ``validate_scenario`` accepts as a zone, and a point that
+    is free, on an edge or on a vertex."""
     m = draw(st.integers(3, 12))
     angles = draw(
         st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=m, max_size=m, unique=True)
     )
-    if draw(st.booleans()):
-        radii = [draw(st.floats(0.1, 5.0))] * m
-    else:
-        radii = draw(st.lists(st.floats(0.1, 5.0), min_size=m, max_size=m))
+    radius = draw(st.floats(0.1, 5.0))
     center = np.array([draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))])
     theta = np.sort(angles)
-    poly = center + np.array(radii)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    poly = center + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    try:
+        assume(convex_hull(poly - poly.mean(axis=0)) == list(range(m)))
+    except DegenerateInput:
+        assume(False)
     kind = draw(st.sampled_from(["free", "edge", "vertex"]))
     k = draw(st.integers(0, m - 1))
     if kind == "free":
@@ -420,13 +418,13 @@ def polygon_and_point(draw):
         point = poly[k] + s * (poly[(k + 1) % m] - poly[k])
     else:
         point = poly[k].copy()
-    return poly, point, kind
+    return poly, point, kind, k
 
 
 @settings(max_examples=200, deadline=None)
 @given(polygon_and_point())
 def test_point_in_polygon_matches_edge_loop(case):
-    poly, point, kind = case
+    poly, point, kind, k = case
     got = point_in_polygon(point, poly)
     assert got == point_in_polygon_oracle(point, poly)
     assert got == point_in_polygon(point, poly[::-1])
@@ -439,3 +437,31 @@ def test_point_in_polygon_matches_edge_loop(case):
     assert many.tolist() == [point_in_polygon(p, poly) for p in batch]
     assert many[0] == got and many[1 : len(poly) + 1].all()
     assert point_in_polygon(batch[:0], poly).shape == (0,)
+    # a repeated corner adds no facet, so it changes no verdict
+    assert point_in_polygon(batch, np.insert(poly, k, poly[k], axis=0)).tolist() == many.tolist()
+    # strictly inside: vertices and edge points are out, and the area centroid
+    # is in, being at least area / (3 diameter) from every edge, unless the
+    # polygon is a sliver whose centroid the shoelace sums cannot place
+    strict = -1e-12 * max(1.0, float(np.abs(poly).max()))
+    inner = point_in_polygon(batch, poly, tol=strict)
+    assert not inner[1 : len(poly) + 1].any()
+    if kind != "free":
+        assert not inner[0]
+    if abs(polygon_area(poly)) / (3 * np.hypot(*np.ptp(poly, axis=0))) > 1e-6:
+        assert point_in_polygon(polygon_centroid(poly), poly, tol=strict)
+
+
+def test_point_in_polygon_3d_matches_hull_equations():
+    """On the cube team's hull, the facet test gives the verdicts of Qhull's
+    facet equations, at the scoring tolerance and strictly inside."""
+    form = cube_scenario().formation
+    hull_pts = form.positions[form.boundary]
+    eq = geometry.hull_3d(hull_pts).equations
+    pts = np.vstack([form.positions, np.random.default_rng(7).uniform(-0.5, 4.5, (400, 3))])
+    vals = pts @ eq[:, :-1].T + eq[:, -1]
+    assert point_in_polygon(pts, hull_pts).tolist() == np.all(vals <= geometry.CONTAINMENT_TOL, axis=1).tolist()
+    strict = geometry.DEGENERACY_COEFF * float(np.abs(hull_pts).max())
+    inside = point_in_polygon(pts, hull_pts, tol=-strict)
+    assert inside.tolist() == np.all(vals < -strict, axis=1).tolist()
+    assert not inside[form.boundary].any() and inside.sum() > 100
+    assert point_in_polygon(pts[0], hull_pts) is True

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,20 @@ class TestParse:
         doc["targets"]["sample_spacing"] = 2.0 / 2047
         with pytest.raises(GridAxisAllocated):
             parse_scenario_text(json.dumps(doc))
+
+    def test_sample_grid_filter_memory_is_bounded(self):
+        # 2^16 grid points over a 12-gon: the points themselves take 1 MiB,
+        # and the containment test holds one pass of (point, facet) pairs
+        a = 2 * np.pi * np.arange(12) / 12
+        zone = np.column_stack([np.cos(a), np.sin(a)])
+        tracemalloc.start()
+        try:
+            samples = scenario_module._grid_samples(zone, 2.0 / 255, ParseError)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 40_000 < len(samples) < 2**16
+        assert peak <= 10 * 2**20
 
     def test_samples_and_spacing_conflict(self):
         doc = json.loads(MINIMAL)
