@@ -42,7 +42,7 @@ def cmd_generate(args) -> int:
 def cmd_build_graph(args) -> int:
     sc = scenario_io.load_scenario(args.scenario)
     out = _out_dir(args)
-    graph = build_actual(sc.formation)
+    graph = build_actual(sc.formation, sc.targets.center())
     _write_graph_files(sc.formation, graph, out)
     print("\n".join(reporting.summary_lines(reporting.team_counts(sc.formation, graph))))
     return 0

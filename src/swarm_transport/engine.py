@@ -48,7 +48,7 @@ from .formation import (
     build_actual,
 )
 from .setpoints import blend, propagate_setpoints
-from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions
+from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions, zone_center
 from .weights import WeightSchedule, beta, build_schedule
 
 
@@ -122,6 +122,9 @@ def validate_scenario(scenario: Scenario) -> None:
         shape = (len(sc.formation.boundary), sc.formation.dim)
         if np.shape(sc.leader_positions) != shape or not np.isfinite(sc.leader_positions).all():
             raise BadConfig(f"leader positions must be a finite {shape} array in hull order")
+    for name, points in (("samples", sc.targets.samples), ("zone", sc.targets.zone)):  # read as the team's points
+        if points is not None and (np.shape(points)[1:] != (sc.formation.dim,) or not np.isfinite(points).all()):
+            raise BadConfig(f"targets.{name} must be finite points of the team's dimension {sc.formation.dim}")
     if sc.targets.zone is not None:
         zone = np.asarray(sc.targets.zone, dtype=float)
         try:  # centred, since the hull's tolerance grows with |x|^2
@@ -138,7 +141,7 @@ def validate_scenario(scenario: Scenario) -> None:
         if not np.isfinite(np.sum(edges * edges, axis=1)).all():
             raise BadConfig(f"margin {sc.margin:g} inflates the target zone beyond the float range")
         if sc.leader_positions is None and zone.shape[1] == 2:  # the ring that make_plan spaces anchors on
-            if not np.abs(geometry.scale_polygon(zone, sc.leader_scale)).max() <= MAX_COORDINATE:
+            if not np.abs(geometry.scale_polygon(zone, sc.leader_scale, about=sc.targets.center())).max() <= MAX_COORDINATE:
                 raise BadConfig(f"leader_final.scale {sc.leader_scale:g} puts the anchors beyond {MAX_COORDINATE:g}")
         phi = dynamics.rk4_map(sc.gains, sc.dt)
     if not dynamics.check_hurwitz(sc.gains):
@@ -185,7 +188,7 @@ class Run:
 def make_plan(scenario: Scenario) -> Plan:
     """Pipeline prefix: graph synthesis, anchor placement, targets, weights."""
     formation = scenario.formation
-    graph = build_actual(formation)
+    graph = build_actual(formation, scenario.targets.center())
     leader_p = scenario.leader_positions
     if leader_p is None:
         leader_p = leader_final_positions(formation, scenario.targets, scenario.leader_scale)
@@ -311,14 +314,9 @@ def _integrate(plan: Plan) -> Run:
 
 
 def inflated_zone(zone, margin: float) -> np.ndarray:
-    """The zone that scoring uses: its vertices scaled by (1 + margin), a
-    planar zone counter-clockwise about its area centroid, a 3-D zone about
-    its vertex mean."""
-    zone = np.asarray(zone, dtype=float)
-    if zone.shape[1] == 2:
-        return geometry.scale_polygon(geometry.ensure_ccw(zone), 1.0 + margin)
-    center = zone.mean(axis=0)
-    return center + (1.0 + margin) * (zone - center)
+    """The zone that scoring uses: its vertices, in their order, scaled by
+    (1 + margin) about ``zone_center``."""
+    return geometry.scale_polygon(zone, 1.0 + margin, about=zone_center(zone))
 
 
 def convergence_check(positions, zone, margin: float):

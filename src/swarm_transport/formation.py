@@ -37,14 +37,13 @@ ROLE_UNCOOPERATIVE = "uncooperative"
 
 @dataclass(frozen=True)
 class Formation:
-    """Initial agent layout: positions, hull cycle, clamped rows, target center."""
+    """Initial agent layout: positions, hull cycle, clamped rows, declared core."""
 
     dim: int
     ids: tuple[int, ...]  # sorted ascending; row k belongs to ids[k]
     positions: np.ndarray  # (N, dim)
     boundary: np.ndarray  # (B,) hull cycle rows, counterclockwise for dim 2
     clamped: np.ndarray  # (C,) rows of the uncooperative agents, ascending
-    target_center: np.ndarray
     core: int | None = None  # row of the declared core, auto-selected when None
 
     @classmethod
@@ -52,7 +51,6 @@ class Formation:
         cls,
         ids,
         positions,
-        target_center,
         *,
         uncooperative=(),
         core_id=None,
@@ -98,9 +96,6 @@ class Formation:
                 raise BadConfig(f"declared core {core_id} lies on the boundary")
             if core_id in uncoop:
                 raise BadConfig(f"declared core {core_id} is uncooperative")
-        center = np.asarray(target_center, dtype=float)
-        if center.shape != (dim,) or not np.all(np.isfinite(center)):
-            raise BadConfig("target center must be a finite point of the same dimension")
 
         form = cls(
             dim=dim,
@@ -108,7 +103,6 @@ class Formation:
             positions=pos[order],
             boundary=boundary,
             clamped=np.array(sorted(row[u] for u in uncoop), dtype=np.intp),
-            target_center=center,
             core=None if core_id is None else row[core_id],
         )
         outside = ~_strictly_inside(form, form.positions)
@@ -171,8 +165,9 @@ def agent_roles(formation: Formation, core: int | None) -> np.ndarray:
     return roles
 
 
-def select_core(formation: Formation) -> int:
-    """Row of the interior agent nearest the target center; ties go to the smaller row.
+def select_core(formation: Formation, center) -> int:
+    """Row of the interior agent nearest the point ``center`` (in a plan, the
+    target set's center); ties go to the smaller row.
 
     Clamped agents are not eligible: the core must supply an adaptive
     reference, which a clamped agent cannot.
@@ -183,7 +178,7 @@ def select_core(formation: Formation) -> int:
     rows = np.flatnonzero(eligible)
     if not len(rows):
         raise NoCandidate("every non-boundary agent is uncooperative")
-    v = (formation.positions[rows] - formation.target_center)[:, None, :]
+    v = (formation.positions[rows] - np.asarray(center, dtype=float))[:, None, :]
     # each row's dot product, as ``np.linalg.norm`` of one vector takes it
     d = np.sqrt(np.matmul(v, v.swapaxes(1, 2))[:, 0, 0])
     return int(rows[np.argmin(d)])  # the first of equal minima
@@ -216,10 +211,12 @@ def _strictly_inside(formation: Formation, pts: np.ndarray) -> np.ndarray:
     return geometry.point_in_polygon(pts, hull_pts, tol=-geometry.DEGENERACY_COEFF * scale)
 
 
-def build_actual(formation: Formation) -> LayeredGraph:
+def build_actual(formation: Formation, center) -> LayeredGraph:
     """Mentor graph with clamped agents folded into layer 0 as extra sources.
 
     With no clamped agents this is the nominal, fully cooperative graph.
+    The core is the formation's declared one, else ``select_core(formation,
+    center)``; a plan passes its target set's center.
     The open cells are one (C, n+1) array of vertex rows; each layer adopts
     and splits all of them at once. Collapsed cells are dropped where they
     are made, fan cells as ``_split``'s children, so every open cell is
@@ -229,7 +226,7 @@ def build_actual(formation: Formation) -> LayeredGraph:
     cells of layer 1; after that, each child takes the agents near its
     parent that are still free, since a child lies inside its parent.
     """
-    core = formation.core if formation.core is not None else select_core(formation)
+    core = formation.core if formation.core is not None else select_core(formation, center)
     cells = fan_triangulate(formation, core)
     n_fan, pos = len(cells), formation.positions
     cells = cells[~geometry.degenerate(pos[cells])]

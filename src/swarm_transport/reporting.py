@@ -229,11 +229,12 @@ def weights_table(plan: Plan) -> str:
     """Per-mentee endpoint weight vectors as plain text, by ascending id."""
     graph, sched = plan.graph, plan.schedule
     ids = plan.scenario.formation.ids
+    order = np.argsort(graph.mentees)
+    w = np.stack([sched.omega[order], sched.varpi[order]], axis=1)  # (M, 2, n+1) by ascending id
     lines = ["# id\tmentors\tinitial_weights\tfinal_weights"]
-    for k in np.argsort(graph.mentees):
+    for k, cells in zip(order.tolist(), _g9(w.ravel()).reshape(w.shape).tolist()):
         mentors = ",".join(str(ids[m]) for m in graph.mentors[k])
-        w0 = ",".join(f"{v:.9g}" for v in sched.omega[k])
-        w1 = ",".join(f"{v:.9g}" for v in sched.varpi[k])
+        w0, w1 = (b",".join(row).decode() for row in cells)
         lines.append(f"{ids[graph.mentees[k]]}\t{mentors}\t{w0}\t{w1}")
     return "\n".join(lines) + "\n"
 

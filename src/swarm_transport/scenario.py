@@ -174,7 +174,6 @@ def parse_scenario_text(text: str) -> Scenario:
         formation = Formation.build(
             ids,
             positions,
-            target_set.center(),
             uncooperative=uncooperative,
             core_id=cores[0] if cores else None,
             declared_boundary=declared_boundary if declared_boundary else None,
@@ -467,7 +466,6 @@ def _draw_scenario(p: GenerateParams, seed: int, attempt: int) -> Scenario:
     formation = Formation.build(
         ids,
         positions,
-        geometry.polygon_centroid(zone),
         uncooperative=uncoop,
         declared_boundary=ids[: p.n_boundary],
     )

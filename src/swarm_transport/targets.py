@@ -43,10 +43,15 @@ class TargetSet:
         return zone
 
     def center(self) -> np.ndarray:
-        zone = self.zone_polygon
-        if zone.shape[1] == 2:
-            return geometry.polygon_centroid(zone)
-        return zone.mean(axis=0)
+        """The point the plan's core is nearest and its zone scales about."""
+        return zone_center(self.zone_polygon)
+
+
+def zone_center(zone) -> np.ndarray:
+    """The center of a zone: in 2-D the area centroid of its counter-clockwise
+    outline, in 3-D the mean of its vertices."""
+    zone = np.asarray(zone, dtype=float)
+    return geometry.polygon_centroid(geometry.ensure_ccw(zone)) if zone.shape[1] == 2 else zone.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -85,14 +90,13 @@ def equal_arclength_points(polygon, count: int) -> np.ndarray:
 def leader_final_positions(formation: Formation, targets: TargetSet, scale: float) -> np.ndarray:
     """Generated anchor positions of the hull agents, shaped (B, n) in hull
     cycle order: equal arc length along the zone outline scaled by ``scale``
-    about the zone centroid, preserving the hull's cyclic order. The
+    about ``targets.center()``, preserving the hull's cyclic order. The
     placement is a convention of this artifact, not part of the underlying
     method.
     """
     if formation.dim != 2:
         raise BadConfig("generated leader placement is only available in 2-D")
-    zone = targets.zone_polygon
-    ring = geometry.scale_polygon(zone, scale, about=geometry.polygon_centroid(zone))
+    ring = geometry.scale_polygon(targets.zone_polygon, scale, about=targets.center())
     return equal_arclength_points(ring, len(formation.boundary))
 
 

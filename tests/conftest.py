@@ -21,9 +21,7 @@ def square_core_formation(extra=(), uncooperative=(), core=None):
     for k, xy in enumerate(extra):
         ids.append(6 + k)
         pos.append((float(xy[0]), float(xy[1])))
-    return Formation.build(
-        ids, pos, (2.0, 2.0), uncooperative=uncooperative, core_id=core
-    )
+    return Formation.build(ids, pos, uncooperative=uncooperative, core_id=core)
 
 
 def written(writer, *args) -> str:
@@ -112,7 +110,7 @@ def cube_scenario():
     rng = np.random.default_rng(3)
     interior = [(2.0, 2.0, 2.0)] + [tuple(p) for p in rng.uniform(0.6, 3.4, (9, 3))]
     form = Formation.build(
-        range(1, 19), corners + interior, (2.0, 2.0, 2.0), uncooperative=[13]
+        range(1, 19), corners + interior, uncooperative=[13]
     )
     target = [(x, y, z) for x in (1.0, 3.0) for y in (1.0, 3.0) for z in (1.0, 3.0)]
     axis = np.linspace(1.2, 2.8, 5)

@@ -178,11 +178,11 @@ class Simplex:
         return Simplex(tuple(rows), pts)
 
 
-def cellwise_build_actual(formation) -> LayeredGraph:
+def cellwise_build_actual(formation, center) -> LayeredGraph:
     """Mentor graph from a list of open ``Simplex`` cells, visited in order;
     each adopts its best-centered free row, which leaves the free set at once.
     Collapsed cells, fan cells too, never open."""
-    core = formation.core if formation.core is not None else select_core(formation)
+    core = formation.core if formation.core is not None else select_core(formation, center)
     fan = [Simplex(tuple(rows), formation.positions[rows]) for rows in fan_triangulate(formation, core).tolist()]
 
     open_list = [simplex for simplex in fan if not simplex.is_degenerate()]  # as _expand drops children

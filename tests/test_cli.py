@@ -430,7 +430,7 @@ def test_mentee_off_its_sliver_mentor_simplex_is_a_plan_error(tmp_path, capsys, 
     rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
     square = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
     pos = np.array(square + [(0.0, -1.0 + 1e-7), (0.3, -1.0 + 1e-7 / 3)]) @ rotation.T
-    form = Formation.build(range(1, 7), pos, (0.0, 0.0), core_id=5)
+    form = Formation.build(range(1, 7), pos, core_id=5)
     samples = [pos[0] + f * (pos[1] - pos[0]) for f in (0.6, 0.75, 0.9)]
     anchors = {k + 1: pos[k] for k in range(4)}
     path = tmp_path / "sliver.json"

@@ -157,6 +157,33 @@ class TestScenarioValidation:
         with pytest.raises(BadConfig, match="RK4"):
             dataclasses.replace(parsed, gains=Gains(1200.0, 5.4e5, 1.08e8, 8.1e9))
 
+    @pytest.mark.parametrize("targets", ["cube", "nan-sample"])
+    def test_targets_must_be_finite_points_of_the_team(self, targets):
+        # refused where the scenario is built, not deep in planning or scoring
+        sc = quick_scenario(seed=1, n=20, nb=6)
+        if targets == "cube":
+            bad = cube_scenario().targets
+        else:
+            samples = sc.targets.samples.copy()
+            samples[3, 1] = math.nan
+            bad = TargetSet(samples=samples, zone=sc.targets.zone)
+        with pytest.raises(BadConfig, match="finite points of the team's dimension 2"):
+            dataclasses.replace(sc, targets=bad)
+
+
+def test_replaced_targets_plan_as_their_document():
+    # the core is the interior agent nearest the scenario's own target
+    # center, so targets swapped in by ``replace`` plan and run as the
+    # scenario's document does
+    sc = quick_scenario(seed=13, n=40, nb=10, uncoop=2)
+    off = np.array([1.0, 0.0])
+    moved = dataclasses.replace(sc, targets=TargetSet(samples=sc.targets.samples + off, zone=sc.targets.zone + off))
+    got, want = run(moved), run(parse_scenario_text(serialize_scenario(moved)))
+    assert sc.formation.ids[got.plan.graph.core] == sc.formation.ids[want.plan.graph.core] == 34
+    for name in ("layer", "mentees", "mentors"):
+        assert getattr(got.plan.graph, name).tobytes() == getattr(want.plan.graph, name).tobytes()
+    assert got.positions.tobytes() == want.positions.tobytes()
+
 
 def _fixed_point_scenario():
     """Everybody already sits at its final position: anchors explicitly at
@@ -289,7 +316,7 @@ class TestRun:
         # one step, so the agent named depends on which step's rates are read
         sc = quick_scenario(seed=2, n=20, nb=6)
         f, off = sc.formation, 8e5
-        form = Formation.build(f.ids, f.positions + off, f.target_center + off)
+        form = Formation.build(f.ids, f.positions + off)
         ok = manual_scenario(
             form, sc.targets.samples + off, zone=sc.targets.zone + off, t_end=200.0, tf=10.0, dt=0.4, output_period=0.8
         )
@@ -448,7 +475,7 @@ def _scaled(sc, k, relabel=int):
     f = sc.formation
     ids = [relabel(i) for i in f.ids]
     return manual_scenario(
-        Formation.build(ids, k * f.positions, k * sc.targets.center(), declared_boundary=[ids[b] for b in f.boundary]),
+        Formation.build(ids, k * f.positions, declared_boundary=[ids[b] for b in f.boundary]),
         k * sc.targets.samples,
         zone=k * sc.targets.zone,
     )

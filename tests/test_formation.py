@@ -43,7 +43,7 @@ class TestFormationBuild:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(BadConfig):
-            Formation.build([1, 1, 2, 3], [(0, 0), (1, 0), (0, 1), (2, 2)], (0.5, 0.5))
+            Formation.build([1, 1, 2, 3], [(0, 0), (1, 0), (0, 1), (2, 2)])
 
     def test_uncooperative_boundary_rejected(self):
         with pytest.raises(BadConfig):
@@ -54,14 +54,13 @@ class TestFormationBuild:
             Formation.build(
                 [1, 2, 3, 4],
                 [(0, 0), (4, 0), (0, 4), (1, 1)],
-                (1.0, 1.0),
                 declared_boundary=[1, 2, 4],
             )
 
     def test_interior_agent_on_hull_edge_rejected(self):
         with pytest.raises(BadConfig):
             Formation.build(
-                [1, 2, 3, 4], [(0, 0), (4, 0), (0, 4), (2, 0)], (1.0, 1.0)
+                [1, 2, 3, 4], [(0, 0), (4, 0), (0, 4), (2, 0)]
             )
 
     def test_declared_core_must_be_interior(self):
@@ -72,28 +71,27 @@ class TestFormationBuild:
 class TestSelectCore:
     def test_single_interior_agent(self):
         form = square_core_formation()
-        assert select_core(form) == 4
+        assert select_core(form, (2.0, 2.0)) == 4
 
     def test_tie_goes_to_smaller_id(self):
         form = square_core_formation(extra=[(1.0, 2.0), (3.0, 2.0)])
         # agents 6 and 7 are both at distance 1 from the target center (2, 2)
-        assert select_core(form) == 4  # center agent wins outright
+        assert select_core(form, (2.0, 2.0)) == 4  # center agent wins outright
         far = Formation.build(
             [1, 2, 3, 4, 6, 7],
             [(0, 0), (4, 0), (4, 4), (0, 4), (1.0, 2.0), (3.0, 2.0)],
-            (2.0, 2.0),
         )
-        assert far.ids[select_core(far)] == 6
+        assert far.ids[select_core(far, (2.0, 2.0))] == 6
 
     def test_uncooperative_excluded(self):
         form = square_core_formation(extra=[(2.5, 2.5)], uncooperative=[5])
         assert form.clamped.tolist() == [4]
-        assert form.ids[select_core(form)] == 6
+        assert form.ids[select_core(form, (2.0, 2.0))] == 6
 
     def test_no_candidate(self):
         form = square_core_formation(uncooperative=[5])
         with pytest.raises(NoCandidate):
-            select_core(form)
+            select_core(form, (2.0, 2.0))
 
 
 class TestFanTriangulate:
@@ -106,7 +104,7 @@ class TestFanTriangulate:
     def test_areas_sum_to_hull_area(self):
         sc = quick_scenario(seed=5, n=30, nb=9)
         form = sc.formation
-        core = select_core(form)
+        core = select_core(form, sc.targets.center())
         fan = fan_triangulate(form, core)
         hull = form.positions[form.boundary]
         total = sum(
@@ -122,7 +120,7 @@ class TestFanTriangulate:
     def test_lookalike_initial_simplices(self):
         # 16 hull agents imply 16 fan triangles
         sc = quick_scenario(seed=1, n=95, nb=16)
-        graph = build_actual(sc.formation)
+        graph = build_actual(sc.formation, sc.targets.center())
         assert len(sc.formation.boundary) == 16
         assert graph.n_initial_simplices == 16
 
@@ -132,7 +130,7 @@ class TestFanTriangulate:
         ]
         ids = list(range(1, 9)) + [9]
         pos = corners + [(1.0, 1.0, 1.0)]
-        form = Formation.build(ids, pos, (1.0, 1.0, 1.0))
+        form = Formation.build(ids, pos)
         fan = fan_triangulate(form, 8)
         vol = sum(
             abs(np.linalg.det(geometry.augmented_matrix(form.positions[rows]))) / 6.0
@@ -144,7 +142,7 @@ class TestFanTriangulate:
 class TestBuildNominal:
     def test_core_only_interior(self):
         form = square_core_formation()
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         assert graph.n_layers == 0
         assert graph.layer.tolist() == [0, 0, 0, 0, 0]
         assert graph.mentees.shape == (0,)
@@ -152,14 +150,14 @@ class TestBuildNominal:
 
     def test_single_mentee_forced_structure(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         assert graph.mentees.tolist() == [5]
         assert graph.mentors.tolist() == [[0, 1, 4]]  # agents 1, 2 and the core 5
         assert graph.layer[5] == 1
 
     def test_lookalike_cooperative_count(self):
         sc = quick_scenario(seed=1, n=95, nb=16)
-        graph = build_actual(sc.formation)
+        graph = build_actual(sc.formation, sc.targets.center())
         assert np.count_nonzero(graph.roles == "cooperative") == 78
         assert len(graph.mentees) == 78
 
@@ -171,10 +169,9 @@ class TestBuildActual:
         form = Formation.build(
             [1, 2, 3, 4, 5, 6],
             [(0, 0), (10, 0), (0, 10), (3, 3), (5, 2), (6, 5 / 3)],
-            (3.0, 3.0),
             uncooperative=[5],
         )
-        graph = build_actual(form)
+        graph = build_actual(form, (3.0, 3.0))
         assert graph.core == 3  # agent 4
         assert graph.layer.tolist() == [0, 0, 0, 0, 0, 1]
         assert graph.n_layers == 1
@@ -194,21 +191,21 @@ class TestBuildActual:
         # with the other agent, must decide the same.
         hull = [(0.1, -0.3), (4.2, 0.15), (3.9, 4.3), (-0.2, 3.8)]
         pts = hull + [(2.05, 1.95), (2.1166666666666667, 0.6), last]
-        form = Formation.build(range(1, 8), pts, (2.05, 1.95), core_id=5)
-        graph = build_actual(form)
+        form = Formation.build(range(1, 8), pts, core_id=5)
+        graph = build_actual(form, (2.05, 1.95))
         assert graph.mentors.tolist() == [[0, 1, 4], mentors]
-        assert cellwise_build_actual(form).mentors.tolist() == graph.mentors.tolist()
+        assert cellwise_build_actual(form, (2.05, 1.95)).mentors.tolist() == graph.mentors.tolist()
 
     def test_flat_fan_cell_is_dropped(self):
         # the sliver hull facet of agents 10-12 makes fan cell 17 (from 0)
         # flat; it is dropped as a collapsed child is, and planning goes on
-        form = Formation.build(range(1, 17), SLIVER_CUBE, (2.0, 2.0, 2.0), core_id=9)
+        form = Formation.build(range(1, 17), SLIVER_CUBE, core_id=9)
         cells = fan_triangulate(form, 8)
         assert len(cells) == 18 and np.flatnonzero(geometry.degenerate(form.positions[cells])).tolist() == [17]
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0, 2.0))
         assert graph.n_initial_simplices == 18
         assert sorted(graph.mentees.tolist()) == [12, 13, 14, 15]  # ids 13-16
-        want = cellwise_build_actual(form)
+        want = cellwise_build_actual(form, (2.0, 2.0, 2.0))
         for name in ("layer", "mentees", "mentors"):
             assert getattr(graph, name).tobytes() == getattr(want, name).tobytes()
         leaders = {form.ids[b]: 2.0 + 0.5 * (form.positions[b] - 2.0) for b in form.boundary}
@@ -216,7 +213,7 @@ class TestBuildActual:
 
     def test_no_edges_into_clamped_agents(self):
         sc = quick_scenario(seed=9, n=40, nb=8, uncoop=3)
-        graph = build_actual(sc.formation)
+        graph = build_actual(sc.formation, sc.targets.center())
         assert len(sc.formation.clamped) == 3
         assert not np.isin(graph.mentees, sc.formation.clamped).any()
 
@@ -228,7 +225,7 @@ class TestGraphLaws:
         uncoop = seed % 3
         sc = quick_scenario(seed=seed, n=n, nb=max(6, n // 5), uncoop=uncoop)
         form = sc.formation
-        graph = build_actual(form)
+        graph = build_actual(form, sc.targets.center())
         coop = np.flatnonzero(graph.roles == "cooperative")
 
         # partition: every follower is a mentee exactly once
@@ -249,7 +246,7 @@ class TestGraphLaws:
 
     def test_ancestors(self):
         form = square_core_formation(extra=[(2.0, 1.0), (2.0, 0.5)])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         assert ancestors(graph, 5) == frozenset({0, 1, 4})
         deep = ancestors(graph, 6)
         assert 5 in deep or deep == frozenset({0, 1, 4})
@@ -330,8 +327,8 @@ COLLINEAR_SQUARE = SQUARE_CORNERS + [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 3
 def test_graph_arrays_obey_the_laws(team):
     ids, pts, clamped = team
     try:
-        form = Formation.build(ids, pts, (0.0, 0.0), uncooperative=clamped)
-        graph = build_actual(form)
+        form = Formation.build(ids, pts, uncooperative=clamped)
+        graph = build_actual(form, (0.0, 0.0))
     except SwarmTransportError:
         return  # a typed refusal is an allowed outcome
     sources = np.zeros(form.n_agents, dtype=bool)
@@ -353,7 +350,7 @@ def test_graph_arrays_obey_the_laws(team):
 def test_closed_loop_on_coincident_and_collinear_agents(extra, clamped):
     # two cells want the same agent when it sits on their shared face
     form = square_core_formation(extra=extra, uncooperative=clamped)
-    graph = build_actual(form)
+    graph = build_actual(form, (2.0, 2.0))
     assert sorted(graph.mentees.tolist()) == sorted(set(range(5, 10)) - {k - 1 for k in clamped})
     samples = [(x, y) for x in np.linspace(1.0, 3.0, 9) for y in np.linspace(1.0, 3.0, 9)]
     sc = manual_scenario(form, samples, zone=[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)])
@@ -391,7 +388,7 @@ def _plan_stages(build, desire, weigh, form, samples, leader_p):
     """Graph, final positions and both weight arrays (omega first, as in
     ``build_schedule``), or the error's type and message."""
     try:
-        graph = build(form)
+        graph = build(form, (2.0,) * form.dim)
         desired = desire(graph, form, TargetSet(samples=samples), leader_p)
         omega = weigh(graph, form.ids, form.positions)
         varpi = weigh(graph, form.ids, desired.p)
@@ -410,7 +407,7 @@ def _plan_stages(build, desire, weigh, form, samples, leader_p):
 def test_planner_matches_cellwise_oracle(case):
     ids, pts, clamped, samples, scale = case
     try:
-        form = Formation.build(ids, pts, (2.0,) * pts.shape[1], uncooperative=clamped, core_id=2 ** pts.shape[1] + 1)
+        form = Formation.build(ids, pts, uncooperative=clamped, core_id=2 ** pts.shape[1] + 1)
     except SwarmTransportError:
         return
     leader_p = 2.0 + scale * (form.positions[form.boundary] - 2.0)
@@ -459,20 +456,20 @@ def _dfs_is_acyclic(graph: LayeredGraph) -> bool:
 class TestTopologicalOrder:
     def test_layer_zero_only(self):
         form = square_core_formation()
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         assert graph.mentees.tolist() == []
         assert graph.layer.tolist() == [0] * 5
 
     def test_single_mentee_last(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         assert graph.mentees.tolist() == [5]
         assert graph.layer.tolist() == [0, 0, 0, 0, 0, 1]
 
     def test_built_graphs_acyclic_by_dfs(self):
         for seed in range(4):
             sc = quick_scenario(seed=seed, n=30, nb=7, uncoop=seed % 2)
-            graph = build_actual(sc.formation)
+            graph = build_actual(sc.formation, sc.targets.center())
             keys = list(zip(graph.layer[graph.mentees].tolist(), graph.mentees.tolist()))
             assert keys == sorted(keys)  # mentees in (layer, row) order
             assert len(graph.layer) == sc.formation.n_agents
@@ -494,7 +491,7 @@ class TestTopologicalOrder:
 class TestExports:
     def test_graph_records_format(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         dump = graph_records(form, graph)
         lines = dump.strip().splitlines()
         assert lines[0].startswith("#")
@@ -503,7 +500,7 @@ class TestExports:
 
     def test_role_map(self):
         form = square_core_formation(extra=[(2.0, 1.0), (1.5, 2.5)], uncooperative=[7])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         roles = ["boundary"] * 4 + ["core", "cooperative", "uncooperative"]
         assert graph.roles.tolist() == roles
         # without a core (none declared) the center agent is a plain cooperative

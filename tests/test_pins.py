@@ -42,8 +42,8 @@ def test_scenario_and_graph_match_pins(seed, params):
     pin = PINS["scenarios"][f"{params.n_agents}-{params.n_boundary}-{params.n_uncooperative}:{seed}"]
     text = _scenario_text(seed, params)
     assert _sha256(text) == pin["scenario_sha256"]
-    formation = parse_scenario_text(text).formation
-    assert _sha256(graph_records(formation, build_actual(formation))) == pin["graph_sha256"]
+    sc = parse_scenario_text(text)
+    assert _sha256(graph_records(sc.formation, build_actual(sc.formation, sc.targets.center()))) == pin["graph_sha256"]
 
 
 def test_run_matches_pins():

@@ -68,6 +68,17 @@ def assert_tables_match(res, series):
     assert sp.endswith("\n") and not sp.endswith("\n\n")
 
 
+def weights_table_oracle(plan):
+    """The per-value writer of ``weights.txt`` that one ``_g9`` call replaced."""
+    graph, sched, ids = plan.graph, plan.schedule, plan.scenario.formation.ids
+    lines = ["# id\tmentors\tinitial_weights\tfinal_weights"]
+    for k in np.argsort(graph.mentees):
+        mentors = ",".join(str(ids[m]) for m in graph.mentors[k])
+        w0, w1 = (",".join(fmt(v) for v in w[k]) for w in (sched.omega, sched.varpi))
+        lines.append(f"{ids[graph.mentees[k]]}\t{mentors}\t{w0}\t{w1}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def clamped_run():
     # seed 1 at N=40 with two clamped agents leaves agent 34 unconverged
@@ -87,6 +98,23 @@ def test_headers(clamped_run):
     res, series = clamped_run
     assert written(trace_table, res).startswith("time,agent_id,role,layer,x,y,xd,yd,converged\n0,1,")
     assert written(setpoints_table, res.plan.scenario.formation.ids, res.times, series).startswith("time,agent_id,sx,sy\n0,1,")
+
+
+def test_weights_table(clamped_run):
+    plan = clamped_run[0].plan
+    assert reporting.weights_table(plan) == weights_table_oracle(plan)
+    # exponent-form, signed-zero and tie cells take the fallback; no mentee gives the header alone
+    rng = np.random.default_rng(5)
+    w = rng.uniform(-1.0, 1.0, (6, 2, 3)) * 10.0 ** rng.integers(-7, 3, (6, 2, 3))
+    w[0, 0] = [-0.0, 1e-5, 0.5 + 2**-40]
+    for m in (6, 0):
+        graph = SimpleNamespace(mentees=np.arange(m)[::-1], mentors=np.arange(3 * m).reshape(m, 3) % 9)
+        odd = SimpleNamespace(
+            graph=graph,
+            schedule=SimpleNamespace(omega=w[:m, 0], varpi=w[:m, 1]),
+            scenario=SimpleNamespace(formation=SimpleNamespace(ids=tuple(range(10, 19)))),
+        )
+        assert reporting.weights_table(odd) == weights_table_oracle(odd)
 
 
 def test_3d_cube_run():

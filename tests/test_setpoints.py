@@ -37,7 +37,7 @@ def _static_schedule(graph, form):
 class TestCommMatrix:
     def test_no_followers_gives_negative_identity(self):
         form = square_core_formation()
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         comm = build_comm_matrix(graph, _static_schedule(graph, form), 0.5)
         assert np.array_equal(comm.toarray(), -np.eye(5))
 
@@ -46,7 +46,7 @@ class TestCommMatrix:
         form = square_core_formation()
         spot = np.array([0.2, 0.3, 0.5]) @ form.positions[[0, 1, 4]]
         form = square_core_formation(extra=[tuple(spot)])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         comm = build_comm_matrix(graph, _static_schedule(graph, form), 0.0)
         dense = comm.toarray()
         row = 5  # agent 6
@@ -95,7 +95,7 @@ class TestCommMatrix:
 class TestPropagate:
     def test_anchors_only_graph(self):
         form = square_core_formation()
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         s = propagate_setpoints(graph, _static_schedule(graph, form), form.positions, [0.3])
         assert np.array_equal(s[0], form.positions)
 

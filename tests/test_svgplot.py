@@ -57,7 +57,7 @@ def test_optional_inputs(clamped_run, samples):
 
 def test_formation_without_mentees():
     form = square_core_formation()
-    graph = build_actual(form)
+    graph = build_actual(form, (2.0, 2.0))
     assert len(graph.mentees) == 0
     svg = formation_svg(form, graph)
     assert_same_svg(svg, elementwise_formation_svg(form, graph))

@@ -56,7 +56,7 @@ class TestLeaderPlacement:
             (10 * np.cos(a), 10 * np.sin(a))
             for a in np.linspace(0, 2 * np.pi, 8, endpoint=False)
         ] + [(0.1, 0.0)]
-        form = Formation.build(ids, pos, (0.0, 0.0))
+        form = Formation.build(ids, pos)
         out = leader_final_positions(
             form, TargetSet(samples=np.empty((0, 2)), zone=zone), scale=1.1
         )
@@ -78,7 +78,7 @@ class TestComputeDesired:
     # square_core_formation rows: 0-3 hull corners, 4 the core, 5 the follower (agent 6)
     def _plan(self, samples, extra=((2.0, 1.0),)):
         form = square_core_formation(extra=extra)
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         leader_p = hull_anchors(form, ring)
         targets = TargetSet(samples=np.asarray(samples, dtype=float), zone=_square_zone(3.0, (2.0, 2.0)))
@@ -122,7 +122,7 @@ class TestComputeDesired:
 
     def test_core_and_clamped_hold_initial_positions(self):
         form = square_core_formation(extra=[(2.0, 1.0), (1.0, 2.8)], uncooperative=[7])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         targets = TargetSet(samples=np.array([[2.0, 2.0]]), zone=_square_zone(3.0, (2.0, 2.0)))
         ring = {1: (-1.0, -1.0), 2: (5.0, -1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         desired = compute_desired(graph, form, targets, hull_anchors(form, ring))
@@ -155,7 +155,7 @@ class TestComputeDesired:
 
     def test_mean_stays_inside_final_simplex(self):
         sc = quick_scenario(seed=6, n=32, nb=8)
-        graph = build_actual(sc.formation)
+        graph = build_actual(sc.formation, sc.targets.center())
         leader_p = leader_final_positions(sc.formation, sc.targets, scale=1.1)
         desired = compute_desired(graph, sc.formation, sc.targets, leader_p)
         for a, mentors in zip(graph.mentees, graph.mentors):
@@ -164,7 +164,7 @@ class TestComputeDesired:
 
     def test_degenerate_mentor_simplex_names_agent(self):
         form = square_core_formation(extra=[(2.0, 1.0)])
-        graph = build_actual(form)
+        graph = build_actual(form, (2.0, 2.0))
         # anchors for the mentee's mentor triple (1, 2, core) sit on one line
         ring = {1: (0.0, 0.0), 2: (1.0, 1.0), 3: (5.0, 5.0), 4: (-1.0, 5.0)}
         targets = TargetSet(samples=np.array([[2.0, 2.0]]), zone=_square_zone(3.0, (2.0, 2.0)))
@@ -177,8 +177,8 @@ class TestComputeDesired:
         ]
         ids = list(range(1, 9)) + [9, 10]
         pos = corners + [(2.0, 2.0, 2.0), (1.0, 1.0, 1.0)]
-        form = Formation.build(ids, pos, (2.0, 2.0, 2.0))
-        graph = build_actual(form)
+        form = Formation.build(ids, pos)
+        graph = build_actual(form, (2.0, 2.0, 2.0))
         explicit = {b: form.positions[b - 1] for b in range(1, 9)}
         samples = np.array([[1.5, 1.2, 1.0]])
         targets = TargetSet(samples=samples, zone=np.array(corners))

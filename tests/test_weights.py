@@ -67,7 +67,7 @@ def _planned(seed=3, n=28, nb=7, uncoop=0):
 def _one_mentee_schedule(targets, ring, spot=(2.0, 1.0)):
     """Schedule of the square formation with one follower, agent 6 at ``spot``."""
     form = square_core_formation(extra=[spot])
-    graph = build_actual(form)
+    graph = build_actual(form, (2.0, 2.0))
     desired = compute_desired(graph, form, targets, hull_anchors(form, ring))
     return build_schedule(graph, form, desired), graph, desired
 
