@@ -10,21 +10,27 @@ constant final positions, and clamped agents rest on their own final
 positions, a fixed point of the RK4 map (``dynamics.rk4_map``, built once
 per run).
 
-Mentors sit in strictly earlier layers, so the loop runs over blocks of
-steps and, inside a block, one mentor layer at a time: a layer's desired
-positions over the whole block are blends of mentor positions already
-computed for that block, and one matrix product then moves the layer
-through the block. The product takes ``dynamics.block_maps``: the
-positions at each step and the full state at the block's end. Once every
-layer has run, one certificate from the block's largest start state and
-input (``dynamics.certified``) stands in for the per-step divergence test.
-A block it cannot clear is replayed from its start state with
-``dynamics.step``, the one per-step test, so a divergence is reported at
-the same step and agent as stepping the whole run; the trajectory always
-comes from the products. Every block takes at least one step and forms
-r_d at the m + 1 frames from its start to its end, so the last block ends
-at t_end. The Python loop runs once per layer per block, and memory beyond
-the logs is O(block N n).
+Mentors sit in strictly earlier layers, so the loop runs over passes of
+blocks of up to 50 steps and, inside a pass, one mentor layer at a time: a
+layer's desired positions over the whole pass are one blend of mentor
+positions already computed for that pass, one subtraction sets the held
+inputs of every block, one matrix product per block moves the layer
+through it, and one sum writes the layer's positions over the pass. The
+product takes ``dynamics.block_maps``: the positions at each step and the
+full state at the block's end, which starts the layer's next block. A pass
+holds as many blocks as keep its chain rows (N n) times its steps within
+2^16: 16 blocks at N = 40 in 2-D, so a small team makes its few calls per
+layer per pass, not per block, and one block from N = 600 on, where the
+calls are large and memory beyond the logs stays O(block N n). A pass also
+ends where the blend's weight rule changes, so every frame is weighted as
+its block is. Once every layer has run, one certificate per block, from
+its largest start state and input (``dynamics.certified``), stands in for
+the per-step divergence test. A block it cannot clear is replayed from its
+start state with ``dynamics.step``, the one per-step test, so a divergence
+is reported at the same step and agent as stepping the whole run; the
+trajectory always comes from the products. Every block takes at least one
+step and forms r_d at the m + 1 frames from its start to its end, so the
+last block ends at t_end.
 Planned set-points are computed separately for reporting, all output times
 at once, and never drive the loop.
 """
@@ -216,6 +222,18 @@ def judge_run(plan: Plan, times, positions, desired) -> Run:
 
 
 _BLOCK = 50  # steps advanced per matrix product
+_PASS = 2**16  # most chain rows times steps in one pass: 16 blocks at N = 40 in 2-D, one at N = 600
+
+
+def _passes(flat: list[bool], per_pass: int):
+    """(first, stop) block indices of each pass: at most ``per_pass``
+    consecutive blocks that all blend with the final weights (``flat``) or
+    all with the ramp formula, so every frame is weighted as its block is."""
+    first = 0
+    for j in range(1, len(flat) + 1):
+        if j == len(flat) or j - first == per_pass or flat[j] != flat[first]:
+            yield first, j
+            first = j
 
 
 def _integrate(plan: Plan) -> Run:
@@ -235,7 +253,6 @@ def _integrate(plan: Plan) -> Run:
     p = plan.desired.p[order]
     a = sc.formation.positions[order]
     roles = graph.roles[order]
-    anchor = (roles == ROLE_BOUNDARY) | (roles == ROLE_CORE)
 
     steps = int(round((sc.t_end - sc.t0) / sc.dt))
     log_every = int(round(sc.output_period / sc.dt))
@@ -245,20 +262,32 @@ def _integrate(plan: Plan) -> Run:
     pos_log = np.empty((len(logged), n_agents, dim))
     des_log = np.empty_like(pos_log)
 
-    # Agent-major block buffers, one row per (agent, axis) chain: error state
-    # x - p e0 then held inputs r_d - p; positions and r_d at the block's
-    # frames; the block product's error positions after each step and the last
-    # step's rates. Layer 0 rests at r_d = p, inputs zero, unless the leader
-    # blend moves it.
-    z = np.zeros((n_agents * dim, 4 + _BLOCK))
-    z3 = z.reshape(n_agents, dim, -1)
-    z3[:, :, 0] = a - p
-    x = np.empty((n_agents, dim, _BLOCK + 1))
+    # a block blends with the final weights when the ramp is 1 at all its
+    # frames, from its start to its end; other[k] counts the frames before k
+    # where it is not
+    starts = np.arange(0, steps, _BLOCK)
+    other = np.concatenate(([0], np.cumsum(b != 1.0)))
+    flat = (other[np.minimum(starts + _BLOCK, steps) + 1] == other[starts]).tolist()
+    per_pass = max(1, _PASS // (n_agents * dim * _BLOCK))
+
+    # Agent-major pass buffers, one row per (agent, axis) chain and one slot
+    # per block of the pass: error state x - p e0 then held inputs r_d - p;
+    # positions and r_d at the pass's frames; the block products' error
+    # positions after each step and the last step's rates. Layer 0 rests at
+    # r_d = p, inputs zero, unless the leader blend moves it. The views split
+    # a pass's frames into its blocks' input frames and position frames.
+    z = np.zeros((n_agents * dim, per_pass, 4 + _BLOCK))
+    z4 = z.reshape(n_agents, dim, per_pass, -1)
+    z4[:, :, 0, 0] = a - p
+    x = np.zeros((n_agents, dim, per_pass * _BLOCK + 1))
     x[:, :, 0] = a
-    r_d = np.empty((n_agents, dim, _BLOCK + 1))
+    r_d = np.zeros_like(x)
     r_d[:n0] = p[:n0, :, None]
-    fast = np.empty((n_agents * dim, _BLOCK + 3))
-    fast3 = fast.reshape(n_agents, dim, -1)
+    fast = np.zeros((n_agents * dim, per_pass, _BLOCK + 3))
+    moved = fast.reshape(n_agents, dim, per_pass, -1)[..., :_BLOCK]
+    inputs, held = z4[..., 4:], r_d[:, :, :-1].reshape(moved.shape)
+    after = x[:, :, 1:].reshape(moved.shape)
+    p4 = p[:, :, None, None]
     omega, varpi = plan.schedule.omega[:, :, None], plan.schedule.varpi[:, :, None]
 
     # Steps after a divergence, and the map powers of gains outside the RK4
@@ -266,51 +295,67 @@ def _integrate(plan: Plan) -> Run:
     # value, and the block's replay through ``step`` then stops the run.
     with np.errstate(over="ignore", invalid="ignore"):
         phi = dynamics.rk4_map(sc.gains, sc.dt)
-        maps, factors = dynamics.block_maps(phi, _BLOCK)
+        # maps and factors of a full block and of the last, maybe shorter, one
+        by_size = {m: dynamics.block_maps(phi, m) for m in {_BLOCK, (steps - 1) % _BLOCK + 1}}
         p_max = np.abs(p).max()
         i0 = 0
-        for k0 in range(0, steps, _BLOCK):
-            m = min(_BLOCK, steps - k0)  # steps taken; r_d is formed at the m + 1 frames k0 ... k0 + m
-            bk = b[k0 : k0 + m + 1]
-            if (bk == 1.0).all():
-                w = varpi
-            else:
-                w = (1.0 - bk) * omega + bk * varpi  # (M, n+1, m+1)
+        for j0, j1 in _passes(flat, per_pass):
+            nb, k0, k1 = j1 - j0, j0 * _BLOCK, min(j1 * _BLOCK, steps)
+            sizes = [min(_BLOCK, k1 - k) for k in range(k0, k1, _BLOCK)]  # steps of each block
+            f = k1 - k0 + 1  # r_d is formed at the f frames k0 ... k1
+            bk = b[k0 : k1 + 1]
+            w = varpi if flat[j0] else (1.0 - bk) * omega + bk * varpi  # (M, n+1, f)
             if sc.leader_blend:
-                r_d[anchor, :, : m + 1] = (1.0 - bk) * a[anchor, :, None] + bk * p[anchor, :, None]
-                np.subtract(r_d[:n0, :, :m], p[:n0, :, None], out=z3[:n0, :, 4 : 4 + m])
-            if m < _BLOCK:
-                maps, factors = dynamics.block_maps(phi, m)  # the final, shorter block
+                mask, ramp = _leader_ramp(roles, a, p, bk)
+                r_d[mask, :, :f] = ramp
+                np.subtract(held[:n0, :, :nb], p4[:n0], out=inputs[:n0, :, :nb])
             # one layer at a time: a mentee layer's r_d blends mentor positions
-            # already moved, and one product moves the layer through the block
+            # already moved through the pass, and one product per block moves
+            # the layer through it, from the state the layer's last block left
             for s, e in zip(bounds[:-1], bounds[1:]):
                 if s:
                     ms = slice(s - n0, e - n0)
-                    blend(w[ms], x[mentors[ms], :, : m + 1], out=r_d[s:e, :, : m + 1])
-                    np.subtract(r_d[s:e, :, :m], p[s:e, :, None], out=z3[s:e, :, 4 : 4 + m])
+                    blend(w[ms], x[mentors[ms], :, :f], out=r_d[s:e, :, :f])
+                    np.subtract(held[s:e, :, :nb], p4[s:e], out=inputs[s:e, :, :nb])
                 c = slice(s * dim, e * dim)
-                np.matmul(z[c, : 4 + m], maps, out=fast[c, : m + 3])
-                np.add(fast3[s:e, :, :m], p[s:e, :, None], out=x[s:e, :, 1 : m + 1])
-            if not dynamics.certified(factors, np.abs(z[:, :4]).max(), np.abs(z[:, 4 : 4 + m]).max(), p_max):
-                # replay the block from its start state, one step for the whole team at a time
-                state = z3[:, :, :4].transpose(0, 2, 1).copy()  # (N, 4, n)
-                state[:, 0] = x[:, :, 0]
-                for j in range(m):
-                    try:
-                        state = dynamics.step(state, r_d[:, :, j], phi)
-                    except Diverged as exc:
-                        # the agent with the largest state before the step that left the bound
-                        worst = ids[int(np.argmax(np.abs(state).max(axis=(1, 2))[rank]))]
-                        raise Diverged(f"agent {worst} diverged near t = {t[k0 + j]:.3f} s") from exc
-            i1 = int(np.searchsorted(logged, k0 + m, side="right"))
+                for j, m in enumerate(sizes):
+                    np.matmul(z[c, j, : 4 + m], by_size[m][0], out=fast[c, j, : m + 3])
+                    if j + 1 < nb:
+                        z[c, j + 1, :4] = fast[c, j, m - 1 : m + 3]
+                np.add(moved[s:e, :, :nb], p4[s:e], out=after[s:e, :, :nb])
+            for j, m in enumerate(sizes):
+                e_max, u_max = np.abs(z[:, j, :4]).max(), np.abs(z[:, j, 4 : 4 + m]).max()
+                if not dynamics.certified(by_size[m][1], e_max, u_max, p_max):
+                    # replay the block from its start state, one step for the whole team at a time
+                    kj = j * _BLOCK
+                    state = z4[:, :, j, :4].transpose(0, 2, 1).copy()  # (N, 4, n)
+                    state[:, 0] = x[:, :, kj]
+                    for i in range(m):
+                        try:
+                            state = dynamics.step(state, r_d[:, :, kj + i], phi)
+                        except Diverged as exc:
+                            # the agent with the largest state before the step that left the bound
+                            worst = ids[int(np.argmax(np.abs(state).max(axis=(1, 2))[rank]))]
+                            raise Diverged(f"agent {worst} diverged near t = {t[k0 + kj + i]:.3f} s") from exc
+            i1 = int(np.searchsorted(logged, k1, side="right"))
             js = logged[i0:i1] - k0
             pos_log[i0:i1, order] = x[:, :, js].transpose(2, 0, 1)
             des_log[i0:i1, order] = r_d[:, :, js].transpose(2, 0, 1)
             i0 = i1
-            z[:, :4] = fast[:, m - 1 : m + 3]  # the state after the block's last step
-            x[:, :, 0] = x[:, :, m]
+            m = sizes[-1]
+            z[:, 0, :4] = fast[:, nb - 1, m - 1 : m + 3]  # the state after the pass's last step
+            x[:, :, 0] = x[:, :, f - 1]
 
     return judge_run(plan, t[logged], pos_log, des_log)
+
+
+def _leader_ramp(roles, start, final, b):
+    """The leader blend's references: the (N,) mask of the hull and core
+    rows, which ramp from their ``start`` to their ``final`` positions as
+    the weights do, and those rows' (K, n, T) positions at the T ramp
+    values ``b``."""
+    mask = (roles == ROLE_BOUNDARY) | (roles == ROLE_CORE)
+    return mask, (1.0 - b) * start[mask, :, None] + b * final[mask, :, None]
 
 
 def inflated_zone(zone, margin: float) -> np.ndarray:
@@ -340,7 +385,7 @@ def setpoint_series(plan: Plan, times) -> np.ndarray:
     b = b[first]
     p = anchors = plan.desired.p
     if sc.leader_blend:
-        hull = (plan.graph.roles == ROLE_BOUNDARY) | (plan.graph.roles == ROLE_CORE)
+        hull, ramp = _leader_ramp(plan.graph.roles, sc.formation.positions, p, b)
         anchors = np.repeat(p[:, :, None], len(b), axis=2)
-        anchors[hull] = (1.0 - b) * sc.formation.positions[hull, :, None] + b * p[hull, :, None]
+        anchors[hull] = ramp
     return propagate_setpoints(plan.graph, plan.schedule, anchors, b)[back]

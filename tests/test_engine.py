@@ -278,7 +278,7 @@ class TestRun:
         assert written(trace_table, res1) == written(trace_table, res2)
         assert metrics_json(res1) == metrics_json(res2)
 
-    def test_divergence_reports_agent_and_time(self):
+    def test_divergence_reports_agent_and_time(self, monkeypatch):
         # Hurwitz gains that RK4 cannot integrate: quadruple poles at -300
         # and at -1e4 that leave the bound in the first step (the second
         # overflows later steps of the block), and poles (-5.65, -1, -1, -1)
@@ -299,15 +299,18 @@ class TestRun:
         # a valid team whose hull lies beyond the bound fails at once, at
         # rest, and is named by id when the ids run against the layer order
         plans += [make_plan(_scaled(quick_scenario(), 2e5, relabel)) for relabel in (int, lambda i: 100 - i)]
-        messages = []
-        for bad_plan in plans:
-            with pytest.raises(Diverged, match="agent .* t =") as got:
-                engine._integrate(bad_plan)
-            with pytest.raises(Diverged) as want:
-                stepwise_integrate(bad_plan)
-            assert str(got.value) == str(want.value)
-            messages.append(str(got.value))
-        assert messages[-2:] == ["agent 1 diverged near t = 0.000 s", "agent 99 diverged near t = 0.000 s"]
+        # at the default pass length and at one block per pass
+        for cells in (engine._PASS, 1):
+            monkeypatch.setattr(engine, "_PASS", cells)
+            messages = []
+            for bad_plan in plans:
+                with pytest.raises(Diverged, match="agent .* t =") as got:
+                    engine._integrate(bad_plan)
+                with pytest.raises(Diverged) as want:
+                    stepwise_integrate(bad_plan)
+                assert str(got.value) == str(want.value)
+                messages.append(str(got.value))
+            assert messages[-2:] == ["agent 1 diverged near t = 0.000 s", "agent 99 diverged near t = 0.000 s"]
 
     def test_divergence_names_the_worst_agent_before_the_failing_step(self, monkeypatch):
         # seed 2 moved 8e5 along both axes, under poles (-2 +- 7i, -1, -1) at
@@ -504,6 +507,39 @@ def test_certified_blocks_skip_the_full_state_product(monkeypatch):
     assert np.abs(want.positions).max() > 1e5
     assert np.max(np.abs(got.positions - want.positions)) <= 1e-12 * np.abs(want.positions).max()
     assert np.array_equal(got.converged, want.converged)
+
+
+def test_pass_length_keeps_the_run(monkeypatch):
+    # A pass moves each layer through several blocks at once; its blends,
+    # products and sums are those of one block per pass, bit for bit, on an
+    # N = 40 team, a run that ends inside a block, the 3-D leader blend and
+    # with every block replayed through ``step``.
+    base = quick_scenario(seed=1, n=40, nb=10, uncoop=2)
+    cases = (
+        base,
+        dataclasses.replace(base, t_end=1.37, tf=0.5),
+        dataclasses.replace(cube_scenario(), leader_blend=True),
+    )
+    plans = [make_plan(sc) for sc in cases]
+    for plan in plans:  # each case takes several blocks per pass by default
+        assert engine._PASS // (plan.desired.p.size * engine._BLOCK) > 1
+    step, calls = dynamics.step, []
+    monkeypatch.setattr(dynamics, "step", lambda *args: calls.append(1) or step(*args))
+    runs, default = {}, engine._PASS
+    for refused in (False, True):
+        if refused:
+            monkeypatch.setattr(dynamics, "certified", lambda *args: False)
+        for cells in (default, 1):
+            monkeypatch.setattr(engine, "_PASS", cells)
+            for k, plan in enumerate(plans):
+                calls.clear()
+                runs[refused, cells, k] = engine._integrate(plan)
+                sc = plan.scenario
+                assert len(calls) == (round((sc.t_end - sc.t0) / sc.dt) if refused else 0)
+    for (refused, cells, k), got in runs.items():
+        want = runs[False, 1, k]
+        for name in ("times", "positions", "desired", "converged", "terminal_error"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (refused, cells, k, name)
 
 
 def test_uncertified_blocks_keep_the_trajectory(monkeypatch):
