@@ -90,8 +90,8 @@ class Scenario:
 _MAX_STEPS = 2**22
 
 # largest coordinate magnitude of a scenario's points and generated anchors:
-# cubes of a team's scale (``geometry.degenerate``) and squares of its spans
-# (the SVG canvas, scoring) then stay finite
+# cubes of a team's extent (``geometry.degenerate``; at most twice this) and
+# squares of its spans (the SVG canvas, scoring) then stay finite
 MAX_COORDINATE = 1e100
 
 
@@ -133,8 +133,8 @@ def validate_scenario(scenario: Scenario) -> None:
             raise BadConfig(f"targets.{name} must be finite points of the team's dimension {sc.formation.dim}")
     if sc.targets.zone is not None:
         zone = np.asarray(sc.targets.zone, dtype=float)
-        try:  # centred, since the hull's tolerance grows with |x|^2
-            hull = geometry.convex_hull(zone - zone.mean(axis=0))
+        try:
+            hull = geometry.convex_hull(zone)
         except DegenerateInput as exc:
             raise BadConfig(f"targets.zone has no area or volume: {exc}") from exc
         # a planar hull cycle starts at corner 0; it must visit all, either way round

@@ -205,10 +205,9 @@ def fan_triangulate(formation: Formation, core: int) -> np.ndarray:
 
 def _strictly_inside(formation: Formation, pts: np.ndarray) -> np.ndarray:
     """Boolean mask over the (K, dim) points: strictly inside the hull, more than
-    ``DEGENERACY_COEFF`` times its largest coordinate (at least 1) from every facet."""
+    ``DEGENERACY_COEFF`` times its ``geometry.extent`` from every facet."""
     hull_pts = formation.positions[formation.boundary]
-    scale = max(1.0, float(np.max(np.abs(hull_pts))))
-    return geometry.point_in_polygon(pts, hull_pts, tol=-geometry.DEGENERACY_COEFF * scale)
+    return geometry.point_in_polygon(pts, hull_pts, tol=-geometry.DEGENERACY_COEFF * float(geometry.extent(hull_pts)))
 
 
 def build_actual(formation: Formation, center) -> LayeredGraph:

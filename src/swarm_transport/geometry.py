@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DegenerateInput, DegenerateSimplex
 
-# A simplex counts as degenerate when |det| of its augmented vertex matrix
-# is at most DEGENERACY_COEFF * (max vertex coordinate magnitude)^n, so one
-# with every vertex at the origin is too.
+# A simplex counts as degenerate when |det| of its edge vectors v_i - v_0 is
+# at most DEGENERACY_COEFF * extent^n (``extent``), so one whose vertices all
+# coincide is too. Every tolerance on a shape is relative to its own extent.
 DEGENERACY_COEFF = 1e-12
 # Points within this slack of a face still count as inside the simplex.
 CONTAINMENT_TOL = 1e-9
@@ -31,12 +31,20 @@ def augmented_matrix(vertices: np.ndarray) -> np.ndarray:
     return np.concatenate([np.swapaxes(verts, -1, -2), ones], axis=-2)
 
 
+def extent(points) -> np.ndarray:
+    """Length scale of each point set of a (..., K, n) stack: its largest
+    |coordinate difference| from the set's first point (0 when it is empty).
+    It depends on where the set lies only through rounding."""
+    pts = np.asarray(points, dtype=float)
+    return np.abs(pts - pts[..., :1, :]).max(axis=(-2, -1), initial=0.0)
+
+
 def degenerate(vertices) -> np.ndarray:
     """Whether each simplex of a (..., n+1, n) stack is degenerate: |det| of its
-    augmented matrix at most DEGENERACY_COEFF * (max |vertex coordinate|)^n."""
+    edge vectors v_i - v_0 at most DEGENERACY_COEFF * ``extent``^n."""
     verts = np.asarray(vertices, dtype=float)
-    scale = np.abs(verts).max(axis=(-2, -1), initial=0.0)
-    return np.abs(np.linalg.det(augmented_matrix(verts))) <= DEGENERACY_COEFF * scale ** verts.shape[-1]
+    edges = verts[..., 1:, :] - verts[..., :1, :]
+    return np.abs(np.linalg.det(edges)) <= DEGENERACY_COEFF * extent(verts) ** verts.shape[-1]
 
 
 def barycentric(point, vertices) -> np.ndarray:
@@ -204,7 +212,7 @@ def _hull_2d(pts: np.ndarray) -> list[int]:
     # Python floats round each operation as numpy's float64 scalars do, faster.
     order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
     xy = pts.tolist()
-    scale = float(np.max(np.abs(pts)))
+    scale = float(extent(pts))
     eps = DEGENERACY_COEFF * scale * scale
 
     def chain(indices):
@@ -255,13 +263,13 @@ def polygon_area(polygon) -> float:
 
 
 def polygon_centroid(polygon) -> np.ndarray:
-    """Area centroid of a simple polygon; vertex mean if the area vanishes."""
+    """Area centroid of a simple polygon; the vertex mean if its area is
+    zero: |2A| at most DEGENERACY_COEFF * ``extent``^2."""
     poly = np.asarray(polygon, dtype=float)
     (x, y), (x1, y1) = poly.T, np.concatenate((poly[1:], poly[:1])).T
     cross = x * y1 - x1 * y
     area2 = float(np.sum(cross))
-    scale = max(1.0, float(np.max(np.abs(poly))))
-    if abs(area2) < 1e-12 * scale * scale:
+    if abs(area2) <= DEGENERACY_COEFF * float(extent(poly)) ** 2:
         return poly.mean(axis=0)
     cx = float(np.sum((x + x1) * cross)) / (3.0 * area2)
     cy = float(np.sum((y + y1) * cross)) / (3.0 * area2)
@@ -275,11 +283,10 @@ def ensure_ccw(polygon) -> np.ndarray:
     return poly.copy()
 
 
-def scale_polygon(polygon, factor: float, about=None) -> np.ndarray:
-    """Scale a polygon about a point (its area centroid by default)."""
-    poly = np.asarray(polygon, dtype=float)
-    center = polygon_centroid(poly) if about is None else np.asarray(about, dtype=float)
-    return center + factor * (poly - center)
+def scale_polygon(polygon, factor: float, about) -> np.ndarray:
+    """Scale a polygon about the point ``about``."""
+    center = np.asarray(about, dtype=float)
+    return center + factor * (np.asarray(polygon, dtype=float) - center)
 
 
 def point_in_polygon(points, vertices, tol: float = CONTAINMENT_TOL):

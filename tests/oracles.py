@@ -68,9 +68,10 @@ def inside(points, vertices):
 
 def scalar_hull_2d(pts: np.ndarray) -> list[int]:
     """The monotone chain on numpy float64 scalars, as ``geometry._hull_2d``
-    ran before it moved to Python floats."""
+    ran before it moved to Python floats; its tolerance is relative to the
+    largest coordinate difference from the first point."""
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    scale = float(np.max(np.abs(pts)))
+    scale = float(np.max(np.abs(pts - pts[0])))
     eps = geometry.DEGENERACY_COEFF * scale * scale
 
     def cross(o, a, b):

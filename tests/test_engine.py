@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -94,8 +95,8 @@ class TestZoneRule:
         assert 0 < inside.sum() < 200
 
     def test_convex_zone_far_from_the_origin_is_accepted(self):
-        # the hull that the rule takes is of the centred zone: on the raw
-        # corners its tolerance, which grows with |x|^2, drops all of them
+        # the hull's tolerance is relative to the zone's own extent; one
+        # that grew with |x|^2 would drop every corner this far out
         sc = quick_scenario(seed=1, n=20, nb=6)
         shifted = TargetSet(samples=sc.targets.samples + 2e6, zone=sc.targets.zone + 2e6)
         assert dataclasses.replace(sc, targets=shifted).targets is shifted
@@ -183,6 +184,55 @@ def test_replaced_targets_plan_as_their_document():
     for name in ("layer", "mentees", "mentors"):
         assert getattr(got.plan.graph, name).tobytes() == getattr(want.plan.graph, name).tobytes()
     assert got.positions.tobytes() == want.positions.tobytes()
+
+
+def _shifted_document(text, offset):
+    """Scenario document ``text`` with every point in it, agents, anchors,
+    zone and samples, moved by ``offset``."""
+    doc = json.loads(text)
+    keys = "xyz"[: doc["dimension"]]
+    for entry in doc["agents"] + doc["leader_final"].get("positions", []):
+        for key, d in zip(keys, offset):
+            entry[key] += d
+    for name, rows in doc["targets"].items():
+        doc["targets"][name] = [[c + d for c, d in zip(row, offset)] for row in rows]
+    return json.dumps(doc)
+
+
+@functools.cache
+def _team_document(seed):
+    """Document text, mentor graph and radius (largest distance of an agent
+    from the agents' mean) of the cube (seed None) or a generated planar team
+    of 24 to 40 agents."""
+    sc = cube_scenario() if seed is None else quick_scenario(seed=seed, n=24 + 5 * seed, nb=6 + seed, uncoop=seed % 3)
+    pos = sc.formation.positions
+    return serialize_scenario(sc), make_plan(sc).graph, float(np.linalg.norm(pos - pos.mean(axis=0), axis=1).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.sampled_from([None, 0, 1, 2, 3]),
+    unit=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    long_axis=st.integers(0, 1),
+)
+@example(seed=None, unit=(1.0, -0.7, 0.3), long_axis=0)
+@example(seed=3, unit=(1.0, 1.0, 0.0), long_axis=0)
+def test_a_shifted_team_plans_as_at_the_origin(seed, unit, long_axis):
+    # every tolerance is relative to its own point set's extent, so the same
+    # document far from the origin gets the same core and mentor graph. The
+    # cube moves by up to 1e5 radii in every axis; a planar team by up to 1e5
+    # radii along one axis and 1e3 across it, since its zone's area centroid,
+    # which picks the core, is a shoelace sum of raw coordinates whose error
+    # grows with the product of the two
+    text, want, radius = _team_document(seed)
+    dim = want.mentors.shape[1] - 1
+    reach = np.full(dim, 1e5 * radius)
+    if dim == 2:
+        reach[1 - long_axis] = 1e3 * radius
+    got = make_plan(parse_scenario_text(_shifted_document(text, reach * unit[:dim]))).graph
+    assert got.core == want.core
+    for name in ("layer", "mentees", "mentors"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def _fixed_point_scenario():

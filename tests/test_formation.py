@@ -276,7 +276,7 @@ def planar_team(draw):
 # interior agents
 SLIVER_CUBE = np.vstack([
     4.0 * np.array(list(np.ndindex(2, 2, 2)), dtype=float),
-    [(2.0, 2.0, 2.0), (0.55, -1e-10, 4.0 + 1e-10), (0.34, -1e-10, 4.0 + 1e-10), (2.76, -1e-12, 4.0 + 1e-10)],
+    [(2.0, 2.0, 2.0), (0.55, -1e-11, 4.0 + 1e-10), (0.34, -1e-11, 4.0 + 1e-10), (2.76, -1e-12, 4.0 + 1e-10)],
     [(3.325, 2.487, 2.109), (3.242, 1.398, 2.769), (2.88, 2.138, 1.096), (1.491, 2.612, 1.808)],
 ])
 SLIVER_SAMPLES = 1.0 + 0.5 * np.array(list(np.ndindex(5, 5, 5)), dtype=float)  # lattice on [1, 3]^3

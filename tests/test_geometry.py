@@ -69,10 +69,11 @@ class TestConvexHull:
 
     def test_coplanar_3d_raises(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.2, 0]])
-        with pytest.raises(DegenerateInput) as info:
-            convex_hull(pts)
-        assert str(info.value) == "degenerate 3-d point set: no hull of 5 points, whose centred rank is 2"
-        assert type(info.value.__cause__).__name__ == "QhullError"
+        for offset in ((0, 0, 0), (5, -3, 7)):  # off the origin only the centred rank is 2
+            with pytest.raises(DegenerateInput) as info:
+                convex_hull(pts + offset)
+            assert str(info.value) == "degenerate 3-d point set: no hull of 5 points, whose centred rank is 2"
+            assert type(info.value.__cause__).__name__ == "QhullError"
 
 
 @st.composite
@@ -107,6 +108,21 @@ def test_float_hull_matches_scalar_oracle_on_teams(n, nb):
     sc = quick_scenario(seed=1, n=n, nb=nb, uncoop=2)
     assert_hull_matches_scalar_oracle(sc.formation.positions)
     assert_hull_matches_scalar_oracle(sc.targets.samples)
+
+
+def test_tolerances_are_relative_to_the_extent():
+    # 1e7 from the origin each verdict is the one at the origin; tolerances
+    # that grew with |x|^n called the triangle flat, dropped the square's
+    # corners as collinear and gave the kite its vertex mean
+    far = np.array([1e7, 0.0])
+    assert geometry.degenerate(UNIT_TRIANGLE + far).tolist() is False
+    square = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0), (1, 0.5)], dtype=float)
+    assert convex_hull(square + far) == [0, 1, 2, 3]
+    kite = np.array([(0, 0), (2, 0), (2, 1), (0, 3)], dtype=float)
+    assert np.allclose(polygon_centroid(kite + far) - far, polygon_centroid(kite), rtol=0, atol=1e-6)
+    assert not np.allclose(polygon_centroid(kite), kite.mean(axis=0))
+    assert geometry.extent(np.empty((2, 0, 3))).tolist() == [0.0, 0.0]
+
 
 class TestBarycentric:
     def test_centroid_gives_thirds(self):
@@ -355,7 +371,7 @@ class TestPolygonUtils:
 
     def test_scale_polygon_about_centroid(self):
         square = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
-        grown = scale_polygon(square, 1.5)
+        grown = scale_polygon(square, 1.5, about=polygon_centroid(square))
         assert np.allclose(np.abs(grown), 1.5)
 
     def test_point_in_polygon_boundary_counts(self):
