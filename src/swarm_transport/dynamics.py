@@ -13,11 +13,12 @@ e' = Phi e + (I - Phi) e0 u. ``block_maps`` stacks its powers and the lower
 block-Toeplitz input map, positions first, so one matrix product moves any
 set of chains through a block of steps: the positions at every step and the
 full state at the block's end. ``step`` is the one-step form and the one
-divergence test. A block is not tested step by step when ``certified``
-clears it: ``block_maps``'s factors bound every state of the block,
-rounding included, from its largest start state and input (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1); only
-a block they cannot clear is replayed through ``step``.
+divergence test, of each agent's offset from the reference it tracks, so
+it reads the same wherever the team stands. A block is not tested step by
+step when ``certified`` clears it: ``block_maps``'s factors bound every
+offset in the block, rounding included, from its largest start state and
+input (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+section 3.1); only a block they cannot clear is replayed through ``step``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import Diverged
 
-DIVERGENCE_THRESHOLD = 1e6
+DIVERGENCE_THRESHOLD = 1e6  # largest offset from its reference, in any state row, an agent may reach
 
 
 @dataclass(frozen=True)
@@ -83,20 +84,20 @@ def step(state: np.ndarray, r_d, phi: np.ndarray) -> np.ndarray:
     the error state: an agent at rest on its ``r_d`` stays bitwise fixed. The
     product is summed elementwise in a fixed order, not by BLAS, whose one- and
     many-column kernels round differently, so no agent's result depends on the
-    batch or the axes it is stepped with. It is the one divergence test: the
-    closed loop moves blocks of steps by ``block_maps`` and replays through
-    ``step`` a block that ``certified`` cannot clear; the tests' oracle
-    steps with it, and the traced benchmark run (``perfbench/layers.py``)
-    wraps it by name."""
+    batch or the axes it is stepped with. It is the one divergence test, of
+    the new state's offset from ``r_d``: the closed loop moves blocks by
+    ``block_maps`` and replays through ``step`` a block that ``certified``
+    cannot clear; the tests' oracle steps with it, and the traced benchmark
+    run (``perfbench/layers.py``) wraps it by name."""
     state = np.asarray(state, dtype=float)
     nd = state.ndim
     e = state.transpose(nd - 2, *range(nd - 2), nd - 1).copy()  # (4, ..., n)
     e[0] -= r_d
     p = phi.reshape((4, 4) + (1,) * (nd - 1)) * e
     out = p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
-    out[0] += r_d
     if not np.max(np.abs(out)) <= DIVERGENCE_THRESHOLD:  # also true for NaN and inf
-        raise Diverged(f"state magnitude exceeded {DIVERGENCE_THRESHOLD:g}")
+        raise Diverged(f"offset from the reference exceeded {DIVERGENCE_THRESHOLD:g}")
+    out[0] += r_d
     return out.transpose(*range(1, nd - 1), 0, nd - 1)
 
 
@@ -126,12 +127,11 @@ def block_maps(phi: np.ndarray, size: int) -> tuple[np.ndarray, tuple[float, flo
     return np.ascontiguousarray(np.concatenate([by_step[:, 0], by_step[-1, 1:]]).T), factors
 
 
-def certified(factors: tuple[float, float], e_max: float, u_max: float, p_max: float) -> bool:
-    """Whether chains whose error states start within ``e_max``, whose held
-    inputs stay within ``u_max`` and whose fixed points lie within ``p_max``
-    keep every state row, positions included, within the divergence bound
-    through a block of ``block_maps`` steps, from that block's ``factors``:
-    the test ``step`` makes at every step, passed by all of them at once.
-    False for NaN and inf."""
+def certified(factors: tuple[float, float], e_max: float, u_max: float) -> bool:
+    """Whether chains whose error states start within ``e_max`` and whose
+    held inputs stay within ``u_max`` keep their offsets within the
+    divergence bound through a block of ``block_maps`` steps with these
+    ``factors``, the test ``step`` makes at every step: an offset is an
+    error state less one input. False for NaN and inf."""
     s, i = factors
-    return bool((s * e_max + i * u_max) * (1.0 + 1e-9) + p_max <= DIVERGENCE_THRESHOLD)
+    return bool((s * e_max + i * u_max) * (1.0 + 1e-9) + u_max <= DIVERGENCE_THRESHOLD)

@@ -13,24 +13,25 @@ per run).
 Mentors sit in strictly earlier layers, so the loop runs over passes of
 blocks of up to 50 steps and, inside a pass, one mentor layer at a time: a
 layer's desired positions over the whole pass are one blend of mentor
-positions already computed for that pass, one subtraction sets the held
-inputs of every block, one matrix product per block moves the layer
-through it, and one sum writes the layer's positions over the pass. The
-product takes ``dynamics.block_maps``: the positions at each step and the
-full state at the block's end, which starts the layer's next block. A pass
-holds as many blocks as keep its chain rows (N n) times its steps within
-2^16: 16 blocks at N = 40 in 2-D, so a small team makes its few calls per
-layer per pass, not per block, and one block from N = 600 on, where the
-calls are large and memory beyond the logs stays O(block N n). A pass also
-ends where the blend's weight rule changes, so every frame is weighted as
-its block is. Once every layer has run, one certificate per block, from
-its largest start state and input (``dynamics.certified``), stands in for
-the per-step divergence test. A block it cannot clear is replayed from its
-start state with ``dynamics.step``, the one per-step test, so a divergence
-is reported at the same step and agent as stepping the whole run; the
-trajectory always comes from the products. Every block takes at least one
-step and forms r_d at the m + 1 frames from its start to its end, so the
-last block ends at t_end.
+positions already computed for that pass, with the weights
+``weights.weights_at`` gives at the pass's frames, as the set-points take
+theirs; one subtraction sets the held inputs of every block, one matrix
+product per block moves the layer through it, and one sum writes the
+layer's positions over the pass. The product takes ``dynamics.block_maps``:
+the positions at each step and the full state at the block's end, which
+starts the layer's next block. A pass holds as many blocks as keep its
+chain rows (N n) times its steps within 2^16: 16 blocks at N = 40 in 2-D,
+so a small team makes its few calls per layer per pass, not per block, and
+one block from N = 600 on, where the calls are large and memory beyond the
+logs stays O(block N n). Once every layer has run, one certificate per
+block, from its largest start state and input (``dynamics.certified``),
+stands in for the per-step divergence test of each agent's offset from its
+reference. A block it cannot clear is replayed from its start state with
+``dynamics.step``, the one per-step test, so a divergence is reported at
+the same step and agent as stepping the whole run; the trajectory always
+comes from the products. Every block takes at least one step and forms r_d
+at the m + 1 frames from its start to its end, so the last block ends at
+t_end.
 Planned set-points are computed separately for reporting, all output times
 at once, and never drive the loop.
 """
@@ -55,7 +56,7 @@ from .formation import (
 )
 from .setpoints import blend, propagate_setpoints
 from .targets import DesiredPositions, TargetSet, compute_desired, leader_final_positions, zone_center
-from .weights import WeightSchedule, beta, build_schedule
+from .weights import WeightSchedule, beta, build_schedule, weights_at
 
 
 @dataclass(frozen=True)
@@ -225,17 +226,6 @@ _BLOCK = 50  # steps advanced per matrix product
 _PASS = 2**16  # most chain rows times steps in one pass: 16 blocks at N = 40 in 2-D, one at N = 600
 
 
-def _passes(flat: list[bool], per_pass: int):
-    """(first, stop) block indices of each pass: at most ``per_pass``
-    consecutive blocks that all blend with the final weights (``flat``) or
-    all with the ramp formula, so every frame is weighted as its block is."""
-    first = 0
-    for j in range(1, len(flat) + 1):
-        if j == len(flat) or j - first == per_pass or flat[j] != flat[first]:
-            yield first, j
-            first = j
-
-
 def _integrate(plan: Plan) -> Run:
     sc = plan.scenario
     graph = plan.graph
@@ -262,19 +252,13 @@ def _integrate(plan: Plan) -> Run:
     pos_log = np.empty((len(logged), n_agents, dim))
     des_log = np.empty_like(pos_log)
 
-    # a block blends with the final weights when the ramp is 1 at all its
-    # frames, from its start to its end; other[k] counts the frames before k
-    # where it is not
-    starts = np.arange(0, steps, _BLOCK)
-    other = np.concatenate(([0], np.cumsum(b != 1.0)))
-    flat = (other[np.minimum(starts + _BLOCK, steps) + 1] == other[starts]).tolist()
     per_pass = max(1, _PASS // (n_agents * dim * _BLOCK))
 
     # Agent-major pass buffers, one row per (agent, axis) chain and one slot
     # per block of the pass: error state x - p e0 then held inputs r_d - p;
     # positions and r_d at the pass's frames; the block products' error
     # positions after each step and the last step's rates. Layer 0 rests at
-    # r_d = p, inputs zero, unless the leader blend moves it. The views split
+    # r_d = p unless the leader blend moves it. The views split
     # a pass's frames into its blocks' input frames and position frames.
     z = np.zeros((n_agents * dim, per_pass, 4 + _BLOCK))
     z4 = z.reshape(n_agents, dim, per_pass, -1)
@@ -288,7 +272,6 @@ def _integrate(plan: Plan) -> Run:
     inputs, held = z4[..., 4:], r_d[:, :, :-1].reshape(moved.shape)
     after = x[:, :, 1:].reshape(moved.shape)
     p4 = p[:, :, None, None]
-    omega, varpi = plan.schedule.omega[:, :, None], plan.schedule.varpi[:, :, None]
 
     # Steps after a divergence, and the map powers of gains outside the RK4
     # region, may overflow or turn NaN; the certificate fails on every such
@@ -297,18 +280,16 @@ def _integrate(plan: Plan) -> Run:
         phi = dynamics.rk4_map(sc.gains, sc.dt)
         # maps and factors of a full block and of the last, maybe shorter, one
         by_size = {m: dynamics.block_maps(phi, m) for m in {_BLOCK, (steps - 1) % _BLOCK + 1}}
-        p_max = np.abs(p).max()
         i0 = 0
-        for j0, j1 in _passes(flat, per_pass):
-            nb, k0, k1 = j1 - j0, j0 * _BLOCK, min(j1 * _BLOCK, steps)
+        for k0 in range(0, steps, per_pass * _BLOCK):
+            k1 = min(k0 + per_pass * _BLOCK, steps)
             sizes = [min(_BLOCK, k1 - k) for k in range(k0, k1, _BLOCK)]  # steps of each block
-            f = k1 - k0 + 1  # r_d is formed at the f frames k0 ... k1
+            nb, f = len(sizes), k1 - k0 + 1  # r_d is formed at the f frames k0 ... k1
             bk = b[k0 : k1 + 1]
-            w = varpi if flat[j0] else (1.0 - bk) * omega + bk * varpi  # (M, n+1, f)
+            w = weights_at(plan.schedule.omega, plan.schedule.varpi, bk)
             if sc.leader_blend:
                 mask, ramp = _leader_ramp(roles, a, p, bk)
                 r_d[mask, :, :f] = ramp
-                np.subtract(held[:n0, :, :nb], p4[:n0], out=inputs[:n0, :, :nb])
             # one layer at a time: a mentee layer's r_d blends mentor positions
             # already moved through the pass, and one product per block moves
             # the layer through it, from the state the layer's last block left
@@ -316,7 +297,7 @@ def _integrate(plan: Plan) -> Run:
                 if s:
                     ms = slice(s - n0, e - n0)
                     blend(w[ms], x[mentors[ms], :, :f], out=r_d[s:e, :, :f])
-                    np.subtract(held[s:e, :, :nb], p4[s:e], out=inputs[s:e, :, :nb])
+                np.subtract(held[s:e, :, :nb], p4[s:e], out=inputs[s:e, :, :nb])
                 c = slice(s * dim, e * dim)
                 for j, m in enumerate(sizes):
                     np.matmul(z[c, j, : 4 + m], by_size[m][0], out=fast[c, j, : m + 3])
@@ -325,7 +306,7 @@ def _integrate(plan: Plan) -> Run:
                 np.add(moved[s:e, :, :nb], p4[s:e], out=after[s:e, :, :nb])
             for j, m in enumerate(sizes):
                 e_max, u_max = np.abs(z[:, j, :4]).max(), np.abs(z[:, j, 4 : 4 + m]).max()
-                if not dynamics.certified(by_size[m][1], e_max, u_max, p_max):
+                if not dynamics.certified(by_size[m][1], e_max, u_max):
                     # replay the block from its start state, one step for the whole team at a time
                     kj = j * _BLOCK
                     state = z4[:, :, j, :4].transpose(0, 2, 1).copy()  # (N, 4, n)
@@ -334,7 +315,8 @@ def _integrate(plan: Plan) -> Run:
                         try:
                             state = dynamics.step(state, r_d[:, :, kj + i], phi)
                         except Diverged as exc:
-                            # the agent with the largest state before the step that left the bound
+                            # the agent farthest from that step's reference before it
+                            state[:, 0] -= r_d[:, :, kj + i]
                             worst = ids[int(np.argmax(np.abs(state).max(axis=(1, 2))[rank]))]
                             raise Diverged(f"agent {worst} diverged near t = {t[k0 + kj + i]:.3f} s") from exc
             i1 = int(np.searchsorted(logged, k1, side="right"))

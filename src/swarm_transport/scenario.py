@@ -387,12 +387,13 @@ def generate_scenario(params: GenerateParams, seed: int) -> Scenario:
         value = getattr(p, name)
         if value is not None and not 0 < value < math.inf:  # NaN fails too
             raise InfeasibleParams(f"{name} must be a positive finite number, got {value}")
-    # Two thresholds of a run are absolute: states beyond DIVERGENCE_THRESHOLD
-    # end it, and ``point_in_polygon`` (scoring, the sample grid, the
-    # interior draw) counts points within CONTAINMENT_TOL of a region as
-    # inside it. Every other tolerance is relative to its point set's
-    # ``geometry.extent``. The team's scale is its radius; keep it three
-    # orders of magnitude inside the divergence bound and six above that slack.
+    # Two thresholds of a run are absolute: offsets from the references
+    # beyond DIVERGENCE_THRESHOLD end it, and ``point_in_polygon`` (scoring,
+    # the sample grid, the interior draw) counts points within
+    # CONTAINMENT_TOL of a region as inside it. Every other tolerance is
+    # relative to its point set's ``geometry.extent``. The team's scale, and
+    # so its offsets', is its radius; keep it three orders of magnitude
+    # inside the divergence bound and six above that slack.
     low = 1e6 * geometry.CONTAINMENT_TOL
     high = 1e-3 * DIVERGENCE_THRESHOLD
     if not low <= p.radius <= high:

@@ -12,8 +12,9 @@ The propagation reads the mentor graph's (M,) mentee rows and (M, n+1)
 mentor rows beside the schedule's weights of the same shape. Rows are
 formation rows throughout, the order the trace and the writers use, and
 time is the innermost axis of every blend (``blend``, which the closed loop
-shares). The CSR matrix and the dense partitioned solve live with the tests, as
-independent oracles for the propagation.
+shares, of the weights ``weights.weights_at`` gives at each ramp value, as
+the closed loop's are). The CSR matrix and the dense partitioned solve live
+with the tests, as independent oracles for the propagation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .formation import LayeredGraph
-from .weights import WeightSchedule
+from .weights import WeightSchedule, weights_at
 
 
 def blend(w: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
@@ -50,6 +51,6 @@ def propagate_setpoints(
     s[...] = anchors if anchors.ndim == 3 else anchors[:, :, None]
     starts = graph.layer_starts
     for sl in map(slice, starts[:-1], starts[1:]):
-        w = (1.0 - b) * schedule.omega[sl, :, None] + b * schedule.varpi[sl, :, None]
+        w = weights_at(schedule.omega[sl], schedule.varpi[sl], b)
         s[graph.mentees[sl]] = blend(w, s[graph.mentors[sl]])
     return s.transpose(2, 0, 1)

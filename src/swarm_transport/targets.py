@@ -49,9 +49,11 @@ class TargetSet:
 
 def zone_center(zone) -> np.ndarray:
     """The center of a zone: in 2-D the area centroid of its counter-clockwise
-    outline, in 3-D the mean of its vertices."""
+    outline, summed about its vertex mean so that it moves with the zone, in
+    3-D the mean of its vertices."""
     zone = np.asarray(zone, dtype=float)
-    return geometry.polygon_centroid(geometry.ensure_ccw(zone)) if zone.shape[1] == 2 else zone.mean(axis=0)
+    mean = zone.mean(axis=0)
+    return mean + geometry.polygon_centroid(geometry.ensure_ccw(zone - mean)) if zone.shape[1] == 2 else mean
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Each mentee carries two weight vectors over its n+1 mentors: one expressing
 its initial position in the mentors' initial positions, one expressing its
 final position in the mentors' final positions. At run time the two are
 blended by a minimum-jerk quintic ramp, so the weights stay nonnegative and
-sum to one for every t.
+sum to one for every t; ``weights_at`` is that blend, for the closed loop
+and the set-points alike.
 
 The schedule keeps these weights as (M, n+1) arrays whose rows line up with
 the mentor graph's ``mentees`` and ``mentors``; every consumer (closed
@@ -34,6 +35,13 @@ def beta(t, t0: float, tf: float) -> float | np.ndarray:
     tau = np.clip((np.asarray(t, dtype=float) - t0) / (tf - t0), 0.0, 1.0)
     b = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
     return b if b.ndim else float(b)
+
+
+def weights_at(omega: np.ndarray, varpi: np.ndarray, b) -> np.ndarray:
+    """(1 - b) omega + b varpi at the T ramp values ``b``, (M, n+1, T), time
+    innermost; where every value is 1, the final weights themselves, (M, n+1, 1)."""
+    b = np.asarray(b, dtype=float)
+    return varpi[:, :, None] if (b == 1.0).all() else (1.0 - b) * omega[:, :, None] + b * varpi[:, :, None]
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,9 @@ def stepwise_integrate(plan, step=dynamics.step) -> Run:
         try:
             states = step(states, r_d, phi)
         except Diverged as exc:
-            worst = ids[int(np.argmax(np.abs(states).max(axis=(1, 2))))]
+            # the agent farthest from the failing step's reference before it
+            offset = states - np.eye(4)[:, :1] * r_d[:, None, :]
+            worst = ids[int(np.argmax(np.abs(offset).max(axis=(1, 2))))]
             raise Diverged(f"agent {worst} diverged near t = {t:.3f} s") from exc
 
     return judge_run(plan, np.array(times), np.array(pos_log), np.array(des_log))

@@ -132,6 +132,16 @@ class TestStep:
             # wrong-sign position feedback pushes the state away
             _integrate(state, np.array([1.0]), Gains(8.0, 24.0, 32.0, -1e6), 0.01, 5.0)
 
+    def test_divergence_is_the_offset_from_the_reference(self):
+        # an agent at rest 5e6 from the origin steps on; one 5e6 from its
+        # reference, wherever it stands, has diverged
+        phi = rk4_map(DEFAULT_GAINS, 0.01)
+        far = initial_state([5e6, -5e6])
+        assert np.array_equal(step(far, far[0], phi), far)
+        for r_d in ([0.0, -5e6], [5e6 + 1.01e6, -5e6]):
+            with pytest.raises(Diverged):
+                step(far, r_d, phi)
+
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             step(initial_state([0.0]), [0.0], rk4_map(DEFAULT_GAINS, 0.0))
@@ -148,14 +158,17 @@ class TestStep:
             assert np.all(np.any(out[~rest] != batch[~rest], axis=(1, 2)))
 
 
-def _states(e, u, p, phi):
+def _states(e, u, p, phi, offsets=False):
     """Error states (C, m, 4) after each of len(u) ``step`` calls, for chains
-    (C,) of a (4, C) error state about fixed points ``p``, inputs (m, C)."""
+    (C,) of a (4, C) error state about fixed points ``p``, inputs (m, C); with
+    ``offsets``, each state's offset from that step's reference r_d = u_j + p
+    instead, the quantity ``step`` tests."""
     state = (e + np.eye(4)[:, :1] * p).T[:, :, None]  # (C, 4, 1)
     out = []
     for u_j in u:
-        state = step(state, (u_j + p)[:, None], phi)
-        out.append(state[:, :, 0] - np.eye(4)[0] * p[:, None])
+        r_d = (u_j + p)[:, None]
+        state = step(state, r_d, phi)
+        out.append(state[:, :, 0] - np.eye(4)[0] * (r_d if offsets else p[:, None]))
     return np.stack(out, axis=1)
 
 
@@ -268,27 +281,31 @@ def test_advance_matches_repeated_steps(gains_dt, chains, m, spare, scale, seed)
     st.integers(0, 2**32 - 1),
 )
 def test_certificate_bounds_the_full_product(gains_dt, chains, m, spare, e_scale, u_scale, seed):
-    # the factors of a longer block's map bound a shorter block's states
+    # the factors of a longer block's map bound a shorter block's error
+    # states, and with the largest input its offsets from the references
     gains, dt = gains_dt
     phi = rk4_map(gains, dt)
     rng = np.random.default_rng(seed)
     z = np.hstack([e_scale * rng.standard_normal((chains, 4)), u_scale * rng.standard_normal((chains, m))])
     p = e_scale * rng.standard_normal(chains)
-    e_max, u_max, p_max = np.abs(z[:, :4]).max(), np.abs(z[:, 4:]).max(), np.abs(p).max()
+    e_max, u_max = np.abs(z[:, :4]).max(), np.abs(z[:, 4:]).max()
     s, i = block_maps(phi, m + spare)[1]
     with mock.patch.object(dynamics, "DIVERGENCE_THRESHOLD", np.inf):
         states = _states(z[:, :4].T, z[:, 4:].T, p, phi)
+        offsets = _states(z[:, :4].T, z[:, 4:].T, p, phi, offsets=True)
     assert np.abs(states).max() <= (s * e_max + i * u_max) * (1.0 + 1e-9)
+    assert np.abs(offsets).max() <= (s * e_max + i * u_max) * (1.0 + 1e-9) + u_max
     # the certificate clears only blocks that ``step`` replays within the bound
-    if certified((s, i), e_max, u_max, p_max):
+    if certified((s, i), e_max, u_max):
         _states(z[:, :4].T, z[:, 4:].T, p, phi)
-    assert not certified((s, i), e_max, u_max, DIVERGENCE_THRESHOLD * (1.0 + 1e-12))
+    # an input beyond the bound is an offset beyond it at once
+    assert not certified((s, i), 0.0, DIVERGENCE_THRESHOLD * (1.0 + 1e-12))
 
 
 def test_certificate_fails_on_nan_and_inf():
     factors = block_maps(rk4_map(DEFAULT_GAINS, 0.01), 50)[1]
-    assert certified(factors, 1.0, 1.0, 1.0)
+    assert certified(factors, 1.0, 1.0)
     for bad in (float("nan"), float("inf")):
-        assert not certified(factors, bad, 1.0, 1.0)
-        assert not certified(factors, 1.0, bad, 1.0)
-        assert not certified((bad, factors[1]), 0.0, 1.0, 1.0)
+        assert not certified(factors, bad, 1.0)
+        assert not certified(factors, 1.0, bad)
+        assert not certified((bad, factors[1]), 0.0, 1.0)

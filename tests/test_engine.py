@@ -23,7 +23,7 @@ from swarm_transport.engine import convergence_check, make_plan, run, setpoint_s
 from swarm_transport.errors import BadConfig, Diverged, SwarmTransportError
 from swarm_transport.formation import ROLE_BOUNDARY, ROLE_CORE, Formation
 from swarm_transport.reporting import metrics_json, trace_table
-from swarm_transport.scenario import parse_scenario_text, serialize_scenario
+from swarm_transport.scenario import GenerateParams, generate_scenario, parse_scenario_text, serialize_scenario
 from swarm_transport.setpoints import propagate_setpoints
 from swarm_transport.targets import TargetSet
 from swarm_transport.weights import beta
@@ -210,29 +210,31 @@ def _team_document(seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    seed=st.sampled_from([None, 0, 1, 2, 3]),
-    unit=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
-    long_axis=st.integers(0, 1),
-)
-@example(seed=None, unit=(1.0, -0.7, 0.3), long_axis=0)
-@example(seed=3, unit=(1.0, 1.0, 0.0), long_axis=0)
-def test_a_shifted_team_plans_as_at_the_origin(seed, unit, long_axis):
-    # every tolerance is relative to its own point set's extent, so the same
-    # document far from the origin gets the same core and mentor graph. The
-    # cube moves by up to 1e5 radii in every axis; a planar team by up to 1e5
-    # radii along one axis and 1e3 across it, since its zone's area centroid,
-    # which picks the core, is a shoelace sum of raw coordinates whose error
-    # grows with the product of the two
+@given(seed=st.sampled_from([None, 0, 1, 2, 3]), unit=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+@example(seed=None, unit=(1.0, -0.7, 0.3))
+@example(seed=3, unit=(1.0, 1.0, 0.0))
+@example(seed=3, unit=(0.5, 1.0, 0.0))  # another core when the centroid sums raw coordinates
+def test_a_shifted_team_plans_as_at_the_origin(seed, unit):
+    # every tolerance is relative to its own point set's extent, and a planar
+    # zone's area centroid, which picks the core, sums about the zone's
+    # vertex mean, so the same document moved by up to 1e5 radii in every
+    # axis gets the same core and mentor graph
     text, want, radius = _team_document(seed)
     dim = want.mentors.shape[1] - 1
-    reach = np.full(dim, 1e5 * radius)
-    if dim == 2:
-        reach[1 - long_axis] = 1e3 * radius
-    got = make_plan(parse_scenario_text(_shifted_document(text, reach * unit[:dim]))).graph
+    got = make_plan(parse_scenario_text(_shifted_document(text, 1e5 * radius * np.asarray(unit[:dim])))).graph
     assert got.core == want.core
     for name in ("layer", "mentees", "mentors"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_a_shifted_team_runs_as_at_the_origin():
+    # divergence is an agent's offset from its reference, not its position,
+    # so sweep-small seed 1 moved 2e6 m out runs to the same verdicts
+    text = serialize_scenario(generate_scenario(GenerateParams(n_agents=40, n_boundary=10, n_uncooperative=2), 1))
+    want = run(parse_scenario_text(text))
+    got = run(parse_scenario_text(_shifted_document(text, (2e6, -1.4e6))))
+    assert np.array_equal(got.converged, want.converged)
+    assert np.max(np.abs(got.terminal_error - want.terminal_error)) <= 1e-6
 
 
 def _fixed_point_scenario():
@@ -346,8 +348,9 @@ class TestRun:
             with pytest.raises(BadConfig, match="RK4"):
                 dataclasses.replace(ok, gains=gains)
             plans.append(dataclasses.replace(make_plan(ok), scenario=unchecked(ok, gains=gains)))
-        # a valid team whose hull lies beyond the bound fails at once, at
-        # rest, and is named by id when the ids run against the layer order
+        # a valid team whose hull agents start beyond the bound from their
+        # anchors fails in its first step, and the farthest is named by id
+        # when the ids run against the layer order
         plans += [make_plan(_scaled(quick_scenario(), 2e5, relabel)) for relabel in (int, lambda i: 100 - i)]
         # at the default pass length and at one block per pass
         for cells in (engine._PASS, 1):
@@ -360,18 +363,28 @@ class TestRun:
                     stepwise_integrate(bad_plan)
                 assert str(got.value) == str(want.value)
                 messages.append(str(got.value))
-            assert messages[-2:] == ["agent 1 diverged near t = 0.000 s", "agent 99 diverged near t = 0.000 s"]
+            assert messages[-2:] == ["agent 3 diverged near t = 0.000 s", "agent 97 diverged near t = 0.000 s"]
 
     def test_divergence_names_the_worst_agent_before_the_failing_step(self, monkeypatch):
-        # seed 2 moved 8e5 along both axes, under poles (-2 +- 7i, -1, -1) at
-        # dt 0.4: at step 117, the 18th of its block, agent 1 has the largest
-        # state (its position) and agent 4's rates then leave the bound in
-        # one step, so the agent named depends on which step's rates are read
-        sc = quick_scenario(seed=2, n=20, nb=6)
+        # seed 4 with its hull anchored where it starts, moved 8e5 along both
+        # axes, under poles (-2 +- 7i, -1, -1) at dt 0.4: the weight ramp
+        # drives the followers, and at step 165, the 16th of its block, agent
+        # 15 is farthest from its reference, agent 8 is after the step that
+        # leaves the bound, and agent 9 has the largest state, so the agent
+        # named depends on which step is read and on reading offsets
+        sc = quick_scenario(seed=4, n=20, nb=6)
         f, off = sc.formation, 8e5
         form = Formation.build(f.ids, f.positions + off)
+        anchors = {form.ids[b]: form.positions[b] for b in form.boundary}
         ok = manual_scenario(
-            form, sc.targets.samples + off, zone=sc.targets.zone + off, t_end=200.0, tf=10.0, dt=0.4, output_period=0.8
+            form,
+            sc.targets.samples + off,
+            zone=sc.targets.zone + off,
+            leader_positions=anchors,
+            t_end=200.0,
+            tf=10.0,
+            dt=0.4,
+            output_period=0.8,
         )
         poles = np.poly([-2 + 7j, -2 - 7j, -1, -1]).real
         bad_plan = dataclasses.replace(make_plan(ok), scenario=unchecked(ok, gains=Gains(*poles[1:])))
@@ -386,12 +399,14 @@ class TestRun:
         states, r_d, phi = seen[-1]
         monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", np.inf)
         after = dynamics.step(states, r_d, phi)  # the step that left the bound
-        worst = [form.ids[int(np.argmax(np.abs(x).max(axis=(1, 2))))] for x in (states, after)]
-        assert (len(seen) - 1, worst) == (117, [1, 4])
+        reference = np.eye(4)[:, :1] * r_d[:, None, :]  # r_d in the position row
+        worst = [form.ids[int(np.argmax(np.abs(x - reference).max(axis=(1, 2))))] for x in (states, after)]
+        largest = form.ids[int(np.argmax(np.abs(states).max(axis=(1, 2))))]
+        assert (len(seen) - 1, worst, largest) == (165, [15, 8], 9)
         monkeypatch.undo()
         with pytest.raises(Diverged) as got:
             engine._integrate(bad_plan)
-        assert str(got.value) == str(want.value) == "agent 1 diverged near t = 46.800 s"
+        assert str(got.value) == str(want.value) == "agent 15 diverged near t = 66.000 s"
 
     def test_fixed_map_matches_staged_rk4(self):
         # a planar team with clamped agents and the 3-D team, against the
