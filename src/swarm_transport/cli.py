@@ -42,7 +42,7 @@ def cmd_generate(args) -> int:
 def cmd_build_graph(args) -> int:
     sc = scenario_io.load_scenario(args.scenario)
     out = _out_dir(args)
-    graph = build_actual(sc.formation, sc.targets.center())
+    graph = build_actual(sc.formation, sc.targets.center)
     _write_graph_files(sc.formation, graph, out)
     print("\n".join(reporting.summary_lines(reporting.team_counts(sc.formation, graph))))
     return 0
@@ -73,7 +73,7 @@ def _write_snapshots(run, out: Path, snapshot_times) -> None:
         return  # snapshots are drawn for planar scenes only
     frames = [int(np.argmin(np.abs(run.times - t_snap))) for t_snap in snapshot_times]
     for k in dict.fromkeys(frames):  # each output frame once, in first-asked order
-        reporting.atomic_write_text(out / f"snapshot_t{run.times[k]:g}.svg", svgplot.snapshot_svg(run, k))
+        reporting.atomic_write_text(out / f"snapshot_t{run.times[k]:.15g}.svg", svgplot.snapshot_svg(run, k))
 
 
 def _snapshot_times(text: str | None, sc) -> list[float]:

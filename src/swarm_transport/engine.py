@@ -148,7 +148,7 @@ def validate_scenario(scenario: Scenario) -> None:
         if not np.isfinite(np.sum(edges * edges, axis=1)).all():
             raise BadConfig(f"margin {sc.margin:g} inflates the target zone beyond the float range")
         if sc.leader_positions is None and zone.shape[1] == 2:  # the ring that make_plan spaces anchors on
-            if not np.abs(geometry.scale_polygon(zone, sc.leader_scale, about=sc.targets.center())).max() <= MAX_COORDINATE:
+            if not np.abs(geometry.scale_polygon(zone, sc.leader_scale, about=sc.targets.center)).max() <= MAX_COORDINATE:
                 raise BadConfig(f"leader_final.scale {sc.leader_scale:g} puts the anchors beyond {MAX_COORDINATE:g}")
         phi = dynamics.rk4_map(sc.gains, sc.dt)
     if not dynamics.check_hurwitz(sc.gains):
@@ -175,10 +175,17 @@ class Run:
 
     plan: Plan
     times: np.ndarray  # (T,)
-    positions: np.ndarray  # (T, N, n)
-    desired: np.ndarray  # (T, N, n) logged reference positions
+    log: np.ndarray  # (T, N, 2n): each row's position, then its reference position
     converged: np.ndarray  # (N,) verdict of each row; False where not ``scored``
     terminal_error: np.ndarray  # (N,) ||r(t_end) - p_i|| of each row
+
+    @property
+    def positions(self) -> np.ndarray:  # (T, N, n) view of the log
+        return self.log[..., : self.log.shape[2] // 2]
+
+    @property
+    def desired(self) -> np.ndarray:  # (T, N, n) view of the log
+        return self.log[..., self.log.shape[2] // 2 :]
 
     @property
     def scored(self) -> np.ndarray:
@@ -195,7 +202,7 @@ class Run:
 def make_plan(scenario: Scenario) -> Plan:
     """Pipeline prefix: graph synthesis, anchor placement, targets, weights."""
     formation = scenario.formation
-    graph = build_actual(formation, scenario.targets.center())
+    graph = build_actual(formation, scenario.targets.center)
     leader_p = scenario.leader_positions
     if leader_p is None:
         leader_p = leader_final_positions(formation, scenario.targets, scenario.leader_scale)
@@ -209,17 +216,17 @@ def run(scenario: Scenario) -> Run:
     return _integrate(make_plan(scenario))
 
 
-def judge_run(plan: Plan, times, positions, desired) -> Run:
-    """The run of ``plan`` with these logs: each cooperative follower is
-    judged by its last logged position (``convergence_check``) and every
+def judge_run(plan: Plan, times, log) -> Run:
+    """The run of ``plan`` with this (T, N, 2n) log: each cooperative follower
+    is judged by its last logged position (``convergence_check``) and every
     row's terminal error is its distance there from its final position."""
     sc = plan.scenario
-    final = positions[-1]
+    final = log[-1, :, : sc.formation.dim]
     coop = plan.graph.roles == ROLE_COOPERATIVE
     converged = np.zeros(len(final), dtype=bool)
     converged[coop] = convergence_check(final[coop], sc.targets.zone_polygon, sc.margin)
     terminal_error = np.linalg.norm(final - plan.desired.p, axis=1)
-    return Run(plan, times, positions, desired, converged, terminal_error)
+    return Run(plan, times, log, converged, terminal_error)
 
 
 _BLOCK = 50  # steps advanced per matrix product
@@ -249,8 +256,7 @@ def _integrate(plan: Plan) -> Run:
     t = sc.t0 + np.arange(steps + 1) * sc.dt
     b = beta(t, sc.t0, sc.tf)
     logged = np.union1d(np.arange(0, steps + 1, log_every), [steps])
-    pos_log = np.empty((len(logged), n_agents, dim))
-    des_log = np.empty_like(pos_log)
+    log = np.empty((len(logged), n_agents, 2 * dim))
 
     per_pass = max(1, _PASS // (n_agents * dim * _BLOCK))
 
@@ -321,14 +327,14 @@ def _integrate(plan: Plan) -> Run:
                             raise Diverged(f"agent {worst} diverged near t = {t[k0 + kj + i]:.3f} s") from exc
             i1 = int(np.searchsorted(logged, k1, side="right"))
             js = logged[i0:i1] - k0
-            pos_log[i0:i1, order] = x[:, :, js].transpose(2, 0, 1)
-            des_log[i0:i1, order] = r_d[:, :, js].transpose(2, 0, 1)
+            log[i0:i1, order, :dim] = x[:, :, js].transpose(2, 0, 1)
+            log[i0:i1, order, dim:] = r_d[:, :, js].transpose(2, 0, 1)
             i0 = i1
             m = sizes[-1]
             z[:, 0, :4] = fast[:, nb - 1, m - 1 : m + 3]  # the state after the pass's last step
             x[:, :, 0] = x[:, :, f - 1]
 
-    return judge_run(plan, t[logged], pos_log, des_log)
+    return judge_run(plan, t[logged], log)
 
 
 def _leader_ramp(roles, start, final, b):

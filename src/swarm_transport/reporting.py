@@ -4,20 +4,20 @@ Every writer goes through one atomic write (write to a temp file in the
 same directory, then rename), and all float formatting is fixed so repeated
 runs of the same scenario produce byte-identical files.
 
-The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``, are
-streamed to their file a block of about 256 KB of rows at a time, so the
-peak allocation is bounded by a block, not by the file. A block is one array of
-fixed-width slots: the time, the row's leading fields, each cell and its
-comma, the row's end; every unused byte is NUL and one ``bytes.translate``
-deletes them all, which no field can hold. Every cell is ``%.9g``.
-``_g9`` formats in numpy each value of decimal exponent -4 to 8 (fixed
-notation: nearly every coordinate of a team of radius 0.01 to 100) whose
-rounding it certifies: scaled to 9 integer digits, the value carries one
-rounding error below 6e-8, so if it lies more than 1e-6 from a half it
-rounds to the digits of CPython's correctly rounded conversion. Exponent form, -0, 0, nan, inf and
-near ties go through ``b"%.9g" % v`` itself. So the bytes equal those of
-formatting each cell on its own (``tests/test_reporting.py`` checks the
-tables against that per-cell writer and ``_g9`` against ``b"%.9g"``).
+The two per-(time, agent) tables, ``trace.csv`` and ``setpoints.csv``, each
+write one (T, N, k) array (``Run.log``, the set-point series) a block of
+about 256 KB of rows at a time, so the peak allocation is bounded by a
+block, not by the file. A block is one array of fixed-width slots (time,
+leading fields, each cell and its comma, row end) whose unused bytes are
+NUL, which no field holds, deleted by one ``bytes.translate``; a block
+whose cells repeat the previous block's leading frames bit for bit (the
+set-points after tf) keeps their text. Every cell is ``%.9g``: ``_g9``
+formats in numpy each value of decimal exponent -4 to 8 (nearly every
+coordinate of a team of radius 0.01 to 100) whose rounding it certifies:
+scaled to 9 integer digits, it carries one rounding error below 6e-8, so
+if it lies more than 1e-6 from a half it rounds to the digits of CPython's
+correctly rounded conversion; the rest go through ``b"%.9g" % v``. So the
+bytes equal those of formatting each cell alone, as the tests check.
 """
 
 from __future__ import annotations
@@ -132,21 +132,21 @@ def _g9(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
+def _frames(header: str, times, heads, tails, table: np.ndarray):
     """Yield ``header`` and its newline, then the rows as bytes, a block of
     frames at a time.
 
-    Row k of a frame is the time, ``heads[k]``, row k of the (T, N, ·)
-    ``blocks`` side by side as ``%.9g`` cells, then ``tails[k]``, joined by
-    commas and ended by a newline. The slots that are the same in every
-    frame are written once.
+    Row k of a frame is the time, ``heads[k]``, row k of the (T, N, ·) float64
+    ``table`` as ``%.9g`` cells, then ``tails[k]``, joined by commas, and a
+    newline. Slots the same in every frame are written once, and so is the
+    text of a block that repeats the last block's leading frames, bit for bit.
     """
     yield header.encode() + b"\n"
     times = _g9(np.asarray(times, dtype=float))
     heads = [b",%s," % str(h).encode() for h in heads]
     tails = [t.encode() + b"\n" for t in tails]
     time_w, head_w, tail_w = (max(map(len, x), default=1) for x in (times.tolist(), heads, tails))
-    cells = ("cells", [("text", "S16"), ("comma", "S1")], (sum(b.shape[2] for b in blocks),))
+    cells = ("cells", [("text", "S16"), ("comma", "S1")], (table.shape[2],))
     row = np.dtype([("time", f"S{time_w}"), ("head", f"S{head_w}"), cells, ("tail", f"S{tail_w}")])
     step = max(1, (1 << 18) // (len(heads) * row.itemsize))  # frames per block of about 256 KB
     raw = bytearray(step * len(heads) * row.itemsize)  # translated in place, without a copy
@@ -155,9 +155,10 @@ def _frames(header: str, times, heads, tails, *blocks: np.ndarray):
     buf["cells"]["comma"][..., :-1] = b","
     text = buf["cells"]["text"]
     for s in range(0, len(times), step):
-        values = np.concatenate([b[s : s + step] for b in blocks], axis=2, dtype=float)
+        values = table[s : s + step]
         f = len(values)
-        text[:f] = _g9(values.ravel()).reshape(text[:f].shape)
+        if not (s and np.array_equal(values.view(np.int64), table[s - step : s - step + f].view(np.int64))):
+            text[:f] = _g9(values.ravel()).reshape(text[:f].shape)
         buf["time"][:f] = times[s : s + f, None]
         yield (raw if f == step else raw[: buf[:f].nbytes]).translate(None, b"\0")
 
@@ -169,7 +170,7 @@ def trace_table(run: Run, path) -> None:
     header = ["time", "agent_id", "role", "layer", *coords, *(c + "d" for c in coords), "converged"]
     heads = [f"{a},{role},{layer}" for a, role, layer in zip(ids, graph.roles, graph.layer)]
     tails = [f",{int(c)}" if s else ",-" for c, s in zip(run.converged, run.scored)]
-    _atomic_write(path, _frames(",".join(header), run.times, heads, tails, run.positions, run.desired))
+    _atomic_write(path, _frames(",".join(header), run.times, heads, tails, run.log))
 
 
 def team_counts(formation, graph) -> dict:

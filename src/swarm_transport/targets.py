@@ -42,9 +42,12 @@ class TargetSet:
         zone.flags.writeable = False
         return zone
 
+    @cached_property
     def center(self) -> np.ndarray:
-        """The point the plan's core is nearest and its zone scales about."""
-        return zone_center(self.zone_polygon)
+        """The point the plan's core is nearest and its zone scales about; read-only."""
+        center = zone_center(self.zone_polygon)
+        center.flags.writeable = False
+        return center
 
 
 def zone_center(zone) -> np.ndarray:
@@ -92,13 +95,13 @@ def equal_arclength_points(polygon, count: int) -> np.ndarray:
 def leader_final_positions(formation: Formation, targets: TargetSet, scale: float) -> np.ndarray:
     """Generated anchor positions of the hull agents, shaped (B, n) in hull
     cycle order: equal arc length along the zone outline scaled by ``scale``
-    about ``targets.center()``, preserving the hull's cyclic order. The
+    about ``targets.center``, preserving the hull's cyclic order. The
     placement is a convention of this artifact, not part of the underlying
     method.
     """
     if formation.dim != 2:
         raise BadConfig("generated leader placement is only available in 2-D")
-    ring = geometry.scale_polygon(targets.zone_polygon, scale, about=targets.center())
+    ring = geometry.scale_polygon(targets.zone_polygon, scale, about=targets.center)
     return equal_arclength_points(ring, len(formation.boundary))
 
 

@@ -152,7 +152,7 @@ def stepwise_integrate(plan, step=dynamics.step) -> Run:
             worst = ids[int(np.argmax(np.abs(offset).max(axis=(1, 2))))]
             raise Diverged(f"agent {worst} diverged near t = {t:.3f} s") from exc
 
-    return judge_run(plan, np.array(times), np.array(pos_log), np.array(des_log))
+    return judge_run(plan, np.array(times), np.concatenate((pos_log, des_log), axis=2))
 
 
 # The planner one cell, one mentee and one weight vector at a time: the

@@ -57,7 +57,7 @@ def test_criterion_1_full_cooperation_converges():
 
     # structural constants on a 95-agent look-alike with 16 hull agents
     look = generate_scenario(GenerateParams(n_agents=95, n_boundary=16), seed=1)
-    graph = build_actual(look.formation, look.targets.center())
+    graph = build_actual(look.formation, look.targets.center)
     structural = (
         len(look.formation.boundary) == 16
         and graph.n_initial_simplices == 16
@@ -222,7 +222,7 @@ def test_criterion_7_graph_laws_over_population():
             seed=5000 + k,
         )
         form = sc.formation
-        graph = build_actual(form, sc.targets.center())
+        graph = build_actual(form, sc.targets.center)
         coop = np.flatnonzero(graph.roles == "cooperative")
         if sorted(graph.mentees.tolist()) != coop.tolist():
             ok, detail = False, f"partition broken at seed {5000 + k}"

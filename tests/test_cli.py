@@ -586,3 +586,18 @@ def test_snapshot_drawn_once_per_output_frame(tmp_path, monkeypatch):
     assert main(["simulate", str(path), "--out-dir", str(out), "--snapshot-times", "10,25,10.04"]) == 0
     assert drawn == [10.0, 25.0]
     assert sorted(p.name for p in out.glob("snapshot_*.svg")) == ["snapshot_t10.svg", "snapshot_t25.svg"]
+
+
+def test_snapshot_names_tell_frames_apart_far_from_time_zero(tmp_path):
+    # a run from t0 = 1e6 s: 6 significant digits would name all three
+    # frames snapshot_t1.00001e+06.svg, one drawn over another
+    path = _generate(tmp_path, agents=12, boundary=4, seed=1)
+    doc = json.loads(path.read_text())
+    for key in ("t0", "tf", "t_end"):
+        doc["times"][key] += 1e6
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(path), "--out-dir", str(out), "--snapshot-times", "1000010.1,1000010.2,1000010.3"]) == 0
+    names = sorted(p.name for p in out.glob("snapshot_*.svg"))
+    assert names == ["snapshot_t1000010.1.svg", "snapshot_t1000010.2.svg", "snapshot_t1000010.3.svg"]
+    assert len({(out / name).read_text() for name in names}) == 3

@@ -269,7 +269,7 @@ class TestRun:
         res = run(sc)
         assert res.rate == 1.0
         zone_diameter = 2.0 * np.max(
-            np.linalg.norm(sc.targets.zone_polygon - sc.targets.center(), axis=1)
+            np.linalg.norm(sc.targets.zone_polygon - sc.targets.center, axis=1)
         )
         scored = res.scored
         assert scored.sum() == 29  # 40 agents less 10 hull agents and the core

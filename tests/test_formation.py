@@ -104,7 +104,7 @@ class TestFanTriangulate:
     def test_areas_sum_to_hull_area(self):
         sc = quick_scenario(seed=5, n=30, nb=9)
         form = sc.formation
-        core = select_core(form, sc.targets.center())
+        core = select_core(form, sc.targets.center)
         fan = fan_triangulate(form, core)
         hull = form.positions[form.boundary]
         total = sum(
@@ -120,7 +120,7 @@ class TestFanTriangulate:
     def test_lookalike_initial_simplices(self):
         # 16 hull agents imply 16 fan triangles
         sc = quick_scenario(seed=1, n=95, nb=16)
-        graph = build_actual(sc.formation, sc.targets.center())
+        graph = build_actual(sc.formation, sc.targets.center)
         assert len(sc.formation.boundary) == 16
         assert graph.n_initial_simplices == 16
 
@@ -157,7 +157,7 @@ class TestBuildNominal:
 
     def test_lookalike_cooperative_count(self):
         sc = quick_scenario(seed=1, n=95, nb=16)
-        graph = build_actual(sc.formation, sc.targets.center())
+        graph = build_actual(sc.formation, sc.targets.center)
         assert np.count_nonzero(graph.roles == "cooperative") == 78
         assert len(graph.mentees) == 78
 
@@ -213,7 +213,7 @@ class TestBuildActual:
 
     def test_no_edges_into_clamped_agents(self):
         sc = quick_scenario(seed=9, n=40, nb=8, uncoop=3)
-        graph = build_actual(sc.formation, sc.targets.center())
+        graph = build_actual(sc.formation, sc.targets.center)
         assert len(sc.formation.clamped) == 3
         assert not np.isin(graph.mentees, sc.formation.clamped).any()
 
@@ -225,7 +225,7 @@ class TestGraphLaws:
         uncoop = seed % 3
         sc = quick_scenario(seed=seed, n=n, nb=max(6, n // 5), uncoop=uncoop)
         form = sc.formation
-        graph = build_actual(form, sc.targets.center())
+        graph = build_actual(form, sc.targets.center)
         coop = np.flatnonzero(graph.roles == "cooperative")
 
         # partition: every follower is a mentee exactly once
@@ -469,7 +469,7 @@ class TestTopologicalOrder:
     def test_built_graphs_acyclic_by_dfs(self):
         for seed in range(4):
             sc = quick_scenario(seed=seed, n=30, nb=7, uncoop=seed % 2)
-            graph = build_actual(sc.formation, sc.targets.center())
+            graph = build_actual(sc.formation, sc.targets.center)
             keys = list(zip(graph.layer[graph.mentees].tolist(), graph.mentees.tolist()))
             assert keys == sorted(keys)  # mentees in (layer, row) order
             assert len(graph.layer) == sc.formation.n_agents

@@ -66,7 +66,7 @@ def test_scenario_and_graph_match_pins(seed, params):
     text = _scenario_text(seed, params)
     assert _sha256(text) == pin["scenario_sha256"]
     sc = parse_scenario_text(text)
-    assert _sha256(graph_records(sc.formation, build_actual(sc.formation, sc.targets.center()))) == pin["graph_sha256"]
+    assert _sha256(graph_records(sc.formation, build_actual(sc.formation, sc.targets.center))) == pin["graph_sha256"]
 
 
 def test_run_matches_pins():

@@ -133,8 +133,7 @@ def test_synthetic_values():
     res = Run(
         plan=stand_in_plan((3, 7, 11, 20), ["boundary", "cooperative", "uncooperative", "cooperative"], [0, 1, 0, 2]),
         times=np.array([0.0, 0.1, 123456789.5]),
-        positions=positions,
-        desired=desired,
+        log=np.concatenate((positions, desired), axis=2),
         converged=np.array([False, True, False, False]),
         terminal_error=np.zeros(4),
     )
@@ -159,10 +158,10 @@ def test_synthetic_values():
     cases["mixed"][3, 2, 1] = 7.5
     for pos in cases.values():
         times = np.arange(len(pos)) * 0.1
-        synthetic = dataclasses.replace(res, times=times, positions=pos, desired=pos[:, ::-1] * 3.0)
+        synthetic = dataclasses.replace(res, times=times, log=np.concatenate((pos, pos[:, ::-1] * 3.0), axis=2))
         assert_tables_match(synthetic, pos)
     mixed = cases["mixed"]
-    mixed_run = dataclasses.replace(res, times=np.arange(6) * 0.1, positions=mixed, desired=mixed)
+    mixed_run = dataclasses.replace(res, times=np.arange(6) * 0.1, log=np.concatenate((mixed, mixed), axis=2))
     rows = written(trace_table, mixed_run)
     cells = [row.split(",") for row in rows.splitlines()[1:]]
     assert [r[4] for r in cells[0::4]] == ["0", "-0"] * 3
@@ -181,7 +180,7 @@ def test_leader_blend_run():
 
 def test_no_output_times(clamped_run):
     res, series = clamped_run
-    empty = dataclasses.replace(res, times=res.times[:0], positions=res.positions[:0], desired=res.desired[:0])
+    empty = dataclasses.replace(res, times=res.times[:0], log=res.log[:0])
     header = written(trace_table, res).split("\n")[0] + "\n"
     assert written(trace_table, empty) == trace_table_oracle(empty) == header
     ids = res.plan.scenario.formation.ids
@@ -202,8 +201,7 @@ def synthetic_run(positions, desired, times, ids=None):
     return Run(
         plan=stand_in_plan(ids or range(1, n_agents + 1), roles, np.arange(n_agents) % 3),
         times=times,
-        positions=positions,
-        desired=desired,
+        log=np.concatenate((positions, desired), axis=2),
         converged=np.arange(n_agents) % 4 == 0,
         terminal_error=np.zeros(n_agents),
     )
@@ -226,6 +224,28 @@ def test_frames_across_blocks():
     pos[:, 8] = -np.abs(pos[:, 8])  # negative coordinates
     times = np.arange(130) * 0.1
     assert_tables_match(synthetic_run(pos, pos[:, ::-1] * -2.0, times), pos)
+
+
+def test_repeated_blocks_keep_their_text(monkeypatch):
+    # the layout above over 133 frames: 67 trace blocks of 2 frames and 27
+    # set-point blocks of 5, the last ones short (1 and 3 frames). From frame
+    # 40 on every frame repeats frame 40, as the set-points do after tf, but
+    # for a -0.0 in frame 80 and one moved cell in frame 101
+    rng = np.random.default_rng(12)
+    pos = rng.normal(size=(133, 1024, 2)) * 10.0 ** rng.integers(-5, 6, size=(1, 1024, 1))
+    pos[40:] = pos[40]
+    pos[:, 5, 0] = np.nan  # constant NaN cells
+    pos[40:, 6, 1] = 0.0
+    pos[80, 6, 1] = -0.0  # a block that differs only in the sign of a zero
+    pos[101, 3, 1] += 1.0  # and one that differs in a single cell
+    formatted = []
+    g9 = reporting._g9
+    monkeypatch.setattr(reporting, "_g9", lambda x: formatted.append(len(x)) or g9(x))
+    assert_tables_match(synthetic_run(pos, pos[:, ::-1] * -2.0, np.arange(133) * 0.1), pos)
+    # the times, then each block that is not the one before it: the first 40
+    # frames, the block of frame 40, those of frames 80 and 101 and the
+    # blocks after these two
+    assert formatted == [133] + [2 * 1024 * 4] * 25 + [133] + [5 * 1024 * 2] * 13
 
 
 @pytest.mark.parametrize(
@@ -271,19 +291,34 @@ def test_table_memory_is_bounded_by_a_block(tmp_path):
     # cells, 2.5 MB, not the file's (84 MB when the whole table was one
     # string, 4.8 MB with the text of a block of 131,072 cells joined, 0.8 MB
     # when the cells that never change went into a frame template once).
-    # Ten agents move; the rest stand still.
+    # Ten agents move; the rest stand still. When the last 400 frames
+    # repeat, as set-points do after tf, those blocks keep the text of the
+    # block before; the writer compares the series with itself, so its peak
+    # stays that of writing the first block alone (2.5 MB): no copy of the
+    # previous block's 86 KB of cells is kept alongside.
     rng = np.random.default_rng(2)
     pos = np.repeat(rng.normal(size=(1, 600, 2)) * 100.0, 1004, axis=0)
     pos[:, :10] = rng.normal(size=(1004, 10, 2)) * 100.0
     res = synthetic_run(pos, pos + 1.0, np.arange(1004) * 0.1)
-    tracemalloc.start()
-    try:
-        trace_table(res, tmp_path / "trace.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    repeating = pos.copy()
+    repeating[604:] = pos[603]
+    ids = res.plan.scenario.formation.ids
+    writers = {
+        "trace.csv": lambda path: trace_table(res, path),
+        "setpoints.csv": lambda path: setpoints_table(ids, res.times, repeating, path),
+        "first-block.csv": lambda path: setpoints_table(ids, res.times[:9], repeating[:9], path),
+    }
+    peaks = {}
+    for name, write in writers.items():
+        tracemalloc.start()
+        try:
+            write(tmp_path / name)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert (tmp_path / "trace.csv").stat().st_size > 35e6
-    assert peak < 10e6
+    assert max(peaks.values()) < 10e6
+    assert peaks["setpoints.csv"] < peaks["first-block.csv"] + 43e3
 
 
 def test_failed_write_leaves_no_temp_file_and_keeps_the_target(tmp_path):
@@ -298,7 +333,7 @@ def test_failed_write_leaves_no_temp_file_and_keeps_the_target(tmp_path):
         reporting._atomic_write(target, pieces())
     assert target.read_bytes() == b"previous run\n"
     assert [f.name for f in tmp_path.iterdir()] == ["trace.csv"]
-    bad = synthetic_run(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)), np.arange(3) * 0.1)  # desired too short
+    bad = synthetic_run(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), np.arange(2) * 0.1)  # more frames than times
     with pytest.raises(ValueError):
         trace_table(bad, target)
     assert target.read_bytes() == b"previous run\n"

@@ -102,7 +102,7 @@ class TestParse:
         doc = json.loads(MINIMAL)
         doc["agents"][5]["role"] = "core"  # agent 6, not the nearest to center
         sc = parse_scenario_text(json.dumps(doc))
-        graph = build_actual(sc.formation, sc.targets.center())
+        graph = build_actual(sc.formation, sc.targets.center)
         assert sc.formation.ids[graph.core] == 6
 
     def test_zone_with_sample_spacing(self):

@@ -30,6 +30,20 @@ class TestZone:
         ts = TargetSet(samples=samples)
         assert len(ts.zone_polygon) == 4
 
+    def test_center_is_computed_once_and_read_only(self, monkeypatch):
+        from swarm_transport import engine, targets
+
+        calls = []
+        zone_center = targets.zone_center
+        monkeypatch.setattr(targets, "zone_center", lambda zone: calls.append(1) or zone_center(zone))
+        sc = quick_scenario(seed=1, n=40, nb=10, uncoop=2)  # validation reads the center too
+        engine.make_plan(sc)
+        assert len(calls) == 1
+        assert sc.targets.center is sc.targets.center
+        assert np.array_equal(sc.targets.center, zone_center(sc.targets.zone_polygon))
+        with pytest.raises(ValueError):
+            sc.targets.center[0] = 0.0
+
     def test_no_zone_no_samples_raises(self):
         ts = TargetSet(samples=np.empty((0, 2)))
         with pytest.raises(BadConfig):
@@ -155,7 +169,7 @@ class TestComputeDesired:
 
     def test_mean_stays_inside_final_simplex(self):
         sc = quick_scenario(seed=6, n=32, nb=8)
-        graph = build_actual(sc.formation, sc.targets.center())
+        graph = build_actual(sc.formation, sc.targets.center)
         leader_p = leader_final_positions(sc.formation, sc.targets, scale=1.1)
         desired = compute_desired(graph, sc.formation, sc.targets, leader_p)
         for a, mentors in zip(graph.mentees, graph.mentors):
