@@ -1,9 +1,10 @@
 """Simplex and polygon geometry in R^2 and R^3.
 
 Convex hulls, barycentric coordinates, one convex-region containment test
-and a few polygon utilities. Weights, simplex containment and capture all
-apply each simplex's inverse elementwise, which gives a point the same bits
-in any batch.
+and a few polygon utilities. A simplex has one frame, its first vertex v_0
+and its edge vectors v_i - v_0, for its extent, its collapse test and its
+coordinates, which take a point's offset from v_0 elementwise: the same
+bits in any batch, and the simplex's place gone before any product.
 Everything operates on plain numpy arrays in workspace units (meters) and
 is pure, so calls are safe from any thread.
 """
@@ -21,14 +22,6 @@ from .errors import DegenerateInput, DegenerateSimplex
 DEGENERACY_COEFF = 1e-12
 # Points within this slack of a face still count as inside the simplex.
 CONTAINMENT_TOL = 1e-9
-
-
-def augmented_matrix(vertices: np.ndarray) -> np.ndarray:
-    """(n+1)x(n+1) matrix with vertex coordinates as columns over a row of ones;
-    a (..., n+1, n) stack of simplices gives a stack of matrices."""
-    verts = np.asarray(vertices, dtype=float)
-    ones = np.ones(verts.shape[:-2] + (1, verts.shape[-2]))
-    return np.concatenate([np.swapaxes(verts, -1, -2), ones], axis=-2)
 
 
 def extent(points) -> np.ndarray:
@@ -61,24 +54,29 @@ def barycentric_many(points, vertices) -> np.ndarray:
 
 
 def simplex_inverse(vertices) -> np.ndarray:
-    """Inverses of the augmented matrices of a (..., n+1, n) stack of simplices,
-    for ``inverse_coordinates``; ``DegenerateSimplex`` if any is degenerate."""
+    """Frames of a (..., n+1, n) stack of simplices for ``inverse_coordinates``:
+    rows 0..n-1 the inverse of the edges E (row i is v_{i+1} - v_0), row n
+    v_0; ``DegenerateSimplex`` if any is degenerate."""
     verts = np.asarray(vertices, dtype=float)
     if degenerate(verts).any():
         raise DegenerateSimplex("simplex vertices are affinely dependent")
-    return np.linalg.inv(augmented_matrix(verts))
+    return _frame(verts)
+
+
+def _frame(verts):
+    return np.concatenate([np.linalg.inv(verts[..., 1:, :] - verts[..., :1, :]), verts[..., :1, :]], axis=-2)
 
 
 def inverse_coordinates(inverse, points) -> np.ndarray:
-    """Barycentric coordinates of (..., n) points through (..., n+1, n+1)
-    simplex inverses broadcast against them, as (..., n+1): column j of the
-    inverse times coordinate j, summed for j = 0..n-1 in order, then plus the
-    last column, all elementwise, so a point's bits never depend on its batch."""
-    x = np.asarray(points, dtype=float)[..., None, :]
-    lam = inverse[..., 0] * x[..., 0]
-    for j in range(1, x.shape[-1]):
-        lam = lam + inverse[..., j] * x[..., j]
-    return lam + inverse[..., -1]
+    """Barycentric coordinates of (..., n) points through (..., n+1, n) simplex
+    frames broadcast against them, as (..., n+1): with d = x - v_0, coordinate
+    i + 1 sums row j of the inverse times d_j for j = 0..n-1 in order, and
+    coordinate 0 is one minus coordinates 1..n in order, all elementwise."""
+    d = np.asarray(points, dtype=float) - inverse[..., -1, :]
+    lam = inverse[..., 0, :] * d[..., :1]
+    for j in range(1, d.shape[-1]):
+        lam += inverse[..., j, :] * d[..., j : j + 1]
+    return np.concatenate([np.subtract.reduce(lam, axis=-1, initial=1.0)[..., None], lam], axis=-1)
 
 
 # A simplex looks for points only where every barycentric coordinate is
@@ -168,7 +166,7 @@ def near_pairs(vertices, cell, idx, points):
     cell. Only the cells of the (C, n+1, n) ``vertices`` stack that have a
     pair are inverted; the caller keeps degenerate cells out of the pairs."""
     used = np.bincount(cell, minlength=len(vertices)) > 0
-    inv = np.linalg.inv(augmented_matrix(vertices[used]))[np.cumsum(used)[cell] - 1]
+    inv = _frame(vertices[used])[np.cumsum(used)[cell] - 1]
     score = inverse_coordinates(inv, points[idx]).min(axis=1)
     keep = np.flatnonzero(score >= -_SLACK)
     return cell[keep], idx[keep], score[keep]

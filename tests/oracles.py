@@ -45,6 +45,16 @@ def initial_state(position) -> np.ndarray:
     return state
 
 
+def augmented_matrix(vertices) -> np.ndarray:
+    """The homogeneous system of a simplex: its (n+1)x(n+1) matrix with
+    vertex coordinates as columns over a row of ones, whose solve against a
+    point over a 1 gives the point's barycentric coordinates; a (..., n+1,
+    n) stack of simplices gives a stack of matrices."""
+    verts = np.asarray(vertices, dtype=float)
+    ones = np.ones(verts.shape[:-2] + (1, verts.shape[-2]))
+    return np.concatenate([np.swapaxes(verts, -1, -2), ones], axis=-2)
+
+
 def contains(vertices, point, tol: float = geometry.CONTAINMENT_TOL) -> bool:
     """True iff ``point`` lies in the closed simplex (faces count as inside)."""
     return bool(np.min(geometry.inverse_coordinates(geometry.simplex_inverse(vertices), point)) >= -tol)

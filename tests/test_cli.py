@@ -425,7 +425,7 @@ def test_collapsed_final_simplex_without_samples_is_a_plan_error(tmp_path, capsy
 def test_mentee_off_its_sliver_mentor_simplex_is_a_plan_error(tmp_path, capsys, command):
     # the core and agent 6 sit 1e-7 inside the bottom edge of a square turned
     # by 5 degrees; agent 6's mentor triangle (1, 2, 5) is a sliver whose
-    # inverse puts it -1.863e-09 outside, past the weights' tolerance
+    # inverse puts it -1.164e-09 outside, past the weights' tolerance
     turn = np.deg2rad(5.0)
     rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
     square = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
@@ -439,7 +439,7 @@ def test_mentee_off_its_sliver_mentor_simplex_is_a_plan_error(tmp_path, capsys, 
     assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "DegenerateMentorSimplex",
-        "message": "agent 6: barycentric weight -1.863e-09 below tolerance; "
+        "message": "agent 6: barycentric weight -1.164e-09 below tolerance; "
         "the point lies outside the simplex of its mentors (1, 2, 5)",
     }
 

@@ -199,14 +199,37 @@ def _shifted_document(text, offset):
     return json.dumps(doc)
 
 
+def _planned_document(sc):
+    """Document text, plan and radius (largest distance of an agent from the
+    agents' mean) of scenario ``sc``."""
+    pos = sc.formation.positions
+    return serialize_scenario(sc), make_plan(sc), float(np.linalg.norm(pos - pos.mean(axis=0), axis=1).max())
+
+
 @functools.cache
 def _team_document(seed):
-    """Document text, mentor graph and radius (largest distance of an agent
-    from the agents' mean) of the cube (seed None) or a generated planar team
-    of 24 to 40 agents."""
+    """``_planned_document`` of the cube (seed None) or a generated planar
+    team of 24 to 40 agents."""
     sc = cube_scenario() if seed is None else quick_scenario(seed=seed, n=24 + 5 * seed, nb=6 + seed, uncoop=seed % 3)
-    pos = sc.formation.positions
-    return serialize_scenario(sc), make_plan(sc).graph, float(np.linalg.norm(pos - pos.mean(axis=0), axis=1).max())
+    return _planned_document(sc)
+
+
+@functools.cache
+def _transport_large_document(seed):
+    """``_planned_document`` of transport-large's team of this seed."""
+    return _planned_document(quick_scenario(seed=seed, n=600, nb=100, uncoop=2))
+
+
+def _assert_plans_as_at_the_origin(text, want, radius, offset):
+    """Document ``text`` moved by ``offset`` plans with the core, mentor graph
+    and captures of ``want``, its plan at the origin, and its final positions
+    less the offset lie within 1e-9 radius of ``want``'s."""
+    got = make_plan(parse_scenario_text(_shifted_document(text, offset)))
+    assert got.graph.core == want.graph.core
+    for name in ("layer", "mentees", "mentors"):
+        assert getattr(got.graph, name).tobytes() == getattr(want.graph, name).tobytes()
+    assert got.desired.captured == want.desired.captured
+    assert np.abs(got.desired.p - np.asarray(offset) - want.desired.p).max() <= 1e-9 * radius
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,16 +238,23 @@ def _team_document(seed):
 @example(seed=3, unit=(1.0, 1.0, 0.0))
 @example(seed=3, unit=(0.5, 1.0, 0.0))  # another core when the centroid sums raw coordinates
 def test_a_shifted_team_plans_as_at_the_origin(seed, unit):
-    # every tolerance is relative to its own point set's extent, and a planar
+    # every tolerance is relative to its own point set's extent, a planar
     # zone's area centroid, which picks the core, sums about the zone's
-    # vertex mean, so the same document moved by up to 1e5 radii in every
-    # axis gets the same core and mentor graph
+    # vertex mean, and a point's coordinates in a simplex start from the
+    # simplex's first vertex, so the same document moved by up to 1e5 radii
+    # in every axis gets the same core, mentor graph and captures
     text, want, radius = _team_document(seed)
-    dim = want.mentors.shape[1] - 1
-    got = make_plan(parse_scenario_text(_shifted_document(text, 1e5 * radius * np.asarray(unit[:dim])))).graph
-    assert got.core == want.core
-    for name in ("layer", "mentees", "mentors"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    dim = want.graph.mentors.shape[1] - 1
+    _assert_plans_as_at_the_origin(text, want, radius, 1e5 * radius * np.asarray(unit[:dim]))
+
+
+@pytest.mark.parametrize("offset", [(5e5, -3.5e5), (2e6, -1.4e6)], ids=["5e5", "2e6"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_shifted_large_team_captures_as_at_the_origin(seed, offset):
+    # captures must not depend on where the team stands: an inverse that folds
+    # the simplex's place into an offset column flips 1-3 captures of each
+    # team at these moves, and a final position by up to 0.5 m
+    _assert_plans_as_at_the_origin(*_transport_large_document(seed), offset)
 
 
 def test_a_shifted_team_runs_as_at_the_origin():

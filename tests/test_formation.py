@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ancestors, manual_scenario, quick_scenario, square_core_formation
 from oracles import (
+    augmented_matrix,
     cellwise_build_actual,
     cellwise_compute_desired,
     cellwise_endpoint_weights,
@@ -133,7 +134,7 @@ class TestFanTriangulate:
         form = Formation.build(ids, pos)
         fan = fan_triangulate(form, 8)
         vol = sum(
-            abs(np.linalg.det(geometry.augmented_matrix(form.positions[rows]))) / 6.0
+            abs(np.linalg.det(augmented_matrix(form.positions[rows]))) / 6.0
             for rows in fan
         )
         assert np.isclose(vol, 8.0)
@@ -181,14 +182,14 @@ class TestBuildActual:
 
     @pytest.mark.parametrize(
         "last, mentors",
-        [((3.106559884909243, 3.292116615091471), [2, 3, 4]), ((2.64974373730896, 2.7118366438154355), [2, 3, 4])],
+        [((3.106559884909243, 3.292116615091471), [2, 3, 4]), ((2.6497437373089596, 2.7118366438154355), [2, 3, 4])],
     )
     def test_last_free_agent_is_tested_alone(self, last, mentors):
-        # The last agent sits 1e-9 outside the second fan cell, where a
-        # one-point and a two-point LAPACK solve disagree on whether it is
-        # inside. One cell at a time, it is tested alone once the first cell
-        # has adopted the other agent; the batched search, which scores it
-        # with the other agent, must decide the same.
+        # The last agent sits -1.0000002e-09 outside the second fan cell, just
+        # past the tolerance: the second point one ulp greater in x is inside.
+        # One cell at a time, it is tested alone once the first cell has
+        # adopted the other agent; the batched search, which scores it with
+        # the other agent, must decide the same.
         hull = [(0.1, -0.3), (4.2, 0.15), (3.9, 4.3), (-0.2, 3.8)]
         pts = hull + [(2.05, 1.95), (2.1166666666666667, 0.6), last]
         form = Formation.build(range(1, 8), pts, core_id=5)

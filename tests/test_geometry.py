@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cube_scenario, quick_scenario
-from oracles import Simplex, contains, inside, scalar_hull_2d
+from oracles import Simplex, augmented_matrix, contains, inside, scalar_hull_2d
 from swarm_transport import geometry
 from swarm_transport.errors import DegenerateInput, DegenerateSimplex
 from swarm_transport.geometry import (
@@ -185,7 +185,7 @@ class TestBatchedNumerics:
     @pytest.mark.parametrize("n", [2, 3])
     def test_batched_det_equals_each_det(self, n):
         verts = self._simplices(np.random.default_rng(n), 500, n)
-        mats = geometry.augmented_matrix(verts)
+        mats = verts[:, 1:] - verts[:, :1]  # the edge vectors v_i - v_0
         batched = np.linalg.det(mats)
         assert [d.tobytes() for d in batched] == [np.linalg.det(m).tobytes() for m in mats]
         assert geometry.degenerate(verts).tolist() == [geometry.degenerate(v) for v in verts]
@@ -193,10 +193,12 @@ class TestBatchedNumerics:
     @pytest.mark.parametrize("n", [2, 3])
     def test_batched_inv_equals_each_inv(self, n):
         verts = self._simplices(np.random.default_rng(40 + n), 500, n)
-        mats = geometry.augmented_matrix(verts)
+        mats = verts[:, 1:] - verts[:, :1]  # the edge vectors v_i - v_0
         batched = np.linalg.inv(mats)
         assert [a.tobytes() for a in batched] == [np.linalg.inv(m).tobytes() for m in mats]
-        assert geometry.simplex_inverse(verts).tobytes() == batched.tobytes()
+        frame = geometry.simplex_inverse(verts)
+        assert frame[:, :n].tobytes() == batched.tobytes()
+        assert frame[:, n].tobytes() == verts[:, 0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -228,11 +230,11 @@ class TestBatchedNumerics:
     def test_inverse_coordinates_match_the_solve(self, n):
         rng = np.random.default_rng(50 + n)
         verts = self._simplices(rng, 300, n)
-        verts = verts[np.linalg.cond(geometry.augmented_matrix(verts)) < 1e3]
+        verts = verts[np.linalg.cond(augmented_matrix(verts)) < 1e3]
         pts = rng.uniform(-12.0, 12.0, (len(verts), n))
         got = geometry.inverse_coordinates(geometry.simplex_inverse(verts), pts)
-        rhs = geometry.augmented_matrix(pts[:, None])  # each point as a column over a 1
-        solved = np.linalg.solve(geometry.augmented_matrix(verts), rhs)[..., 0]
+        rhs = augmented_matrix(pts[:, None])  # each point as a column over a 1
+        solved = np.linalg.solve(augmented_matrix(verts), rhs)[..., 0]
         assert len(verts) > 100 and np.allclose(got, solved, rtol=0.0, atol=1e-11)
 
     def test_degenerate_simplices_raise_typed(self):
@@ -243,7 +245,7 @@ class TestBatchedNumerics:
                 geometry.simplex_inverse(verts)
             with pytest.raises(DegenerateSimplex):
                 barycentric(np.zeros(verts.shape[-1]), verts)
-        assert geometry.simplex_inverse(np.empty((0, 3, 2))).shape == (0, 3, 3)
+        assert geometry.simplex_inverse(np.empty((0, 3, 2))).shape == (0, 3, 2)
 
     def test_index_keeps_points_just_outside_a_face(self):
         # within CONTAINMENT_TOL of a face counts as inside, also where that

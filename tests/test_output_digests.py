@@ -5,7 +5,8 @@ were last rewritten.
 The digests hold for this toolchain (numpy 2.4.6 with its bundled
 OpenBLAS). A different numpy or BLAS may round a product differently and
 move a trajectory digit; re-record then, on a commit whose outputs are
-trusted, with ``PYTHONPATH=src python tests/test_output_digests.py``.
+trusted, with ``PYTHONPATH=src python tests/test_output_digests.py``, which
+prints each (case, file) pair whose digest it changes before it writes.
 """
 
 import dataclasses
@@ -80,9 +81,14 @@ def test_outputs_match_recorded_digests(case, tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     record = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             record[case] = output_digests(case, Path(tmp))
+    for case, files in record.items():
+        for name in sorted(files.keys() | old.get(case, {}).keys()):
+            if files.get(name) != old.get(case, {}).get(name):
+                print(f"moved: {case} {name}")
     DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")

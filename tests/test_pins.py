@@ -5,7 +5,9 @@ scenario file and of its ``graph.txt`` plus the run's verdicts and terminal
 errors. These tests read it (never write it), so a change that alters a
 generated scenario, the mentor graph or a run's outcome fails here first.
 Every scenario whose pins a default benchmark run checks (sweep-small seeds
-1-16 and transport-large seed 1) is checked here as the benchmark checks it.
+1-16 and transport-large seed 1) is checked here as the benchmark checks it;
+every other pinned 40-10-2 document, and the 600-100-2 ones of seeds 0-3, 8
+and 10, by its sha256 alone.
 """
 
 import hashlib
@@ -67,6 +69,20 @@ def test_scenario_and_graph_match_pins(seed, params):
     assert _sha256(text) == pin["scenario_sha256"]
     sc = parse_scenario_text(text)
     assert _sha256(graph_records(sc.formation, build_actual(sc.formation, sc.targets.center))) == pin["graph_sha256"]
+
+
+# the other pinned draws whose bytes the batched interior draw must keep: the
+# rest of the 40-10-2 seeds, and transport-large's team at seeds 0, 2, 3, 8
+# and 10 (8 and 10 redraw)
+GENERATED = [
+    *(pytest.param(seed, PARAMS, id=str(seed)) for seed in range(17, 31)),
+    *(pytest.param(seed, LARGE, id=f"600-100-2:{seed}") for seed in (0, 2, 3, 8, 10)),
+]
+
+
+@pytest.mark.parametrize("seed, params", GENERATED)
+def test_generated_document_matches_pin(seed, params):
+    assert _sha256(_scenario_text(seed, params)) == _pin(seed, params)["scenario_sha256"]
 
 
 def test_run_matches_pins():
